@@ -12,169 +12,15 @@ Typical use::
     res = classify_free(catalog("torus2"), target_catalog("rp2"))
     for sector in res.sectors:
         print(sector.phi1, sector.based_group)
+
+Everything else is reached through its module, e.g. ``topsectors.zlinalg``.
 """
 
-from .classify2d import (
-    Dim1Classification,
-    SectorClassification,
-    SectorResult,
-    TargetData,
-    UnsupportedTargetError,
-    XModHom,
-    classify_based,
-    classify_dim1,
-    classify_free,
-    hom_lattice,
-    homotopy_sublattice,
-    pi1_sectors,
-    wedge_formula,
-)
-from .cohomology import (
-    CochainComplex,
-    CoefficientModule,
-    build_complex,
-    special_case_classify,
-    twisted_second_cohomology,
-)
-from .complexes import (
-    CWComplex,
-    ComplexError,
-    TriadLetter,
-    catalog,
-    load,
-    loads,
-    save,
-    saves,
-    validate_triad,
-)
-from .dim3 import (
-    CLetter,
-    CupData,
-    CylinderPreset,
-    S2CrossedSquareTarget,
-    TensorLetter,
-    XSqHom,
-    classify_s2,
-    crossed_square_report,
-    cup_preset,
-    cylinder_preset,
-    evaluate_L,
-    pontrjagin_classify,
-    pontrjagin_sector_group,
-    sector_group_s2,
-    xsq_hom_lattice,
-)
-from .fingrp import FiniteGroup, cyclic, direct_product, symmetric
-from .words import (
-    Alphabet,
-    AlphabetError,
-    GroupRingElement,
-    Word,
-    WordSyntaxError,
-    fox_derivative,
-)
-from .xmod import (
-    FiniteCrossedModule,
-    HoangData,
-    ModuleXMod,
-    XModError,
-    derivation_image,
-    free_pre_crossed_boundary,
-    from_strict_2group,
-    hoang_data,
-    target_catalog,
-    to_strict_2group,
-    validate,
-)
-from .zlinalg import (
-    AbelianGroup,
-    AffineLattice,
-    IntMatrix,
-    Lattice,
-    LatticeQuotient,
-    SmithDecomposition,
-    SublatticeError,
-    quotient,
-    quotient_with_representatives,
-    smith_normal_form,
-    solve,
-)
+from . import classify2d, cohomology, complexes, dim3, words, xmod, zlinalg
+from .classify2d import classify_free
+from .complexes import catalog
+from .xmod import target_catalog
 
-__all__ = [
-    "AbelianGroup",
-    "AffineLattice",
-    "Alphabet",
-    "AlphabetError",
-    "CLetter",
-    "CWComplex",
-    "CochainComplex",
-    "CoefficientModule",
-    "ComplexError",
-    "CupData",
-    "CylinderPreset",
-    "Dim1Classification",
-    "FiniteCrossedModule",
-    "FiniteGroup",
-    "GroupRingElement",
-    "HoangData",
-    "IntMatrix",
-    "Lattice",
-    "LatticeQuotient",
-    "ModuleXMod",
-    "S2CrossedSquareTarget",
-    "SectorClassification",
-    "SectorResult",
-    "SmithDecomposition",
-    "SublatticeError",
-    "TargetData",
-    "TensorLetter",
-    "TriadLetter",
-    "UnsupportedTargetError",
-    "Word",
-    "WordSyntaxError",
-    "XModError",
-    "XModHom",
-    "XSqHom",
-    "build_complex",
-    "catalog",
-    "classify_based",
-    "classify_dim1",
-    "classify_free",
-    "classify_s2",
-    "crossed_square_report",
-    "cup_preset",
-    "cyclic",
-    "cylinder_preset",
-    "derivation_image",
-    "direct_product",
-    "evaluate_L",
-    "fox_derivative",
-    "free_pre_crossed_boundary",
-    "from_strict_2group",
-    "hoang_data",
-    "hom_lattice",
-    "homotopy_sublattice",
-    "load",
-    "loads",
-    "pi1_sectors",
-    "pontrjagin_classify",
-    "pontrjagin_sector_group",
-    "quotient",
-    "quotient_with_representatives",
-    "save",
-    "saves",
-    "sector_group_s2",
-    "smith_normal_form",
-    "solve",
-    "special_case_classify",
-    "symmetric",
-    "target_catalog",
-    "to_strict_2group",
-    "twisted_second_cohomology",
-    "validate",
-    "validate_triad",
-    "wedge_formula",
-    "xsq_hom_lattice",
-]
+__all__ = ["catalog", "classify_free", "target_catalog"]
 
 __version__ = "0.1.0"

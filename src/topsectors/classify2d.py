@@ -11,9 +11,10 @@ directions and each sector's answer is one Smith normal form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .complexes import CWComplex
 from .fingrp import FiniteGroup
@@ -79,9 +80,6 @@ class TargetData:
     def labels(self) -> list[Vector]:
         return list(self.pi1.enumerate_class_coords())
 
-    def label_of_coords(self, coords: Sequence[int]) -> Vector:
-        return self.pi1.class_coords(tuple(coords))
-
     def lift_of_label(self, label: Sequence[int]) -> Vector:
         """A coordinate vector of G representing the pi_1 X label."""
         vec = [0] * self.k
@@ -93,28 +91,34 @@ class TargetData:
     def rho_of_label(self, label: Sequence[int]) -> IntMatrix:
         return self.target.rho_of_coords(self.lift_of_label(label))
 
-    def label_add(self, a: Sequence[int], scale: int, b: Sequence[int]) -> Vector:
-        """a + scale * b in label coordinates."""
-        out = []
-        for x, y, d in zip(a, b, self.pi1.factors):
-            v = x + scale * y
-            out.append(v % d if d else v)
-        return tuple(out)
-
-    def zero_label(self) -> Vector:
-        return tuple(0 for _ in self.pi1.factors)
-
-    def kernel_basis(self) -> list[Vector]:
+    @functools.cached_property
+    def kernel_basis(self) -> tuple[Vector, ...]:
         """Basis of ker(d) = pi_2 X inside Z^rank."""
         t = self.target
-        cols = [list(t.boundary.column(j)) for j in range(t.rank)]
-        torsion = t.torsion_relation_columns()
-        mat = IntMatrix.from_columns([tuple(c) for c in cols] + list(torsion), height=self.k)
+        cols = [t.boundary.column(j) for j in range(t.rank)]
+        mat = IntMatrix.from_columns(cols + t.torsion_relation_columns(), height=self.k)
         sol = solve(mat, (0,) * self.k)
         assert sol is not None
         _, kernel = sol
-        lat = Lattice(t.rank, [vec[: t.rank] for vec in kernel])
-        return lat.basis()
+        return tuple(Lattice(t.rank, [vec[: t.rank] for vec in kernel]).basis())
+
+    @functools.cached_property
+    def pi2_action(self) -> tuple[IntMatrix, ...]:
+        """The action of each pi_1 X generator on pi_2 X, as a matrix over
+        ``kernel_basis``."""
+        basis = self.kernel_basis
+        lat = Lattice(self.target.rank, basis)
+        matrices = []
+        for gen_vec in self.pi1.generator_vectors:
+            rho = self.target.rho_of_coords(gen_vec)
+            cols = []
+            for b in basis:
+                coords = lat.coords_in_basis(rho.apply(b))
+                if coords is None:
+                    raise XModError("action does not preserve ker(d)")
+                cols.append(coords)
+            matrices.append(IntMatrix.from_columns(cols, height=len(basis)))
+        return tuple(matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -213,30 +217,40 @@ class XModHom:
 # ---------------------------------------------------------------------------
 
 
-def pi1_sectors(M: CWComplex, X: ModuleXMod | TargetData) -> list[dict]:
-    """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells.
+def label_of_word(factors: Sequence[int], assignment: Mapping, word: Word) -> Vector:
+    """The label of a word in an abelian pi_1 with the given invariant
+    factors (0 = infinite), when each 1-cell carries the label in
+    ``assignment``: its exponent-sum combination, reduced once at the end."""
+    out = [0] * len(factors)
+    for name, exp in word.runs:
+        for i, c in enumerate(assignment[name]):
+            out[i] += exp * c
+    return tuple(v % f if f else v for v, f in zip(out, factors))
+
+
+def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
+    """All homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
+    label assignments to the 1-cells, in lexicographic order.
 
     An assignment qualifies iff every 2-cell relator maps to the identity.
     """
-    data = X if isinstance(X, TargetData) else TargetData(X)
-    data.require_finite_pi1()
-    labels = data.labels()
+    labels = list(itertools.product(*[range(f) for f in factors]))
+    gens = M.alphabet.names
     sectors = []
-    for combo in itertools.product(labels, repeat=len(M.alphabet.names)):
-        assignment = dict(zip(M.alphabet.names, combo))
-        if all(
-            _word_label(data, assignment, word) == data.zero_label()
-            for _, word in M.two_cells
+    for combo in itertools.product(labels, repeat=len(gens)):
+        assignment = dict(zip(gens, combo))
+        if not any(
+            any(label_of_word(factors, assignment, word)) for _, word in M.two_cells
         ):
             sectors.append(assignment)
     return sectors
 
 
-def _word_label(data: TargetData, assignment: dict, word: Word) -> Vector:
-    out = data.zero_label()
-    for gen, s in zip(word.alphabet.names, word.exponent_sums()):
-        out = data.label_add(out, s, assignment[gen])
-    return out
+def pi1_sectors(M: CWComplex, X: ModuleXMod | TargetData) -> list[dict]:
+    """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells."""
+    data = X if isinstance(X, TargetData) else TargetData(X)
+    data.require_finite_pi1()
+    return label_sectors(M, data.pi1.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +323,33 @@ def hom_lattice(
     )
 
 
+def labelled_sum(
+    r: int, terms: Mapping, rho: Callable[[Vector], IntMatrix]
+) -> IntMatrix:
+    """The r x r matrix sum of c * rho(label) over a {label: c} map, such
+    as a Fox derivative or a derivation image projected to labels."""
+    total = [[0] * r for _ in range(r)]
+    for label, c in terms.items():
+        for row, m_row in zip(total, rho(label).data):
+            for j, x in enumerate(m_row):
+                row[j] += c * x
+    return IntMatrix(total, cols=r)
+
+
 def sector_action_matrices(
     M: CWComplex, data: TargetData, sector: dict
 ) -> dict[str, dict[str, IntMatrix]]:
     """For each 2-cell t and 1-cell a, the matrix of the Fox derivative
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
-    out: dict[str, dict[str, IntMatrix]] = {}
     r = data.target.rank
-    for cell, word in M.two_cells:
-        per_gen = {}
-        for gen in M.alphabet.names:
-            ring = fox_derivative(word, gen)
-            labeled = ring.project(lambda w: _word_label(data, sector, w))
-            total = IntMatrix.zeros(r, r)
-            for label, coeff in labeled.items():
-                total = total + data.rho_of_label(label).scaled(coeff)
-            per_gen[gen] = total
-        out[cell] = per_gen
-    return out
+    label = functools.partial(label_of_word, data.pi1.factors, sector)
+    return {
+        cell: {
+            gen: labelled_sum(r, fox_derivative(word, gen).project(label), data.rho_of_label)
+            for gen in M.alphabet.names
+        }
+        for cell, word in M.two_cells
+    }
 
 
 def homotopy_sublattice(
@@ -465,9 +488,6 @@ class SectorClassification:
     layout: HomLayout
     sectors: list[SectorResult]
 
-    def based_groups(self) -> list[AbelianGroup]:
-        return [s.based_group for s in self.sectors]
-
     def total_free_classes(self) -> Optional[int]:
         """Number of free classes when every sector is finite, else None."""
         total = 0
@@ -596,33 +616,17 @@ class WedgeClasses:
 
     pi2: AbelianGroup
     pi1: AbelianGroup
-    kernel_basis: list[Vector]
-    pi2_action: list[IntMatrix]  # one matrix per pi_1 X generator, on the kernel basis
-
-    @property
-    def based_description(self) -> str:
-        return f"{self.pi2} x {self.pi1}"
+    kernel_basis: tuple[Vector, ...]
+    pi2_action: tuple[IntMatrix, ...]  # one matrix per pi_1 X generator, on the kernel basis
 
 
 def wedge_formula(X: ModuleXMod) -> WedgeClasses:
     """Based classes of maps from S^1 v S^2: ker(d) x coker(d), with free
     classes the pi_1 X orbits (the action on phi2 and trivial conjugation)."""
     data = TargetData(X)
-    basis = data.kernel_basis()
-    lat = Lattice(X.rank, basis)
-    matrices = []
-    for gen_vec in data.pi1.generator_vectors:
-        rho = X.rho_of_coords(gen_vec)
-        cols = []
-        for b in basis:
-            coords = lat.coords_in_basis(rho.apply(b))
-            if coords is None:
-                raise XModError("action does not preserve ker(d)")
-            cols.append(coords)
-        matrices.append(IntMatrix.from_columns(cols, height=len(basis)))
     return WedgeClasses(
-        pi2=AbelianGroup.free(len(basis)),
+        pi2=AbelianGroup.free(len(data.kernel_basis)),
         pi1=data.pi1_group,
-        kernel_basis=basis,
-        pi2_action=matrices,
+        kernel_basis=data.kernel_basis,
+        pi2_action=data.pi2_action,
     )

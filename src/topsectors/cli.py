@@ -384,7 +384,7 @@ def cmd_snf(args) -> int:
     else:
         raise InputError("snf needs --matrix or --file")
     try:
-        A = IntMatrix(data)
+        A = IntMatrix.from_json(data)
     except (TypeError, ValueError) as err:
         raise InputError(f"bad matrix: {err}") from None
     dec = zlinalg.smith_normal_form(A)

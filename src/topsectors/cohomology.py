@@ -11,11 +11,10 @@ this labeling is exact for the twist.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classify2d import TargetData, Vector
+from .classify2d import TargetData, Vector, label_of_word, label_sectors, labelled_sum
 from .complexes import CWComplex
 from .words import Word, fox_derivative
 from .xmod import ModuleXMod, derivation_image
@@ -23,7 +22,6 @@ from .zlinalg import (
     AbelianGroup,
     AffineLattice,
     IntMatrix,
-    Lattice,
     LatticeQuotient,
     quotient,
     quotient_with_representatives,
@@ -57,10 +55,7 @@ class CoefficientModule:
         for m, f in zip(self.generator_matrices, self.factors):
             if m.shape != (self.rank, self.rank):
                 raise CoefficientError("action matrix of wrong shape")
-            power = identity
-            for _ in range(f):
-                power = power @ m
-            if f and power != identity:
+            if f and m**f != identity:
                 raise CoefficientError(
                     "action does not respect the order of a pi_1 generator"
                 )
@@ -81,47 +76,25 @@ class CoefficientModule:
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
         if isinstance(data, ModuleXMod):
             data = TargetData(data)
-        basis = data.kernel_basis()
-        lat = Lattice(data.target.rank, basis)
-        matrices = []
-        for gen_vec in data.pi1.generator_vectors:
-            rho = data.target.rho_of_coords(gen_vec)
-            cols = []
-            for b in basis:
-                coords = lat.coords_in_basis(rho.apply(b))
-                if coords is None:
-                    raise CoefficientError("action does not preserve ker(d)")
-                cols.append(coords)
-            matrices.append(IntMatrix.from_columns(cols, height=len(basis)))
         return CoefficientModule(
-            rank=len(basis),
+            rank=len(data.kernel_basis),
             factors=data.pi1.factors,
-            generator_matrices=tuple(matrices),
+            generator_matrices=data.pi2_action,
             sector=dict(sector),
         )
 
     # -- label arithmetic ---------------------------------------------------
 
     def label_of_word(self, w: Word) -> Vector:
-        out = [0] * len(self.factors)
-        for gen, s in zip(w.alphabet.names, w.exponent_sums()):
-            for i, c in enumerate(self.sector[gen]):
-                out[i] += s * c
-        return tuple(
-            v % f if f else v for v, f in zip(out, self.factors)
-        )
+        return label_of_word(self.factors, self.sector, w)
 
     def matrix_of_label(self, label: Sequence[int]) -> IntMatrix:
         out = IntMatrix.identity(self.rank)
         for m, c, f in zip(self.generator_matrices, label, self.factors):
             c = c % f if f else c
-            base = m if c >= 0 else m.inverse_unimodular()
-            for _ in range(abs(c)):
-                out = out @ base
+            if c:
+                out = out @ m**c
         return out
-
-    def matrix_of_word(self, w: Word) -> IntMatrix:
-        return self.matrix_of_label(self.label_of_word(w))
 
 
 @dataclass(frozen=True)
@@ -138,52 +111,38 @@ def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
     """Cellular cochain complex of M with the given local coefficients."""
     r = coeffs.rank
     gens = M.alphabet.names
-    n1, n2, n3 = len(gens), len(M.two_cells), len(M.three_cells)
+    label, rho = coeffs.label_of_word, coeffs.matrix_of_label
     identity = IntMatrix.identity(r)
 
-    d0_rows = []
-    for gen in gens:
-        block = coeffs.matrix_of_word(M.alphabet.gen(gen)) - identity
-        d0_rows.extend([list(row) for row in block.data])
-    d0 = IntMatrix(d0_rows, cols=r)
-
-    d1_rows = []
-    for _, word in M.two_cells:
-        row_blocks = []
-        for gen in gens:
-            ring = fox_derivative(word, gen)
-            labeled = ring.project(coeffs.label_of_word)
-            total = IntMatrix.zeros(r, r)
-            for label, coeff in labeled.items():
-                total = total + coeffs.matrix_of_label(label).scaled(coeff)
-            row_blocks.append(total)
-        for i in range(r):
-            d1_rows.append(
-                [x for block in row_blocks for x in block.data[i]]
-            )
-    d1 = IntMatrix(d1_rows, cols=n1 * r)
-
-    d2_rows = []
+    d0 = _stack([[rho(coeffs.sector[gen]) - identity] for gen in gens], r, r)
+    d1 = _stack(
+        [
+            [labelled_sum(r, fox_derivative(word, gen).project(label), rho) for gen in gens]
+            for _, word in M.two_cells
+        ],
+        r,
+        len(gens) * r,
+    )
+    d2_blocks = []
     for _, triad in M.three_cells:
         _, hword = M.triad_normal_form(triad)
-        image = derivation_image(M, hword, coeffs.label_of_word)
-        row_blocks = []
-        for cell in M.two_cell_names():
-            total = IntMatrix.zeros(r, r)
-            for label, coeff in image[cell].items():
-                total = total + coeffs.matrix_of_label(label).scaled(coeff)
-            row_blocks.append(total)
-        for i in range(r):
-            d2_rows.append(
-                [x for block in row_blocks for x in block.data[i]]
-            )
-    d2 = IntMatrix(d2_rows, cols=n2 * r)
+        image = derivation_image(M, hword, label)
+        d2_blocks.append([labelled_sum(r, image[cell], rho) for cell in M.two_cell_names()])
+    d2 = _stack(d2_blocks, r, len(M.two_cells) * r)
 
     if d0.rows and d1.rows and d1 @ d0 != IntMatrix.zeros(d1.rows, d0.cols):
         raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
     if d1.rows and d2.rows and d2 @ d1 != IntMatrix.zeros(d2.rows, d1.cols):
         raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
     return CochainComplex(d0=d0, d1=d1, d2=d2)
+
+
+def _stack(block_rows: list[list[IntMatrix]], r: int, cols: int) -> IntMatrix:
+    """The matrix whose rows of r x r blocks are ``block_rows``."""
+    return IntMatrix(
+        [[x for block in blocks for x in block.data[i]] for blocks in block_rows for i in range(r)],
+        cols=cols,
+    )
 
 
 def twisted_second_cohomology(M: CWComplex, coeffs: CoefficientModule) -> AbelianGroup:
@@ -259,26 +218,19 @@ def special_case_classify(
     identity = IntMatrix.identity(pi_d_rank)
     trivial_action = all(m == identity for m in matrices)
 
-    labels = list(itertools.product(*[range(f) for f in factors]))
-    gens = M.alphabet.names
     sectors = []
     n3r = len(M.three_cells) * pi_d_rank
     ambient = AffineLattice.from_solution(
         (0,) * n3r,
         [tuple(1 if i == j else 0 for j in range(n3r)) for i in range(n3r)],
     )
-    for combo in itertools.product(labels, repeat=len(gens)):
-        assignment = dict(zip(gens, combo))
+    for assignment in label_sectors(M, factors):
         coeffs = CoefficientModule(
             rank=pi_d_rank,
             factors=factors,
             generator_matrices=matrices,
             sector=assignment,
         )
-        if any(
-            any(coeffs.label_of_word(word)) for _, word in M.two_cells
-        ):
-            continue  # relator does not die in pi_1 X: not a sector
         cx = build_complex(M, coeffs)
         quot = quotient_with_representatives(ambient, cx.d2.columns())
         sectors.append(

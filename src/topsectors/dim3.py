@@ -23,6 +23,7 @@ from .zlinalg import (
     AffineLattice,
     IntMatrix,
     Lattice,
+    json_int,
     quotient,
     solve,
 )
@@ -32,32 +33,6 @@ Vector = tuple[int, ...]
 
 class Dim3Error(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# The target crossed square of the 2-sphere
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class S2CrossedSquareTarget:
-    """The crossed square of the 2-sphere: L = K = H = G = Z with kappa and
-    eta the zero maps, nu and mu the identity, and all actions trivial.
-    pi_3 = ker(eta) = Z; the zero side maps are what collapse the tensor
-    calculus to products of integers in :func:`evaluate_L`."""
-
-    L: AbelianGroup = AbelianGroup.free(1)
-    K: AbelianGroup = AbelianGroup.free(1)
-    H: AbelianGroup = AbelianGroup.free(1)
-    G: AbelianGroup = AbelianGroup.free(1)
-    kappa: int = 0  # multiplier of the map L -> K
-    eta: int = 0  # multiplier of the map L -> H
-    nu: int = 1  # multiplier of the map K -> G
-    mu: int = 1  # multiplier of the map H -> G
-
-    @property
-    def pi3(self) -> AbelianGroup:
-        return AbelianGroup.free(1)
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +599,11 @@ class CupData:
             raise Dim3Error(f"unknown keys in cup file: {sorted(unknown)}")
         try:
             return CupData(
-                h1_rank=int(obj["h1_rank"]),
-                h2=tuple(int(x) for x in obj["h2"]),
-                h3=tuple(int(x) for x in obj["h3"]),
+                h1_rank=json_int(obj["h1_rank"]),
+                h2=tuple(json_int(x) for x in obj["h2"]),
+                h3=tuple(json_int(x) for x in obj["h3"]),
                 cup=tuple(
-                    tuple(tuple(int(x) for x in entry) for entry in row)
+                    tuple(tuple(json_int(x) for x in entry) for entry in row)
                     for row in obj["cup"]
                 ),
             )

@@ -190,31 +190,6 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-# -- module-level operation surface ---------------------------------------
-
-
-def reduce(alphabet: Alphabet, letters: Iterable[tuple[str, int]]) -> Word:
-    """Free reduction of a raw letter/syllable sequence."""
-    return Word(alphabet, tuple(letters))
-
-
-def mul(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def inv(u: Word) -> Word:
-    return u.inverse()
-
-
-def conj(g: Word, w: Word) -> Word:
-    """g w g^-1."""
-    return w.conjugate_by(g)
-
-
-def exponent_sums(w: Word) -> tuple[int, ...]:
-    return w.exponent_sums()
-
-
 class GroupRingElement:
     """A finite integer combination of words: an element of Z[F].
 

@@ -1,6 +1,6 @@
 """Crossed modules: computable targets over abelian groups, finite crossed
-modules by tables, free pre-crossed boundaries, Hoang data with the extension
-3-cocycle, and the strict 2-group dictionary.
+modules by tables, the derivation image of an H-word, Hoang data with the
+extension 3-cocycle, and the strict 2-group dictionary.
 
 A crossed module is a homomorphism d: H -> G with a G-action on H such that
 d(^g h) = g d(h) g^-1 and ^d(h) h' = h h' h^-1.  Dropping the second
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .complexes import CWComplex, HWord
 from .fingrp import FiniteGroup
 from .words import Word
-from .zlinalg import AbelianGroup, IntMatrix
+from .zlinalg import AbelianGroup, IntMatrix, json_int
 
 
 class XModError(Exception):
@@ -62,10 +62,6 @@ class ModuleXMod:
     def num_g_generators(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    @property
-    def torsion_orders(self) -> tuple[int, ...]:
-        return self.torsion
-
     def torsion_relation_columns(self) -> list[tuple[int, ...]]:
         k = self.num_g_generators
         cols = []
@@ -79,11 +75,8 @@ class ModuleXMod:
         """Action matrix of the G-element with the given coordinates."""
         out = IntMatrix.identity(self.rank)
         for matrix, c in zip(self.action, coords):
-            if c == 0:
-                continue
-            base = matrix if c > 0 else matrix.inverse_unimodular()
-            for _ in range(abs(c)):
-                out = out @ base
+            if c:
+                out = out @ matrix**c
         return out
 
     def boundary_of(self, v: Sequence[int]) -> tuple[int, ...]:
@@ -108,15 +101,15 @@ class ModuleXMod:
             raise XModError(f"unknown keys in target file: {sorted(unknown)}")
         try:
             g = obj["G"]
-            free_rank = int(g.get("free_rank", 0))
-            torsion = tuple(int(t) for t in g.get("torsion", []))
-            rank = int(obj["rank"])
-            action = tuple(IntMatrix(m) for m in obj["action"])
+            free_rank = json_int(g.get("free_rank", 0))
+            torsion = tuple(json_int(t) for t in g.get("torsion", []))
+            rank = json_int(obj["rank"])
+            action = tuple(IntMatrix.from_json(m) for m in obj["action"])
             boundary = IntMatrix.from_columns(
-                [tuple(int(x) for x in col) for col in obj["boundary"]],
+                [tuple(json_int(x) for x in col) for col in obj["boundary"]],
                 height=free_rank + len(torsion),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise XModError(f"malformed target file: {err}") from None
         return ModuleXMod(free_rank, torsion, rank, action, boundary, name=name)
 
@@ -211,11 +204,6 @@ class FiniteCrossedModule:
             raise XModError(f"missing key {err.args[0]!r}") from None
 
 
-def load_finite_crossed_module(path: str) -> FiniteCrossedModule:
-    with open(path, encoding="utf-8") as fh:
-        return FiniteCrossedModule.from_json(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # Axiom validation
 # ---------------------------------------------------------------------------
@@ -236,12 +224,13 @@ def _validate_module(x: ModuleXMod) -> list[str]:
             out.append(f"action matrix {i} is not invertible over Z")
     if out:
         return out
+    # G is abelian, so its action must be by commuting matrices; this also
+    # makes rho of a coordinate vector independent of the factor order.
+    for (i, a), (j, b) in itertools.combinations(enumerate(x.action), 2):
+        if a @ b != b @ a:
+            out.append(f"action matrices {i} and {j} do not commute")
     for i, order in enumerate(x.torsion):
-        m = x.action[x.free_rank + i]
-        power = IntMatrix.identity(x.rank)
-        for _ in range(order):
-            power = power @ m
-        if power != identity:
+        if x.action[x.free_rank + i] ** order != identity:
             out.append(
                 f"action of torsion generator {i} does not respect its order {order}"
             )
@@ -321,14 +310,8 @@ def _validate_finite(x: FiniteCrossedModule) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Free pre-crossed boundary and the derivation image
+# The derivation image
 # ---------------------------------------------------------------------------
-
-
-def free_pre_crossed_boundary(M: CWComplex, w: HWord) -> Word:
-    """Boundary of a word in the free pre-crossed module on the 2-cells:
-    each letter (f, t) maps to f sigma_2(t) f^-1."""
-    return M.hword_boundary(w)
 
 
 def derivation_image(
@@ -375,9 +358,6 @@ class HoangData:
     beta: dict[tuple[int, int, int], int]
     pi2_generators: tuple[int, ...]
     _act_on_pi2: tuple[tuple[int, ...], ...]
-
-    def alpha_matrix(self, a: int) -> IntMatrix:
-        return self.alpha[a]
 
     def act(self, a: int, k: int) -> int:
         """Action of pi1 element a on pi2 element k (indices in pi2)."""

@@ -22,6 +22,14 @@ class SublatticeError(Exception):
     """A claimed sublattice is not contained in the ambient lattice."""
 
 
+def json_int(x: object) -> int:
+    """An integer read from JSON.  Floats, bools and strings are refused
+    rather than truncated or coerced."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 class IntMatrix:
     """An immutable integer matrix; supports empty shapes (0 x n, n x 0)."""
 
@@ -67,6 +75,11 @@ class IntMatrix:
         )
 
     @staticmethod
+    def from_json(data: Iterable[Iterable[object]]) -> "IntMatrix":
+        """A matrix read from JSON rows; every entry must be an integer."""
+        return IntMatrix([[json_int(x) for x in row] for row in data])
+
+    @staticmethod
     def diagonal(entries: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         m = rows if rows is not None else len(entries)
         n = cols if cols is not None else len(entries)
@@ -105,8 +118,21 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
 
-    def scaled(self, n: int) -> "IntMatrix":
-        return IntMatrix([[n * x for x in row] for row in self.data], cols=self.cols)
+    def __pow__(self, n: int) -> "IntMatrix":
+        """``self ** n`` by repeated squaring; a negative ``n`` raises the
+        inverse, so it needs a unimodular matrix."""
+        if not self.is_square:
+            raise ValueError("power of a non-square matrix")
+        base = self if n >= 0 else self.inverse_unimodular()
+        n = abs(n)
+        out = None
+        while n:
+            if n & 1:
+                out = base if out is None else out @ base
+            n >>= 1
+            if n:
+                base = base @ base
+        return IntMatrix.identity(self.rows) if out is None else out
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
@@ -260,13 +286,6 @@ class _SmithState:
         self.V[i], self.V[j] = self.V[j], self.V[i]
         for r in range(self.n):
             self.Vinv[r][i], self.Vinv[r][j] = self.Vinv[r][j], self.Vinv[r][i]
-
-    def col_negate(self, j: int) -> None:
-        for r in range(self.m):
-            self.D[r][j] = -self.D[r][j]
-        self.V[j] = [-x for x in self.V[j]]
-        for r in range(self.n):
-            self.Vinv[r][j] = -self.Vinv[r][j]
 
 
 def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
@@ -519,10 +538,6 @@ class Lattice:
                 break
         if changed:
             self._normalize()
-
-    def add_all(self, vectors: Iterable[Sequence[int]]) -> None:
-        for v in vectors:
-            self.add(v)
 
     def _normalize(self) -> None:
         # Positive pivots, entries above pivots reduced mod the pivot.

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topsectors.classify2d import (
     TargetData,
@@ -13,13 +15,14 @@ from topsectors.classify2d import (
     classify_free,
     hom_lattice,
     homotopy_sublattice,
+    label_of_word,
     layout_for,
     pi1_sectors,
     wedge_formula,
 )
 from topsectors.complexes import catalog
 from topsectors.fingrp import cyclic, symmetric
-from topsectors.words import Word
+from topsectors.words import Alphabet, Word
 from topsectors.xmod import target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix
 
@@ -120,6 +123,44 @@ class TestSectors:
         X = target_catalog("trivial", r=1, k=1)  # G = Z, d = 0
         with pytest.raises(UnsupportedTargetError):
             pi1_sectors(catalog("torus2"), X)
+
+
+ABC = Alphabet(["a", "b", "c"])
+
+
+@st.composite
+def labelled_words(draw):
+    """A word over a, b, c; invariant factors (0 = infinite); a label per
+    generator, with entries outside the reduced range."""
+    runs = draw(
+        st.lists(st.tuples(st.sampled_from(ABC.names), st.integers(-6, 6).filter(bool)), max_size=10)
+    )
+    factors = draw(st.lists(st.sampled_from([0, 2, 3, 4, 7]), max_size=3))
+    labels = st.tuples(*[st.integers(-9, 9) for _ in factors])
+    return Word(ABC, runs), tuple(factors), {g: draw(labels) for g in ABC.names}
+
+
+class TestLabelOfWord:
+    @given(labelled_words())
+    def test_matches_exponent_sum_definition(self, case):
+        word, factors, assignment = case
+        sums = word.exponent_sums()
+        expected = []
+        for i, f in enumerate(factors):
+            v = sum(s * assignment[g][i] for g, s in zip(ABC.names, sums))
+            expected.append(v % f if f else v)
+        assert label_of_word(factors, assignment, word) == tuple(expected)
+
+    @given(labelled_words())
+    def test_reducing_letter_by_letter_agrees(self, case):
+        word, factors, assignment = case
+        out = [0] * len(factors)
+        for name, sign in word.letters():
+            out = [
+                (v + sign * c) % f if f else v + sign * c
+                for v, c, f in zip(out, assignment[name], factors)
+            ]
+        assert label_of_word(factors, assignment, word) == tuple(out)
 
 
 class TestHomLattice:

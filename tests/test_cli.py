@@ -18,6 +18,15 @@ def trivial_action(G, H):
     return tuple(tuple(range(len(H))) for _ in range(len(G)))
 
 
+# G = Z_2 x Z_2 acting on Z^2 by a swap and a reflection, which do not commute.
+NON_COMMUTING_TARGET = {
+    "G": {"free_rank": 0, "torsion": [2, 2]},
+    "rank": 2,
+    "action": [[[0, 1], [1, 0]], [[1, 0], [0, -1]]],
+    "boundary": [[0, 0], [0, 0]],
+}
+
+
 class TestClassify:
     def test_torus2_rp2_free(self, capsys):
         code, out, _ = run(capsys, "classify", "--source", "torus2", "--target", "rp2", "--free")
@@ -184,6 +193,17 @@ class TestValidate:
         assert code == 1
         assert "violation" in out
 
+    def test_non_commuting_action_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(NON_COMMUTING_TARGET))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "do not commute" in out
+        for command in ("classify", "crosscheck"):
+            code, out, err = run(capsys, command, "--source", "torus2", "--target", str(path))
+            assert code == 1
+            assert err.startswith("error: invalid target") and out == ""
+
     def test_complex_file(self, capsys, tmp_path):
         path = tmp_path / "t2.json"
         path.write_text(saves(catalog("torus3")))
@@ -225,6 +245,46 @@ class TestSnf:
     def test_bad_literal(self, capsys):
         code, _, err = run(capsys, "snf", "--matrix", "oops")
         assert code == 1
+
+    @pytest.mark.parametrize("literal", ["[[2.7,4],[6,8]]", "[[true,4],[6,8]]", '[["2",4],[6,8]]'])
+    def test_non_integer_entries_rejected(self, capsys, tmp_path, literal):
+        code, out, err = run(capsys, "snf", "--matrix", literal)
+        assert code == 1 and out == ""
+        assert "expected an integer" in err
+        path = tmp_path / "m.json"
+        path.write_text(literal)
+        code, out, err = run(capsys, "snf", "--file", str(path))
+        assert code == 1 and out == ""
+
+
+class TestNonIntegerFiles:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rank": 2.0},
+            {"G": {"free_rank": True, "torsion": []}},
+            {"action": [[[0, 1], [1, 0.5]]]},
+            {"boundary": [[2.0], [2]]},
+            {"G": []},
+        ],
+    )
+    def test_target_file(self, capsys, tmp_path, edit):
+        obj = {**target_catalog("rp2").to_json(), **edit}
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(obj))
+        for argv in (("validate", str(path)), ("classify", "--source", "torus2", "--target", str(path))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: malformed target file")
+
+    def test_cup_file(self, capsys, tmp_path):
+        path = tmp_path / "cup.json"
+        path.write_text(json.dumps({"h1_rank": 1, "h2": [0], "h3": [0], "cup": [[[1.5]]]}))
+        code, out, err = run(
+            capsys, "crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--cup", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed cup file")
 
 
 class TestHoang:

@@ -7,8 +7,8 @@ from topsectors.cohomology import (
     special_case_classify,
     twisted_second_cohomology,
 )
-from topsectors.complexes import catalog
-from topsectors.xmod import target_catalog
+from topsectors.complexes import catalog, loads
+from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix
 
 RP2 = target_catalog("rp2")
@@ -156,6 +156,30 @@ class TestSpecialCase:
         res = special_case_classify(catalog("s1_x_s2"), [2], 1)
         assert len(res.sectors) == 2
         assert all(s.group == AbelianGroup((0,)) for s in res.sectors)
+
+    def test_sectors_match_pi1_sectors(self):
+        # A 3-complex with relator a^2, so that Z_4 keeps only a = 0, 2.
+        rp3 = loads(
+            '{"generators": ["a"], "two_cells": [{"name": "t", "attach": "a^2"}],'
+            ' "three_cells": [{"name": "x", "attach": ['
+            '{"f": "", "h": [], "cell": "t", "sign": 1},'
+            ' {"f": "a", "h": [], "cell": "t", "sign": -1}]}]}'
+        )
+        for M, factors in ((rp3, (4,)), (catalog("torus3"), (2, 2)), (catalog("s1_x_s2"), (3,))):
+            # a target whose pi_1 has the same invariant factors
+            X = ModuleXMod(
+                free_rank=0,
+                torsion=factors,
+                rank=1,
+                action=tuple(IntMatrix.identity(1) for _ in factors),
+                boundary=IntMatrix.zeros(len(factors), 1),
+            )
+            res = special_case_classify(M, factors, 1)
+            assert [s.phi1 for s in res.sectors] == pi1_sectors(M, X)
+        assert [s.phi1 for s in special_case_classify(rp3, [4], 1).sectors] == [
+            {"a": (0,)},
+            {"a": (2,)},
+        ]
 
     def test_requires_three_cells(self):
         with pytest.raises(ValueError):

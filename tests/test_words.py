@@ -8,12 +8,7 @@ from topsectors.words import (
     GroupRingElement,
     Word,
     WordSyntaxError,
-    conj,
-    exponent_sums,
     fox_derivative,
-    inv,
-    mul,
-    reduce,
 )
 
 AB = Alphabet(["a", "b"])
@@ -47,13 +42,13 @@ def random_word(rng, alphabet, max_len=8):
 
 class TestReduce:
     def test_cancellation(self):
-        assert reduce(AB, [("a", 1), ("a", -1)]) == E
+        assert Word(AB, [("a", 1), ("a", -1)]) == E
 
     def test_inner_cancellation(self):
-        assert reduce(AB, [("a", 1), ("b", 1), ("b", -1), ("a", 1)]) == A**2
+        assert Word(AB, [("a", 1), ("b", 1), ("b", -1), ("a", 1)]) == A**2
 
     def test_already_reduced(self):
-        w = reduce(AB, [("a", 1), ("b", 1), ("a", -1), ("b", -1)])
+        w = Word(AB, [("a", 1), ("b", 1), ("a", -1), ("b", -1)])
         assert w.runs == (("a", 1), ("b", 1), ("a", -1), ("b", -1))
 
     def test_idempotent(self):
@@ -64,30 +59,30 @@ class TestReduce:
 
     def test_unknown_generator(self):
         with pytest.raises(AlphabetError):
-            reduce(AB, [("c", 1)])
+            Word(AB, [("c", 1)])
 
 
 class TestGroupOps:
     def test_mul_inverse(self):
-        assert mul(A, inv(A)) == E
+        assert A * A.inverse() == E
 
     def test_conj(self):
-        assert conj(A, B) == AB.word("a b a^-1")
+        assert B.conjugate_by(A) == AB.word("a b a^-1")
 
     def test_inv_antihomomorphism(self):
-        assert inv(A * B) == AB.word("b^-1 a^-1")
+        assert (A * B).inverse() == AB.word("b^-1 a^-1")
 
     def test_mul_associative_random(self):
         rng = random.Random(11)
         for _ in range(100):
             u, v, w = (random_word(rng, AB) for _ in range(3))
             assert (u * v) * w == u * (v * w)
-            assert mul(u, inv(u)) == E
+            assert u * u.inverse() == E
 
     def test_alphabet_mismatch(self):
         other = Alphabet(["x"])
         with pytest.raises(AlphabetError):
-            mul(A, other.gen("x"))
+            A * other.gen("x")
 
     def test_pow(self):
         assert A**3 == AB.word("a^3")
@@ -114,21 +109,21 @@ class TestText:
 
 class TestExponentSums:
     def test_commutator(self):
-        assert exponent_sums(AB.word("a b a^-1 b^-1")) == (0, 0)
+        assert AB.word("a b a^-1 b^-1").exponent_sums() == (0, 0)
 
     def test_power(self):
         single = Alphabet(["a"])
-        assert exponent_sums(single.word("a^2")) == (2,)
+        assert single.word("a^2").exponent_sums() == (2,)
 
     def test_mixed(self):
-        assert exponent_sums(AB.word("a^3 b^-1")) == (3, -1)
+        assert AB.word("a^3 b^-1").exponent_sums() == (3, -1)
 
     def test_additive(self):
         rng = random.Random(5)
         for _ in range(100):
             u, v = random_word(rng, AB), random_word(rng, AB)
-            su, sv = exponent_sums(u), exponent_sums(v)
-            assert exponent_sums(u * v) == tuple(x + y for x, y in zip(su, sv))
+            su, sv = u.exponent_sums(), v.exponent_sums()
+            assert (u * v).exponent_sums() == tuple(x + y for x, y in zip(su, sv))
 
 
 class TestFoxDerivative:
@@ -182,7 +177,7 @@ class TestFoxDerivative:
         rng = random.Random(59)
         for _ in range(200):
             w = random_word(rng, AB)
-            sums = exponent_sums(w)
+            sums = w.exponent_sums()
             for i, g in enumerate(AB.names):
                 assert fox_derivative(w, g).augmentation() == sums[i]
 
@@ -195,10 +190,10 @@ class TestGroupRing:
 
     def test_projection_merges(self):
         elem = GroupRingElement(AB, {E: 1, A**2: 1, A: 3})
-        parity = lambda w: sum(exponent_sums(w)) % 2
+        parity = lambda w: sum(w.exponent_sums()) % 2
         assert elem.project(parity) == {0: 2, 1: 3}
 
     def test_projection_drops_cancelling(self):
         elem = GroupRingElement(AB, {E: 1, A**2: -1})
-        parity = lambda w: sum(exponent_sums(w)) % 2
+        parity = lambda w: sum(w.exponent_sums()) % 2
         assert elem.project(parity) == {}

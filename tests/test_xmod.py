@@ -11,7 +11,6 @@ from topsectors.xmod import (
     XModError,
     crossed_modules_equal,
     derivation_image,
-    free_pre_crossed_boundary,
     from_strict_2group,
     hoang_data,
     target_catalog,
@@ -136,6 +135,17 @@ class TestValidation:
         violations = validate(x)
         assert violations  # equivariance fails
 
+    def test_non_commuting_action_rejected(self):
+        # G = Z_2 x Z_2 is abelian, so a swap and a reflection cannot both act
+        X = ModuleXMod(
+            free_rank=0,
+            torsion=(2, 2),
+            rank=2,
+            action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -1]])),
+            boundary=IntMatrix.zeros(2, 2),
+        )
+        assert validate(X) == ["action matrices 0 and 1 do not commute"]
+
     def test_catalog_targets_accepted(self):
         for name in ("rp2", "sphere2"):
             assert validate(target_catalog(name)) == []
@@ -148,18 +158,18 @@ class TestFreeBoundary:
     def test_rp2_plain(self):
         M = catalog("rp2")
         e = Word.identity(M.alphabet)
-        assert str(free_pre_crossed_boundary(M, ((e, "t", 1),))) == "a^2"
+        assert str(M.hword_boundary(((e, "t", 1),))) == "a^2"
 
     def test_torus2_plain(self):
         M = catalog("torus2")
         e = Word.identity(M.alphabet)
-        assert str(free_pre_crossed_boundary(M, ((e, "t", 1),))) == "a b a^-1 b^-1"
+        assert str(M.hword_boundary(((e, "t", 1),))) == "a b a^-1 b^-1"
 
     def test_rp2_conjugated_inverse(self):
         # (a, t, -1): a (a^2)^-1 a^-1 = a^-2
         M = catalog("rp2")
         a = M.alphabet.gen("a")
-        assert str(free_pre_crossed_boundary(M, ((a, "t", -1),))) == "a^-2"
+        assert str(M.hword_boundary(((a, "t", -1),))) == "a^-2"
 
     def test_multiplicative(self):
         M = catalog("torus2")
@@ -167,8 +177,8 @@ class TestFreeBoundary:
         for _ in range(50):
             w1 = _random_hword(rng, M)
             w2 = _random_hword(rng, M)
-            lhs = free_pre_crossed_boundary(M, reduce_hword(w1 + w2))
-            rhs = free_pre_crossed_boundary(M, w1) * free_pre_crossed_boundary(M, w2)
+            lhs = M.hword_boundary(reduce_hword(w1 + w2))
+            rhs = M.hword_boundary(w1) * M.hword_boundary(w2)
             assert lhs == rhs
 
 
@@ -207,7 +217,7 @@ class TestDerivationImage:
             for _ in range(50):
                 h1 = _random_hword(rng, M)
                 h2 = _random_hword(rng, M)
-                boundary = free_pre_crossed_boundary(M, h1)
+                boundary = M.hword_boundary(h1)
                 shifted = tuple((boundary * f, c, s) for f, c, s in h2)
                 word = reduce_hword(
                     h1 + h2 + tuple((f, c, -s) for f, c, s in reversed(h1))

@@ -24,6 +24,19 @@ def random_matrix(rng, max_dim=8, lo=-50, hi=50):
     return IntMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
 
 
+def random_unimodular(rng, n, steps=8):
+    """A product of random elementary row operations and sign changes."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.randint(-2, 2)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    return IntMatrix(rows)
+
+
 def check_snf(A):
     dec = smith_normal_form(A)
     assert dec.U @ dec.S @ dec.V == A
@@ -86,6 +99,34 @@ class TestIntMatrix:
     def test_inverse_unimodular(self):
         U = IntMatrix([[1, 2], [3, 7]])
         assert U @ U.inverse_unimodular() == IntMatrix.identity(2)
+
+    def test_power_matches_repeated_products(self):
+        rng = random.Random(19)
+        for _ in range(30):
+            n = rng.randrange(1, 5)
+            A = random_unimodular(rng, n)
+            B = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            inverse = A.inverse_unimodular()
+            assert A**0 == IntMatrix.identity(n) == B**0
+            assert A**1 == A and B**1 == B
+            up, down, plain = IntMatrix.identity(n), IntMatrix.identity(n), IntMatrix.identity(n)
+            for k in range(1, 10):
+                up, down, plain = up @ A, down @ inverse, plain @ B
+                assert A**k == up
+                assert A**-k == down
+                assert B**k == plain
+
+    def test_power_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            IntMatrix([[1, 2]]) ** 2
+        with pytest.raises(ValueError):
+            IntMatrix([[2]]) ** -1  # not unimodular
+
+    def test_from_json_needs_integers(self):
+        assert IntMatrix.from_json([[1, -2], [0, 3]]) == IntMatrix([[1, -2], [0, 3]])
+        for bad in ([[1.0, 2]], [[True, 2]], [["1", 2]], [[None]]):
+            with pytest.raises(ValueError):
+                IntMatrix.from_json(bad)
 
 
 def _parity(perm):
