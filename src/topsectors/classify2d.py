@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import CWComplex
 from .fingrp import FiniteGroup
-from .words import Word, fox_derivative
+from .words import collect, fox_derivative
 from .xmod import ModuleXMod, XModError, validate
 from .zlinalg import (
     AbelianGroup,
@@ -217,14 +217,18 @@ class XModHom:
 # ---------------------------------------------------------------------------
 
 
-def label_of_word(factors: Sequence[int], assignment: Mapping, word: Word) -> Vector:
-    """The label of a word in an abelian pi_1 with the given invariant
-    factors (0 = infinite), when each 1-cell carries the label in
-    ``assignment``: its exponent-sum combination, reduced once at the end."""
+def label_of_sums(
+    factors: Sequence[int], images: Sequence[Sequence[int]], sums: Sequence[int]
+) -> Vector:
+    """The label, in an abelian pi_1 with the given invariant factors
+    (0 = infinite), of a word with exponent sums ``sums`` over the 1-cells
+    when the i-th 1-cell carries the label ``images[i]``: the combination
+    sum_i sums[i] * images[i], reduced once at the end."""
     out = [0] * len(factors)
-    for name, exp in word.runs:
-        for i, c in enumerate(assignment[name]):
-            out[i] += exp * c
+    for s, image in zip(sums, images):
+        if s:
+            for i, c in enumerate(image):
+                out[i] += s * c
     return tuple(v % f if f else v for v, f in zip(out, factors))
 
 
@@ -236,14 +240,12 @@ def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
     """
     labels = list(itertools.product(*[range(f) for f in factors]))
     gens = M.alphabet.names
-    sectors = []
-    for combo in itertools.product(labels, repeat=len(gens)):
-        assignment = dict(zip(gens, combo))
-        if not any(
-            any(label_of_word(factors, assignment, word)) for _, word in M.two_cells
-        ):
-            sectors.append(assignment)
-    return sectors
+    relators = [word.exponent_sums() for _, word in M.two_cells]
+    return [
+        dict(zip(gens, images))
+        for images in itertools.product(labels, repeat=len(gens))
+        if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
+    ]
 
 
 def pi1_sectors(M: CWComplex, X: ModuleXMod | TargetData) -> list[dict]:
@@ -324,12 +326,14 @@ def hom_lattice(
 
 
 def labelled_sum(
-    r: int, terms: Mapping, rho: Callable[[Vector], IntMatrix]
+    r: int, terms: Iterable[tuple[Vector, int]], rho: Callable[[Vector], IntMatrix]
 ) -> IntMatrix:
-    """The r x r matrix sum of c * rho(label) over a {label: c} map, such
-    as a Fox derivative or a derivation image projected to labels."""
+    """The r x r matrix sum of c * rho(label) over ``(label, c)`` terms, such
+    as a Fox derivative or a derivation image labelled through a sector.
+    Terms with equal labels are merged first, so rho is evaluated once per
+    label."""
     total = [[0] * r for _ in range(r)]
-    for label, c in terms.items():
+    for label, c in collect(terms).items():
         for row, m_row in zip(total, rho(label).data):
             for j, x in enumerate(m_row):
                 row[j] += c * x
@@ -342,10 +346,15 @@ def sector_action_matrices(
     """For each 2-cell t and 1-cell a, the matrix of the Fox derivative
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
     r = data.target.rank
-    label = functools.partial(label_of_word, data.pi1.factors, sector)
+    images = tuple(sector[gen] for gen in M.alphabet.names)
+    label = functools.partial(label_of_sums, data.pi1.factors, images)
     return {
         cell: {
-            gen: labelled_sum(r, fox_derivative(word, gen).project(label), data.rho_of_label)
+            gen: labelled_sum(
+                r,
+                ((label(sums), c) for sums, c in fox_derivative(word, gen).items()),
+                data.rho_of_label,
+            )
             for gen in M.alphabet.names
         }
         for cell, word in M.two_cells

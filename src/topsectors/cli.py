@@ -87,10 +87,7 @@ def resolve_source(spec: str) -> CWComplex:
 def resolve_target(spec: str):
     """Returns ('xmod', ModuleXMod) or ('special', (name, p, q))."""
     if _looks_like_path(spec):
-        try:
-            return "xmod", xmod.load_target(spec)
-        except OSError as err:
-            raise InputError(f"cannot read {spec}: {err}") from None
+        return "xmod", ModuleXMod.from_json(_read_json(spec), name=spec)
     name, _, tail = spec.partition(":")
     if name in ("rp2", "sphere2"):
         if tail:

@@ -3,29 +3,26 @@
 The cochain complex of a reduced complex with local coefficients twisted by
 a sector map has differentials built from exact integer data: d0 blocks are
 rho(phi1(a)) - 1, d1 blocks evaluate Fox derivatives of the attaching words,
-and d2 blocks evaluate the derivation image of the triad words.  Because
-every supported target has abelian pi_1, words are labeled through their
-exponent sums; the composite action factors through pi_1 of the target, so
-this labeling is exact for the twist.
+and d2 blocks evaluate the derivation image of the triad words.  Every
+supported target has abelian pi_1 and the twist factors through it, so a
+word matters only through its exponent sums: the d1 blocks use the
+abelianised Fox derivatives of ``words.fox_derivative`` (counts keyed by
+exponent-sum vectors), and those vectors, like the conjugators of a
+derivation image, are labeled in pi_1 of the target by
+``classify2d.label_of_sums``.  This labeling is exact for the twist.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classify2d import TargetData, Vector, label_of_word, label_sectors, labelled_sum
+from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum
 from .complexes import CWComplex
-from .words import Word, fox_derivative
+from .words import fox_derivative
 from .xmod import ModuleXMod, derivation_image
-from .zlinalg import (
-    AbelianGroup,
-    AffineLattice,
-    IntMatrix,
-    LatticeQuotient,
-    quotient,
-    quotient_with_representatives,
-)
+from .zlinalg import AbelianGroup, IntMatrix, quotient
 
 
 class CoefficientError(Exception):
@@ -41,24 +38,17 @@ class CoefficientModule:
     coefficients, and ``sector`` assigns a label to every 1-cell.  Words are
     labeled additively via exponent sums, which is exact because the action
     factors through the abelian pi_1 of the target.
+
+    The action does not depend on the sector, so it is checked once where
+    it enters, not per module: ``special_case_classify`` checks the matrices
+    it is given, and ``for_target_sector`` reads the action of a validated
+    target, whose torsion orders and Peiffer condition ``validate`` checks.
     """
 
     rank: int
     factors: tuple[int, ...]
     generator_matrices: tuple[IntMatrix, ...]
     sector: dict
-
-    def __post_init__(self):
-        if len(self.generator_matrices) != len(self.factors):
-            raise CoefficientError("need one action matrix per pi_1 generator")
-        identity = IntMatrix.identity(self.rank)
-        for m, f in zip(self.generator_matrices, self.factors):
-            if m.shape != (self.rank, self.rank):
-                raise CoefficientError("action matrix of wrong shape")
-            if f and m**f != identity:
-                raise CoefficientError(
-                    "action does not respect the order of a pi_1 generator"
-                )
 
     @staticmethod
     def untwisted(rank: int, generators: Sequence[str]) -> "CoefficientModule":
@@ -83,11 +73,6 @@ class CoefficientModule:
             sector=dict(sector),
         )
 
-    # -- label arithmetic ---------------------------------------------------
-
-    def label_of_word(self, w: Word) -> Vector:
-        return label_of_word(self.factors, self.sector, w)
-
     def matrix_of_label(self, label: Sequence[int]) -> IntMatrix:
         out = IntMatrix.identity(self.rank)
         for m, c, f in zip(self.generator_matrices, label, self.factors):
@@ -95,6 +80,20 @@ class CoefficientModule:
             if c:
                 out = out @ m**c
         return out
+
+
+def _check_action(rank: int, factors: Sequence[int], matrices: Sequence[IntMatrix]) -> None:
+    """Raise CoefficientError unless there is one rank x rank matrix per
+    pi_1 generator and the matrix of a generator of order f has f-th power
+    the identity."""
+    if len(matrices) != len(factors):
+        raise CoefficientError("need one action matrix per pi_1 generator")
+    identity = IntMatrix.identity(rank)
+    for m, f in zip(matrices, factors):
+        if m.shape != (rank, rank):
+            raise CoefficientError("action matrix of wrong shape")
+        if f and m**f != identity:
+            raise CoefficientError("action does not respect the order of a pi_1 generator")
 
 
 @dataclass(frozen=True)
@@ -111,13 +110,20 @@ def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
     """Cellular cochain complex of M with the given local coefficients."""
     r = coeffs.rank
     gens = M.alphabet.names
-    label, rho = coeffs.label_of_word, coeffs.matrix_of_label
+    images = tuple(coeffs.sector[gen] for gen in gens)
+    label = functools.partial(label_of_sums, coeffs.factors, images)
+    rho = coeffs.matrix_of_label
     identity = IntMatrix.identity(r)
 
-    d0 = _stack([[rho(coeffs.sector[gen]) - identity] for gen in gens], r, r)
+    d0 = _stack([[rho(image) - identity] for image in images], r, r)
     d1 = _stack(
         [
-            [labelled_sum(r, fox_derivative(word, gen).project(label), rho) for gen in gens]
+            [
+                labelled_sum(
+                    r, ((label(sums), c) for sums, c in fox_derivative(word, gen).items()), rho
+                )
+                for gen in gens
+            ]
             for _, word in M.two_cells
         ],
         r,
@@ -126,8 +132,10 @@ def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
     d2_blocks = []
     for _, triad in M.three_cells:
         _, hword = M.triad_normal_form(triad)
-        image = derivation_image(M, hword, label)
-        d2_blocks.append([labelled_sum(r, image[cell], rho) for cell in M.two_cell_names()])
+        image = derivation_image(M, hword, lambda f: label(f.exponent_sums()))
+        d2_blocks.append(
+            [labelled_sum(r, image[cell].items(), rho) for cell in M.two_cell_names()]
+        )
     d2 = _stack(d2_blocks, r, len(M.two_cells) * r)
 
     if d0.rows and d1.rows and d1 @ d0 != IntMatrix.zeros(d1.rows, d0.cols):
@@ -163,7 +171,6 @@ def twisted_second_cohomology(M: CWComplex, coeffs: CoefficientModule) -> Abelia
 class SpecialSector:
     phi1: dict
     group: AbelianGroup
-    quotient: LatticeQuotient
 
     def to_json(self) -> dict:
         phi1 = {
@@ -215,15 +222,12 @@ def special_case_classify(
         if pi_d_action is not None
         else tuple(IntMatrix.identity(pi_d_rank) for _ in factors)
     )
+    _check_action(pi_d_rank, factors, matrices)
     identity = IntMatrix.identity(pi_d_rank)
     trivial_action = all(m == identity for m in matrices)
 
     sectors = []
     n3r = len(M.three_cells) * pi_d_rank
-    ambient = AffineLattice.from_solution(
-        (0,) * n3r,
-        [tuple(1 if i == j else 0 for j in range(n3r)) for i in range(n3r)],
-    )
     for assignment in label_sectors(M, factors):
         coeffs = CoefficientModule(
             rank=pi_d_rank,
@@ -232,10 +236,7 @@ def special_case_classify(
             sector=assignment,
         )
         cx = build_complex(M, coeffs)
-        quot = quotient_with_representatives(ambient, cx.d2.columns())
-        sectors.append(
-            SpecialSector(phi1=assignment, group=quot.group, quotient=quot)
-        )
+        sectors.append(SpecialSector(phi1=assignment, group=quotient(n3r, cx.d2.columns())))
     return SpecialCaseResult(
         pi1_factors=factors, sectors=sectors, action_is_trivial=trivial_action
     )

@@ -1,8 +1,9 @@
-"""Free-group word arithmetic and Fox derivatives.
+"""Free-group word arithmetic and abelianised Fox derivatives.
 
 Words are stored run-length as ``(generator, exponent)`` syllables, always
 freely reduced, so attaching words like ``a^p b^-q`` stay compact for large
-exponents.  All values are immutable and hashable; every operation is pure.
+exponents.  Alphabets and words are immutable and hashable; every operation
+is pure.
 
 Text syntax (used by all file formats and the CLI): whitespace-separated
 tokens ``name`` or ``name^k`` with ``k`` a nonzero decimal integer, e.g.
@@ -11,7 +12,7 @@ tokens ``name`` or ``name^k`` with ``k`` a nonzero decimal integer, e.g.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator
 
 
 class AlphabetError(Exception):
@@ -190,125 +191,37 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-class GroupRingElement:
-    """A finite integer combination of words: an element of Z[F].
-
-    Stored as a map from reduced words to nonzero coefficients.  Supports
-    addition, negation, left/right translation by a word, and projection
-    along a caller-supplied canonicalization Word -> label (this module
-    never decides word problems itself).
-    """
-
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: Alphabet, terms: Mapping[Word, int] | None = None):
-        self.alphabet = alphabet
-        clean: dict[Word, int] = {}
-        for word, coeff in (terms or {}).items():
-            if word.alphabet != alphabet:
-                raise AlphabetError("group ring term over a different alphabet")
-            if coeff:
-                clean[word] = clean.get(word, 0) + coeff
-                if not clean[word]:
-                    del clean[word]
-        self.terms = clean
-
-    @staticmethod
-    def zero(alphabet: Alphabet) -> "GroupRingElement":
-        return GroupRingElement(alphabet)
-
-    @staticmethod
-    def of(word: Word, coeff: int = 1) -> "GroupRingElement":
-        return GroupRingElement(word.alphabet, {word: coeff})
-
-    def _check(self, other: "GroupRingElement") -> None:
-        if self.alphabet != other.alphabet:
-            raise AlphabetError("group ring elements over different alphabets")
-
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, 0) + coeff
-        return GroupRingElement(self.alphabet, terms)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def scaled(self, n: int) -> "GroupRingElement":
-        return GroupRingElement(self.alphabet, {w: n * c for w, c in self.terms.items()})
-
-    def left_translate(self, g: Word) -> "GroupRingElement":
-        """g * self."""
-        return GroupRingElement(self.alphabet, {g * w: c for w, c in self.terms.items()})
-
-    def right_translate(self, g: Word) -> "GroupRingElement":
-        """self * g."""
-        return GroupRingElement(self.alphabet, {w * g: c for w, c in self.terms.items()})
-
-    def augmentation(self) -> int:
-        """Sum of coefficients (image under F -> 1)."""
-        return sum(self.terms.values())
-
-    def project(self, canon: Callable[[Word], object]) -> dict:
-        """Push forward along a quotient: replace each word by its canonical
-        label and merge coefficients."""
-        out: dict = {}
-        for word, coeff in self.terms.items():
-            label = canon(word)
-            out[label] = out.get(label, 0) + coeff
-            if not out[label]:
-                del out[label]
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        bits = []
-        for word in sorted(self.terms, key=lambda w: (len(w), str(w))):
-            coeff = self.terms[word]
-            name = str(word) if not word.is_identity else "1"
-            bits.append(f"{coeff}*[{name}]")
-        return "GroupRingElement(" + " + ".join(bits) + ")"
+def collect(terms: Iterable[tuple[Hashable, int]]) -> dict:
+    """Merge a list of ``(key, coefficient)`` terms: sum the coefficients of
+    equal keys and drop the keys whose sum is 0."""
+    out: dict = {}
+    for key, coeff in terms:
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def fox_derivative(w: Word, gen: str) -> GroupRingElement:
-    """Free (Fox) derivative of ``w`` with respect to the generator ``gen``.
+def fox_derivative(w: Word, gen: str) -> dict[tuple[int, ...], int]:
+    """Abelianised free (Fox) derivative of ``w`` with respect to ``gen``.
 
-    Satisfies d(uv) = du + u . dv, d(a)/da = 1, d(b)/da = 0 for b != a, and
-    d(a^-1)/da = -a^-1; these rules determine it on all reduced words.
+    The Fox derivative satisfies d(uv) = du + u . dv, d(a)/da = 1,
+    d(b)/da = 0 for b != a, and d(a^-1)/da = -a^-1.  Each prefix u that it
+    produces is kept only as its exponent-sum vector over the alphabet, so
+    the result lies in Z[Z^n]: a map {exponent sums of u: coefficient} with
+    zero coefficients dropped.  This is exact wherever the derivative is
+    evaluated through an abelian group.
     """
     alphabet = w.alphabet
-    alphabet.index(gen)
-    result = GroupRingElement.zero(alphabet)
-    prefix = Word.identity(alphabet)
+    g = alphabet.index(gen)
+    prefix = [0] * len(alphabet)
+    terms: list[tuple[tuple[int, ...], int]] = []
     for name, exp in w.runs:
-        if name == gen:
-            # d(a^n)/da = sum_{i=0}^{n-1} a^i   for n > 0
-            #           = -sum_{i=1}^{|n|} a^-i for n < 0
+        i = alphabet.index(name)
+        if i == g:
+            # d(a^n)/da = sum_{j=0}^{n-1} a^j   for n > 0
+            #           = -sum_{j=1}^{|n|} a^-j for n < 0
+            head, tail = tuple(prefix[:g]), tuple(prefix[g + 1 :])
+            low = prefix[g] + min(exp, 0)
             step = 1 if exp > 0 else -1
-            terms: dict[Word, int] = {}
-            for i in range(abs(exp)):
-                power = i if exp > 0 else -(i + 1)
-                word = prefix * Word(alphabet, ((gen, power),)) if power else prefix
-                terms[word] = terms.get(word, 0) + step
-            result = result + GroupRingElement(alphabet, terms)
-        prefix = prefix * Word(alphabet, ((name, exp),))
-    return result
+            terms.extend((head + (x,) + tail, step) for x in range(low, low + abs(exp)))
+        prefix[i] += exp
+    return collect(terms)

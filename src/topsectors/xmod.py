@@ -10,13 +10,12 @@ condition gives a pre-crossed module.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .complexes import CWComplex, HWord
 from .fingrp import FiniteGroup
-from .words import Word
+from .words import Word, collect
 from .zlinalg import AbelianGroup, IntMatrix, json_int
 
 
@@ -148,12 +147,6 @@ def target_catalog(name: str, **params) -> ModuleXMod:
             name=f"trivial({r},{k})",
         )
     raise XModError(f"unknown target {name!r}")
-
-
-def load_target(path: str) -> ModuleXMod:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return ModuleXMod.from_json(obj, name=path)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +317,14 @@ def derivation_image(
     and all Peiffer commutators die here, which is exactly what makes the
     image a cellular chain.
     """
-    out: dict[str, dict] = {name: {} for name in M.two_cell_names()}
-    for f, cell, sign in w:
-        if cell not in out:
+    names = M.two_cell_names()
+    for _, cell, _ in w:
+        if cell not in names:
             raise XModError(f"unknown 2-cell {cell!r}")
-        label = proj(f)
-        comp = out[cell]
-        comp[label] = comp.get(label, 0) + sign
-        if comp[label] == 0:
-            del comp[label]
-    return out
+    return {
+        name: collect((proj(f), sign) for f, cell, sign in w if cell == name)
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------

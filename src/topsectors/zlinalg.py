@@ -195,17 +195,13 @@ class IntMatrix:
         return self.is_square and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix."""
-        if not self.is_unimodular:
+        """Exact inverse of a unimodular matrix, from one Smith reduction:
+        A = U S V with S = I exactly when A is unimodular, and then
+        A^-1 = V^-1 U^-1."""
+        _, S, _, Uinv, Vinv = _smith_with_inverses(self)
+        if S != IntMatrix.identity(self.rows):
             raise ValueError("matrix is not unimodular")
-        n = self.rows
-        cols = []
-        for j in range(n):
-            e = tuple(1 if i == j else 0 for i in range(n))
-            sol = solve(self, e)
-            assert sol is not None
-            cols.append(sol[0])
-        return IntMatrix.from_columns(cols, height=n)
+        return Vinv @ Uinv
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.shape == other.shape and self.data == other.data

@@ -15,7 +15,7 @@ from topsectors.classify2d import (
     classify_free,
     hom_lattice,
     homotopy_sublattice,
-    label_of_word,
+    label_of_sums,
     layout_for,
     pi1_sectors,
     wedge_formula,
@@ -149,7 +149,8 @@ class TestLabelOfWord:
         for i, f in enumerate(factors):
             v = sum(s * assignment[g][i] for g, s in zip(ABC.names, sums))
             expected.append(v % f if f else v)
-        assert label_of_word(factors, assignment, word) == tuple(expected)
+        images = tuple(assignment[g] for g in ABC.names)
+        assert label_of_sums(factors, images, sums) == tuple(expected)
 
     @given(labelled_words())
     def test_reducing_letter_by_letter_agrees(self, case):
@@ -160,7 +161,8 @@ class TestLabelOfWord:
                 (v + sign * c) % f if f else v + sign * c
                 for v, c, f in zip(out, assignment[name], factors)
             ]
-        assert label_of_word(factors, assignment, word) == tuple(out)
+        images = tuple(assignment[g] for g in ABC.names)
+        assert label_of_sums(factors, images, word.exponent_sums()) == tuple(out)
 
 
 class TestHomLattice:

@@ -277,6 +277,19 @@ class TestNonIntegerFiles:
             assert code == 1 and out == ""
             assert err.startswith("error: malformed target file")
 
+    def test_target_file_not_json(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"G": {')
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad JSON in")
+
+    def test_target_file_missing(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read")
+
     def test_cup_file(self, capsys, tmp_path):
         path = tmp_path / "cup.json"
         path.write_text(json.dumps({"h1_rank": 1, "h2": [0], "h3": [0], "cup": [[[1.5]]]}))

@@ -2,6 +2,7 @@ import pytest
 
 from topsectors.classify2d import TargetData, classify_based, pi1_sectors
 from topsectors.cohomology import (
+    CoefficientError,
     CoefficientModule,
     build_complex,
     special_case_classify,
@@ -184,3 +185,28 @@ class TestSpecialCase:
     def test_requires_three_cells(self):
         with pytest.raises(ValueError):
             special_case_classify(catalog("torus2"), [2], 1)
+
+    def test_bad_action_rejected(self):
+        T = catalog("torus3")
+        for factors, action in (
+            ([2], [IntMatrix([[2]])]),  # not of order 2
+            ([3], [IntMatrix([[-1]])]),  # order 2, not 3
+            ([2, 2], [IntMatrix([[-1]])]),  # one matrix for two generators
+            ([2], [IntMatrix([[1, 0], [0, 1]])]),  # wrong shape for rank 1
+        ):
+            with pytest.raises(CoefficientError):
+                special_case_classify(T, factors, 1, action)
+
+    def test_action_order_checked_once(self, monkeypatch):
+        # The sector-independent check is made once, not once per sector.
+        calls = []
+        power = IntMatrix.__pow__
+
+        def counted(self, n):
+            calls.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(IntMatrix, "__pow__", counted)
+        res = special_case_classify(catalog("torus3"), [3], 1, [IntMatrix([[1]])])
+        assert len(res.sectors) == 27
+        assert calls.count(3) == 1

@@ -99,6 +99,16 @@ class TestIntMatrix:
     def test_inverse_unimodular(self):
         U = IntMatrix([[1, 2], [3, 7]])
         assert U @ U.inverse_unimodular() == IntMatrix.identity(2)
+        rng = random.Random(29)
+        for n in range(1, 7):
+            for _ in range(10):
+                A = random_unimodular(rng, n, steps=4 * n)
+                inverse = A.inverse_unimodular()
+                assert A @ inverse == IntMatrix.identity(n)
+                assert inverse @ A == IntMatrix.identity(n)
+        for bad in ([[2]], [[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 2, 3], [0, 1, 4]]):
+            with pytest.raises(ValueError):
+                IntMatrix(bad).inverse_unimodular()
 
     def test_power_matches_repeated_products(self):
         rng = random.Random(19)
