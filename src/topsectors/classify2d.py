@@ -60,10 +60,10 @@ class TargetData:
         ambient = AffineLattice.from_solution(
             (0,) * k, [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
         )
-        relations = target.torsion_relation_columns() + [
-            target.boundary.column(j) for j in range(target.rank)
-        ]
-        self.pi1 = quotient_with_representatives(ambient, relations)
+        # The relations of pi_1 X on Z^k: torsion orders, then im(d);
+        # kernel_basis and hom_lattice rely on this order.
+        self.relations = tuple(target.torsion_relation_columns() + target.boundary.columns())
+        self.pi1 = quotient_with_representatives(ambient, self.relations)
         self.pi1_group = self.pi1.group
 
     @property
@@ -94,13 +94,11 @@ class TargetData:
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
         """Basis of ker(d) = pi_2 X inside Z^rank."""
-        t = self.target
-        cols = [t.boundary.column(j) for j in range(t.rank)]
-        mat = IntMatrix.from_columns(cols + t.torsion_relation_columns(), height=self.k)
-        sol = solve(mat, (0,) * self.k)
+        n_tor = len(self.target.torsion)
+        sol = solve(IntMatrix.from_columns(self.relations, height=self.k), (0,) * self.k)
         assert sol is not None
         _, kernel = sol
-        return tuple(Lattice(t.rank, [vec[: t.rank] for vec in kernel]).basis())
+        return tuple(Lattice(self.target.rank, [vec[n_tor:] for vec in kernel]).basis())
 
     @functools.cached_property
     def pi2_action(self) -> tuple[IntMatrix, ...]:
@@ -232,6 +230,12 @@ def label_of_sums(
     return tuple(v % f if f else v for v, f in zip(out, factors))
 
 
+def labels_to_json(assignment: dict) -> dict:
+    """A sector's labels in JSON: a bare integer for a cyclic pi_1, else a
+    list."""
+    return {g: (label[0] if len(label) == 1 else list(label)) for g, label in assignment.items()}
+
+
 def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
     """All homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
     label assignments to the 1-cells, in lexicographic order.
@@ -248,9 +252,8 @@ def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
     ]
 
 
-def pi1_sectors(M: CWComplex, X: ModuleXMod | TargetData) -> list[dict]:
+def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
     """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells."""
-    data = X if isinstance(X, TargetData) else TargetData(X)
     data.require_finite_pi1()
     return label_sectors(M, data.pi1.factors)
 
@@ -260,9 +263,7 @@ def pi1_sectors(M: CWComplex, X: ModuleXMod | TargetData) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def hom_lattice(
-    M: CWComplex, X: ModuleXMod | TargetData, sector: dict
-) -> Optional[AffineLattice]:
+def hom_lattice(M: CWComplex, data: TargetData, sector: dict) -> Optional[AffineLattice]:
     """Affine lattice of all homomorphisms inducing the given sector.
 
     Unknowns are the phi1 coordinate blocks and phi2 vectors; auxiliary
@@ -270,15 +271,12 @@ def hom_lattice(
     relations of G, then get projected away.  Returns None when the system
     has no integer solution (cannot happen for sectors from pi1_sectors).
     """
-    data = X if isinstance(X, TargetData) else TargetData(X)
     target = data.target
     layout = layout_for(M, target)
     k, r = layout.k, layout.r
     n1, n2 = len(layout.generators), len(layout.two_cells)
 
-    lift_cols = data.target.torsion_relation_columns() + [
-        target.boundary.column(j) for j in range(r)
-    ]
+    lift_cols = data.relations
     n_lift = len(lift_cols)
     n_tor = len(target.torsion)
 
@@ -311,7 +309,7 @@ def hom_lattice(
                 row[layout.phi2_offset(cell) + j] = target.boundary.data[coord][j]
             for gen, s in zip(layout.generators, sums):
                 row[layout.phi1_offset(gen) + coord] -= s
-            for si, col in enumerate(target.torsion_relation_columns()):
+            for si, col in enumerate(lift_cols[:n_tor]):
                 row[dim + n1 * n_lift + ti * n_tor + si] = col[coord]
             rows.append(row)
             rhs.append(0)
@@ -361,9 +359,7 @@ def sector_action_matrices(
     }
 
 
-def homotopy_sublattice(
-    M: CWComplex, X: ModuleXMod | TargetData, sector: dict
-) -> list[Vector]:
+def homotopy_sublattice(M: CWComplex, data: TargetData, sector: dict) -> list[Vector]:
     """Directions spanned by based homotopies within a sector.
 
     A homotopy is a free derivation theta determined by theta(a) in Z^r per
@@ -372,7 +368,6 @@ def homotopy_sublattice(
     coordinate shifts of phi1 (same element of G, different coordinates) are
     included so that coset equality means equality of based classes.
     """
-    data = X if isinstance(X, TargetData) else TargetData(X)
     target = data.target
     layout = layout_for(M, target)
     r = target.rank
@@ -471,12 +466,8 @@ class SectorResult:
         return max(orbit, key=lambda c: self.quotient.representative(c))
 
     def to_json(self) -> dict:
-        phi1 = {
-            g: (label[0] if len(label) == 1 else list(label))
-            for g, label in self.phi1.items()
-        }
         out = {
-            "phi1": phi1,
+            "phi1": labels_to_json(self.phi1),
             "based_group": self.based_group.to_json(),
             "representatives": [list(v) for v in self.representatives()],
         }

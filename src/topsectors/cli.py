@@ -17,6 +17,7 @@ from . import classify2d, cohomology, complexes, dim3, words, xmod, zlinalg
 from .classify2d import UnsupportedTargetError
 from .complexes import CWComplex, ComplexError
 from .dim3 import Dim3Error
+from .fingrp import GroupTableError
 from .xmod import ModuleXMod, XModError
 from .zlinalg import IntMatrix
 
@@ -264,7 +265,7 @@ def cmd_classify(args) -> int:
             )
             _emit(text, args.out)
             return EXIT_OK
-        if target.name == "sphere2":
+        if target == xmod.target_catalog("sphere2"):
             res = dim3.classify_s2(M, sweep=args.sweep)
             text = (
                 json.dumps(res.to_json(), indent=2)
@@ -309,23 +310,19 @@ def cmd_crosscheck(args) -> int:
                 f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
                 f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
             )
-    elif kind == "xmod" and M.dim == 3 and target.name == "sphere2":
+    elif kind == "xmod" and M.dim == 3 and target == xmod.target_catalog("sphere2"):
         cup = (
             dim3.CupData.from_json(_read_json(args.cup))
             if args.cup
-            else dim3.cup_preset(M.name or "")
+            else dim3.cup_preset(dim3.preset_for(M).space)
         )
-        names = M.two_cell_names()
-        import itertools as _it
-
-        for combo in _it.product(range(-args.sweep, args.sweep + 1), repeat=len(names)):
-            phi2 = dict(zip(names, combo))
-            group, _ = dim3.sector_group_s2(M, phi2)
-            oracle = dim3.pontrjagin_sector_group(cup, combo)
-            ok = oracle == group
+        for sector in dim3.classify_s2(M, sweep=args.sweep).sectors:
+            alpha = tuple(sector.phi2.values())
+            oracle = dim3.pontrjagin_sector_group(cup, alpha)
+            ok = oracle == sector.group
             mismatches += 0 if ok else 1
             lines.append(
-                f"sector {combo}: crossed-square {group} vs cup-product {oracle}"
+                f"sector {alpha}: crossed-square {sector.group} vs cup-product {oracle}"
                 f" -> {'match' if ok else 'MISMATCH'}"
             )
     else:
@@ -438,8 +435,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="topsectors", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    def add_out(p):
         p.add_argument("--out", help="write the report to a file")
 
     p = sub.add_parser("classify", help="classify homotopy classes of maps")
@@ -449,7 +445,8 @@ def build_parser() -> _Parser:
     mode.add_argument("--based", action="store_true", default=True)
     mode.add_argument("--free", action="store_true", default=False)
     p.add_argument("--sweep", type=int, default=2, help="sector sweep radius (sphere target)")
-    common(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    add_out(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("crosscheck", help="run both routes and compare per sector")
@@ -457,7 +454,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--sweep", type=int, default=3)
     p.add_argument("--cup", help="override the cup-product table (JSON path)")
-    common(p)
+    add_out(p)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("validate", help="validate a complex/target/crossed-module file")
@@ -467,18 +464,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p.add_argument("--matrix", help='JSON literal, e.g. "[[2,4],[6,8]]"')
     p.add_argument("--file", help="JSON file holding the matrix")
-    common(p)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    add_out(p)
     p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("hoang", help="classification data of a finite crossed module")
     p.add_argument("path")
     p.add_argument("--witness", action="store_true", help="search for a coboundary witness")
-    common(p)
+    add_out(p)
     p.set_defaults(func=cmd_hoang)
 
     p = sub.add_parser("report", help="structural crossed-square report of a complex")
     p.add_argument("--source", required=True)
-    common(p)
+    add_out(p)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -498,7 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnsupportedTargetError as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ComplexError, XModError, Dim3Error, words.AlphabetError, words.WordSyntaxError) as err:
+    except (
+        ComplexError, XModError, Dim3Error, GroupTableError, words.AlphabetError, words.WordSyntaxError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -18,10 +18,10 @@ import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum
+from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum, labels_to_json
 from .complexes import CWComplex
 from .words import fox_derivative
-from .xmod import ModuleXMod, derivation_image
+from .xmod import derivation_image
 from .zlinalg import AbelianGroup, IntMatrix, quotient
 
 
@@ -60,12 +60,8 @@ class CoefficientModule:
         )
 
     @staticmethod
-    def for_target_sector(
-        data: TargetData | ModuleXMod, sector: dict
-    ) -> "CoefficientModule":
+    def for_target_sector(data: TargetData, sector: dict) -> "CoefficientModule":
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
-        if isinstance(data, ModuleXMod):
-            data = TargetData(data)
         return CoefficientModule(
             rank=len(data.kernel_basis),
             factors=data.pi1.factors,
@@ -173,11 +169,7 @@ class SpecialSector:
     group: AbelianGroup
 
     def to_json(self) -> dict:
-        phi1 = {
-            g: (label[0] if len(label) == 1 else list(label))
-            for g, label in self.phi1.items()
-        }
-        return {"phi1": phi1, "group": self.group.to_json()}
+        return {"phi1": labels_to_json(self.phi1), "group": self.group.to_json()}
 
 
 @dataclass

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .complexes import CWComplex, HWord, TriadLetter, catalog
+from .complexes import CWComplex, HWord, TriadLetter, catalog, structurally_equal
 from .words import Alphabet, Word
 from .zlinalg import (
     AbelianGroup,
@@ -49,17 +49,8 @@ class TensorLetter:
     sign: int
 
 
-@dataclass(frozen=True)
-class CLetter:
-    """A conjugated 3-cell (or cylinder 3-cell) generator, to a sign."""
-
-    conj_f: Word
-    conj_h: HWord
-    cell: str
-    sign: int
-
-
-FormalLWord = tuple[TensorLetter | CLetter, ...]
+# A TriadLetter here is a conjugated 3-cell (or cylinder 3-cell) generator.
+FormalLWord = tuple[TensorLetter | TriadLetter, ...]
 
 
 class LinForm:
@@ -136,12 +127,7 @@ def _phi2_of_hword(word: HWord, values: Mapping[str, "LinForm | int"]) -> LinFor
     return out
 
 
-def evaluate_L(
-    word: FormalLWord,
-    phi2_values: Mapping[str, "LinForm | int"],
-    phi3_values: Mapping[str, "LinForm | int"] | None = None,
-    i_values: Mapping[str, "LinForm | int"] | None = None,
-) -> "LinForm | int":
+def evaluate_L(word: FormalLWord, values: Mapping[str, "LinForm | int"]) -> "LinForm | int":
     """Image of a formal triad-group word in pi_3 S^2 = Z.
 
     Tensor letters multiply the signed phi2 sums of their two factors; a
@@ -149,10 +135,6 @@ def evaluate_L(
     since the target action is trivial.  Returns an int when every referenced
     value is an int.
     """
-    values: dict[str, LinForm | int] = dict(phi2_values)
-    for extra in (phi3_values, i_values):
-        if extra:
-            values.update(extra)
     total = LinForm(0)
     for letter in word:
         if isinstance(letter, TensorLetter):
@@ -232,11 +214,6 @@ def xsq_hom_lattice(M: CWComplex) -> tuple[XSqHomLayout, AffineLattice]:
         for _, cell, sign in hword:
             row[layout.phi2_index(cell)] += sign
         rows.append(row)
-    if not rows:
-        return layout, AffineLattice.from_solution(
-            (0,) * layout.dim,
-            [tuple(1 if i == j else 0 for j in range(layout.dim)) for i in range(layout.dim)],
-        )
     sol = solve(IntMatrix(rows, cols=layout.dim), (0,) * len(rows))
     assert sol is not None
     particular, kernel = sol
@@ -259,6 +236,7 @@ class CylinderPreset:
     """
 
     space: str
+    base: CWComplex
     cylinder: CWComplex
     i_two_cells: tuple[str, ...]
     i_three_cells: tuple[str, ...]
@@ -328,11 +306,19 @@ def cylinder_preset(space: str) -> CylinderPreset:
 
     Cached: presets are read-only data and sector sweeps request them often.
     """
-    if space == "s1_x_s2":
-        return _s1_x_s2_preset()
-    if space == "torus3":
-        return _torus3_preset()
-    raise Dim3Error(f"no cylinder preset for {space!r}")
+    if space not in _PRESETS:
+        raise Dim3Error(f"no cylinder preset for {space!r}")
+    return _PRESETS[space]()
+
+
+def preset_for(M: CWComplex) -> CylinderPreset:
+    """The preset whose base complex is structurally equal to M, so that a
+    copy of a catalog space gets its preset under any name or none."""
+    for space in _PRESETS:
+        preset = cylinder_preset(space)
+        if structurally_equal(preset.base, M):
+            return preset
+    raise Dim3Error(f"no cylinder preset for {(M.name or 'complex')!r}")
 
 
 def _doubled_cells(M: CWComplex, alphabet: Alphabet):
@@ -364,13 +350,14 @@ def _s1_x_s2_preset() -> CylinderPreset:
     boundary4: FormalLWord = (
         TensorLetter(h=((e, "aI", -1),), k=((e, "t0", 1),), sign=-1),
         TensorLetter(h=((alphabet.word("a1"), "t0", -1),), k=((e, "aI", 1),), sign=-1),
-        CLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=1),
-        CLetter(conj_f=e, conj_h=t0_inv, cell="x1", sign=1),
-        CLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=-1),
-        CLetter(conj_f=e, conj_h=t0_inv + ((e, "aI", 1),), cell="x0", sign=-1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="x1", sign=1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=-1),
+        TriadLetter(conj_f=e, conj_h=t0_inv + ((e, "aI", 1),), cell="x0", sign=-1),
     )
     return CylinderPreset(
         space="s1_x_s2",
+        base=M,
         cylinder=cylinder,
         i_two_cells=("aI",),
         i_three_cells=("tI",),
@@ -405,7 +392,7 @@ def _torus3_preset() -> CylinderPreset:
     cylinder = CWComplex(alphabet.names, two, three, name="cylinder(torus3)")
 
     tensor_pairs = [("a", "t"), ("b", "u"), ("c", "v")]
-    letters: list[TensorLetter | CLetter] = []
+    letters: list[TensorLetter | TriadLetter] = []
     for gen, cell in tensor_pairs:
         letters.append(
             TensorLetter(h=((e, f"{gen}I", -1),), k=((e, f"{cell}0", 1),), sign=1)
@@ -416,23 +403,27 @@ def _torus3_preset() -> CylinderPreset:
             )
         )
     letters += [
-        CLetter(e, (), "x1", 1),
-        CLetter(e, (), "tI", -1),
-        CLetter(w("c1"), (), "vI", 1),
-        CLetter(e, (), "uI", -1),
-        CLetter(e, (), "x0", -1),
-        CLetter(w("a1"), (), "tI", 1),
-        CLetter(e, (), "vI", -1),
-        CLetter(w("b1"), (), "uI", 1),
+        TriadLetter(e, (), "x1", 1),
+        TriadLetter(e, (), "tI", -1),
+        TriadLetter(w("c1"), (), "vI", 1),
+        TriadLetter(e, (), "uI", -1),
+        TriadLetter(e, (), "x0", -1),
+        TriadLetter(w("a1"), (), "tI", 1),
+        TriadLetter(e, (), "vI", -1),
+        TriadLetter(w("b1"), (), "uI", 1),
     ]
     return CylinderPreset(
         space="torus3",
+        base=M,
         cylinder=cylinder,
         i_two_cells=("aI", "bI", "cI"),
         i_three_cells=("tI", "uI", "vI"),
         boundary4={"xI": tuple(letters)},
         end_cell_pairs={"t": ("t0", "t1"), "u": ("u0", "u1"), "v": ("v0", "v1")},
     )
+
+
+_PRESETS = {"s1_x_s2": _s1_x_s2_preset, "torus3": _torus3_preset}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +435,6 @@ def _torus3_preset() -> CylinderPreset:
 class S2Sector:
     phi2: dict
     group: AbelianGroup
-    delta_lattice: Lattice  # achievable phi3 differences
 
     def to_json(self) -> dict:
         return {"phi2": dict(self.phi2), "group": self.group.to_json()}
@@ -474,13 +464,9 @@ def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup
     admit integer values solving every interval 3-cell constraint and the
     4-cell boundary relation.
     """
-    preset = cylinder_preset(M.name or "")
-    layout, lattice = xsq_hom_lattice(M)
-    vec = [0] * layout.dim
-    for cell in layout.two_cells:
-        vec[layout.phi2_index(cell)] = int(phi2[cell])
-    if tuple(vec) not in lattice:
+    if not XSqHom(phi2=dict(phi2), phi3={}).commutes(M):
         raise Dim3Error(f"phi2 assignment {dict(phi2)} is not a homomorphism")
+    preset = preset_for(M)
 
     unknowns: list[str] = []
     values: dict[str, LinForm | int] = {}
@@ -491,7 +477,7 @@ def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup
         values[name] = LinForm.symbol(name)
         unknowns.append(name)
     deltas = []
-    for name in layout.three_cells:
+    for name in M.three_cell_names():
         values[f"{name}0"] = 0
         delta = f"delta_{name}"
         values[f"{name}1"] = LinForm.symbol(delta)
@@ -502,7 +488,7 @@ def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup
     for name in preset.i_three_cells:
         _, hword = preset.cylinder.triad_normal_form(attach[name])
         equations.append(_phi2_of_hword(hword, values))
-    for name in layout.three_cells:
+    for name in M.three_cell_names():
         form = LinForm.lift(evaluate_L(preset.boundary4[f"{name}I"], values))
         equations.append(form)
 
@@ -522,25 +508,16 @@ def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup
     return group, delta_lattice
 
 
-def classify_s2(
-    M: CWComplex, sectors: Iterable[Mapping[str, int]] | None = None, sweep: int = 2
-) -> S2Classification:
-    """Classify maps of a preset 3-complex into the 2-sphere, per sector.
-
-    ``sectors`` is an iterable of phi2 assignments; when omitted, all
-    assignments with entries in [-sweep, sweep] are used.
-    """
+def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
+    """Classify maps of a preset 3-complex into the 2-sphere, one sector per
+    phi2 assignment with entries in [-sweep, sweep]."""
+    if sweep < 0:
+        raise Dim3Error(f"sweep must be >= 0, got {sweep}")
     layout, _ = xsq_hom_lattice(M)
-    if sectors is None:
-        names = layout.two_cells
-        sectors = [
-            dict(zip(names, combo))
-            for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(names))
-        ]
     out = []
-    for phi2 in sectors:
-        group, lattice = sector_group_s2(M, phi2)
-        out.append(S2Sector(phi2=dict(phi2), group=group, delta_lattice=lattice))
+    for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(layout.two_cells)):
+        phi2 = dict(zip(layout.two_cells, combo))
+        out.append(S2Sector(phi2=phi2, group=sector_group_s2(M, phi2)[0]))
     return S2Classification(source=M.name or "complex", layout=layout, sectors=out)
 
 
@@ -645,13 +622,6 @@ def pontrjagin_sector_group(cup: CupData, alpha: Sequence[int]) -> AbelianGroup:
     return quotient(len(cup.h3), columns)
 
 
-def pontrjagin_classify(
-    cup: CupData, alphas: Iterable[Sequence[int]]
-) -> list[tuple[Vector, AbelianGroup]]:
-    """Classes of maps to the 2-sphere over each pullback class alpha."""
-    return [(tuple(a), pontrjagin_sector_group(cup, a)) for a in alphas]
-
-
 # ---------------------------------------------------------------------------
 # Structural report
 # ---------------------------------------------------------------------------
@@ -726,10 +696,11 @@ def crossed_square_report(M: CWComplex) -> CrossedSquareReport:
     for name, word in M.two_cells:
         if word.is_identity and not M.alphabet.names:
             notes.append("H = H-bar = G = Z, the tensor square L = Z")
-    if M.name == "s1_x_s2":
+    space = next((s for s in _KNOWN_PI3 if structurally_equal(M, catalog(s))), None)
+    if space == "s1_x_s2":
         notes.append("d: H -> F is trivial, so H-bar = H as subgroups of F |x H")
-    if M.name in _KNOWN_PI3:
-        notes.append(f"pi_3 = {_KNOWN_PI3[M.name]} (catalog constant)")
+    if space is not None:
+        notes.append(f"pi_3 = {_KNOWN_PI3[space]} (catalog constant)")
     return CrossedSquareReport(
         space=M.name or "complex",
         cell_counts=M.cell_counts(),

@@ -139,17 +139,6 @@ class FiniteGroup:
         names = [self.names[g] for g in members]
         return FiniteGroup(table, names), members
 
-    def conjugacy_classes(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        out = []
-        for a in self.elements():
-            if a in seen:
-                continue
-            cls = frozenset(self.conj(g, a) for g in self.elements())
-            seen |= cls
-            out.append(cls)
-        return out
-
     def abelian_invariants(self) -> AbelianGroup:
         """Invariant factors of an abelian group, by peeling off maximal
         cyclic factors."""

@@ -11,6 +11,7 @@ intermediate entries from blowing up.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -79,15 +80,6 @@ class IntMatrix:
         """A matrix read from JSON rows; every entry must be an integer."""
         return IntMatrix([[json_int(x) for x in row] for row in data])
 
-    @staticmethod
-    def diagonal(entries: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntMatrix":
-        m = rows if rows is not None else len(entries)
-        n = cols if cols is not None else len(entries)
-        return IntMatrix(
-            [[entries[i] if i == j and i < len(entries) else 0 for j in range(n)] for i in range(m)],
-            cols=n,
-        )
-
     # -- arithmetic ---------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
@@ -134,12 +126,6 @@ class IntMatrix:
                 base = base @ base
         return IntMatrix.identity(self.rows) if out is None else out
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
@@ -154,9 +140,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def column(self, j: int) -> Vector:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -357,10 +340,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, S, V)
 
 
-def invariant_factors(A: IntMatrix) -> Vector:
-    return smith_normal_form(A).diagonal
-
-
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
     """Solve A x = b over the integers.
 
@@ -403,15 +382,16 @@ class AbelianGroup:
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "AbelianGroup":
+        """Normalise any cyclic decomposition: Z_a x Z_b = Z_gcd x Z_lcm, so
+        replacing each pair by its gcd and lcm leaves every factor dividing
+        the next."""
         factors = [abs(int(f)) for f in factors]
-        # Normalize an arbitrary cyclic decomposition via the SNF of the
-        # corresponding diagonal relation matrix.
-        nonzero = [f for f in factors if f not in (0, 1)]
-        free = sum(1 for f in factors if f == 0)
-        if nonzero:
-            diag = IntMatrix.diagonal(nonzero)
-            nonzero = [d for d in smith_normal_form(diag).diagonal if d != 1]
-        return AbelianGroup(tuple(nonzero) + (0,) * free)
+        chain = [f for f in factors if f > 1]
+        for i in range(len(chain)):
+            for j in range(i + 1, len(chain)):
+                g = math.gcd(chain[i], chain[j])
+                chain[i], chain[j] = g, chain[i] // g * chain[j]
+        return AbelianGroup(tuple(f for f in chain if f > 1) + (0,) * factors.count(0))
 
     @staticmethod
     def free(rank: int) -> "AbelianGroup":
@@ -464,10 +444,8 @@ def quotient(ambient_rank: int, sublattice_generators: Iterable[Sequence[int]]) 
             raise ValueError("generator length does not match ambient rank")
     if not gens:
         return AbelianGroup.free(ambient_rank)
-    mat = IntMatrix.from_columns(gens, height=ambient_rank)
-    diag = smith_normal_form(mat).diagonal
-    factors = [diag[i] if i < len(diag) else 0 for i in range(ambient_rank)]
-    return AbelianGroup.from_factors(factors)
+    diag = smith_normal_form(IntMatrix.from_columns(gens, height=ambient_rank)).diagonal
+    return AbelianGroup.from_factors(diag + (0,) * (ambient_rank - len(diag)))
 
 
 class Lattice:
@@ -585,12 +563,6 @@ class Lattice:
             return None
         return tuple(coords)
 
-    def copy(self) -> "Lattice":
-        out = Lattice(self.dim)
-        out.rows = [list(r) for r in self.rows]
-        out._pivots = list(self._pivots)
-        return out
-
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """x, y, g with x*a + y*b == g == gcd(a, b)."""
@@ -637,21 +609,18 @@ class LatticeQuotient:
     def __init__(self, ambient: AffineLattice, sublattice_generators: Iterable[Sequence[int]]):
         self.ambient = ambient
         subgens = [tuple(int(x) for x in g) for g in sublattice_generators]
-        for g in subgens:
-            if g not in ambient.directions:
-                raise SublatticeError(
-                    f"sublattice generator {g} is not a direction of the solution lattice"
-                )
-        self.sub_lattice = Lattice(ambient.dim, subgens)
-
-        basis = ambient.directions.basis()
-        self._basis = basis
-        m = len(basis)
         coord_cols = []
         for g in subgens:
             coords = ambient.directions.coords_in_basis(g)
-            assert coords is not None
+            if coords is None:
+                raise SublatticeError(
+                    f"sublattice generator {g} is not a direction of the solution lattice"
+                )
             coord_cols.append(coords)
+        self.sub_lattice = Lattice(ambient.dim, subgens)
+
+        basis = ambient.directions.basis()
+        m = len(basis)
         C = IntMatrix.from_columns(coord_cols, height=m)
         U, S, V, Uinv, Vinv = _smith_with_inverses(C)
         self._Uinv = Uinv
@@ -659,9 +628,7 @@ class LatticeQuotient:
         diag = [S.data[i][i] if i < rank else 0 for i in range(m)]
         self._kept = [i for i in range(m) if diag[i] != 1]
         self._kept_factors = tuple(diag[i] for i in self._kept)
-        self.group = AbelianGroup(
-            tuple(f for f in self._kept_factors if f) + (0,) * sum(1 for f in self._kept_factors if f == 0)
-        )
+        self.group = AbelianGroup.from_factors(self._kept_factors)
         # Ambient generator vector for each kept cyclic factor.
         self.generator_vectors: list[Vector] = []
         for i in self._kept:

@@ -105,24 +105,24 @@ def brute_force_homotopic(M, layout, v_phi, v_psi, box=3):
 
 class TestSectors:
     def test_torus2_four_sectors(self):
-        sectors = pi1_sectors(catalog("torus2"), RP2)
+        sectors = pi1_sectors(catalog("torus2"), TargetData(RP2))
         labels = {tuple(s[g][0] for g in ("a", "b")) for s in sectors}
         assert labels == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_knot_sector_parity(self):
         # p odd, q even forces phi1(a) even
-        sectors = pi1_sectors(catalog("torus_knot", p=3, q=2), RP2)
+        sectors = pi1_sectors(catalog("torus_knot", p=3, q=2), TargetData(RP2))
         labels = {(s["a"][0], s["b"][0]) for s in sectors}
         assert labels == {(0, 0), (0, 1)}
 
     def test_sphere_target_single_sector(self):
         for name in ("torus2", "rp2"):
-            assert len(pi1_sectors(catalog(name), S2)) == 1
+            assert len(pi1_sectors(catalog(name), TargetData(S2))) == 1
 
     def test_infinite_pi1_rejected(self):
         X = target_catalog("trivial", r=1, k=1)  # G = Z, d = 0
         with pytest.raises(UnsupportedTargetError):
-            pi1_sectors(catalog("torus2"), X)
+            pi1_sectors(catalog("torus2"), TargetData(X))
 
 
 ABC = Alphabet(["a", "b", "c"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -339,6 +340,87 @@ class TestReport:
         assert "H = H-bar = G = Z" in out
 
 
+class TestStructuralDispatch:
+    """Presets and the sphere target are recognised by structure, never by
+    a file's name field."""
+
+    def _s1_x_s2_copy(self, tmp_path, name):
+        obj = json.loads(saves(catalog("s1_x_s2")))
+        obj.pop("name")
+        if name is not None:
+            obj["name"] = name
+        path = tmp_path / "copy.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    @pytest.mark.parametrize("name", ["torus3", None])
+    def test_copy_of_s1_x_s2(self, capsys, tmp_path, name):
+        path = self._s1_x_s2_copy(tmp_path, name)
+        _, expected, _ = run(capsys, "classify", "--source", "s1_x_s2", "--target", "sphere2")
+        code, out, err = run(capsys, "classify", "--source", path, "--target", "sphere2")
+        assert code == 0, err
+        title = "torus3" if name else "complex"
+        assert out == expected.replace("s1_x_s2 -> sphere2", f"{title} -> sphere2")
+        code, out, err = run(capsys, "crosscheck", "--source", path, "--target", "sphere2")
+        assert code == 0, err
+        assert "all sectors match" in out
+
+    def test_sphere_target_file(self, capsys, tmp_path):
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(target_catalog("sphere2").to_json()))
+        for command in ("classify", "crosscheck"):
+            _, expected, _ = run(capsys, command, "--source", "torus3", "--target", "sphere2")
+            code, out, err = run(capsys, command, "--source", "torus3", "--target", str(path))
+            assert code == 0, err
+            assert out == expected
+
+
+class TestCleanExits:
+    # 1 * 1 = 1, so element 1 of H has no inverse
+    NO_INVERSE = {
+        "H_table": [[0, 1], [1, 1]],
+        "G_table": [[0, 1], [1, 0]],
+        "boundary": [0, 0],
+        "action": [[0, 1], [0, 1]],
+    }
+
+    @pytest.mark.parametrize("command", ["hoang", "validate"])
+    def test_table_without_inverse(self, capsys, tmp_path, command):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(self.NO_INVERSE))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1
+        assert err.startswith("error: element 1 has no inverse")
+
+    @pytest.mark.parametrize("command", ["classify", "crosscheck"])
+    def test_negative_sweep(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--source", "s1_x_s2", "--target", "sphere2", "--sweep", "-1"
+        )
+        assert code == 1 and out == ""
+        assert "sweep must be >= 0" in err
+
+    @pytest.mark.parametrize("command", ["crosscheck", "hoang", "report"])
+    def test_format_only_where_it_acts(self, capsys, command):
+        argv = {
+            "crosscheck": ["--source", "torus2", "--target", "rp2"],
+            "hoang": ["x.json"],
+            "report": ["--source", "torus3"],
+        }[command]
+        code, out, _ = run(capsys, command, *argv, "--format", "json")
+        assert code == 1 and out == ""
+
+    def test_lens_answer_independent_of_q(self, capsys):
+        outputs = []
+        for q in (1, 2):
+            code, out, _ = run(
+                capsys, "classify", "--source", "torus3", "--target", f"lens:5,{q}", "--format", "json"
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_missing_subcommand_is_input_error(self, capsys):
         code, _, err = run(capsys)
@@ -353,3 +435,36 @@ class TestExitCodes:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+
+# sha256 of stdout for the acceptance commands, recorded before the
+# invariant-factor and sphere-sweep refactors; any byte of drift fails.
+PINNED_OUTPUTS = [
+    ("classify --source genus_surface:4 --target rp2 --free --format json",
+     "9604e626cf933de79807b9d8e7743a4735f23b52d44a7f940ed0bbde67dceb7e"),
+    ("classify --source torus_knot:2,3 --target rp2 --free",
+     "d270bc3841774545945054785fe983675d2784a5f2cd288534408f2223221123"),
+    ("classify --source klein_bottle --target rp2 --free",
+     "0bae650b69d85149ecdf383ff8d417d3adf07f37b45b60c6c97a9cd370afdd29"),
+    ("classify --source torus3 --target lens:7,1 --format json",
+     "68d3185e5e10f5786855622de9401c55b1e2370a89c868c029bb200d7124d432"),
+    ("classify --source s1_wedge_s2 --target rp2 --free",
+     "9adc75049acf967e67181eb8c85b61a45732b3afedd8d1a4b6085f4585029222"),
+    ("classify --source torus3 --target sphere2 --sweep 2 --format json",
+     "fd49064a77106d9737302edafbcbd3bf837192d8ad2546d05bea30d4c6a78b19"),
+    ("crosscheck --source torus2 --target rp2",
+     "c9f7160cde07c3746b05330c261829ee532bdfc20940ffef25717dad9c215acc"),
+    ("crosscheck --source torus_knot:20000,3 --target rp2",
+     "d3ba077510211dde3d12bffca630cf7af5d2275f53bea417651010dccf05cb06"),
+    ("crosscheck --source torus3 --target sphere2 --sweep 3",
+     "e53ab2a82f464c9d4ebde974d5dd9fb3a7fd574a08c2d40d9f2f80a721e930d2"),
+    ("crosscheck --source s1_x_s2 --target sphere2 --sweep 3",
+     "4bca0702c400c763ab8cae0429d5abcb16c94aa105c6169730ca3f0f8110c61f"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_OUTPUTS, ids=[c for c, _ in PINNED_OUTPUTS])
+def test_pinned_output(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

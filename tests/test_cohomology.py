@@ -176,7 +176,7 @@ class TestSpecialCase:
                 boundary=IntMatrix.zeros(len(factors), 1),
             )
             res = special_case_classify(M, factors, 1)
-            assert [s.phi1 for s in res.sectors] == pi1_sectors(M, X)
+            assert [s.phi1 for s in res.sectors] == pi1_sectors(M, TargetData(X))
         assert [s.phi1 for s in special_case_classify(rp3, [4], 1).sectors] == [
             {"a": (0,)},
             {"a": (2,)},

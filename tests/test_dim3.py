@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from topsectors.complexes import catalog, validate_triad
+from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves, validate_triad
 from topsectors.dim3 import (
-    CLetter,
     CupData,
     Dim3Error,
     LinForm,
@@ -16,8 +15,8 @@ from topsectors.dim3 import (
     cup_preset,
     cylinder_preset,
     evaluate_L,
-    pontrjagin_classify,
     pontrjagin_sector_group,
+    preset_for,
     sector_group_s2,
     xsq_hom_lattice,
 )
@@ -85,7 +84,7 @@ class TestEvaluateL:
     def test_additive_over_concatenation(self):
         e = Word.identity(Alphabet(["a0"]))
         w1 = (TensorLetter(h=((e, "t0", 1),), k=((e, "t0", 1),), sign=1),)
-        w2 = (CLetter(conj_f=e, conj_h=(), cell="x0", sign=-1),)
+        w2 = (TriadLetter(conj_f=e, conj_h=(), cell="x0", sign=-1),)
         values = {"t0": 3, "x0": 5}
         assert evaluate_L(w1 + w2, values) == evaluate_L(w1, values) + evaluate_L(
             w2, values
@@ -101,7 +100,7 @@ class TestEvaluateL:
     def test_unassigned_cell(self):
         e = Word.identity(Alphabet(["a0"]))
         with pytest.raises(Dim3Error):
-            evaluate_L((CLetter(e, (), "zz", 1),), {})
+            evaluate_L((TriadLetter(e, (), "zz", 1),), {})
 
     def test_linform_rejects_nonlinear(self):
         x, y = LinForm.symbol("x"), LinForm.symbol("y")
@@ -182,11 +181,49 @@ class TestClassifyS2:
         assert by_q == {q: z_or(2 * q) for q in range(-2, 3)}
 
     def test_bad_sector_rejected(self):
-        # a phi2 assignment violating the triad-sum constraint is not a
-        # homomorphism; build a complex where the constraint is nontrivial
-        M = catalog("s1_x_s2")
-        with pytest.raises(Dim3Error):
+        # torus2 has no 3-cells, so every phi2 is a homomorphism, but there
+        # is no cylinder preset for it
+        with pytest.raises(Dim3Error, match="no cylinder preset"):
             sector_group_s2(catalog("torus2"), {"t": 0})
+
+    def test_non_homomorphism_rejected(self):
+        # two 2-spheres and a 3-cell attached by t s^-1: phi2 must have t = s
+        e = Word.identity(Alphabet([]))
+        M = CWComplex(
+            [], [("t", ""), ("s", "")],
+            [("x", [TriadLetter(e, (), "t", 1), TriadLetter(e, (), "s", -1)])],
+        )
+        with pytest.raises(Dim3Error, match="is not a homomorphism"):
+            sector_group_s2(M, {"t": 1, "s": 0})
+        with pytest.raises(Dim3Error, match="no cylinder preset"):
+            sector_group_s2(M, {"t": 1, "s": 1})
+
+    def test_negative_sweep_rejected(self):
+        with pytest.raises(Dim3Error, match="sweep"):
+            classify_s2(catalog("s1_x_s2"), sweep=-1)
+
+
+class TestPresetDispatch:
+    """Presets are chosen by the structure of the complex, never its name."""
+
+    @pytest.mark.parametrize("space", ["s1_x_s2", "torus3"])
+    @pytest.mark.parametrize("name", [None, "renamed", "torus3", "s1_x_s2"])
+    def test_copy_gets_its_own_preset(self, space, name):
+        M = loads(saves(catalog(space)))
+        M.name = name
+        assert preset_for(M) is cylinder_preset(space)
+
+    def test_misnamed_copy_classifies_as_its_structure(self):
+        M = loads(saves(catalog("s1_x_s2")))
+        M.name = "torus3"
+        res = classify_s2(M, sweep=2)
+        assert [s.group for s in res.sectors] == [
+            s.group for s in classify_s2(catalog("s1_x_s2"), sweep=2).sectors
+        ]
+
+    def test_unknown_structure(self):
+        with pytest.raises(Dim3Error, match="no cylinder preset"):
+            preset_for(catalog("torus2"))
 
 
 class TestPontrjagin:
@@ -207,8 +244,8 @@ class TestPontrjagin:
 
     def test_classify_list(self):
         cup = cup_preset("s1_x_s2")
-        out = pontrjagin_classify(cup, [(0,), (1,), (2,)])
-        assert [g for _, g in out] == [z_or(0), z_or(2), z_or(4)]
+        out = [pontrjagin_sector_group(cup, a) for a in [(0,), (1,), (2,)]]
+        assert out == [z_or(0), z_or(2), z_or(4)]
 
     def test_inconsistent_table_rejected(self):
         # torsion H^2 generator whose cup value does not die
@@ -250,6 +287,14 @@ class TestReport:
         rep = crossed_square_report(catalog("s1_x_s2"))
         assert any("H-bar = H" in n for n in rep.notes)
         assert any("pi_3 = Z" in n for n in rep.notes)
+
+    def test_notes_follow_structure_not_name(self):
+        copy = loads(saves(catalog("s1_x_s2")))
+        copy.name = None
+        assert crossed_square_report(copy).notes == crossed_square_report(catalog("s1_x_s2")).notes
+        impostor = catalog("torus2")
+        impostor.name = "s1_x_s2"
+        assert crossed_square_report(impostor).notes == crossed_square_report(catalog("torus2")).notes
 
     def test_sphere2_report(self):
         rep = crossed_square_report(catalog("sphere2"))

@@ -239,6 +239,21 @@ class TestAbelianGroup:
         assert AbelianGroup.from_factors([1, 1]).is_trivial
         assert AbelianGroup.from_factors([0, 2]).invariant_factors == (2, 0)
 
+    def test_non_chain_inputs(self):
+        assert AbelianGroup.from_factors([4, 6, 10]).invariant_factors == (2, 2, 60)
+        assert AbelianGroup.from_factors([-6, 0, 4, 1, 9]).invariant_factors == (6, 36, 0)
+        assert AbelianGroup.from_factors([]).is_trivial
+
+    def test_matches_snf_of_diagonal(self):
+        # Reference: the invariant factors of diag(factors), 1s dropped.
+        rng = random.Random(11)
+        for _ in range(200):
+            factors = [rng.choice([0, 1, -2, 3, 4, 6, 8, 9, 10, 12, 15, 25, 36]) for _ in range(rng.randint(0, 6))]
+            n = len(factors)
+            diag = IntMatrix([[factors[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+            expected = tuple(d for d in smith_normal_form(diag).diagonal if d != 1)
+            assert AbelianGroup.from_factors(factors).invariant_factors == expected, factors
+
     def test_order(self):
         assert AbelianGroup.from_factors([2, 4]).order() == 8
         assert AbelianGroup.free(1).order() is None
