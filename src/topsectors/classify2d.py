@@ -26,6 +26,7 @@ from .zlinalg import (
     IntMatrix,
     Lattice,
     LatticeQuotient,
+    SmithSolver,
     quotient_with_representatives,
     solve,
 )
@@ -65,6 +66,7 @@ class TargetData:
         self.relations = tuple(target.torsion_relation_columns() + target.boundary.columns())
         self.pi1 = quotient_with_representatives(ambient, self.relations)
         self.pi1_group = self.pi1.group
+        self._rho: dict[Vector, IntMatrix] = {}
 
     @property
     def pi1_is_finite(self) -> bool:
@@ -89,7 +91,12 @@ class TargetData:
         return tuple(vec)
 
     def rho_of_label(self, label: Sequence[int]) -> IntMatrix:
-        return self.target.rho_of_coords(self.lift_of_label(label))
+        """The action of a pi_1 X label on Z^r, computed once per label."""
+        label = tuple(label)
+        rho = self._rho.get(label)
+        if rho is None:
+            rho = self._rho[label] = self.target.rho_of_coords(self.lift_of_label(label))
+        return rho
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
@@ -263,13 +270,43 @@ def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def hom_lattice(M: CWComplex, data: TargetData, sector: dict) -> Optional[AffineLattice]:
-    """Affine lattice of all homomorphisms inducing the given sector.
+@dataclass(frozen=True)
+class HomSystem:
+    """The part of the homomorphism system that no sector changes, for one
+    (M, X): the Smith reduction of its matrix, the HNF lattice of its kernel
+    directions, and the Fox derivative of every 2-cell by every 1-cell.  A
+    sector enters only through the lifted labels on the right-hand side and
+    through the labelling of the Fox table."""
+
+    data: TargetData
+    layout: HomLayout
+    solver: SmithSolver
+    directions: Lattice
+    fox: dict[tuple[str, str], dict[Vector, int]]
+
+    def lattice(self, sector: dict) -> Optional[AffineLattice]:
+        """Affine lattice of all homomorphisms inducing the given sector, or
+        None when the system has no integer solution (cannot happen for
+        sectors from pi1_sectors)."""
+        rhs: list[int] = []
+        for gen in self.layout.generators:
+            rhs.extend(self.data.lift_of_label(sector[gen]))
+        rhs.extend([0] * (self.solver.rows - len(rhs)))
+        particular = self.solver.particular(rhs)
+        if particular is None:
+            return None
+        dim = self.layout.dim
+        return AffineLattice(dim, particular[:dim], self.directions)
+
+
+def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
+    """The homomorphism system of M into the target, reduced once.
 
     Unknowns are the phi1 coordinate blocks and phi2 vectors; auxiliary
     unknowns absorb the lift ambiguity of the sector labels and the torsion
-    relations of G, then get projected away.  Returns None when the system
-    has no integer solution (cannot happen for sectors from pi1_sectors).
+    relations of G, then get projected away.  The rows are phi1(a) = lift
+    of a's label, whose right-hand sides carry the sector, then
+    d . phi2(t) = phi1(sigma_2(t)) per 2-cell, which do not depend on it.
     """
     target = data.target
     layout = layout_for(M, target)
@@ -284,21 +321,18 @@ def hom_lattice(M: CWComplex, data: TargetData, sector: dict) -> Optional[Affine
     aux = n1 * n_lift + n2 * n_tor
     total = dim + aux
     rows: list[list[int]] = []
-    rhs: list[int] = []
 
     def new_row() -> list[int]:
         return [0] * total
 
     # phi1(a) = lift(sector label) + combination of lift columns
     for gi, gen in enumerate(layout.generators):
-        base = data.lift_of_label(sector[gen])
         for coord in range(k):
             row = new_row()
             row[layout.phi1_offset(gen) + coord] = 1
             for li, col in enumerate(lift_cols):
                 row[dim + gi * n_lift + li] = -col[coord]
             rows.append(row)
-            rhs.append(base[coord])
 
     # d . phi2(t) - phi1(sigma_2(t)) = 0 in G (torsion slack per 2-cell)
     for ti, (cell, word) in enumerate(M.two_cells):
@@ -312,14 +346,18 @@ def hom_lattice(M: CWComplex, data: TargetData, sector: dict) -> Optional[Affine
             for si, col in enumerate(lift_cols[:n_tor]):
                 row[dim + n1 * n_lift + ti * n_tor + si] = col[coord]
             rows.append(row)
-            rhs.append(0)
 
-    sol = solve(IntMatrix(rows, cols=total), tuple(rhs))
-    if sol is None:
-        return None
-    particular, kernel = sol
-    return AffineLattice.from_solution(
-        particular[:dim], [vec[:dim] for vec in kernel]
+    solver = SmithSolver(IntMatrix(rows, cols=total))
+    return HomSystem(
+        data=data,
+        layout=layout,
+        solver=solver,
+        directions=Lattice(dim, [vec[:dim] for vec in solver.kernel]),
+        fox={
+            (cell, gen): fox_derivative(word, gen)
+            for cell, word in M.two_cells
+            for gen in layout.generators
+        },
     )
 
 
@@ -338,28 +376,26 @@ def labelled_sum(
     return IntMatrix(total, cols=r)
 
 
-def sector_action_matrices(
-    M: CWComplex, data: TargetData, sector: dict
-) -> dict[str, dict[str, IntMatrix]]:
+def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[str, IntMatrix]]:
     """For each 2-cell t and 1-cell a, the matrix of the Fox derivative
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
-    r = data.target.rank
-    images = tuple(sector[gen] for gen in M.alphabet.names)
+    data, layout = system.data, system.layout
+    images = tuple(sector[gen] for gen in layout.generators)
     label = functools.partial(label_of_sums, data.pi1.factors, images)
     return {
         cell: {
             gen: labelled_sum(
-                r,
-                ((label(sums), c) for sums, c in fox_derivative(word, gen).items()),
+                layout.r,
+                ((label(sums), c) for sums, c in system.fox[cell, gen].items()),
                 data.rho_of_label,
             )
-            for gen in M.alphabet.names
+            for gen in layout.generators
         }
-        for cell, word in M.two_cells
+        for cell in layout.two_cells
     }
 
 
-def homotopy_sublattice(M: CWComplex, data: TargetData, sector: dict) -> list[Vector]:
+def homotopy_sublattice(system: HomSystem, sector: dict) -> list[Vector]:
     """Directions spanned by based homotopies within a sector.
 
     A homotopy is a free derivation theta determined by theta(a) in Z^r per
@@ -368,10 +404,10 @@ def homotopy_sublattice(M: CWComplex, data: TargetData, sector: dict) -> list[Ve
     coordinate shifts of phi1 (same element of G, different coordinates) are
     included so that coset equality means equality of based classes.
     """
-    target = data.target
-    layout = layout_for(M, target)
+    target = system.data.target
+    layout = system.layout
     r = target.rank
-    fox_matrices = sector_action_matrices(M, data, sector)
+    fox_matrices = sector_action_matrices(system, sector)
 
     directions: list[Vector] = []
     for gen in layout.generators:
@@ -381,7 +417,7 @@ def homotopy_sublattice(M: CWComplex, data: TargetData, sector: dict) -> list[Ve
             off = layout.phi1_offset(gen)
             for coord in range(layout.k):
                 vec[off + coord] = col[coord]
-            for cell, _ in M.two_cells:
+            for cell in layout.two_cells:
                 mcol = fox_matrices[cell][gen].column(p)
                 off2 = layout.phi2_offset(cell)
                 for j in range(r):
@@ -516,24 +552,24 @@ def classify_based(M: CWComplex, X: ModuleXMod) -> SectorClassification:
         raise ValueError("classify_based needs a complex of dimension <= 2")
     data = TargetData(X)
     data.require_finite_pi1()
-    layout = layout_for(M, X)
+    system = hom_lattice(M, data)
     sectors = []
     for assignment in pi1_sectors(M, data):
-        lattice = hom_lattice(M, data, assignment)
+        lattice = system.lattice(assignment)
         if lattice is None:
             raise AssertionError("enumerated sector has no homomorphisms")
-        sub = homotopy_sublattice(M, data, assignment)
+        sub = homotopy_sublattice(system, assignment)
         quot = quotient_with_representatives(lattice, sub)
         sectors.append(
             SectorResult(
-                phi1=assignment, quotient=quot, layout=layout, target_data=data
+                phi1=assignment, quotient=quot, layout=system.layout, target_data=data
             )
         )
     return SectorClassification(
         source=M.name or "complex",
         target=X.name or "target",
         mode="based",
-        layout=layout,
+        layout=system.layout,
         sectors=sectors,
     )
 

@@ -246,10 +246,27 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _is_sphere_route(M: CWComplex, kind: str, target) -> bool:
+    return kind == "xmod" and M.dim == 3 and target == xmod.target_catalog("sphere2")
+
+
+def _refuse_off_sphere_route(**flags) -> None:
+    """A sphere-route flag given on another route is an input error, so that
+    it is never silently ignored (``None`` = not given)."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise InputError(
+                f"--{flag} applies only to a 3-dimensional source with the sphere2 target"
+            )
+
+
 def cmd_classify(args) -> int:
     M = resolve_source(args.source)
     kind, target = resolve_target(args.target)
     mode = "free" if args.free else "based"
+    sphere = _is_sphere_route(M, kind, target)
+    if not sphere:
+        _refuse_off_sphere_route(sweep=args.sweep)
 
     if kind == "xmod":
         if M.dim <= 2:
@@ -265,8 +282,8 @@ def cmd_classify(args) -> int:
             )
             _emit(text, args.out)
             return EXIT_OK
-        if target == xmod.target_catalog("sphere2"):
-            res = dim3.classify_s2(M, sweep=args.sweep)
+        if sphere:
+            res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
             text = (
                 json.dumps(res.to_json(), indent=2)
                 if args.format == "json"
@@ -294,6 +311,9 @@ def cmd_classify(args) -> int:
 def cmd_crosscheck(args) -> int:
     M = resolve_source(args.source)
     kind, target = resolve_target(args.target)
+    sphere = _is_sphere_route(M, kind, target)
+    if not sphere:
+        _refuse_off_sphere_route(sweep=args.sweep, cup=args.cup)
     lines = []
     mismatches = 0
 
@@ -310,13 +330,13 @@ def cmd_crosscheck(args) -> int:
                 f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
                 f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
             )
-    elif kind == "xmod" and M.dim == 3 and target == xmod.target_catalog("sphere2"):
+    elif sphere:
         cup = (
             dim3.CupData.from_json(_read_json(args.cup))
             if args.cup
             else dim3.cup_preset(dim3.preset_for(M).space)
         )
-        for sector in dim3.classify_s2(M, sweep=args.sweep).sectors:
+        for sector in dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep).sectors:
             alpha = tuple(sector.phi2.values())
             oracle = dim3.pontrjagin_sector_group(cup, alpha)
             ok = oracle == sector.group
@@ -444,7 +464,7 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--based", action="store_true", default=True)
     mode.add_argument("--free", action="store_true", default=False)
-    p.add_argument("--sweep", type=int, default=2, help="sector sweep radius (sphere target)")
+    p.add_argument("--sweep", type=int, help="sector sweep radius (sphere target; default 2)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_out(p)
     p.set_defaults(func=cmd_classify)
@@ -452,8 +472,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("crosscheck", help="run both routes and compare per sector")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--sweep", type=int, default=3)
-    p.add_argument("--cup", help="override the cup-product table (JSON path)")
+    p.add_argument("--sweep", type=int, help="sector sweep radius (sphere target; default 3)")
+    p.add_argument("--cup", help="override the cup-product table (JSON path; sphere target)")
     add_out(p)
     p.set_defaults(func=cmd_crosscheck)
 

@@ -55,7 +55,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix(_identity_rows(n), cols=n)
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMatrix":
@@ -210,6 +210,10 @@ class SmithDecomposition:
         return tuple(self.S.data[i][i] for i in range(k))
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 class _SmithState:
     """Mutable workspace for the Smith reduction, tracking U, V and inverses.
 
@@ -220,10 +224,10 @@ class _SmithState:
     def __init__(self, A: IntMatrix):
         self.m, self.n = A.rows, A.cols
         self.D = [list(row) for row in A.data]
-        self.U = [list(row) for row in IntMatrix.identity(self.m).data]
-        self.Uinv = [list(row) for row in IntMatrix.identity(self.m).data]
-        self.V = [list(row) for row in IntMatrix.identity(self.n).data]
-        self.Vinv = [list(row) for row in IntMatrix.identity(self.n).data]
+        self.U = _identity_rows(self.m)
+        self.Uinv = _identity_rows(self.m)
+        self.V = _identity_rows(self.n)
+        self.Vinv = _identity_rows(self.n)
 
     # Row op D -> L @ D  requires  U -> U @ L^-1,  Uinv -> L @ Uinv.
     def row_add(self, i: int, j: int, q: int) -> None:
@@ -340,33 +344,49 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, S, V)
 
 
+class SmithSolver:
+    """One Smith reduction A = U S V, reused for every right-hand side b of
+    A x = b: the solutions are V^-1 (S^-1 U^-1 b) plus the integer kernel
+    of A, the columns of V^-1 at the zero diagonal entries."""
+
+    def __init__(self, A: IntMatrix):
+        self.rows, self.cols = A.rows, A.cols
+        _, S, _, self._Uinv, self._Vinv = _smith_with_inverses(A)
+        rank = min(A.rows, A.cols)
+        self._diagonal = [S.data[i][i] if i < rank else 0 for i in range(A.rows)]
+        self.kernel = [
+            self._Vinv.column(j)
+            for j in range(A.cols)
+            if j >= rank or self._diagonal[j] == 0
+        ]
+
+    def particular(self, b: Sequence[int]) -> Optional[Vector]:
+        """One integer solution of A x = b, or ``None`` when there is none."""
+        if len(b) != self.rows:
+            raise ValueError("right-hand side length mismatch")
+        y = self._Uinv.apply(tuple(b))
+        z = [0] * self.cols
+        for i, (d, yi) in enumerate(zip(self._diagonal, y)):
+            if d:
+                if yi % d:
+                    return None
+                z[i] = yi // d
+            elif yi:
+                return None
+        return self._Vinv.apply(tuple(z))
+
+
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
     """Solve A x = b over the integers.
 
     Returns ``None`` when no integer solution exists, otherwise a particular
     solution together with a basis of the integer kernel of A.
     """
-    if len(b) != A.rows:
-        raise ValueError("right-hand side length mismatch")
-    U, S, V, Uinv, Vinv = _smith_with_inverses(A)
-    y = Uinv.apply(tuple(b))
-    rank = min(A.rows, A.cols)
-    z = [0] * A.cols
-    for i in range(A.rows):
-        d = S.data[i][i] if i < rank else 0
-        if d:
-            if y[i] % d:
-                return None
-            z[i] = y[i] // d
-        elif y[i]:
-            return None
-    particular = Vinv.apply(tuple(z))
-    kernel = [
-        Vinv.column(j)
-        for j in range(A.cols)
-        if j >= rank or S.data[j][j] == 0
-    ]
-    return particular, kernel
+    solver = SmithSolver(A)
+    particular = solver.particular(b)
+    if particular is None:
+        return None
+    return particular, solver.kernel
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from topsectors.classify2d import (
 from topsectors.complexes import catalog
 from topsectors.fingrp import cyclic, symmetric
 from topsectors.words import Alphabet, Word
-from topsectors.xmod import target_catalog
-from topsectors.zlinalg import AbelianGroup, IntMatrix
+from topsectors.xmod import ModuleXMod, target_catalog
+from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
@@ -171,7 +171,7 @@ class TestHomLattice:
         data = TargetData(RP2)
         layout = layout_for(M, RP2)
         sector = {"a": (0,), "b": (0,)}
-        lattice = hom_lattice(M, data, sector)
+        lattice = hom_lattice(M, data).lattice(sector)
         # phi2(t)_1 = -phi2(t)_0 throughout the solution lattice
         assert (0, 0, 1, -1) in lattice
         assert (2, 0, 0, 0) in lattice
@@ -182,7 +182,7 @@ class TestHomLattice:
         M = catalog("torus_knot", p=2, q=3)
         data = TargetData(RP2)
         sector = {"a": (1,), "b": (0,)}
-        lattice = hom_lattice(M, data, sector)
+        lattice = hom_lattice(M, data).lattice(sector)
         layout = layout_for(M, RP2)
         for vec in [
             (1, 0, 1, 0),
@@ -196,7 +196,7 @@ class TestHomLattice:
     def test_wedge_constraint_is_kernel(self):
         M = catalog("s1_wedge_s2")
         data = TargetData(RP2)
-        lattice = hom_lattice(M, data, {"a": (0,)})
+        lattice = hom_lattice(M, data).lattice({"a": (0,)})
         assert (0, 1, -1) in lattice  # phi2 in ker d
         assert (0, 1, 0) not in lattice
 
@@ -206,8 +206,9 @@ class TestHomLattice:
             M = catalog(name, **params)
             data = TargetData(RP2)
             layout = layout_for(M, RP2)
+            system = hom_lattice(M, data)
             for sector in pi1_sectors(M, data):
-                lattice = hom_lattice(M, data, sector)
+                lattice = system.lattice(sector)
                 assert lattice is not None
                 for _ in range(10):
                     v = list(lattice.particular)
@@ -218,12 +219,114 @@ class TestHomLattice:
                     assert hom.commutes(M, RP2)
 
 
+# G = Z x Z_2 acting on Z^2, both generators by the swap; d = (2, 2) into the
+# free part, so pi_1 X = Z_2 x Z_2 and the action is nontrivial.
+TORSION_SWAP = ModuleXMod(
+    free_rank=1,
+    torsion=(2,),
+    rank=2,
+    action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[0, 1], [1, 0]])),
+    boundary=IntMatrix([[2, 2], [0, 0]]),
+)
+
+
+def direct_sector_solution(M, data, sector):
+    """The sector's homomorphism system assembled on its own and solved by
+    ``zlinalg.solve``: (particular, HNF directions) on the layout
+    coordinates, or None.  Unknowns: the layout, then per 1-cell one
+    multiplier per relation of pi_1 X, then per 2-cell one per torsion
+    order of G."""
+    X = data.target
+    layout = layout_for(M, X)
+    gens, dim, k = layout.generators, layout.dim, layout.k
+    rels, n_tor = data.relations, len(X.torsion)
+    total = dim + len(gens) * len(rels) + len(M.two_cells) * n_tor
+    rows, rhs = [], []
+    for gi, gen in enumerate(gens):
+        lift = data.lift_of_label(sector[gen])
+        for coord in range(k):
+            row = [0] * total
+            row[layout.phi1_offset(gen) + coord] = 1
+            for li, col in enumerate(rels):
+                row[dim + gi * len(rels) + li] = -col[coord]
+            rows.append(row)
+            rhs.append(lift[coord])
+    for ti, (cell, word) in enumerate(M.two_cells):
+        for coord in range(k):
+            row = [0] * total
+            for j in range(layout.r):
+                row[layout.phi2_offset(cell) + j] = X.boundary.data[coord][j]
+            for gen, s in zip(gens, word.exponent_sums()):
+                row[layout.phi1_offset(gen) + coord] -= s
+            for si in range(n_tor):
+                row[dim + len(gens) * len(rels) + ti * n_tor + si] = rels[si][coord]
+            rows.append(row)
+            rhs.append(0)
+    sol = solve(IntMatrix(rows, cols=total), tuple(rhs))
+    if sol is None:
+        return None
+    particular, kernel = sol
+    return particular[:dim], Lattice(dim, [v[:dim] for v in kernel]).basis()
+
+
+class TestHomSystemAgainstDirectSolve:
+    """The one reduction per (M, X) gives, sector by sector, what solving
+    that sector's own system gives."""
+
+    CASES = [
+        ("torus2", {}, RP2),
+        ("klein_bottle", {}, RP2),
+        ("genus_surface", {"g": 2}, RP2),
+        ("torus_knot", {"p": 5, "q": 3}, RP2),
+        ("torus2", {}, TORSION_SWAP),
+        ("klein_bottle", {}, TORSION_SWAP),
+    ]
+
+    @pytest.mark.parametrize(
+        "name,params,X",
+        CASES,
+        ids=[
+            "torus2-rp2",
+            "klein_bottle-rp2",
+            "genus_surface:2-rp2",
+            "torus_knot:5,3-rp2",
+            "torus2-torsion_swap",
+            "klein_bottle-torsion_swap",
+        ],
+    )
+    def test_every_sector(self, name, params, X):
+        M = catalog(name, **params)
+        data = TargetData(X)
+        system = hom_lattice(M, data)
+        sectors = pi1_sectors(M, data)
+        assert sectors
+        for sector in sectors:
+            lattice = system.lattice(sector)
+            particular, directions = direct_sector_solution(M, data, sector)
+            assert lattice.particular == particular
+            assert lattice.directions.basis() == directions
+
+    @pytest.mark.parametrize(
+        "M,X,sector",
+        [
+            # the relator a^2 b^-3 maps to b's label, which is not trivial
+            (catalog("torus_knot", p=2, q=3), RP2, {"a": (0,), "b": (1,)}),
+            (catalog("torus_knot", p=2, q=3), TORSION_SWAP, {"a": (0, 0), "b": (0, 1)}),
+        ],
+        ids=["rp2", "torsion_swap"],
+    )
+    def test_unsolvable_sector_gives_none(self, M, X, sector):
+        data = TargetData(X)
+        assert direct_sector_solution(M, data, sector) is None
+        assert hom_lattice(M, data).lattice(sector) is None
+
+
 class TestHomotopySublattice:
     def test_torus2_even_sector_fixes_phi2(self):
         M = catalog("torus2")
         data = TargetData(RP2)
         layout = layout_for(M, RP2)
-        dirs = homotopy_sublattice(M, data, {"a": (0,), "b": (0,)})
+        dirs = homotopy_sublattice(hom_lattice(M, data), {"a": (0,), "b": (0,)})
         for d in dirs:
             assert layout.phi2(d, "t") == (0, 0)
 
@@ -231,7 +334,7 @@ class TestHomotopySublattice:
         M = catalog("torus2")
         data = TargetData(RP2)
         layout = layout_for(M, RP2)
-        dirs = homotopy_sublattice(M, data, {"a": (1,), "b": (0,)})
+        dirs = homotopy_sublattice(hom_lattice(M, data), {"a": (1,), "b": (0,)})
         assert any(layout.phi2(d, "t") != (0, 0) for d in dirs)
 
 

@@ -400,6 +400,25 @@ class TestCleanExits:
         assert code == 1 and out == ""
         assert "sweep must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--source", "torus2", "--target", "rp2", "--sweep", "-5"],
+            ["classify", "--source", "torus2", "--target", "rp2", "--sweep", "2"],
+            ["classify", "--source", "torus3", "--target", "lens:3,1", "--sweep", "-2"],
+            ["classify", "--source", "torus3", "--target", "lens:3,1", "--sweep", "1"],
+            ["crosscheck", "--source", "torus2", "--target", "rp2", "--sweep", "-1"],
+            ["crosscheck", "--source", "torus2", "--target", "rp2", "--cup", "/nonexistent.json"],
+            ["crosscheck", "--source", "torus3", "--target", "lens:3,1", "--cup", "/nonexistent.json"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_sphere_flag_off_its_route(self, capsys, argv):
+        flag = argv[-2]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} applies only to")
+
     @pytest.mark.parametrize("command", ["crosscheck", "hoang", "report"])
     def test_format_only_where_it_acts(self, capsys, command):
         argv = {

@@ -177,6 +177,48 @@ class TestSmithNormalForm:
                 assert abs(prod) == minors_gcd(A, k)
 
 
+def oracle_matrices(rng, kind, count=15, max_dim=12):
+    """Seeded matrices up to max_dim x max_dim of one kind: zero, square
+    singular, rank-deficient (a product through a narrower middle) or
+    random of any shape."""
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(1, max_dim), rng.randint(1, max_dim)
+        if kind == "zero":
+            rows = [[0] * n for _ in range(m)]
+        elif kind == "singular":
+            n = m
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            c = rng.choice((-2, 3))
+            rows[-1] = [c * x for x in rows[0]] if m > 1 else [0]
+        elif kind == "rank_deficient":
+            r = rng.randint(1, max(1, min(m, n) - 1))
+            L = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+            R = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            rows = [[sum(L[i][k] * R[k][j] for k in range(r)) for j in range(n)] for i in range(m)]
+        else:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        out.append(IntMatrix(rows))
+    return out
+
+
+class TestSmithAgainstSympy:
+    """Differential oracle, for tests only: sympy's invariant factors."""
+
+    @pytest.mark.parametrize("kind", ["zero", "singular", "rank_deficient", "any_shape"])
+    def test_invariant_factors(self, kind):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(f"snf-{kind}")
+        for A in oracle_matrices(rng, kind):
+            if kind == "singular":
+                assert A.det() == 0
+            dec = check_snf(A)
+            expected = invariant_factors(sympy.Matrix([list(r) for r in A.data]), domain=sympy.ZZ)
+            assert dec.diagonal == tuple(abs(int(x)) for x in expected)
+
+
 class TestSolve:
     def test_parity_obstruction(self):
         assert solve(IntMatrix([[2]]), (3,)) is None
