@@ -8,6 +8,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -67,7 +68,7 @@ def resolve_source(spec: str) -> CWComplex:
     if _looks_like_path(spec):
         try:
             return complexes.load(spec)
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read {spec}: {err}") from None
     name, _, tail = spec.partition(":")
     if name not in _CATALOG_PARAMS:
@@ -233,6 +234,22 @@ def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: 
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _any_int_size():
+    """Lift Python's limit on the digits of an int turned into a string
+    (4300 by default) for the duration: output integers have no size limit.
+    Input keeps the limit, so that parsing stays bounded."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons with no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -361,7 +378,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, bad UTF-8 or an over-limit integer
         raise InputError(f"bad JSON in {path}: {err}") from None
 
 
@@ -391,7 +408,7 @@ def cmd_snf(args) -> int:
     if args.matrix:
         try:
             data = json.loads(args.matrix)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON or an over-limit integer
             raise InputError(f"bad matrix literal: {err}") from None
     elif args.file:
         data = _read_json(args.file)
@@ -408,14 +425,15 @@ def cmd_snf(args) -> int:
         "V": [list(r) for r in dec.V.data],
         "invariant_factors": list(dec.diagonal),
     }
-    if args.format == "json":
-        _emit(json.dumps(out, indent=2), args.out)
-    else:
-        lines = [f"invariant factors: {list(dec.diagonal)}"]
-        for label in ("S", "U", "V"):
-            lines.append(f"{label} =")
-            lines.extend("  " + " ".join(f"{x:4d}" for x in row) for row in out[label])
-        _emit("\n".join(lines), args.out)
+    with _any_int_size():
+        if args.format == "json":
+            _emit(json.dumps(out, indent=2), args.out)
+        else:
+            lines = [f"invariant factors: {list(dec.diagonal)}"]
+            for label in ("S", "U", "V"):
+                lines.append(f"{label} =")
+                lines.extend("  " + " ".join(f"{x:4d}" for x in row) for row in out[label])
+            _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 

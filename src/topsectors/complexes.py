@@ -334,6 +334,8 @@ def loads(text: str) -> CWComplex:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ComplexError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except ValueError as err:  # an integer over Python's digit limit
+        raise ComplexError(f"parse error: {err}") from None
     _check_keys(obj, _TOP_KEYS, "complex")
     try:
         generators = [str(g) for g in obj.get("generators", [])]

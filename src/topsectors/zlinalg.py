@@ -2,10 +2,17 @@
 and lattice quotients with canonical coset representatives.
 
 Everything is arbitrary-precision (plain Python ints); there is no floating
-point anywhere.  Matrices here are tiny, so the implementation favors
-exactness and clarity over speed; the only performance concession is the
-smallest-nonzero-pivot strategy in the Smith reduction, which keeps
-intermediate entries from blowing up.
+point anywhere.  Every route ends in one Smith reduction,
+``_smith_with_inverses``.  It pivots on the smallest nonzero entry, which
+keeps the diagonal's intermediate entries small, but the entries of the
+transforms U, V, U^-1 and V^-1 still grow to thousands of bits on a
+random 50 x 50 matrix, and updating them is most of the cost.  So each
+caller names the transforms it reads and only those are built:
+``smith_normal_form`` takes U and V, ``solve`` (through ``SmithSolver``)
+and ``inverse_unimodular`` take U^-1 and V^-1, ``LatticeQuotient`` takes U
+and U^-1, and ``quotient`` takes none.  Which transforms are tracked never
+changes the order of the operations, so every result is the same whichever
+ones a caller asks for.
 """
 
 from __future__ import annotations
@@ -181,7 +188,7 @@ class IntMatrix:
         """Exact inverse of a unimodular matrix, from one Smith reduction:
         A = U S V with S = I exactly when A is unimodular, and then
         A^-1 = V^-1 U^-1."""
-        _, S, _, Uinv, Vinv = _smith_with_inverses(self)
+        S, Uinv, Vinv = _smith_with_inverses(self, ("Uinv", "Vinv"))
         if S != IntMatrix.identity(self.rows):
             raise ValueError("matrix is not unimodular")
         return Vinv @ Uinv
@@ -206,141 +213,106 @@ class SmithDecomposition:
 
     @property
     def diagonal(self) -> Vector:
-        k = min(self.S.rows, self.S.cols)
-        return tuple(self.S.data[i][i] for i in range(k))
+        return _diagonal(self.S)
+
+
+def _diagonal(S: IntMatrix, length: int = 0) -> Vector:
+    """The diagonal of S, padded with zeros to ``length`` entries."""
+    k = min(S.rows, S.cols)
+    return tuple(S.data[i][i] for i in range(k)) + (0,) * (length - k)
 
 
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-class _SmithState:
-    """Mutable workspace for the Smith reduction, tracking U, V and inverses.
+_TRANSFORMS = ("U", "V", "Uinv", "Vinv")
 
-    Invariants maintained by every elementary operation:
-        A = U @ D @ V,   Uinv @ U = I,   V @ Vinv = I.
+
+def _add_rows(same: list[list[list[int]]], inverse: list[list[list[int]]], i: int, j: int, q: int) -> None:
+    """Row i += q * row j in every matrix of ``same``, and the matching
+    inverse step, row j -= q * row i, in every matrix of ``inverse``."""
+    for X in same:
+        X[i] = [a + q * b for a, b in zip(X[i], X[j])]
+    for X in inverse:
+        X[j] = [a - q * b for a, b in zip(X[j], X[i])]
+
+
+def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix, ...]:
+    """Smith reduction A = U S V.  Returns S and then, in the order U, V,
+    Uinv, Vinv, the transforms named in ``track``; the others are never built.
+
+    A row operation D -> L D turns U into U L^-1 and Uinv into L Uinv; a
+    column operation D -> D R turns V into R^-1 V and Vinv into Vinv R.  U
+    and Vinv change by columns, so they are kept transposed until the end,
+    and every transform update is one operation on rows.
     """
+    track = set(track)
+    if not track <= set(_TRANSFORMS):
+        raise ValueError(f"unknown transforms {sorted(track - set(_TRANSFORMS))}")
+    m, n = A.rows, A.cols
+    size = {"U": m, "V": n, "Uinv": m, "Vinv": n}
+    T = {name: _identity_rows(size[name]) for name in _TRANSFORMS if name in track}
 
-    def __init__(self, A: IntMatrix):
-        self.m, self.n = A.rows, A.cols
-        self.D = [list(row) for row in A.data]
-        self.U = _identity_rows(self.m)
-        self.Uinv = _identity_rows(self.m)
-        self.V = _identity_rows(self.n)
-        self.Vinv = _identity_rows(self.n)
+    def tracked(*names: str) -> list[list[list[int]]]:
+        return [T[name] for name in names if name in T]
 
-    # Row op D -> L @ D  requires  U -> U @ L^-1,  Uinv -> L @ Uinv.
-    def row_add(self, i: int, j: int, q: int) -> None:
-        """row i += q * row j."""
-        D, U, Uinv = self.D, self.U, self.Uinv
-        for c in range(self.n):
-            D[i][c] += q * D[j][c]
-        for r in range(self.m):
-            U[r][j] -= q * U[r][i]
-        for c in range(self.m):
-            Uinv[i][c] += q * Uinv[j][c]
+    D = [list(row) for row in A.data]
+    row_same, row_inverse = [D] + tracked("Uinv"), tracked("U")
+    col_same, col_inverse = tracked("Vinv"), tracked("V")
 
-    def row_swap(self, i: int, j: int) -> None:
-        self.D[i], self.D[j] = self.D[j], self.D[i]
-        for r in range(self.m):
-            self.U[r][i], self.U[r][j] = self.U[r][j], self.U[r][i]
-        self.Uinv[i], self.Uinv[j] = self.Uinv[j], self.Uinv[i]
-
-    def row_negate(self, i: int) -> None:
-        self.D[i] = [-x for x in self.D[i]]
-        for r in range(self.m):
-            self.U[r][i] = -self.U[r][i]
-        self.Uinv[i] = [-x for x in self.Uinv[i]]
-
-    # Col op D -> D @ R  requires  V -> R^-1 @ V,  Vinv -> Vinv @ R.
-    def col_add(self, j: int, i: int, q: int) -> None:
-        """col j += q * col i."""
-        D, V, Vinv = self.D, self.V, self.Vinv
-        for r in range(self.m):
-            D[r][j] += q * D[r][i]
-        for c in range(self.n):
-            V[i][c] -= q * V[j][c]
-        for r in range(self.n):
-            Vinv[r][j] += q * Vinv[r][i]
-
-    def col_swap(self, i: int, j: int) -> None:
-        for r in range(self.m):
-            self.D[r][i], self.D[r][j] = self.D[r][j], self.D[r][i]
-        self.V[i], self.V[j] = self.V[j], self.V[i]
-        for r in range(self.n):
-            self.Vinv[r][i], self.Vinv[r][j] = self.Vinv[r][j], self.Vinv[r][i]
-
-
-def _smith_with_inverses(A: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, S, V, Uinv, Vinv) with A = U S V."""
-    st = _SmithState(A)
-    m, n, D = st.m, st.n, st.D
-
-    def pick_pivot(k: int) -> Optional[tuple[int, int]]:
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    for k in range(min(m, n)):
-        while True:
-            pos = pick_pivot(k)
-            if pos is None:
-                break
-            i, j = pos
-            if i != k:
-                st.row_swap(k, i)
-            if j != k:
-                st.col_swap(k, j)
-            if D[k][k] < 0:
-                st.row_negate(k)
-            dirty = False
-            for i in range(k + 1, m):
-                if D[i][k]:
-                    q = D[i][k] // D[k][k]
-                    st.row_add(i, k, -q)
-                    dirty = dirty or D[i][k] != 0
-            for j in range(k + 1, n):
-                if D[k][j]:
-                    q = D[k][j] // D[k][k]
-                    st.col_add(j, k, -q)
-                    dirty = dirty or D[k][j] != 0
-            if dirty:
-                continue
-            # Pivot must divide the rest of the block for the invariant
-            # factors to come out in divisibility order.
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if D[i][j] % D[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            st.row_add(k, offender, 1)
-        if pick_pivot(k) is None:
+    k = 0
+    while k < min(m, n):
+        # The pivot: the first smallest nonzero |x| of the block, row-major.
+        lows = [min(filter(None, map(abs, row[k:])), default=0) for row in D[k:]]
+        low = min(filter(None, lows), default=0)
+        if not low:
             break
-
-    for k in range(min(m, n)):
+        i = k + lows.index(low)
+        j = k + [abs(x) for x in D[i][k:]].index(low)
+        if i != k:
+            for X in row_same + row_inverse:
+                X[k], X[i] = X[i], X[k]
+        if j != k:
+            for row in D:
+                row[k], row[j] = row[j], row[k]
+            for X in col_same + col_inverse:
+                X[k], X[j] = X[j], X[k]
         if D[k][k] < 0:
-            st.row_negate(k)
+            for X in row_same + row_inverse:
+                X[k] = [-x for x in X[k]]
+        pivot = D[k][k]
+        dirty = False
+        for i in range(k + 1, m):
+            if D[i][k]:
+                _add_rows(row_same, row_inverse, i, k, -(D[i][k] // pivot))
+                dirty = dirty or D[i][k] != 0
+        for j in range(k + 1, n):
+            if D[k][j]:
+                q = -(D[k][j] // pivot)
+                for row in D:
+                    row[j] += q * row[k]
+                _add_rows(col_same, col_inverse, j, k, q)
+                dirty = dirty or D[k][j] != 0
+        if dirty:
+            continue
+        # The pivot must divide the rest of the block for the invariant
+        # factors to come out in divisibility order.
+        offender = next((i for i in range(k + 1, m) if any(x % pivot for x in D[i][k + 1:])), None)
+        if offender is None:
+            k += 1
+        else:
+            _add_rows(row_same, row_inverse, k, offender, 1)
 
-    return (
-        IntMatrix(st.U, cols=m),
-        IntMatrix(st.D, cols=n),
-        IntMatrix(st.V, cols=n),
-        IntMatrix(st.Uinv, cols=m),
-        IntMatrix(st.Vinv, cols=n),
+    return (IntMatrix(D, cols=n),) + tuple(
+        IntMatrix(zip(*rows) if name in ("U", "Vinv") else rows, cols=size[name])
+        for name, rows in T.items()
     )
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Smith normal form A = U @ S @ V over the integers, exactly."""
-    U, S, V, _, _ = _smith_with_inverses(A)
+    S, U, V = _smith_with_inverses(A, ("U", "V"))
     return SmithDecomposition(U, S, V)
 
 
@@ -351,14 +323,9 @@ class SmithSolver:
 
     def __init__(self, A: IntMatrix):
         self.rows, self.cols = A.rows, A.cols
-        _, S, _, self._Uinv, self._Vinv = _smith_with_inverses(A)
-        rank = min(A.rows, A.cols)
-        self._diagonal = [S.data[i][i] if i < rank else 0 for i in range(A.rows)]
-        self.kernel = [
-            self._Vinv.column(j)
-            for j in range(A.cols)
-            if j >= rank or self._diagonal[j] == 0
-        ]
+        S, self._Uinv, self._Vinv = _smith_with_inverses(A, ("Uinv", "Vinv"))
+        self._diagonal = _diagonal(S, max(A.rows, A.cols))
+        self.kernel = [self._Vinv.column(j) for j in range(A.cols) if self._diagonal[j] == 0]
 
     def particular(self, b: Sequence[int]) -> Optional[Vector]:
         """One integer solution of A x = b, or ``None`` when there is none."""
@@ -464,8 +431,8 @@ def quotient(ambient_rank: int, sublattice_generators: Iterable[Sequence[int]]) 
             raise ValueError("generator length does not match ambient rank")
     if not gens:
         return AbelianGroup.free(ambient_rank)
-    diag = smith_normal_form(IntMatrix.from_columns(gens, height=ambient_rank)).diagonal
-    return AbelianGroup.from_factors(diag + (0,) * (ambient_rank - len(diag)))
+    S, = _smith_with_inverses(IntMatrix.from_columns(gens, height=ambient_rank), ())
+    return AbelianGroup.from_factors(_diagonal(S, ambient_rank))
 
 
 class Lattice:
@@ -642,10 +609,8 @@ class LatticeQuotient:
         basis = ambient.directions.basis()
         m = len(basis)
         C = IntMatrix.from_columns(coord_cols, height=m)
-        U, S, V, Uinv, Vinv = _smith_with_inverses(C)
-        self._Uinv = Uinv
-        rank = min(S.rows, S.cols)
-        diag = [S.data[i][i] if i < rank else 0 for i in range(m)]
+        S, U, self._Uinv = _smith_with_inverses(C, ("U", "Uinv"))
+        diag = _diagonal(S, m)
         self._kept = [i for i in range(m) if diag[i] != 1]
         self._kept_factors = tuple(diag[i] for i in self._kept)
         self.group = AbelianGroup.from_factors(self._kept_factors)

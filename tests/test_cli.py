@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -256,6 +257,75 @@ class TestSnf:
         path.write_text(literal)
         code, out, err = run(capsys, "snf", "--file", str(path))
         assert code == 1 and out == ""
+
+    def test_output_integers_of_any_size(self, capsys, tmp_path):
+        # The entries have 4001 digits, under Python's default limit of 4300
+        # for converting between int and str; a * (a + 1) has 8001.
+        a = 10**4000
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[a, 0], [0, a + 1]]))
+        limit = sys.get_int_max_str_digits()
+        code, text, err = run(capsys, "snf", "--file", str(path))
+        assert code == 0 and err == "" and text.startswith("invariant factors: [1, ")
+        code, out, err = run(capsys, "snf", "--file", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["invariant_factors"] == [1, a * (a + 1)]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestOverLimitIntegers:
+    """An input integer longer than Python's int-from-string limit (4300
+    digits by default) is an input error, not a traceback; the limit keeps
+    parsing bounded."""
+
+    BIG = "7" * 5000
+
+    def test_matrix_literal(self, capsys):
+        code, out, err = run(capsys, "snf", "--matrix", f"[[{self.BIG}]]")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad matrix literal")
+
+    def test_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(f"[[{self.BIG}]]")
+        code, out, err = run(capsys, "snf", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad JSON in")
+
+    def test_target_file(self, capsys, tmp_path):
+        path = tmp_path / "target.json"
+        text = json.dumps({**target_catalog("rp2").to_json(), "rank": -1})
+        path.write_text(text.replace('"rank": -1', f'"rank": {self.BIG}'))
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad JSON in")
+
+    def test_source_file(self, capsys, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(f'{{"generators": ["a"], "two_cells": [], "x": {self.BIG}}}')
+        code, out, err = run(capsys, "classify", "--source", str(path), "--target", "rp2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: parse error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("snf", "--file", "{path}"),
+        ("classify", "--source", "torus2", "--target", "{path}"),
+        ("classify", "--source", "{path}", "--target", "rp2"),
+    ],
+)
+def test_file_not_utf8_is_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe[[1]]")
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "utf-8" in err
 
 
 class TestNonIntegerFiles:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ from topsectors.zlinalg import (
     Lattice,
     LatticeQuotient,
     SublatticeError,
+    _smith_with_inverses,
     quotient,
     quotient_with_representatives,
     smith_normal_form,
@@ -217,6 +219,78 @@ class TestSmithAgainstSympy:
             dec = check_snf(A)
             expected = invariant_factors(sympy.Matrix([list(r) for r in A.data]), domain=sympy.ZZ)
             assert dec.diagonal == tuple(abs(int(x)) for x in expected)
+
+
+class TestTransformSelection:
+    """The transforms a Smith reduction tracks never change what it returns:
+    every subset gives the matrices of the full set."""
+
+    NAMES = ("U", "V", "Uinv", "Vinv")
+
+    @staticmethod
+    def matrices():
+        rng = random.Random("transform-selection")
+        empty = [IntMatrix([], cols=3), IntMatrix([[], []]), IntMatrix([])]
+        kinds = ("zero", "singular", "rank_deficient", "any_shape")
+        return empty + [A for kind in kinds for A in oracle_matrices(rng, kind, count=8, max_dim=8)]
+
+    def test_every_subset_matches_the_full_set(self):
+        for A in self.matrices():
+            S, U, V, Uinv, Vinv = _smith_with_inverses(A, self.NAMES)
+            assert U @ S @ V == A
+            assert Uinv @ U == IntMatrix.identity(A.rows)
+            assert V @ Vinv == IntMatrix.identity(A.cols)
+            full = dict(zip(self.NAMES, (U, V, Uinv, Vinv)))
+            for r in range(len(self.NAMES) + 1):
+                for subset in itertools.combinations(self.NAMES, r):
+                    expected = (S, *(full[name] for name in subset))
+                    assert _smith_with_inverses(A, subset) == expected
+                    assert _smith_with_inverses(A, subset[::-1]) == expected
+
+    def test_unknown_transform_rejected(self):
+        with pytest.raises(ValueError):
+            _smith_with_inverses(IntMatrix.identity(2), ("U", "W"))
+
+
+def _pinned_cases():
+    """One seeded 12 x 12 matrix and one 9 x 16 matrix of rank 5, each with
+    a solvable right-hand side."""
+    rng = random.Random(20261018)
+    square = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)]
+    left = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(9)]
+    right = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(5)]
+    deficient = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    cases = []
+    for rows in (square, deficient):
+        x0 = [rng.randint(-9, 9) for _ in range(len(rows[0]))]
+        cases.append((IntMatrix(rows), tuple(sum(a * x for a, x in zip(row, x0)) for row in rows)))
+    return cases
+
+
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of (U, S, V) and of solve(A, b) for each pinned case.  They fix the
+# exact sequence of elementary operations of the Smith reduction; a
+# deliberate change of that sequence updates them and says so in CHANGES.md.
+PINNED_DIGESTS = [
+    (
+        "13e0caf64b482546222e647867492a644122743887766efa22b424b378f2ecd4",
+        "49dd14e889fc481aba0a4027a3b15f0d90997dc81dbe287ebfe64f90099cc1c6",
+    ),
+    (
+        "a5f523e29a6441ecf36b125d5ef14a23951c827de58192c69bb307b0f4dcf58f",
+        "8edc8f07b5f69079071ceb9cf38e126e13711938dd89259a36ad1b1b194a3415",
+    ),
+]
+
+
+def test_pinned_operation_order():
+    for (A, b), (snf_digest, solve_digest) in zip(_pinned_cases(), PINNED_DIGESTS):
+        dec = smith_normal_form(A)
+        assert _digest((dec.U.data, dec.S.data, dec.V.data)) == snf_digest
+        assert _digest(solve(A, b)) == solve_digest
 
 
 class TestSolve:
