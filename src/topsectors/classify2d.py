@@ -66,7 +66,6 @@ class TargetData:
         self.relations = tuple(target.torsion_relation_columns() + target.boundary.columns())
         self.pi1 = quotient_with_representatives(ambient, self.relations)
         self.pi1_group = self.pi1.group
-        self._rho: dict[Vector, IntMatrix] = {}
 
     @property
     def pi1_is_finite(self) -> bool:
@@ -90,13 +89,12 @@ class TargetData:
                 vec[j] += c * g[j]
         return tuple(vec)
 
-    def rho_of_label(self, label: Sequence[int]) -> IntMatrix:
-        """The action of a pi_1 X label on Z^r, computed once per label."""
-        label = tuple(label)
-        rho = self._rho.get(label)
-        if rho is None:
-            rho = self._rho[label] = self.target.rho_of_coords(self.lift_of_label(label))
-        return rho
+    @functools.cached_property
+    def rho(self) -> dict[Vector, IntMatrix]:
+        """The action on Z^r of every pi_1 X label."""
+        self.require_finite_pi1()
+        matrices = [self.target.rho_of_coords(g) for g in self.pi1.generator_vectors]
+        return rho_table(self.pi1.factors, matrices, self.target.rank)
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
@@ -124,6 +122,12 @@ class TargetData:
                 cols.append(coords)
             matrices.append(IntMatrix.from_columns(cols, height=len(basis)))
         return tuple(matrices)
+
+    @functools.cached_property
+    def pi2_rho(self) -> dict[Vector, IntMatrix]:
+        """The action on pi_2 X, over ``kernel_basis``, of every pi_1 X label."""
+        self.require_finite_pi1()
+        return rho_table(self.pi1.factors, self.pi2_action, len(self.kernel_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +239,24 @@ def label_of_sums(
             for i, c in enumerate(image):
                 out[i] += s * c
     return tuple(v % f if f else v for v, f in zip(out, factors))
+
+
+def rho_table(
+    factors: Sequence[int], matrices: Sequence[IntMatrix], rank: int
+) -> dict[Vector, IntMatrix]:
+    """The action on Z^rank of every label of Z_f1 x ... x Z_fn (finite
+    factors), given the matrix m_i of each generator: the label c acts by
+    m_1^c_1 ... m_n^c_n, in that order, and each entry costs at most one
+    matrix product."""
+    table = {(): IntMatrix.identity(rank)}
+    for f, m in zip(factors, matrices):
+        grown = {}
+        for label, rho in table.items():
+            grown[label + (0,)] = rho
+            for c in range(1, f):
+                grown[label + (c,)] = rho = rho @ m
+        table = grown
+    return table
 
 
 def labels_to_json(assignment: dict) -> dict:
@@ -387,7 +409,7 @@ def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[st
             gen: labelled_sum(
                 layout.r,
                 ((label(sums), c) for sums, c in system.fox[cell, gen].items()),
-                data.rho_of_label,
+                data.rho.__getitem__,
             )
             for gen in layout.generators
         }
@@ -470,7 +492,7 @@ class SectorResult:
     def act(self, label: Sequence[int], vec: Sequence[int]) -> Vector:
         """Move a homomorphism vector by a loop of the target: phi1 is fixed
         and every phi2 block is rotated by the action of the loop."""
-        rho = self.target_data.rho_of_label(label)
+        rho = self.target_data.rho[tuple(label)]
         out = list(vec)
         for cell in self.layout.two_cells:
             off = self.layout.phi2_offset(cell)
@@ -485,15 +507,31 @@ class SectorResult:
             for label in self.target_data.labels()
         )
 
+    @functools.cached_property
+    def loop_maps(self) -> list[tuple[Vector, list[Vector], Vector]]:
+        """``(label, cols, shift)`` for every nonzero loop of the target: the
+        loop moves the class with coordinates c to sum_j c_j cols[j] + shift,
+        reduced modulo the class factors.  The action is affine on classes,
+        so one image of the base class and one of each generator fix it."""
+        quot = self.quotient
+        base = quot.ambient.particular
+        vectors = [base] + [tuple(b + x for b, x in zip(base, g)) for g in quot.generator_vectors]
+        maps = []
+        for label in self.target_data.labels():
+            if any(label):
+                shift, *images = [quot.class_coords(self.act(label, v)) for v in vectors]
+                cols = [tuple(a - b for a, b in zip(image, shift)) for image in images]
+                maps.append((label, cols, shift))
+        return maps
+
     def orbit_of_class(self, coords: Sequence[int]) -> list[Vector]:
         """All class coordinates in the pi_1 X orbit of the given class."""
-        rep = self.quotient.representative(coords)
-        seen = []
-        for label in self.target_data.labels():
-            c = self.quotient.class_coords(self.act(label, rep))
-            if c not in seen:
-                seen.append(c)
-        return sorted(seen)
+        factors = self.quotient.factors
+        images = [coords] + [
+            [s + sum(c * col[i] for c, col in zip(coords, cols)) for i, s in enumerate(shift)]
+            for _, cols, shift in self.loop_maps
+        ]
+        return sorted({tuple(v % d if d else v for v, d in zip(image, factors)) for image in images})
 
     def canonical_free_class(self, coords: Sequence[int]) -> Vector:
         """Deterministic orbit representative: the class whose canonical
@@ -586,23 +624,9 @@ def classify_free(M: CWComplex, X: ModuleXMod) -> SectorClassification:
     for sector in out.sectors:
         if not sector.is_finite:
             continue
-        reps = sector.representatives()
-        coord_index = {
-            sector.quotient.class_coords(rep): i for i, rep in enumerate(reps)
-        }
-        assigned: dict[int, int] = {}
-        orbits: list[list[int]] = []
-        for i, rep in enumerate(reps):
-            if i in assigned:
-                continue
-            orbit = sorted(
-                coord_index[c]
-                for c in sector.orbit_of_class(sector.quotient.class_coords(rep))
-            )
-            for j in orbit:
-                assigned[j] = len(orbits)
-            orbits.append(orbit)
-        sector.free_orbits = orbits
+        index = {c: i for i, c in enumerate(sector.quotient.enumerate_class_coords())}
+        orbits = {tuple(sorted(index[d] for d in sector.orbit_of_class(c))) for c in index}
+        sector.free_orbits = [list(orbit) for orbit in sorted(orbits)]
     return out
 
 

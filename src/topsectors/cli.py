@@ -89,7 +89,7 @@ def resolve_source(spec: str) -> CWComplex:
 def resolve_target(spec: str):
     """Returns ('xmod', ModuleXMod) or ('special', (name, p, q))."""
     if _looks_like_path(spec):
-        return "xmod", ModuleXMod.from_json(_read_json(spec), name=spec)
+        return "xmod", ModuleXMod.from_json(_read_object(spec), name=spec)
     name, _, tail = spec.partition(":")
     if name in ("rp2", "sphere2"):
         if tail:
@@ -163,7 +163,7 @@ def render_classification_text(res: classify2d.SectorClassification) -> str:
                 + " ".join(_fmt_vec(v) for v in gens)
             )
             if res.mode == "free":
-                for label, matrix, shift in _free_action_maps(sector):
+                for label, matrix, shift in sector.loop_maps:
                     lines.append(
                         f"  free identification by loop {_fmt_label(label)}:"
                         f" class c -> {_fmt_affine(matrix, shift)}"
@@ -172,23 +172,6 @@ def render_classification_text(res: classify2d.SectorClassification) -> str:
     if res.mode == "free" and total is not None:
         lines.append(f"total free classes: {total}")
     return "\n".join(lines)
-
-
-def _free_action_maps(sector: classify2d.SectorResult):
-    quot = sector.quotient
-    zero = tuple(0 for _ in quot.factors)
-    out = []
-    for label in sector.target_data.labels():
-        if all(c == 0 for c in label):
-            continue
-        base = quot.class_coords(sector.act(label, quot.representative(zero)))
-        cols = []
-        for i in range(len(quot.factors)):
-            e = tuple(1 if j == i else 0 for j in range(len(quot.factors)))
-            img = quot.class_coords(sector.act(label, quot.representative(e)))
-            cols.append(tuple(a - b for a, b in zip(img, base)))
-        out.append((label, cols, base))
-    return out
 
 
 def _fmt_affine(cols, shift) -> str:
@@ -349,7 +332,7 @@ def cmd_crosscheck(args) -> int:
             )
     elif sphere:
         cup = (
-            dim3.CupData.from_json(_read_json(args.cup))
+            dim3.CupData.from_json(_read_object(args.cup))
             if args.cup
             else dim3.cup_preset(dim3.preset_for(M).space)
         )
@@ -372,18 +355,28 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except ValueError as err:  # bad JSON, bad UTF-8 or an over-limit integer
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InputError(f"bad JSON in {path}: {err}") from None
+    except ValueError:  # an integer over Python's digit limit
+        raise InputError(f"bad JSON in {path}: {complexes.digit_limit_message(path)}") from None
+
+
+def _read_object(path: str) -> dict:
+    """A JSON file whose top level must be an object."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise InputError(f"bad JSON in {path}: expected a JSON object")
+    return obj
 
 
 def cmd_validate(args) -> int:
-    obj = _read_json(args.path)
+    obj = _read_object(args.path)
     if "generators" in obj:
         M = complexes.loads(json.dumps(obj))
         print(f"ok: complex with cells {M.cell_counts()}")
@@ -408,8 +401,12 @@ def cmd_snf(args) -> int:
     if args.matrix:
         try:
             data = json.loads(args.matrix)
-        except ValueError as err:  # bad JSON or an over-limit integer
+        except json.JSONDecodeError as err:
             raise InputError(f"bad matrix literal: {err}") from None
+        except ValueError:  # an integer over Python's digit limit
+            raise InputError(
+                f"bad matrix literal: {complexes.digit_limit_message('--matrix')}"
+            ) from None
     elif args.file:
         data = _read_json(args.file)
     else:
@@ -438,7 +435,7 @@ def cmd_snf(args) -> int:
 
 
 def cmd_hoang(args) -> int:
-    x = xmod.FiniteCrossedModule.from_json(_read_json(args.path))
+    x = xmod.FiniteCrossedModule.from_json(_read_object(args.path))
     data = xmod.hoang_data(x)
     nonzero = sum(1 for v in data.beta.values() if v != 0)
     lines = [

@@ -10,17 +10,20 @@ abelianised Fox derivatives of ``words.fox_derivative`` (counts keyed by
 exponent-sum vectors), and those vectors, like the conjugators of a
 derivation image, are labeled in pi_1 of the target by
 ``classify2d.label_of_sums``.  This labeling is exact for the twist.
+The action of every label is one lookup in a ``classify2d.rho_table``,
+built once per target or per ``special_case_classify`` call, and the lens
+route takes the Fox derivatives and derivation images once per call.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum, labels_to_json
+from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
-from .words import fox_derivative
+from .words import Word, fox_derivative
 from .xmod import derivation_image
 from .zlinalg import AbelianGroup, IntMatrix, quotient
 
@@ -34,20 +37,20 @@ class CoefficientModule:
     """Z^rank as a module over pi_1 of the source, through a sector map.
 
     ``factors`` are the invariant factors of the (abelian, finite) pi_1 of
-    the target, ``generator_matrices`` the action of its generators on the
-    coefficients, and ``sector`` assigns a label to every 1-cell.  Words are
-    labeled additively via exponent sums, which is exact because the action
-    factors through the abelian pi_1 of the target.
+    the target, ``rho`` the ``rho_table`` of its action on the coefficients,
+    and ``sector`` assigns a label to every 1-cell.  Words are labeled
+    additively via exponent sums, exact because the action factors through
+    the abelian pi_1 of the target.
 
-    The action does not depend on the sector, so it is checked once where
-    it enters, not per module: ``special_case_classify`` checks the matrices
-    it is given, and ``for_target_sector`` reads the action of a validated
-    target, whose torsion orders and Peiffer condition ``validate`` checks.
+    The action does not depend on the sector, so it is checked and tabulated
+    once where it enters: ``special_case_classify`` checks the matrices it is
+    given, and ``for_target_sector`` reads ``TargetData.pi2_rho`` of a target
+    whose torsion orders and Peiffer condition ``validate`` checks.
     """
 
     rank: int
     factors: tuple[int, ...]
-    generator_matrices: tuple[IntMatrix, ...]
+    rho: dict[tuple[int, ...], IntMatrix]
     sector: dict
 
     @staticmethod
@@ -55,7 +58,7 @@ class CoefficientModule:
         return CoefficientModule(
             rank=rank,
             factors=(),
-            generator_matrices=(),
+            rho={(): IntMatrix.identity(rank)},
             sector={g: () for g in generators},
         )
 
@@ -65,17 +68,12 @@ class CoefficientModule:
         return CoefficientModule(
             rank=len(data.kernel_basis),
             factors=data.pi1.factors,
-            generator_matrices=data.pi2_action,
+            rho=data.pi2_rho,
             sector=dict(sector),
         )
 
     def matrix_of_label(self, label: Sequence[int]) -> IntMatrix:
-        out = IntMatrix.identity(self.rank)
-        for m, c, f in zip(self.generator_matrices, label, self.factors):
-            c = c % f if f else c
-            if c:
-                out = out @ m**c
-        return out
+        return self.rho[tuple(label)]
 
 
 def _check_action(rank: int, factors: Sequence[int], matrices: Sequence[IntMatrix]) -> None:
@@ -104,41 +102,40 @@ class CochainComplex:
 
 def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
     """Cellular cochain complex of M with the given local coefficients."""
-    r = coeffs.rank
+    return _complex_builder(M)(coeffs)
+
+
+def _complex_builder(M: CWComplex) -> Callable[[CoefficientModule], CochainComplex]:
+    """Takes the Fox derivatives of the 2-cells and the derivation images of
+    the triads, keyed by exponent sums, once; the function returned labels
+    them through a module's sector and evaluates them through its action."""
     gens = M.alphabet.names
-    images = tuple(coeffs.sector[gen] for gen in gens)
-    label = functools.partial(label_of_sums, coeffs.factors, images)
-    rho = coeffs.matrix_of_label
-    identity = IntMatrix.identity(r)
+    fox = [[fox_derivative(word, gen) for gen in gens] for _, word in M.two_cells]
+    triads = [
+        derivation_image(M, M.triad_normal_form(triad)[1], Word.exponent_sums)
+        for _, triad in M.three_cells
+    ]
 
-    d0 = _stack([[rho(image) - identity] for image in images], r, r)
-    d1 = _stack(
-        [
-            [
-                labelled_sum(
-                    r, ((label(sums), c) for sums, c in fox_derivative(word, gen).items()), rho
-                )
-                for gen in gens
-            ]
-            for _, word in M.two_cells
-        ],
-        r,
-        len(gens) * r,
-    )
-    d2_blocks = []
-    for _, triad in M.three_cells:
-        _, hword = M.triad_normal_form(triad)
-        image = derivation_image(M, hword, lambda f: label(f.exponent_sums()))
-        d2_blocks.append(
-            [labelled_sum(r, image[cell].items(), rho) for cell in M.two_cell_names()]
-        )
-    d2 = _stack(d2_blocks, r, len(M.two_cells) * r)
+    def build(coeffs: CoefficientModule) -> CochainComplex:
+        r = coeffs.rank
+        images = tuple(coeffs.sector[gen] for gen in gens)
+        label = functools.partial(label_of_sums, coeffs.factors, images)
+        rho = coeffs.matrix_of_label
 
-    if d0.rows and d1.rows and d1 @ d0 != IntMatrix.zeros(d1.rows, d0.cols):
-        raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
-    if d1.rows and d2.rows and d2 @ d1 != IntMatrix.zeros(d2.rows, d1.cols):
-        raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
-    return CochainComplex(d0=d0, d1=d1, d2=d2)
+        def twisted(terms: dict) -> IntMatrix:
+            return labelled_sum(r, ((label(sums), c) for sums, c in terms.items()), rho)
+
+        d0 = _stack([[rho(image) - IntMatrix.identity(r)] for image in images], r, r)
+        d1 = _stack([[twisted(f) for f in row] for row in fox], r, len(gens) * r)
+        cells = M.two_cell_names()
+        d2 = _stack([[twisted(image[c]) for c in cells] for image in triads], r, len(cells) * r)
+        if d0.rows and d1.rows and d1 @ d0 != IntMatrix.zeros(d1.rows, d0.cols):
+            raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
+        if d1.rows and d2.rows and d2 @ d1 != IntMatrix.zeros(d2.rows, d1.cols):
+            raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
+        return CochainComplex(d0=d0, d1=d1, d2=d2)
+
+    return build
 
 
 def _stack(block_rows: list[list[IntMatrix]], r: int, cols: int) -> IntMatrix:
@@ -218,16 +215,12 @@ def special_case_classify(
     identity = IntMatrix.identity(pi_d_rank)
     trivial_action = all(m == identity for m in matrices)
 
+    rho = rho_table(factors, matrices, pi_d_rank)
+    build = _complex_builder(M)
     sectors = []
     n3r = len(M.three_cells) * pi_d_rank
     for assignment in label_sectors(M, factors):
-        coeffs = CoefficientModule(
-            rank=pi_d_rank,
-            factors=factors,
-            generator_matrices=matrices,
-            sector=assignment,
-        )
-        cx = build_complex(M, coeffs)
+        cx = build(CoefficientModule(rank=pi_d_rank, factors=factors, rho=rho, sector=assignment))
         sectors.append(SpecialSector(phi1=assignment, group=quotient(n3r, cx.d2.columns())))
     return SpecialCaseResult(
         pi1_factors=factors, sectors=sectors, action_is_trivial=trivial_action

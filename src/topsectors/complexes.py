@@ -10,6 +10,7 @@ checked on construction, so every held complex is valid.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -328,14 +329,20 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ComplexError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def digit_limit_message(where: str) -> str:
+    """The input error for an integer in ``where`` longer than Python's limit
+    on the digits of an int read from text (4300 by default)."""
+    return f"an integer in {where} has more than {sys.get_int_max_str_digits()} digits"
+
+
 def loads(text: str) -> CWComplex:
     """Parse a complex from its JSON text form."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ComplexError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
-    except ValueError as err:  # an integer over Python's digit limit
-        raise ComplexError(f"parse error: {err}") from None
+    except ValueError:  # an integer over Python's digit limit
+        raise ComplexError(f"parse error: {digit_limit_message('the source file')}") from None
     _check_keys(obj, _TOP_KEYS, "complex")
     try:
         generators = [str(g) for g in obj.get("generators", [])]

@@ -624,7 +624,6 @@ class LatticeQuotient:
                     for c in range(ambient.dim):
                         vec[c] += coeff * basis[j][c]
             self.generator_vectors.append(tuple(vec))
-        self.base_point: Vector = self.sub_lattice.reduce(ambient.particular)
 
     # -- factor bookkeeping --------------------------------------------------
 

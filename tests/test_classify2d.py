@@ -18,6 +18,7 @@ from topsectors.classify2d import (
     label_of_sums,
     layout_for,
     pi1_sectors,
+    rho_table,
     wedge_formula,
 )
 from topsectors.complexes import catalog
@@ -28,6 +29,22 @@ from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
+# Z_4 rotating Z^2 by a quarter turn, with zero boundary.
+Z4_ROTATION = ModuleXMod(
+    free_rank=0,
+    torsion=(4,),
+    rank=2,
+    action=(IntMatrix([[0, -1], [1, 0]]),),
+    boundary=IntMatrix.zeros(1, 2),
+)
+# Z_2 x Z_2 acting on Z^2 by the swap and by -I, with zero boundary.
+Z2Z2_SWAP_NEG = ModuleXMod(
+    free_rank=0,
+    torsion=(2, 2),
+    rank=2,
+    action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, -1]])),
+    boundary=IntMatrix.zeros(2, 2),
+)
 
 
 def paper_triple(layout, vec):
@@ -610,3 +627,54 @@ class TestWedgeFormula:
             assert s.based_group == w.pi2
             # sign action folds n ~ -n within each sector
             assert s.free_equivalent((s.phi1["a"][0], 1, -1), (s.phi1["a"][0], -1, 1))
+
+
+class TestRhoTable:
+    @staticmethod
+    def power_loop(matrices, factors, label, rank):
+        """rho of a label by matrix powers, one label at a time."""
+        out = IntMatrix.identity(rank)
+        for m, c, f in zip(matrices, label, factors):
+            c = c % f if f else c
+            if c:
+                out = out @ m**c
+        return out
+
+    @pytest.mark.parametrize("X", [RP2, Z4_ROTATION, Z2Z2_SWAP_NEG], ids=["rp2", "z4", "z2z2"])
+    def test_tables_match_per_label_powers(self, X):
+        data = TargetData(X)
+        labels = data.labels()
+        assert sorted(data.rho) == sorted(labels) == sorted(data.pi2_rho)
+        for label in labels:
+            assert data.rho[label] == X.rho_of_coords(data.lift_of_label(label))
+            rank = len(data.kernel_basis)
+            expected = self.power_loop(data.pi2_action, data.pi1.factors, label, rank)
+            assert data.pi2_rho[label] == expected
+
+    def test_product_order_kept_without_commuting(self):
+        # rho(c) is m_1^c_1 m_2^c_2 in that order, even when the m_i do not commute.
+        swap, reflect = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -1]])
+        table = rho_table((2, 2), (swap, reflect), 2)
+        for label in itertools.product(range(2), repeat=2):
+            assert table[label] == self.power_loop((swap, reflect), (2, 2), label, 2)
+        assert table[(1, 1)] != reflect @ swap
+
+
+class TestOrbitsOnClassCoordinates:
+    @pytest.mark.parametrize("X", [RP2, Z4_ROTATION], ids=["rp2", "z4"])
+    @pytest.mark.parametrize(
+        "M",
+        [catalog("genus_surface", g=2), catalog("klein_bottle"), catalog("torus_knot", p=4, q=6)],
+        ids=["genus2", "klein", "knot46"],
+    )
+    def test_orbit_equals_vector_walk(self, M, X):
+        res = classify_based(M, X)
+        labels = TargetData(X).labels()
+        finite = [s for s in res.sectors if s.is_finite]
+        assert finite
+        for s in finite:
+            q = s.quotient
+            for coords in q.enumerate_class_coords():
+                rep = q.representative(coords)
+                walk = {q.class_coords(s.act(label, rep)) for label in labels}
+                assert s.orbit_of_class(coords) == sorted(walk)

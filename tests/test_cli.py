@@ -288,6 +288,12 @@ class TestOverLimitIntegers:
         code, out, err = run(capsys, "snf", "--matrix", f"[[{self.BIG}]]")
         assert code == 1 and out == ""
         assert err.startswith("error: bad matrix literal")
+        self.check_message(err, "--matrix")
+
+    @staticmethod
+    def check_message(err, where):
+        assert err.endswith(f"an integer in {where} has more than 4300 digits\n")
+        assert "sys.set_int_max_str_digits" not in err
 
     def test_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -295,6 +301,7 @@ class TestOverLimitIntegers:
         code, out, err = run(capsys, "snf", "--file", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: bad JSON in")
+        self.check_message(err, path)
 
     def test_target_file(self, capsys, tmp_path):
         path = tmp_path / "target.json"
@@ -303,6 +310,7 @@ class TestOverLimitIntegers:
         code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: bad JSON in")
+        self.check_message(err, path)
 
     def test_source_file(self, capsys, tmp_path):
         path = tmp_path / "complex.json"
@@ -310,6 +318,25 @@ class TestOverLimitIntegers:
         code, out, err = run(capsys, "classify", "--source", str(path), "--target", "rp2")
         assert code == 1 and out == ""
         assert err.startswith("error: parse error")
+        self.check_message(err, "the source file")
+
+
+@pytest.mark.parametrize("text", ["5", '"x"', "[1, 2]"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "{path}"),
+        ("classify", "--source", "torus2", "--target", "{path}"),
+        ("hoang", "{path}"),
+        ("crosscheck", "--source", "torus3", "--target", "sphere2", "--cup", "{path}"),
+    ],
+)
+def test_file_not_an_object_is_input_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: bad JSON in {path}: expected a JSON object\n"
 
 
 @pytest.mark.parametrize(
@@ -554,6 +581,34 @@ PINNED_OUTPUTS = [
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS, ids=[c for c, _ in PINNED_OUTPUTS])
 def test_pinned_output(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Z_4 rotating Z^2 by a quarter turn with zero boundary: |pi_1 X| > 2, a
+# rank-2 twist, and (on the genus 2 surface) free-identification lines.
+# sha256 of stdout, recorded before the action was tabulated per call.
+Z4_ROTATION_TARGET = {
+    "G": {"free_rank": 0, "torsion": [4]},
+    "rank": 2,
+    "action": [[[0, -1], [1, 0]]],
+    "boundary": [[0], [0]],
+}
+PINNED_Z4_OUTPUTS = [
+    ("classify --source torus2 --target z4.json --free --format json",
+     "99bf2abf42bbebfe589c9cab8285957ebd8ba433cb69ecee141eb8efd693ff9c"),
+    ("classify --source genus_surface:2 --target z4.json --free",
+     "540b01af554b2d67e0855d44fe5f612f3025cf46e88d2151f72cf60c346995f3"),
+    ("crosscheck --source klein_bottle --target z4.json",
+     "76d8a8b51270559f3ca64ed41b34d436d2d69166a92c3e7e1a0e2d501e677819"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_Z4_OUTPUTS, ids=[c for c, _ in PINNED_Z4_OUTPUTS])
+def test_pinned_z4_output(capsys, monkeypatch, tmp_path, command, digest):
+    (tmp_path / "z4.json").write_text(json.dumps(Z4_ROTATION_TARGET))
+    monkeypatch.chdir(tmp_path)  # the target's name in the output is its path
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 import pytest
 
-from topsectors.classify2d import TargetData, classify_based, pi1_sectors
+from topsectors import cohomology
+from topsectors.classify2d import TargetData, UnsupportedTargetError, classify_based, pi1_sectors
 from topsectors.cohomology import (
     CoefficientError,
     CoefficientModule,
@@ -45,6 +46,13 @@ class TestCochainComplex:
             cx = build_complex(M, coeffs)
             if cx.d2.rows and cx.d1.rows:
                 assert cx.d2 @ cx.d1 == IntMatrix.zeros(cx.d2.rows, cx.d1.cols)
+
+    def test_infinite_pi1_has_no_table(self):
+        # The action is tabulated per label, so an infinite pi_1 is refused
+        # rather than given a truncated table.
+        data = TargetData(target_catalog("trivial", r=1, k=1))
+        with pytest.raises(UnsupportedTargetError):
+            CoefficientModule.for_target_sector(data, {"a": (1,)})
 
     def test_torus2_trivial_sector_d1_vanishes(self):
         M = catalog("torus2")
@@ -210,3 +218,32 @@ class TestSpecialCase:
         res = special_case_classify(catalog("torus3"), [3], 1, [IntMatrix([[1]])])
         assert len(res.sectors) == 27
         assert calls.count(3) == 1
+
+    def test_action_and_derivatives_taken_once_per_call(self, monkeypatch):
+        # One rho table and one set of Fox derivatives serve all 343 sectors.
+        powers, derivatives = [], []
+        power, fox = IntMatrix.__pow__, cohomology.fox_derivative
+
+        def counted_power(self, n):
+            powers.append(n)
+            return power(self, n)
+
+        def counted_fox(word, gen):
+            derivatives.append((word, gen))
+            return fox(word, gen)
+
+        monkeypatch.setattr(IntMatrix, "__pow__", counted_power)
+        monkeypatch.setattr(cohomology, "fox_derivative", counted_fox)
+        res = special_case_classify(catalog("torus3"), [7], 1)
+        assert len(res.sectors) == 343
+        assert len(powers) <= 1
+        assert len(derivatives) == 9
+
+    def test_nontrivial_action(self):
+        res = special_case_classify(catalog("torus3"), [2], 1, [IntMatrix([[-1]])])
+        assert not res.action_is_trivial
+        assert [str(s.group) for s in res.sectors] == ["Z"] + ["Z_2"] * 7
+        quarter_turn = IntMatrix([[0, -1], [1, 0]])
+        res = special_case_classify(catalog("s1_x_s2"), [4], 2, [quarter_turn])
+        assert [s.phi1 for s in res.sectors] == [{"a": (c,)} for c in range(4)]
+        assert [str(s.group) for s in res.sectors] == ["Z x Z", "Z_2", "Z_2 x Z_2", "Z_2"]
