@@ -2,7 +2,7 @@
 
 Subcommands: classify, crosscheck, validate, snf, hoang, report.
 Exit codes: 0 ok, 1 input error, 2 unsupported combination, 3 cross-check
-mismatch.
+mismatch, 4 internal error (a bug in topsectors, not in the input).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -536,6 +537,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:  # any other failure is a bug: one line, no traceback
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

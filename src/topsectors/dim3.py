@@ -6,7 +6,10 @@ calculus to integer bilinear algebra: a formal word in tensor and conjugated
 3-cell letters evaluates to an integer once every cell carries a value, and
 homotopy of homomorphisms becomes a linear Diophantine system over the
 cylinder cells.  The boundary word of the cylinder's 4-cell is per-space
-preset data; the Pontrjagin cup-product route provides an independent check.
+preset data, and each of its tensor letters has a factor made only of
+interval 2-cells, so the relation is linear in phi2: a preset walks it at
+phi2 = 0 and at each unit vector, and every sector reads its relation off
+those walks.  The Pontrjagin cup-product route provides an independent check.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import CWComplex, HWord, TriadLetter, catalog, structurally_equal
-from .words import Alphabet, Word
+from .complexes import CWComplex, HWord, TriadLetter, TriadWord, catalog, structurally_equal
+from .words import Alphabet, Word, collect
 from .zlinalg import (
     AbelianGroup,
     AffineLattice,
@@ -82,12 +85,6 @@ class LinForm:
             coeffs[k] = coeffs.get(k, 0) + v
         return LinForm(self.const + other.const, coeffs)
 
-    def __neg__(self) -> "LinForm":
-        return LinForm(-self.const, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "LinForm | int") -> "LinForm":
-        return self + (-LinForm.lift(other))
-
     def __mul__(self, other: "LinForm | int") -> "LinForm":
         other = LinForm.lift(other)
         if not self.is_constant and not other.is_constant:
@@ -100,20 +97,6 @@ class LinForm:
 
     def scaled(self, n: int) -> "LinForm":
         return LinForm(n * self.const, {k: n * v for k, v in self.coeffs.items()})
-
-    def as_int(self) -> int:
-        if not self.is_constant:
-            raise Dim3Error(f"form still depends on unknowns: {sorted(self.coeffs)}")
-        return self.const
-
-    def __eq__(self, other: object) -> bool:
-        other = LinForm.lift(other) if isinstance(other, (LinForm, int)) else None
-        return other is not None and self.const == other.const and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        bits = [str(self.const)] if self.const or not self.coeffs else []
-        bits += [f"{v}*{k}" for k, v in sorted(self.coeffs.items())]
-        return " + ".join(bits)
 
 
 def _phi2_of_hword(word: HWord, values: Mapping[str, "LinForm | int"]) -> LinForm:
@@ -144,12 +127,19 @@ def evaluate_L(word: FormalLWord, values: Mapping[str, "LinForm | int"]) -> "Lin
                 raise Dim3Error(f"no value assigned to cell {letter.cell!r}")
             term = LinForm.lift(values[letter.cell])
         total = total + term.scaled(letter.sign)
-    return total.as_int() if total.is_constant else total
+    return total.const if total.is_constant else total
 
 
 # ---------------------------------------------------------------------------
 # Homomorphism lattice (crossed squares into the sphere target)
 # ---------------------------------------------------------------------------
+
+
+def phi2_boundary(M: CWComplex, triad: TriadWord) -> dict[str, int]:
+    """Signed count of each 2-cell in a 3-cell's H-word (zero counts
+    dropped): phi2 maps the 3-cell's boundary to the sum of phi2(cell) times
+    its count, conjugators dropping because the target acts trivially."""
+    return collect((cell, sign) for _, cell, sign in M.triad_normal_form(triad)[1])
 
 
 @dataclass(frozen=True)
@@ -192,11 +182,10 @@ class XSqHom:
     def commutes(self, M: CWComplex) -> bool:
         """The signed phi2 sum over every 3-cell's triad word vanishes (the
         image of the second structure map is zero in the sphere square)."""
-        for name, triad in M.three_cells:
-            _, hword = M.triad_normal_form(triad)
-            if sum(sign * self.phi2[cell] for _, cell, sign in hword):
-                return False
-        return True
+        return not any(
+            sum(n * self.phi2[cell] for cell, n in phi2_boundary(M, triad).items())
+            for _, triad in M.three_cells
+        )
 
 
 def xsq_hom_lattice(M: CWComplex) -> tuple[XSqHomLayout, AffineLattice]:
@@ -207,13 +196,9 @@ def xsq_hom_lattice(M: CWComplex) -> tuple[XSqHomLayout, AffineLattice]:
     are, per 3-cell, that the signed phi2 sum over its triad word vanishes.
     """
     layout = XSqHomLayout(M.two_cell_names(), M.three_cell_names())
-    rows = []
-    for _, triad in M.three_cells:
-        _, hword = M.triad_normal_form(triad)
-        row = [0] * layout.dim
-        for _, cell, sign in hword:
-            row[layout.phi2_index(cell)] += sign
-        rows.append(row)
+    counts = [phi2_boundary(M, triad) for _, triad in M.three_cells]
+    phi3_zeros = [0] * len(layout.three_cells)
+    rows = [[c.get(cell, 0) for cell in layout.two_cells] + phi3_zeros for c in counts]
     sol = solve(IntMatrix(rows, cols=layout.dim), (0,) * len(rows))
     assert sol is not None
     particular, kernel = sol
@@ -233,6 +218,10 @@ class CylinderPreset:
     The 4-cell boundary words are transcribed data, not computed objects;
     the Pontrjagin route independently validates every sector group they
     produce.
+
+    Cell values on the cylinder: both end copies of a base 2-cell carry its
+    phi2 value, the 0-end copy of a base 3-cell x carries 0 and the 1-end
+    copy the unknown delta_x, and every interval cell is an unknown.
     """
 
     space: str
@@ -245,36 +234,77 @@ class CylinderPreset:
 
     def __post_init__(self):
         self._check_phi2_rigidity()
+        self._check_linear_in_phi2()
 
     def _check_phi2_rigidity(self) -> None:
         """Every interval 3-cell must force the two phi2 end values of one
         base 2-cell to agree and be free of interval unknowns; this is what
         makes the phi2 assignment a sector invariant."""
-        values: dict[str, LinForm] = {}
-        for name in self.cylinder.two_cell_names():
-            values[name] = LinForm.symbol(name)
         attach = dict(self.cylinder.three_cells)
-        expected = set()
+        pinned = set()
         for name in self.i_three_cells:
-            _, hword = self.cylinder.triad_normal_form(attach[name])
-            form = _phi2_of_hword(hword, values)
-            if form.const:
-                raise Dim3Error(f"interval 3-cell {name} has a constant defect")
-            coeffs = form.coeffs
-            pair = None
-            for base, (end0, end1) in self.end_cell_pairs.items():
-                if set(coeffs) == {end0, end1}:
-                    if coeffs[end0] + coeffs[end1] != 0 or abs(coeffs[end1]) != 1:
-                        break
-                    pair = base
-                    break
-            if pair is None:
-                raise Dim3Error(
-                    f"interval 3-cell {name} does not pin a single 2-cell: {form!r}"
-                )
-            expected.add(pair)
-        if expected != set(self.end_cell_pairs):
+            counts = phi2_boundary(self.cylinder, attach[name])
+            pins = {
+                base
+                for base, (end0, end1) in self.end_cell_pairs.items()
+                if counts in ({end0: 1, end1: -1}, {end0: -1, end1: 1})
+            }
+            if not pins:
+                raise Dim3Error(f"interval 3-cell {name} does not pin a single 2-cell: {counts}")
+            pinned |= pins
+        if pinned != set(self.end_cell_pairs):
             raise Dim3Error("interval 3-cells do not pin every base 2-cell")
+
+    def _check_linear_in_phi2(self) -> None:
+        """Every 4-cell letter is a cylinder 3-cell or a tensor letter with a
+        factor made only of interval 2-cells.  So each relation is linear in
+        phi2 with no constant term, which ``relations`` relies on."""
+        three_cells = set(self.cylinder.three_cell_names())
+        for name, word in self.boundary4.items():
+            for letter in word:
+                if isinstance(letter, TensorLetter):
+                    factors = (letter.h, letter.k)
+                    ok = any(all(c in self.i_two_cells for _, c, _ in f) for f in factors)
+                else:
+                    ok = letter.cell in three_cells
+                if not ok:
+                    raise Dim3Error(f"4-cell {name} has a letter not linear in phi2: {letter}")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The unknowns: the interval cells, then the 1-end copy of each base 3-cell."""
+        ends = tuple(f"{name}1" for name in self.base.three_cell_names())
+        return self.i_two_cells + self.i_three_cells + ends
+
+    def walk(self, phi2: Mapping[str, int]) -> list[LinForm]:
+        """The relation of each interval 4-cell (one per base 3-cell) at one
+        phi2 assignment, read off its boundary word."""
+        values: dict[str, LinForm | int] = {c: LinForm.symbol(c) for c in self.columns}
+        for base, (end0, end1) in self.end_cell_pairs.items():
+            values[end0] = values[end1] = phi2[base]
+        names = self.base.three_cell_names()
+        values.update((f"{name}0", 0) for name in names)
+        return [LinForm.lift(evaluate_L(self.boundary4[f"{name}I"], values)) for name in names]
+
+    @functools.cached_property
+    def _walks(self) -> tuple[list[LinForm], dict[str, list[LinForm]]]:
+        """The relations at phi2 = 0 and their slope along each base 2-cell:
+        1 + n walks for n base 2-cells."""
+        cells = list(self.end_cell_pairs)
+        zero = self.walk(dict.fromkeys(cells, 0))
+        units = {cell: self.walk({c: int(c == cell) for c in cells}) for cell in cells}
+        return zero, {
+            cell: [f + f0.scaled(-1) for f, f0 in zip(unit, zero)] for cell, unit in units.items()
+        }
+
+    def relations(self, phi2: Mapping[str, int]) -> list[LinForm]:
+        """The 4-cell relations at phi2, f(0) + sum_i phi2_i (f(e_i) - f(0)):
+        equal to ``walk(phi2)`` since each relation is linear in phi2."""
+        zero, slopes = self._walks
+        return [
+            sum((slope[i].scaled(phi2[cell]) for cell, slope in slopes.items()), form)
+            for i, form in enumerate(zero)
+        ]
 
 
 def _relabel(word: Word, target: Alphabet, suffix: str) -> Word:
@@ -461,51 +491,19 @@ def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup
     connected): quotient of Z^{3-cells} by the achievable phi3 differences.
 
     A difference is achievable when the interval cells of the preset cylinder
-    admit integer values solving every interval 3-cell constraint and the
-    4-cell boundary relation.
+    admit integer values solving the 4-cell boundary relations; the interval
+    3-cell constraints hold at every phi2 (``CylinderPreset`` checks that).
     """
     if not XSqHom(phi2=dict(phi2), phi3={}).commutes(M):
         raise Dim3Error(f"phi2 assignment {dict(phi2)} is not a homomorphism")
     preset = preset_for(M)
-
-    unknowns: list[str] = []
-    values: dict[str, LinForm | int] = {}
-    for base, (end0, end1) in preset.end_cell_pairs.items():
-        values[end0] = int(phi2[base])
-        values[end1] = int(phi2[base])
-    for name in preset.i_two_cells + preset.i_three_cells:
-        values[name] = LinForm.symbol(name)
-        unknowns.append(name)
-    deltas = []
-    for name in M.three_cell_names():
-        values[f"{name}0"] = 0
-        delta = f"delta_{name}"
-        values[f"{name}1"] = LinForm.symbol(delta)
-        deltas.append(delta)
-
-    equations: list[LinForm] = []
-    attach = dict(preset.cylinder.three_cells)
-    for name in preset.i_three_cells:
-        _, hword = preset.cylinder.triad_normal_form(attach[name])
-        equations.append(_phi2_of_hword(hword, values))
-    for name in M.three_cell_names():
-        form = LinForm.lift(evaluate_L(preset.boundary4[f"{name}I"], values))
-        equations.append(form)
-
-    columns = unknowns + deltas
-    rows = [[eq.coeffs.get(u, 0) for u in columns] for eq in equations]
-    rhs = tuple(-eq.const for eq in equations)
-    sol = solve(IntMatrix(rows, cols=len(columns)), rhs)
-    delta_lattice = Lattice(len(deltas))
-    if sol is not None:
-        particular, kernel = sol
-        base_delta = particular[len(unknowns):]
-        if any(base_delta):
-            raise Dim3Error("inhomogeneous homotopy system; preset data is broken")
-        for k in kernel:
-            delta_lattice.add(k[len(unknowns):])
-    group = quotient(len(deltas), delta_lattice.basis())
-    return group, delta_lattice
+    columns = preset.columns
+    rows = [[form.coeffs.get(c, 0) for c in columns] for form in preset.relations(phi2)]
+    # No relation has a constant term, so the system is homogeneous.
+    _, kernel = solve(IntMatrix(rows, cols=len(columns)), (0,) * len(rows))
+    n = len(M.three_cells)
+    delta_lattice = Lattice(n, [k[len(columns) - n :] for k in kernel])
+    return quotient(n, delta_lattice.basis()), delta_lattice
 
 
 def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:

@@ -46,6 +46,7 @@ class ModuleXMod:
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        _check_nonnegative(rank=self.rank, free_rank=self.free_rank)
         k = self.num_g_generators
         if len(self.action) != k:
             raise XModError("need one action matrix per G generator")
@@ -113,6 +114,12 @@ class ModuleXMod:
         return ModuleXMod(free_rank, torsion, rank, action, boundary, name=name)
 
 
+def _check_nonnegative(**fields: int) -> None:
+    for field_name, value in fields.items():
+        if value < 0:
+            raise XModError(f"{field_name} must be >= 0, got {value}")
+
+
 def target_catalog(name: str, **params) -> ModuleXMod:
     """Built-in targets: rp2, sphere2, trivial(r, k)."""
     if name == "rp2":
@@ -138,6 +145,7 @@ def target_catalog(name: str, **params) -> ModuleXMod:
         k = int(params.pop("k", 0))
         if params:
             raise XModError(f"unexpected parameters: {sorted(params)}")
+        _check_nonnegative(rank=r, free_rank=k)
         return ModuleXMod(
             free_rank=k,
             torsion=(),

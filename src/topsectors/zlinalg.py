@@ -83,8 +83,10 @@ class IntMatrix:
         )
 
     @staticmethod
-    def from_json(data: Iterable[Iterable[object]]) -> "IntMatrix":
-        """A matrix read from JSON rows; every entry must be an integer."""
+    def from_json(data: object) -> "IntMatrix":
+        """A matrix read from JSON: a list of rows, each a list of integers."""
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("expected a list of rows")
         return IntMatrix([[json_int(x) for x in row] for row in data])
 
     # -- arithmetic ---------------------------------------------------------

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from topsectors import classify2d
 from topsectors.cli import main
 from topsectors.complexes import catalog, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
@@ -257,6 +258,21 @@ class TestSnf:
         path.write_text(literal)
         code, out, err = run(capsys, "snf", "--file", str(path))
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("literal", ["{}", "[{}]", '{"a": 1}', "[[1], {}]"])
+    def test_not_a_list_of_rows_rejected(self, capsys, tmp_path, literal):
+        path = tmp_path / "m.json"
+        path.write_text(literal)
+        for argv in (["--matrix", literal], ["--file", str(path)]):
+            code, out, err = run(capsys, "snf", *argv)
+            assert code == 1 and out == ""
+            assert err == "error: bad matrix: expected a list of rows\n"
+
+    @pytest.mark.parametrize("literal", ["[]", "[[]]"])
+    def test_empty_shapes(self, capsys, literal):
+        code, out, _ = run(capsys, "snf", "--matrix", literal, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["invariant_factors"] == []
 
     def test_output_integers_of_any_size(self, capsys, tmp_path):
         # The entries have 4001 digits, under Python's default limit of 4300
@@ -526,6 +542,30 @@ class TestCleanExits:
         code, out, _ = run(capsys, command, *argv, "--format", "json")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize(
+        "target, field",
+        [("trivial:-1", "rank"), ("trivial:-1,0", "rank"), ("trivial:-1,2", "rank"),
+         ("trivial:1,-1", "free_rank")],
+    )
+    def test_negative_catalog_rank(self, capsys, target, field):
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", target)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field} must be >= 0, got -")
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [({"rank": -2}, "rank"), ({"G": {"free_rank": -1, "torsion": []}}, "free_rank")],
+    )
+    @pytest.mark.parametrize("command", ["classify", "validate"])
+    def test_negative_file_rank(self, capsys, tmp_path, command, edit, field):
+        target = {"G": {"free_rank": 0, "torsion": []}, "rank": 1, "action": [], "boundary": [[]]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({**target, **edit}))
+        argv = ["--source", "torus2", "--target", str(path)] if command == "classify" else [str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field} must be >= 0, got -")
+
     def test_lens_answer_independent_of_q(self, capsys):
         outputs = []
         for q in (1, 2):
@@ -541,6 +581,22 @@ class TestExitCodes:
     def test_missing_subcommand_is_input_error(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant")])
+    def test_internal_error(self, capsys, monkeypatch, exc):
+        def route(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(classify2d, "classify_based", route)
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", "rp2")
+        assert code == 4 and out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_help_passes_through(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "4 internal error" in " ".join(capsys.readouterr().out.split())
 
     def test_determinism(self, capsys):
         outs = set()

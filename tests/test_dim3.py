@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 
+from topsectors import dim3
 from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves, validate_triad
 from topsectors.dim3 import (
     CupData,
@@ -22,6 +25,9 @@ from topsectors.dim3 import (
 )
 from topsectors.words import Alphabet, Word
 from topsectors.zlinalg import AbelianGroup
+
+
+E = Word.identity(Alphabet(["a0", "a1"]))
 
 
 def z_or(n):
@@ -106,6 +112,9 @@ class TestEvaluateL:
         x, y = LinForm.symbol("x"), LinForm.symbol("y")
         with pytest.raises(Dim3Error):
             _ = x * y
+        square = TensorLetter(h=((E, "aI", 1),), k=((E, "aI", 1),), sign=1)
+        with pytest.raises(Dim3Error, match="nonlinear"):
+            evaluate_L((square,), {"aI": x})
 
 
 class TestCylinderPresets:
@@ -141,6 +150,54 @@ class TestCylinderPresets:
     def test_missing_preset(self):
         with pytest.raises(Dim3Error):
             cylinder_preset("torus2")
+
+    @pytest.mark.parametrize("space", ["s1_x_s2", "torus3"])
+    def test_relations_equal_direct_walk(self, space):
+        # The preset interpolates its relations from 1 + n walks; here each
+        # is walked directly: end copies carry phi2, x0 = 0, and the
+        # interval cells and x1 are unknowns.
+        preset = cylinder_preset(space)
+        base3 = preset.base.three_cell_names()
+        rng = random.Random(9)
+        for _ in range(300):
+            phi2 = {cell: rng.randint(-40, 40) for cell in preset.base.two_cell_names()}
+            values = {c: LinForm.symbol(c) for c in preset.i_two_cells + preset.i_three_cells}
+            for base, (end0, end1) in preset.end_cell_pairs.items():
+                values[end0] = values[end1] = phi2[base]
+            for name in base3:
+                values[f"{name}0"] = 0
+                values[f"{name}1"] = LinForm.symbol(f"{name}1")
+            for name, form in zip(base3, preset.relations(phi2), strict=True):
+                direct = LinForm.lift(evaluate_L(preset.boundary4[f"{name}I"], values))
+                assert form.coeffs == direct.coeffs
+                assert form.const == direct.const == 0
+
+    @pytest.mark.parametrize("space, sweep, walks", [("torus3", 3, 4), ("s1_x_s2", 5, 2)])
+    def test_walks_once_per_preset(self, monkeypatch, space, sweep, walks):
+        calls = []
+        real = dim3.evaluate_L
+
+        def counted(word, values):
+            calls.append(word)
+            return real(word, values)
+
+        monkeypatch.setattr(dim3, "evaluate_L", counted)
+        cylinder_preset.cache_clear()
+        try:
+            classify_s2(catalog(space), sweep=sweep)
+        finally:
+            cylinder_preset.cache_clear()
+        assert len(calls) <= walks
+
+    @pytest.mark.parametrize("letter", [
+        TensorLetter(h=((E, "t0", 1),), k=((E, "t0", 1),), sign=1),  # quadratic in phi2
+        TriadLetter(E, (), "t0", 1),  # a 2-cell read as a 3-cell: a constant term
+    ])
+    def test_nonlinear_letter_refused(self, letter):
+        preset = cylinder_preset("s1_x_s2")
+        word = preset.boundary4["xI"] + (letter,)
+        with pytest.raises(Dim3Error, match="not linear in phi2"):
+            dataclasses.replace(preset, boundary4={"xI": word})
 
 
 class TestClassifyS2:
