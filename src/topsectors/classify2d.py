@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .complexes import CWComplex
 from .fingrp import FiniteGroup
-from .words import collect, fox_derivative
+from .words import fox_derivative
 from .xmod import ModuleXMod, XModError, validate
 from .zlinalg import (
     AbelianGroup,
@@ -65,16 +65,11 @@ class TargetData:
         # kernel_basis and hom_lattice rely on this order.
         self.relations = tuple(target.torsion_relation_columns() + target.boundary.columns())
         self.pi1 = quotient_with_representatives(ambient, self.relations)
-        self.pi1_group = self.pi1.group
-
-    @property
-    def pi1_is_finite(self) -> bool:
-        return self.pi1_group.is_finite
 
     def require_finite_pi1(self) -> None:
-        if not self.pi1_is_finite:
+        if not self.pi1.group.is_finite:
             raise UnsupportedTargetError(
-                f"pi_1 of the target is infinite ({self.pi1_group}); "
+                f"pi_1 of the target is infinite ({self.pi1.group}); "
                 "sector enumeration needs a finite fundamental group"
             )
 
@@ -384,32 +379,40 @@ def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
 
 
 def labelled_sum(
-    r: int, terms: Iterable[tuple[Vector, int]], rho: Callable[[Vector], IntMatrix]
-) -> IntMatrix:
-    """The r x r matrix sum of c * rho(label) over ``(label, c)`` terms, such
-    as a Fox derivative or a derivation image labelled through a sector.
-    Terms with equal labels are merged first, so rho is evaluated once per
-    label."""
+    r: int,
+    factors: Sequence[int],
+    images: Sequence[Vector],
+    terms: dict[Vector, int],
+    rho: Callable[[Vector], IntMatrix],
+) -> list[list[int]]:
+    """The r x r block, as plain rows, of an element of Z[Z^n] (a Fox
+    derivative or a triad's derivation image, keyed by exponent sums)
+    through a sector whose 1-cells carry the labels ``images``: the sum of
+    c * rho(label_of_sums(sums)).  Equal labels are merged first, so rho is
+    evaluated once per label that does not cancel.  Route 1, the oracle and
+    the lens route all evaluate their twisted blocks here."""
+    merged: dict[Vector, int] = {}
+    for sums, c in terms.items():
+        label = label_of_sums(factors, images, sums)
+        merged[label] = merged.get(label, 0) + c
     total = [[0] * r for _ in range(r)]
-    for label, c in collect(terms).items():
-        for row, m_row in zip(total, rho(label).data):
-            for j, x in enumerate(m_row):
-                row[j] += c * x
-    return IntMatrix(total, cols=r)
+    for label, c in merged.items():
+        if c:
+            for row, m_row in zip(total, rho(label).data):
+                for j, x in enumerate(m_row):
+                    row[j] += c * x
+    return total
 
 
-def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[str, IntMatrix]]:
-    """For each 2-cell t and 1-cell a, the matrix of the Fox derivative
+def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[str, list[list[int]]]]:
+    """For each 2-cell t and 1-cell a, the rows of the Fox derivative
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
     data, layout = system.data, system.layout
     images = tuple(sector[gen] for gen in layout.generators)
-    label = functools.partial(label_of_sums, data.pi1.factors, images)
     return {
         cell: {
             gen: labelled_sum(
-                layout.r,
-                ((label(sums), c) for sums, c in system.fox[cell, gen].items()),
-                data.rho.__getitem__,
+                layout.r, data.pi1.factors, images, system.fox[cell, gen], data.rho.__getitem__
             )
             for gen in layout.generators
         }
@@ -440,10 +443,9 @@ def homotopy_sublattice(system: HomSystem, sector: dict) -> list[Vector]:
             for coord in range(layout.k):
                 vec[off + coord] = col[coord]
             for cell in layout.two_cells:
-                mcol = fox_matrices[cell][gen].column(p)
                 off2 = layout.phi2_offset(cell)
-                for j in range(r):
-                    vec[off2 + j] = mcol[j]
+                for j, row in enumerate(fox_matrices[cell][gen]):
+                    vec[off2 + j] = row[p]
             directions.append(tuple(vec))
     for gen in layout.generators:
         for i, order in enumerate(target.torsion):
@@ -478,11 +480,9 @@ class SectorResult:
         return self.quotient.is_finite
 
     def representatives(self) -> list[Vector]:
-        """Canonical representatives: full enumeration when finite, the
-        torsion shell otherwise (extend along free_generators)."""
-        if self.is_finite:
-            return self.quotient.representatives()
-        return self.quotient.torsion_shell_representatives()
+        """Canonical representatives: every class when finite, else those
+        with free coordinates 0 (extend along free_generators)."""
+        return self.quotient.representatives()
 
     def free_generators(self) -> list[Vector]:
         return self.quotient.free_generator_vectors()
@@ -686,7 +686,7 @@ def wedge_formula(X: ModuleXMod) -> WedgeClasses:
     data = TargetData(X)
     return WedgeClasses(
         pi2=AbelianGroup.free(len(data.kernel_basis)),
-        pi1=data.pi1_group,
+        pi1=data.pi1.group,
         kernel_basis=data.kernel_basis,
         pi2_action=data.pi2_action,
     )

@@ -526,10 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except UnsupportedError as err:
-        print(f"unsupported: {err}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except UnsupportedTargetError as err:
+    except (UnsupportedError, UnsupportedTargetError) as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (

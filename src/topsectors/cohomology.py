@@ -7,21 +7,22 @@ and d2 blocks evaluate the derivation image of the triad words.  Every
 supported target has abelian pi_1 and the twist factors through it, so a
 word matters only through its exponent sums: the d1 blocks use the
 abelianised Fox derivatives of ``words.fox_derivative`` (counts keyed by
-exponent-sum vectors), and those vectors, like the conjugators of a
-derivation image, are labeled in pi_1 of the target by
-``classify2d.label_of_sums``.  This labeling is exact for the twist.
-The action of every label is one lookup in a ``classify2d.rho_table``,
-built once per target or per ``special_case_classify`` call, and the lens
-route takes the Fox derivatives and derivation images once per call.
+exponent-sum vectors), and the d1 and d2 blocks are evaluated by
+``classify2d.labelled_sum``, the one twisted-block evaluation that route 1
+shares, which labels each key in pi_1 of the target and returns plain
+rows.  This labeling is exact for the twist.  The action of every label is
+one lookup in a ``classify2d.rho_table``, built once per target or per
+``special_case_classify`` call, and the lens route takes the Fox
+derivatives and derivation images once per call.  Only the assembled
+differentials are ``IntMatrix`` objects.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .classify2d import TargetData, label_of_sums, label_sectors, labelled_sum, labels_to_json, rho_table
+from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
 from .words import Word, fox_derivative
 from .xmod import derivation_image
@@ -117,31 +118,37 @@ def _complex_builder(M: CWComplex) -> Callable[[CoefficientModule], CochainCompl
     ]
 
     def build(coeffs: CoefficientModule) -> CochainComplex:
-        r = coeffs.rank
+        r, factors, rho = coeffs.rank, coeffs.factors, coeffs.matrix_of_label
         images = tuple(coeffs.sector[gen] for gen in gens)
-        label = functools.partial(label_of_sums, coeffs.factors, images)
-        rho = coeffs.matrix_of_label
 
-        def twisted(terms: dict) -> IntMatrix:
-            return labelled_sum(r, ((label(sums), c) for sums, c in terms.items()), rho)
+        def twisted(terms: dict) -> list[list[int]]:
+            return labelled_sum(r, factors, images, terms, rho)
 
-        d0 = _stack([[rho(image) - IntMatrix.identity(r)] for image in images], r, r)
+        d0 = IntMatrix(
+            [
+                [x - (i == j) for j, x in enumerate(row)]
+                for image in images
+                for i, row in enumerate(rho(image).data)
+            ],
+            cols=r,
+        )
         d1 = _stack([[twisted(f) for f in row] for row in fox], r, len(gens) * r)
         cells = M.two_cell_names()
         d2 = _stack([[twisted(image[c]) for c in cells] for image in triads], r, len(cells) * r)
-        if d0.rows and d1.rows and d1 @ d0 != IntMatrix.zeros(d1.rows, d0.cols):
+        if d0.rows and d1.rows and any(map(any, (d1 @ d0).data)):
             raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
-        if d1.rows and d2.rows and d2 @ d1 != IntMatrix.zeros(d2.rows, d1.cols):
+        if d1.rows and d2.rows and any(map(any, (d2 @ d1).data)):
             raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
         return CochainComplex(d0=d0, d1=d1, d2=d2)
 
     return build
 
 
-def _stack(block_rows: list[list[IntMatrix]], r: int, cols: int) -> IntMatrix:
-    """The matrix whose rows of r x r blocks are ``block_rows``."""
+def _stack(block_rows: list[list[list[list[int]]]], r: int, cols: int) -> IntMatrix:
+    """The matrix whose rows of r x r blocks (each a list of rows) are
+    ``block_rows``."""
     return IntMatrix(
-        [[x for block in blocks for x in block.data[i]] for blocks in block_rows for i in range(r)],
+        [[x for block in blocks for x in block[i]] for blocks in block_rows for i in range(r)],
         cols=cols,
     )
 

@@ -54,6 +54,8 @@ class IntMatrix:
             cols = width
         elif cols is None:
             cols = 0
+        elif cols < 0:
+            raise ValueError(f"negative column count {cols}")
         self.data = rows
         self.rows = len(rows)
         self.cols = cols
@@ -66,6 +68,8 @@ class IntMatrix:
 
     @staticmethod
     def zeros(m: int, n: int) -> "IntMatrix":
+        if m < 0:
+            raise ValueError(f"negative row count {m}")
         return IntMatrix([[0] * n for _ in range(m)], cols=n)
 
     @staticmethod
@@ -77,6 +81,8 @@ class IntMatrix:
                 raise ValueError("ragged columns")
         elif height is None:
             height = 0
+        elif height < 0:
+            raise ValueError(f"negative height {height}")
         return IntMatrix(
             [[columns[j][i] for j in range(len(columns))] for i in range(height)],
             cols=len(columns),
@@ -104,20 +110,6 @@ class IntMatrix:
             ],
             cols=other.cols,
         )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in row] for row in self.data], cols=self.cols)
 
     def __pow__(self, n: int) -> "IntMatrix":
         """``self ** n`` by repeated squaring; a negative ``n`` raises the
@@ -384,6 +376,8 @@ class AbelianGroup:
 
     @staticmethod
     def free(rank: int) -> "AbelianGroup":
+        if rank < 0:
+            raise ValueError(f"negative rank {rank}")
         return AbelianGroup((0,) * rank)
 
     @staticmethod
@@ -672,16 +666,13 @@ class LatticeQuotient:
         return (tuple(c) for c in itertools.product(*ranges))
 
     def representatives(self) -> list[Vector]:
-        """Canonical coset representatives (finite quotients only)."""
-        return [self.representative(c) for c in self.enumerate_class_coords()]
+        """Canonical representatives of the classes whose free coordinates
+        are 0: every class of a finite quotient."""
+        ranges = [range(d) if d else range(1) for d in self._kept_factors]
+        return [self.representative(c) for c in itertools.product(*ranges)]
 
     def free_generator_vectors(self) -> list[Vector]:
         return [g for g, d in zip(self.generator_vectors, self._kept_factors) if d == 0]
-
-    def torsion_shell_representatives(self) -> list[Vector]:
-        """Representatives sweeping torsion coordinates with free coords 0."""
-        ranges = [range(d) if d else range(1) for d in self._kept_factors]
-        return [self.representative(c) for c in itertools.product(*ranges)]
 
 
 def quotient_with_representatives(

@@ -247,3 +247,36 @@ class TestSpecialCase:
         res = special_case_classify(catalog("s1_x_s2"), [4], 2, [quarter_turn])
         assert [s.phi1 for s in res.sectors] == [{"a": (c,)} for c in range(4)]
         assert [str(s.group) for s in res.sectors] == ["Z x Z", "Z_2", "Z_2 x Z_2", "Z_2"]
+
+
+class TestBuildBudget:
+    """Twisted blocks are plain rows: a sector builds an IntMatrix only for
+    its assembled differentials, the d.d = 0 products and its quotient."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        calls = []
+        init = IntMatrix.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counted)
+        return calls
+
+    def test_lens_route(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        res = special_case_classify(catalog("torus3"), [7], 1)
+        assert len(res.sectors) == 343
+        assert len(builds) <= 8 * len(res.sectors)
+
+    def test_oracle(self, monkeypatch):
+        M = catalog("genus_surface", g=2)
+        data = TargetData(RP2)
+        sectors = pi1_sectors(M, data)
+        builds = self.count_builds(monkeypatch)
+        for sector in sectors:
+            twisted_second_cohomology(M, CoefficientModule.for_target_sector(data, sector))
+        assert len(sectors) == 16
+        assert len(builds) <= 8 * len(sectors)

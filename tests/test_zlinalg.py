@@ -148,6 +148,24 @@ def _parity(perm):
     return inversions % 2 == 0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix.zeros(0, -1),
+        lambda: IntMatrix.zeros(-2, 3),
+        lambda: IntMatrix.identity(-3),
+        lambda: IntMatrix([], cols=-5),
+        lambda: IntMatrix.from_columns([], height=-2),
+        lambda: quotient(-1, []),
+        lambda: AbelianGroup.free(-1),
+    ],
+    ids=["zeros-cols", "zeros-rows", "identity", "init", "from_columns", "quotient", "free"],
+)
+def test_negative_size_is_refused(build):
+    with pytest.raises(ValueError, match="negative"):
+        build()
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         dec = check_snf(IntMatrix.identity(2))
@@ -453,7 +471,7 @@ class TestLatticeQuotient:
         assert q.group == AbelianGroup((2, 0, 0))
         # one torsion generator of order 2 and two free generators
         assert q.factors.count(0) == 2
-        shell = q.torsion_shell_representatives()
+        shell = q.representatives()
         assert len(shell) == 2
         assert not q.same_class(shell[0], shell[1])
 
