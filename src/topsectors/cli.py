@@ -62,7 +62,9 @@ _CATALOG_PARAMS = {
 
 
 def _looks_like_path(spec: str) -> bool:
-    return spec.endswith(".json") or os.sep in spec or os.path.isfile(spec)
+    """A spec is a file only by its form, so that a file in the working
+    directory never hides a catalog name."""
+    return spec.endswith(".json") or os.sep in spec
 
 
 def resolve_source(spec: str) -> CWComplex:
@@ -236,8 +238,11 @@ def _any_int_size():
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise InputError(f"cannot write {out}: {err}") from None
     else:
         print(text)
 

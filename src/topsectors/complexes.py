@@ -394,11 +394,6 @@ def saves(M: CWComplex) -> str:
     return json.dumps(obj, indent=2)
 
 
-def save(M: CWComplex, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(saves(M) + "\n")
-
-
 def structurally_equal(a: CWComplex, b: CWComplex) -> bool:
     return (
         a.alphabet == b.alphabet

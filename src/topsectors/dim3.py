@@ -8,8 +8,9 @@ homotopy of homomorphisms becomes a linear Diophantine system over the
 cylinder cells.  The boundary word of the cylinder's 4-cell is per-space
 preset data, and each of its tensor letters has a factor made only of
 interval 2-cells, so the relation is linear in phi2: a preset walks it at
-phi2 = 0 and at each unit vector, and every sector reads its relation off
-those walks.  The Pontrjagin cup-product route provides an independent check.
+phi2 = 0 and at each unit vector into integer rows, and every sector reads
+its relation off those rows.  The Pontrjagin cup-product route provides an
+independent check.
 """
 
 from __future__ import annotations
@@ -151,42 +152,6 @@ class XSqHomLayout:
     def dim(self) -> int:
         return len(self.two_cells) + len(self.three_cells)
 
-    def phi2_index(self, cell: str) -> int:
-        return self.two_cells.index(cell)
-
-    def phi3_index(self, cell: str) -> int:
-        return len(self.two_cells) + self.three_cells.index(cell)
-
-
-@dataclass(frozen=True)
-class XSqHom:
-    """A crossed-square homomorphism into the sphere target, recorded on the
-    cells: one integer per 2-cell and per 3-cell (phi1 is forced trivial)."""
-
-    phi2: dict
-    phi3: dict
-
-    @staticmethod
-    def from_vector(layout: XSqHomLayout, vec: Sequence[int]) -> "XSqHom":
-        return XSqHom(
-            phi2={c: vec[layout.phi2_index(c)] for c in layout.two_cells},
-            phi3={c: vec[layout.phi3_index(c)] for c in layout.three_cells},
-        )
-
-    def to_vector(self, layout: XSqHomLayout) -> Vector:
-        return tuple(
-            [self.phi2[c] for c in layout.two_cells]
-            + [self.phi3[c] for c in layout.three_cells]
-        )
-
-    def commutes(self, M: CWComplex) -> bool:
-        """The signed phi2 sum over every 3-cell's triad word vanishes (the
-        image of the second structure map is zero in the sphere square)."""
-        return not any(
-            sum(n * self.phi2[cell] for cell, n in phi2_boundary(M, triad).items())
-            for _, triad in M.three_cells
-        )
-
 
 def xsq_hom_lattice(M: CWComplex) -> tuple[XSqHomLayout, AffineLattice]:
     """All crossed-square homomorphisms into the sphere target, as an affine
@@ -235,6 +200,10 @@ class CylinderPreset:
     def __post_init__(self):
         self._check_phi2_rigidity()
         self._check_linear_in_phi2()
+        # No base 3-cell constrains phi2, so every phi2 assignment is a sector.
+        for name, triad in self.base.three_cells:
+            if counts := phi2_boundary(self.base, triad):
+                raise Dim3Error(f"base 3-cell {name} constrains phi2: {counts}")
 
     def _check_phi2_rigidity(self) -> None:
         """Every interval 3-cell must force the two phi2 end values of one
@@ -276,34 +245,40 @@ class CylinderPreset:
         ends = tuple(f"{name}1" for name in self.base.three_cell_names())
         return self.i_two_cells + self.i_three_cells + ends
 
-    def walk(self, phi2: Mapping[str, int]) -> list[LinForm]:
+    def walk(self, phi2: Mapping[str, int]) -> list[list[int]]:
         """The relation of each interval 4-cell (one per base 3-cell) at one
-        phi2 assignment, read off its boundary word."""
-        values: dict[str, LinForm | int] = {c: LinForm.symbol(c) for c in self.columns}
+        phi2 assignment, read off its boundary word as a row over ``columns``."""
+        columns = self.columns
+        values: dict[str, LinForm | int] = {c: LinForm.symbol(c) for c in columns}
         for base, (end0, end1) in self.end_cell_pairs.items():
             values[end0] = values[end1] = phi2[base]
         names = self.base.three_cell_names()
         values.update((f"{name}0", 0) for name in names)
-        return [LinForm.lift(evaluate_L(self.boundary4[f"{name}I"], values)) for name in names]
+        forms = [LinForm.lift(evaluate_L(self.boundary4[f"{name}I"], values)) for name in names]
+        return [[form.coeffs.get(c, 0) for c in columns] for form in forms]
 
     @functools.cached_property
-    def _walks(self) -> tuple[list[LinForm], dict[str, list[LinForm]]]:
-        """The relations at phi2 = 0 and their slope along each base 2-cell:
-        1 + n walks for n base 2-cells."""
+    def _walks(self) -> tuple[list[list[int]], dict[str, list[list[int]]]]:
+        """The relation rows at phi2 = 0 and their slope along each base
+        2-cell: 1 + n walks for n base 2-cells."""
         cells = list(self.end_cell_pairs)
         zero = self.walk(dict.fromkeys(cells, 0))
-        units = {cell: self.walk({c: int(c == cell) for c in cells}) for cell in cells}
-        return zero, {
-            cell: [f + f0.scaled(-1) for f, f0 in zip(unit, zero)] for cell, unit in units.items()
-        }
+        slopes = {}
+        for cell in cells:
+            unit = self.walk({c: int(c == cell) for c in cells})
+            slopes[cell] = [[u - z for u, z in zip(ur, zr)] for ur, zr in zip(unit, zero)]
+        return zero, slopes
 
-    def relations(self, phi2: Mapping[str, int]) -> list[LinForm]:
-        """The 4-cell relations at phi2, f(0) + sum_i phi2_i (f(e_i) - f(0)):
+    def relations(self, phi2: Mapping[str, int]) -> list[list[int]]:
+        """The 4-cell relation rows at phi2, f(0) + sum_i phi2_i (f(e_i) - f(0)):
         equal to ``walk(phi2)`` since each relation is linear in phi2."""
         zero, slopes = self._walks
         return [
-            sum((slope[i].scaled(phi2[cell]) for cell, slope in slopes.items()), form)
-            for i, form in enumerate(zero)
+            [
+                z + sum(phi2[cell] * slope[i][j] for cell, slope in slopes.items())
+                for j, z in enumerate(row)
+            ]
+            for i, row in enumerate(zero)
         ]
 
 
@@ -486,24 +461,25 @@ class S2Classification:
         }
 
 
-def sector_group_s2(M: CWComplex, phi2: Mapping[str, int]) -> tuple[AbelianGroup, Lattice]:
+def sector_group_s2(preset: CylinderPreset, phi2: Mapping[str, int]) -> AbelianGroup:
     """Based = free classes over one phi2 assignment (the target is simply
     connected): quotient of Z^{3-cells} by the achievable phi3 differences.
 
     A difference is achievable when the interval cells of the preset cylinder
-    admit integer values solving the 4-cell boundary relations; the interval
-    3-cell constraints hold at every phi2 (``CylinderPreset`` checks that).
+    admit integer values solving the 4-cell boundary relations.  The preset
+    checks once that every phi2 is a homomorphism and that the interval
+    3-cell constraints hold at every phi2.
     """
-    if not XSqHom(phi2=dict(phi2), phi3={}).commutes(M):
-        raise Dim3Error(f"phi2 assignment {dict(phi2)} is not a homomorphism")
-    preset = preset_for(M)
-    columns = preset.columns
-    rows = [[form.coeffs.get(c, 0) for c in columns] for form in preset.relations(phi2)]
+    cells = preset.base.two_cell_names()
+    if set(phi2) != set(cells):
+        raise Dim3Error(f"phi2 must name exactly the 2-cells {list(cells)}, got {sorted(phi2)}")
+    rows = preset.relations(phi2)
+    width = len(preset.columns)
     # No relation has a constant term, so the system is homogeneous.
-    _, kernel = solve(IntMatrix(rows, cols=len(columns)), (0,) * len(rows))
-    n = len(M.three_cells)
-    delta_lattice = Lattice(n, [k[len(columns) - n :] for k in kernel])
-    return quotient(n, delta_lattice.basis()), delta_lattice
+    _, kernel = solve(IntMatrix(rows, cols=width), (0,) * len(rows))
+    n = len(preset.base.three_cells)
+    deltas = (k[width - n :] for k in kernel)
+    return quotient(n, [d for d in deltas if any(d)])
 
 
 def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
@@ -512,10 +488,11 @@ def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
     if sweep < 0:
         raise Dim3Error(f"sweep must be >= 0, got {sweep}")
     layout, _ = xsq_hom_lattice(M)
+    preset = preset_for(M)
     out = []
     for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(layout.two_cells)):
         phi2 = dict(zip(layout.two_cells, combo))
-        out.append(S2Sector(phi2=phi2, group=sector_group_s2(M, phi2)[0]))
+        out.append(S2Sector(phi2=phi2, group=sector_group_s2(preset, phi2)))
     return S2Classification(source=M.name or "complex", layout=layout, sectors=out)
 
 

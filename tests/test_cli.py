@@ -1,12 +1,14 @@
 import hashlib
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from topsectors import classify2d
 from topsectors.cli import main
-from topsectors.complexes import catalog, saves
+from topsectors.complexes import CWComplex, catalog, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
 from topsectors.fingrp import cyclic
 
@@ -598,6 +600,26 @@ class TestExitCodes:
         assert info.value.code == 0
         assert "4 internal error" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("name, text", [
+        ("torus2", saves(CWComplex(["a"], [("t", "a^3")]))),
+        ("rp2", "not json"),
+    ], ids=["source", "target"])
+    def test_file_never_hides_a_catalog_name(self, capsys, monkeypatch, tmp_path, name, text):
+        argv = ("classify", "--source", "torus2", "--target", "rp2")
+        expected = run(capsys, *argv)
+        (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("out", [".", "missing/dir/x.txt"])
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path, out):
+        path = tmp_path / out
+        code, stdout, err = run(
+            capsys, "classify", "--source", "torus2", "--target", "rp2", "--out", str(path)
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+
     def test_determinism(self, capsys):
         outs = set()
         for _ in range(2):
@@ -668,3 +690,19 @@ def test_pinned_z4_output(capsys, monkeypatch, tmp_path, command, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_examples(capsys):
+    """Every command in README's CLI block that names no placeholder path
+    runs and exits 0."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        line.removeprefix("topsectors ")
+        for line in block.splitlines()
+        if line.startswith("topsectors ") and "path/to/" not in line
+    ]
+    assert examples
+    for command in examples:
+        code, _, err = run(capsys, *shlex.split(command))
+        assert code == 0, (command, err)
