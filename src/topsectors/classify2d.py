@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 
 from .complexes import CWComplex
 from .fingrp import FiniteGroup
-from .words import fox_derivative
 from .xmod import ModuleXMod, XModError, validate
 from .zlinalg import (
     AbelianGroup,
@@ -190,19 +189,11 @@ class XModHom:
             phi2={t: layout.phi2(vec, t) for t in layout.two_cells},
         )
 
-    def to_vector(self, layout: HomLayout) -> Vector:
-        out: list[int] = []
-        for g in layout.generators:
-            out.extend(self.phi1[g])
-        for t in layout.two_cells:
-            out.extend(self.phi2[t])
-        return tuple(out)
-
     def commutes(self, M: CWComplex, X: ModuleXMod) -> bool:
         """d . phi2(t) == phi1(sigma_2(t)) in G, for every 2-cell."""
         torsion = X.torsion
         for cell, word in M.two_cells:
-            lhs = X.boundary_of(self.phi2[cell])
+            lhs = X.boundary.apply(self.phi2[cell])
             sums = word.exponent_sums()
             rhs = [0] * X.num_g_generators
             for gen, s in zip(M.alphabet.names, sums):
@@ -291,9 +282,9 @@ def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
 class HomSystem:
     """The part of the homomorphism system that no sector changes, for one
     (M, X): the Smith reduction of its matrix, the HNF lattice of its kernel
-    directions, and the Fox derivative of every 2-cell by every 1-cell.  A
-    sector enters only through the lifted labels on the right-hand side and
-    through the labelling of the Fox table."""
+    directions, and M's Fox table (``CWComplex.fox``).  A sector enters only
+    through the lifted labels on the right-hand side and through the
+    labelling of the Fox table."""
 
     data: TargetData
     layout: HomLayout
@@ -370,11 +361,7 @@ def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
         layout=layout,
         solver=solver,
         directions=Lattice(dim, [vec[:dim] for vec in solver.kernel]),
-        fox={
-            (cell, gen): fox_derivative(word, gen)
-            for cell, word in M.two_cells
-            for gen in layout.generators
-        },
+        fox=M.fox,
     )
 
 

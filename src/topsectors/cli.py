@@ -47,20 +47,6 @@ class _Parser(argparse.ArgumentParser):
 # Source / target resolution
 # ---------------------------------------------------------------------------
 
-_CATALOG_PARAMS = {
-    "circle_wedge": ("n",),
-    "sphere2": (),
-    "torus2": (),
-    "rp2": (),
-    "genus_surface": ("g",),
-    "torus_knot": ("p", "q"),
-    "klein_bottle": (),
-    "s1_wedge_s2": (),
-    "torus3": (),
-    "s1_x_s2": (),
-}
-
-
 def _looks_like_path(spec: str) -> bool:
     """A spec is a file only by its form, so that a file in the working
     directory never hides a catalog name."""
@@ -74,9 +60,9 @@ def resolve_source(spec: str) -> CWComplex:
         except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read {spec}: {err}") from None
     name, _, tail = spec.partition(":")
-    if name not in _CATALOG_PARAMS:
+    if name not in complexes.CATALOG_PARAMS:
         raise InputError(f"unknown source {spec!r}")
-    keys = _CATALOG_PARAMS[name]
+    keys = complexes.CATALOG_PARAMS[name]
     values = [v for v in tail.split(",") if v] if tail else []
     if len(values) != len(keys):
         raise InputError(
@@ -337,12 +323,11 @@ def cmd_crosscheck(args) -> int:
                 f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
             )
     elif sphere:
-        cup = (
-            dim3.CupData.from_json(_read_object(args.cup))
-            if args.cup
-            else dim3.cup_preset(dim3.preset_for(M).space)
-        )
-        for sector in dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep).sectors:
+        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else None
+        res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
+        if cup is None:
+            cup = dim3.cup_preset(res.space)
+        for sector in res.sectors:
             alpha = tuple(sector.phi2.values())
             oracle = dim3.pontrjagin_sector_group(cup, alpha)
             ok = oracle == sector.group

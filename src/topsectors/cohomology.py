@@ -12,20 +12,20 @@ exponent-sum vectors), and the d1 and d2 blocks are evaluated by
 shares, which labels each key in pi_1 of the target and returns plain
 rows.  This labeling is exact for the twist.  The action of every label is
 one lookup in a ``classify2d.rho_table``, built once per target or per
-``special_case_classify`` call, and the lens route takes the Fox
-derivatives and derivation images once per call.  Only the assembled
-differentials are ``IntMatrix`` objects.
+``special_case_classify`` call.  The Fox derivatives and derivation images
+are the complex's own (``CWComplex.fox`` and ``CWComplex.triad_images``),
+taken once per complex and shared with route 1 as data only: each route
+assembles its own differentials.  Only the assembled differentials are
+``IntMatrix`` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
-from .words import Word, fox_derivative
-from .xmod import derivation_image
 from .zlinalg import AbelianGroup, IntMatrix, quotient
 
 
@@ -102,46 +102,32 @@ class CochainComplex:
 
 
 def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
-    """Cellular cochain complex of M with the given local coefficients."""
-    return _complex_builder(M)(coeffs)
+    """Cellular cochain complex of M with the given local coefficients: M's
+    Fox table and triad images, labelled through the module's sector and
+    evaluated through its action."""
+    gens, cells = M.alphabet.names, M.two_cell_names()
+    r, factors, rho = coeffs.rank, coeffs.factors, coeffs.matrix_of_label
+    images = tuple(coeffs.sector[gen] for gen in gens)
 
+    def twisted(terms: dict) -> list[list[int]]:
+        return labelled_sum(r, factors, images, terms, rho)
 
-def _complex_builder(M: CWComplex) -> Callable[[CoefficientModule], CochainComplex]:
-    """Takes the Fox derivatives of the 2-cells and the derivation images of
-    the triads, keyed by exponent sums, once; the function returned labels
-    them through a module's sector and evaluates them through its action."""
-    gens = M.alphabet.names
-    fox = [[fox_derivative(word, gen) for gen in gens] for _, word in M.two_cells]
-    triads = [
-        derivation_image(M, M.triad_normal_form(triad)[1], Word.exponent_sums)
-        for _, triad in M.three_cells
-    ]
-
-    def build(coeffs: CoefficientModule) -> CochainComplex:
-        r, factors, rho = coeffs.rank, coeffs.factors, coeffs.matrix_of_label
-        images = tuple(coeffs.sector[gen] for gen in gens)
-
-        def twisted(terms: dict) -> list[list[int]]:
-            return labelled_sum(r, factors, images, terms, rho)
-
-        d0 = IntMatrix(
-            [
-                [x - (i == j) for j, x in enumerate(row)]
-                for image in images
-                for i, row in enumerate(rho(image).data)
-            ],
-            cols=r,
-        )
-        d1 = _stack([[twisted(f) for f in row] for row in fox], r, len(gens) * r)
-        cells = M.two_cell_names()
-        d2 = _stack([[twisted(image[c]) for c in cells] for image in triads], r, len(cells) * r)
-        if d0.rows and d1.rows and any(map(any, (d1 @ d0).data)):
-            raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
-        if d1.rows and d2.rows and any(map(any, (d2 @ d1).data)):
-            raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
-        return CochainComplex(d0=d0, d1=d1, d2=d2)
-
-    return build
+    d0 = IntMatrix(
+        [
+            [x - (i == j) for j, x in enumerate(row)]
+            for image in images
+            for i, row in enumerate(rho(image).data)
+        ],
+        cols=r,
+    )
+    d1 = _stack([[twisted(M.fox[c, gen]) for gen in gens] for c in cells], r, len(gens) * r)
+    triads = M.triad_images.values()
+    d2 = _stack([[twisted(image[c]) for c in cells] for image in triads], r, len(cells) * r)
+    if d0.rows and d1.rows and any(map(any, (d1 @ d0).data)):
+        raise AssertionError("d1 . d0 != 0: labeling is inconsistent")
+    if d1.rows and d2.rows and any(map(any, (d2 @ d1).data)):
+        raise AssertionError("d2 . d1 != 0: labeling is inconsistent")
+    return CochainComplex(d0=d0, d1=d1, d2=d2)
 
 
 def _stack(block_rows: list[list[list[list[int]]]], r: int, cols: int) -> IntMatrix:
@@ -223,11 +209,11 @@ def special_case_classify(
     trivial_action = all(m == identity for m in matrices)
 
     rho = rho_table(factors, matrices, pi_d_rank)
-    build = _complex_builder(M)
     sectors = []
     n3r = len(M.three_cells) * pi_d_rank
     for assignment in label_sectors(M, factors):
-        cx = build(CoefficientModule(rank=pi_d_rank, factors=factors, rho=rho, sector=assignment))
+        coeffs = CoefficientModule(rank=pi_d_rank, factors=factors, rho=rho, sector=assignment)
+        cx = build_complex(M, coeffs)
         sectors.append(SpecialSector(phi1=assignment, group=quotient(n3r, cx.d2.columns())))
     return SpecialCaseResult(
         pi1_factors=factors, sectors=sectors, action_is_trivial=trivial_action

@@ -4,17 +4,20 @@ A complex has exactly one (implicit) 0-cell, named 1-cells, 2-cells attached
 by reduced words in the 1-cells, and 3-cells attached by triad words: products
 of conjugated 2-cell generators that land in the intersection of the two
 canonical relative subgroups of the semidirect group F |x H.  Membership is
-checked on construction, so every held complex is valid.
+checked on construction, so every held complex is valid.  The Fox table
+and triad images that the twisted routes read are the complex's own, taken
+once on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .words import Alphabet, AlphabetError, Word
+from .words import Alphabet, AlphabetError, Word, collect, fox_derivative
 
 # An HWord is a freely reduced word in the generators (f, t) of the free
 # pre-crossed module: a tuple of (conjugator word, 2-cell name, sign).
@@ -174,6 +177,27 @@ class CWComplex:
             h.extend(conjugated)
         return Word.identity(self.alphabet), reduce_hword(h)
 
+    # -- Fox calculus ----------------------------------------------------------
+
+    @functools.cached_property
+    def fox(self) -> dict[tuple[str, str], dict[tuple[int, ...], int]]:
+        """The Fox derivative of each 2-cell's attaching word by each 1-cell,
+        keyed by (2-cell, 1-cell)."""
+        return {
+            (cell, gen): fox_derivative(word, gen)
+            for cell, word in self.two_cells
+            for gen in self.alphabet.names
+        }
+
+    @functools.cached_property
+    def triad_images(self) -> dict[str, dict[str, dict]]:
+        """The derivation image of each 3-cell's H-word, keyed by exponent
+        sums, by 3-cell name."""
+        return {
+            name: derivation_image(self, self.triad_normal_form(triad)[1], Word.exponent_sums)
+            for name, triad in self.three_cells
+        }
+
 
 def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     """Check that a triad word lies in H-bar as well as H.
@@ -199,6 +223,24 @@ def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     return TriadViolation(index=min(index, len(word) - 1), residual=residual)
 
 
+def derivation_image(M: CWComplex, w: HWord, proj: Callable[[Word], object]) -> dict[str, dict]:
+    """Abelianized image of an H-word in the free module Z[pi_1]^{2-cells}.
+
+    A letter (f, t, s) contributes s * proj(f) * e_t; the result maps each
+    2-cell name to a dict {label: coefficient}.  Conjugation by H-elements
+    and all Peiffer commutators die here, which is exactly what makes the
+    image a cellular chain.
+    """
+    names = M.two_cell_names()
+    for _, cell, _ in w:
+        if cell not in names:
+            raise ComplexError(f"unknown 2-cell {cell!r}")
+    return {
+        name: collect((proj(f), sign) for f, cell, sign in w if cell == name)
+        for name in names
+    }
+
+
 # -- catalog -------------------------------------------------------------------
 
 
@@ -206,35 +248,42 @@ def _t(alphabet: Alphabet, f: str, cell: str, sign: int) -> TriadLetter:
     return TriadLetter(alphabet.word(f), (), cell, sign)
 
 
+# The parameters of each catalog space, in order.
+CATALOG_PARAMS: dict[str, tuple[str, ...]] = {
+    "circle_wedge": ("n",), "genus_surface": ("g",), "torus_knot": ("p", "q"),
+    **dict.fromkeys(
+        ("sphere2", "torus2", "rp2", "klein_bottle", "s1_wedge_s2", "torus3", "s1_x_s2"), ()
+    ),
+}
+
+
 def catalog(name: str, **params) -> CWComplex:
     """Model spaces with their standard reduced CW structures.
 
     Names: circle_wedge(n), sphere2, torus2, rp2, genus_surface(g >= 1),
     torus_knot(p >= 1, q >= 1), klein_bottle (= torus_knot(2, 2)),
-    s1_wedge_s2, torus3, s1_x_s2.
+    s1_wedge_s2, torus3, s1_x_s2.  Parameters are ints, passed by keyword.
     """
+    if name not in CATALOG_PARAMS:
+        raise ComplexError(f"unknown catalog space {name!r}")
+    values = catalog_params(name, params, CATALOG_PARAMS[name])
     if name == "circle_wedge":
-        n = int(params.pop("n"))
-        _no_extra(name, params)
+        (n,) = values
         if n < 0:
             raise ComplexError("circle_wedge needs n >= 0")
         return CWComplex([f"a{i + 1}" for i in range(n)], [], name=f"circle_wedge({n})")
 
     if name == "sphere2":
-        _no_extra(name, params)
         return CWComplex([], [("t", "")], name="sphere2")
 
     if name == "torus2":
-        _no_extra(name, params)
         return CWComplex(["a", "b"], [("t", "a b a^-1 b^-1")], name="torus2")
 
     if name == "rp2":
-        _no_extra(name, params)
         return CWComplex(["a"], [("t", "a^2")], name="rp2")
 
     if name == "genus_surface":
-        g = int(params.pop("g"))
-        _no_extra(name, params)
+        (g,) = values
         if g < 1:
             raise ComplexError("genus_surface needs g >= 1")
         gens = []
@@ -246,8 +295,7 @@ def catalog(name: str, **params) -> CWComplex:
         return CWComplex(gens, [("t", relator)], name=f"genus_surface({g})")
 
     if name == "torus_knot":
-        p, q = int(params.pop("p")), int(params.pop("q"))
-        _no_extra(name, params)
+        p, q = values
         if p < 1 or q < 1:
             raise ComplexError("torus_knot needs p, q >= 1")
         return CWComplex(
@@ -255,17 +303,14 @@ def catalog(name: str, **params) -> CWComplex:
         )
 
     if name == "klein_bottle":
-        _no_extra(name, params)
         M = catalog("torus_knot", p=2, q=2)
         M.name = "klein_bottle"
         return M
 
     if name == "s1_wedge_s2":
-        _no_extra(name, params)
         return CWComplex(["a"], [("t", "")], name="s1_wedge_s2")
 
     if name == "torus3":
-        _no_extra(name, params)
         gens = ["a", "b", "c"]
         two = [
             ("t", "b c b^-1 c^-1"),
@@ -283,18 +328,28 @@ def catalog(name: str, **params) -> CWComplex:
         ]
         return CWComplex(gens, two, [("x", sigma3)], name="torus3")
 
-    if name == "s1_x_s2":
-        _no_extra(name, params)
-        alphabet = Alphabet(["a"])
-        sigma3 = [_t(alphabet, "", "t", 1), _t(alphabet, "a", "t", -1)]
-        return CWComplex(["a"], [("t", "")], [("x", sigma3)], name="s1_x_s2")
-
-    raise ComplexError(f"unknown catalog space {name!r}")
+    # s1_x_s2, the one name left
+    alphabet = Alphabet(["a"])
+    sigma3 = [_t(alphabet, "", "t", 1), _t(alphabet, "a", "t", -1)]
+    return CWComplex(["a"], [("t", "")], [("x", sigma3)], name="s1_x_s2")
 
 
-def _no_extra(name: str, params: dict) -> None:
-    if params:
-        raise ComplexError(f"unexpected parameters for {name}: {sorted(params)}")
+def catalog_params(
+    name: str, params: dict, names: Sequence[str] = (), error: type[Exception] = ComplexError
+) -> list[int]:
+    """The values of a catalog entry's parameters ``names``, in that order.
+    A missing, unexpected or non-int parameter (a bool is not an int) raises
+    ``error`` naming it and the expected ones."""
+    expected = f"(expected parameters: {', '.join(names) or 'none'})"
+    odd = sorted(set(names) ^ set(params))
+    if odd:
+        problem = "unexpected" if odd[0] in params else "missing"
+        raise error(f"{name}: {problem} parameter {odd[0]!r} {expected}")
+    for key in names:
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{name} parameter {key!r} must be an int, got {value!r} {expected}")
+    return [params[key] for key in names]
 
 
 # -- file format ----------------------------------------------------------------

@@ -450,6 +450,7 @@ class S2Classification:
     source: str
     layout: XSqHomLayout
     sectors: list[S2Sector]
+    space: str  # the cylinder preset used; not in the JSON
 
     def to_json(self) -> dict:
         return {
@@ -487,13 +488,13 @@ def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
     phi2 assignment with entries in [-sweep, sweep]."""
     if sweep < 0:
         raise Dim3Error(f"sweep must be >= 0, got {sweep}")
-    layout, _ = xsq_hom_lattice(M)
+    layout = XSqHomLayout(M.two_cell_names(), M.three_cell_names())
     preset = preset_for(M)
     out = []
     for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(layout.two_cells)):
         phi2 = dict(zip(layout.two_cells, combo))
         out.append(S2Sector(phi2=phi2, group=sector_group_s2(preset, phi2)))
-    return S2Classification(source=M.name or "complex", layout=layout, sectors=out)
+    return S2Classification(M.name or "complex", layout, out, preset.space)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Crossed modules: computable targets over abelian groups, finite crossed
-modules by tables, the derivation image of an H-word, Hoang data with the
-extension 3-cocycle, and the strict 2-group dictionary.
+modules by tables, Hoang data with the extension 3-cocycle, and the strict
+2-group dictionary.
 
 A crossed module is a homomorphism d: H -> G with a G-action on H such that
 d(^g h) = g d(h) g^-1 and ^d(h) h' = h h' h^-1.  Dropping the second
@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .complexes import CWComplex, HWord
+from .complexes import catalog_params
 from .fingrp import FiniteGroup
-from .words import Word, collect
 from .zlinalg import AbelianGroup, IntMatrix, json_int
 
 
@@ -79,10 +78,6 @@ class ModuleXMod:
                 out = out @ matrix**c
         return out
 
-    def boundary_of(self, v: Sequence[int]) -> tuple[int, ...]:
-        """G-coordinates of d(v) for v in Z^r."""
-        return self.boundary.apply(v)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -121,8 +116,10 @@ def _check_nonnegative(**fields: int) -> None:
 
 
 def target_catalog(name: str, **params) -> ModuleXMod:
-    """Built-in targets: rp2, sphere2, trivial(r, k)."""
+    """Built-in targets: rp2, sphere2, trivial(r, k = 0).  Parameters are
+    ints, passed by keyword."""
     if name == "rp2":
+        catalog_params(name, params, (), XModError)
         return ModuleXMod(
             free_rank=1,
             torsion=(),
@@ -132,6 +129,7 @@ def target_catalog(name: str, **params) -> ModuleXMod:
             name="rp2",
         )
     if name == "sphere2":
+        catalog_params(name, params, (), XModError)
         return ModuleXMod(
             free_rank=0,
             torsion=(),
@@ -141,10 +139,7 @@ def target_catalog(name: str, **params) -> ModuleXMod:
             name="sphere2",
         )
     if name == "trivial":
-        r = int(params.pop("r"))
-        k = int(params.pop("k", 0))
-        if params:
-            raise XModError(f"unexpected parameters: {sorted(params)}")
+        r, k = catalog_params(name, {"k": 0, **params}, ("r", "k"), XModError)
         _check_nonnegative(rank=r, free_rank=k)
         return ModuleXMod(
             free_rank=k,
@@ -308,31 +303,6 @@ def _validate_finite(x: FiniteCrossedModule) -> list[str]:
                     f"Peiffer condition fails at h={h1}, h'={h2}: ^d(h) h' != h h' h^-1"
                 )
     return out
-
-
-# ---------------------------------------------------------------------------
-# The derivation image
-# ---------------------------------------------------------------------------
-
-
-def derivation_image(
-    M: CWComplex, w: HWord, proj: Callable[[Word], object]
-) -> dict[str, dict]:
-    """Abelianized image of an H-word in the free module Z[pi_1]^{2-cells}.
-
-    A letter (f, t, s) contributes s * proj(f) * e_t; the result maps each
-    2-cell name to a dict {label: coefficient}.  Conjugation by H-elements
-    and all Peiffer commutators die here, which is exactly what makes the
-    image a cellular chain.
-    """
-    names = M.two_cell_names()
-    for _, cell, _ in w:
-        if cell not in names:
-            raise XModError(f"unknown 2-cell {cell!r}")
-    return {
-        name: collect((proj(f), sign) for f, cell, sign in w if cell == name)
-        for name in names
-    }
 
 
 # ---------------------------------------------------------------------------

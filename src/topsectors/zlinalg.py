@@ -514,37 +514,33 @@ class Lattice:
                         a - q * b for a, b in zip(self.rows[above], self.rows[i])
                     ]
 
+    def _eliminate(self, vector: Sequence[int]) -> tuple[list[int], list[int]]:
+        """``vector`` less the floor multiple of each basis row at its pivot,
+        row by row, and the multiples taken.  A row is zero left of its pivot."""
+        vec = [int(x) for x in vector]
+        if len(vec) != self.dim:
+            raise ValueError("vector length does not match lattice dimension")
+        quotients = []
+        for row, p in zip(self.rows, self._pivots):
+            q = vec[p] // row[p]
+            quotients.append(q)
+            if q:
+                for j in range(p, self.dim):
+                    vec[j] -= q * row[j]
+        return vec, quotients
+
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Canonical representative of ``vector`` modulo the lattice."""
-        vec = [int(x) for x in vector]
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match lattice dimension")
-        for row, p in zip(self.rows, self._pivots):
-            q = vec[p] // row[p]
-            if q:
-                for j in range(self.dim):
-                    vec[j] -= q * row[j]
-        return tuple(vec)
+        return tuple(self._eliminate(vector)[0])
 
     def __contains__(self, vector: Sequence[int]) -> bool:
-        return all(x == 0 for x in self.reduce(vector))
+        return not any(self._eliminate(vector)[0])
 
     def coords_in_basis(self, vector: Sequence[int]) -> Optional[Vector]:
-        """Write ``vector`` as an integer combination of the basis rows."""
-        vec = [int(x) for x in vector]
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match lattice dimension")
-        coords = []
-        for row, p in zip(self.rows, self._pivots):
-            if vec[p] % row[p]:
-                return None
-            q = vec[p] // row[p]
-            coords.append(q)
-            for j in range(self.dim):
-                vec[j] -= q * row[j]
-        if any(vec):
-            return None
-        return tuple(coords)
+        """Write ``vector`` as an integer combination of the basis rows; a
+        pivot entry its row does not divide leaves a nonzero remainder."""
+        rest, coords = self._eliminate(vector)
+        return None if any(rest) else tuple(coords)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

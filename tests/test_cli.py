@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from topsectors import classify2d
+from topsectors import classify2d, dim3
 from topsectors.cli import main
 from topsectors.complexes import CWComplex, catalog, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
@@ -152,6 +152,24 @@ class TestCrosscheck:
         )
         assert code == 0
         assert "all sectors match" in out
+
+    def test_sphere_preset_matched_once(self, capsys, monkeypatch):
+        # The cup table is keyed by the preset classify_s2 found, so M is
+        # matched against the presets once.
+        calls = []
+        real_preset_for = dim3.preset_for
+
+        def counted_preset_for(M):
+            calls.append(M)
+            return real_preset_for(M)
+
+        monkeypatch.setattr(dim3, "preset_for", counted_preset_for)
+        code, out, _ = run(
+            capsys, "crosscheck", "--source", "torus3", "--target", "sphere2", "--sweep", "1"
+        )
+        assert code == 0
+        assert "all sectors match" in out
+        assert len(calls) == 1
 
     def test_corrupted_cup_table_mismatch(self, capsys, tmp_path):
         bad = {

@@ -1,6 +1,6 @@
 import pytest
 
-from topsectors import cohomology
+from topsectors import complexes
 from topsectors.classify2d import TargetData, UnsupportedTargetError, classify_based, pi1_sectors
 from topsectors.cohomology import (
     CoefficientError,
@@ -140,6 +140,26 @@ class TestOracleEquivalence:
                 coeffs = CoefficientModule.for_target_sector(data, sector.phi1)
                 assert twisted_second_cohomology(M, coeffs) == sector.based_group
 
+    def test_one_fox_table_per_complex(self, monkeypatch):
+        # Route 1 and the oracle over all 16 sectors read the same table of
+        # the complex: one derivative per (2-cell, 1-cell), 4 in all.
+        derivatives = []
+        fox = complexes.fox_derivative
+
+        def counted_fox(word, gen):
+            derivatives.append((word, gen))
+            return fox(word, gen)
+
+        monkeypatch.setattr(complexes, "fox_derivative", counted_fox)
+        M = catalog("genus_surface", g=2)
+        data = TargetData(RP2)
+        res = classify_based(M, RP2)
+        assert len(res.sectors) == 16
+        for sector in res.sectors:
+            coeffs = CoefficientModule.for_target_sector(data, sector.phi1)
+            assert twisted_second_cohomology(M, coeffs) == sector.based_group
+        assert len(derivatives) == 4
+
 
 class TestSpecialCase:
     def test_lens_targets(self):
@@ -222,7 +242,7 @@ class TestSpecialCase:
     def test_action_and_derivatives_taken_once_per_call(self, monkeypatch):
         # One rho table and one set of Fox derivatives serve all 343 sectors.
         powers, derivatives = [], []
-        power, fox = IntMatrix.__pow__, cohomology.fox_derivative
+        power, fox = IntMatrix.__pow__, complexes.fox_derivative
 
         def counted_power(self, n):
             powers.append(n)
@@ -233,7 +253,7 @@ class TestSpecialCase:
             return fox(word, gen)
 
         monkeypatch.setattr(IntMatrix, "__pow__", counted_power)
-        monkeypatch.setattr(cohomology, "fox_derivative", counted_fox)
+        monkeypatch.setattr(complexes, "fox_derivative", counted_fox)
         res = special_case_classify(catalog("torus3"), [7], 1)
         assert len(res.sectors) == 343
         assert len(powers) <= 1

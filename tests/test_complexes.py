@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from topsectors import complexes
 from topsectors.complexes import (
     CWComplex,
     ComplexError,
@@ -81,6 +82,43 @@ class TestCatalog:
             catalog("torus_knot", p=0, q=2)
         with pytest.raises(ComplexError):
             catalog("nonsense")
+
+    @pytest.mark.parametrize(
+        "name, params, named",
+        [
+            ("genus_surface", {"g": 1.9}, "'g'"),
+            ("genus_surface", {"g": True}, "'g'"),
+            ("genus_surface", {"g": "3"}, "'g'"),
+            ("circle_wedge", {"n": 2.5}, "'n'"),
+            ("torus_knot", {"p": 2, "q": 3.0}, "'q'"),
+            ("genus_surface", {}, "'g'"),
+            ("torus_knot", {"p": 2}, "'q'"),
+            ("genus_surface", {"g": 2, "h": 1}, "'h'"),
+            ("torus2", {"g": 2}, "'g'"),
+        ],
+    )
+    def test_parameters_are_ints_and_exactly_the_expected_ones(self, name, params, named):
+        # A float, bool or string is refused rather than coerced, and a
+        # missing or extra parameter is a ComplexError, not a KeyError.
+        with pytest.raises(ComplexError, match=r"\(expected parameters: ") as err:
+            catalog(name, **params)
+        assert named in str(err.value)
+
+    def test_fox_table_and_triad_images_taken_once(self, monkeypatch):
+        calls = []
+        fox = complexes.fox_derivative
+
+        def counted(word, gen):
+            calls.append(gen)
+            return fox(word, gen)
+
+        monkeypatch.setattr(complexes, "fox_derivative", counted)
+        T = catalog("torus3")
+        assert T.fox is T.fox and T.triad_images is T.triad_images
+        assert len(calls) == 9
+        assert T.fox["t", "b"] == {(0, 0, 0): 1, (0, 0, 1): -1}
+        assert set(T.triad_images) == {"x"}
+        assert set(T.triad_images["x"]) == {"t", "u", "v"}
 
 
 class TestValidateTriad:

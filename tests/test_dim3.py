@@ -203,9 +203,10 @@ class TestCylinderPresets:
 
     def test_sweep_traffic(self, monkeypatch):
         # The preset is looked up once per call, and no sector re-derives a
-        # 3-cell's phi2 counts: only xsq_hom_lattice reads them.  The preset
-        # is built first, since its own checks read phi2_boundary once.
-        cylinder_preset("torus3")
+        # 3-cell's phi2 counts.  Every preset is built first, since
+        # preset_for may build one and its checks read phi2_boundary.
+        for space in ("s1_x_s2", "torus3"):
+            cylinder_preset(space)
         lookups, boundaries = [], []
         real_preset_for, real_boundary = dim3.preset_for, dim3.phi2_boundary
 
@@ -222,13 +223,23 @@ class TestCylinderPresets:
         M = catalog("torus3")
         classify_s2(M, sweep=3)
         assert len(lookups) <= 1
-        per_lattice = len(boundaries)
-        boundaries.clear()
-        dim3.xsq_hom_lattice(M)
-        assert per_lattice <= len(boundaries)
+        assert boundaries == []
 
 
 class TestClassifyS2:
+    def test_no_hom_lattice_solve(self, monkeypatch):
+        # The preset guarantees every phi2 is a homomorphism, so the layout
+        # comes from the cell names and the hom lattice is never solved.
+        def refuse(M):
+            raise AssertionError("xsq_hom_lattice called")
+
+        monkeypatch.setattr(dim3, "xsq_hom_lattice", refuse)
+        res = classify_s2(catalog("torus3"), sweep=1)
+        assert len(res.sectors) == 27
+        assert res.space == "torus3"
+        assert res.to_json()["two_cells"] == ["t", "u", "v"]
+        assert "space" not in res.to_json()
+
     def test_s1_x_s2_sector_groups(self):
         preset = cylinder_preset("s1_x_s2")
         for q in range(-5, 6):

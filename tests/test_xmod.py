@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from topsectors.complexes import catalog, reduce_hword
+from topsectors.complexes import catalog, derivation_image, reduce_hword
 from topsectors.fingrp import FiniteGroup, cyclic, direct_product, symmetric
 from topsectors.words import Word
 from topsectors.xmod import (
@@ -10,7 +10,6 @@ from topsectors.xmod import (
     ModuleXMod,
     XModError,
     crossed_modules_equal,
-    derivation_image,
     from_strict_2group,
     hoang_data,
     target_catalog,
@@ -64,6 +63,24 @@ class TestTargetCatalog:
         X = target_catalog("trivial", r=2, k=0)
         assert X.rank == 2 and X.num_g_generators == 0
         assert validate(X) == []
+
+    @pytest.mark.parametrize(
+        "name, params, named",
+        [
+            ("trivial", {"r": 2.7}, "'r'"),
+            ("trivial", {"r": True}, "'r'"),
+            ("trivial", {"r": "3"}, "'r'"),
+            ("trivial", {"r": 2, "k": 1.0}, "'k'"),
+            ("trivial", {}, "'r'"),
+            ("trivial", {"r": 2, "g": 1}, "'g'"),
+            ("rp2", {"r": 1}, "'r'"),
+            ("sphere2", {"k": 0}, "'k'"),
+        ],
+    )
+    def test_parameters_are_ints_and_exactly_the_expected_ones(self, name, params, named):
+        with pytest.raises(XModError, match=r"\(expected parameters: ") as err:
+            target_catalog(name, **params)
+        assert named in str(err.value)
 
     def test_json_round_trip(self):
         X = target_catalog("rp2")
