@@ -53,59 +53,62 @@ def _looks_like_path(spec: str) -> bool:
     return spec.endswith(".json") or os.sep in spec
 
 
+def _spec_ints(spec: str) -> list[int]:
+    """The comma-separated parameters after a spec's colon.  Each field is
+    ASCII decimal digits with an optional leading '-'; an empty field, as in
+    ``torus2:``, or any other text (underscores, spaces, '+') is refused,
+    not skipped or read."""
+    _, colon, tail = spec.partition(":")
+    fields = tail.split(",") if colon else []
+    for field in fields:
+        digits = field.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"non-integer parameter in {spec!r}")
+    return [int(field) for field in fields]
+
+
 def resolve_source(spec: str) -> CWComplex:
     if _looks_like_path(spec):
         try:
             return complexes.load(spec)
         except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read {spec}: {err}") from None
-    name, _, tail = spec.partition(":")
+    name = spec.partition(":")[0]
     if name not in complexes.CATALOG_PARAMS:
         raise InputError(f"unknown source {spec!r}")
     keys = complexes.CATALOG_PARAMS[name]
-    values = [v for v in tail.split(",") if v] if tail else []
+    values = _spec_ints(spec)
     if len(values) != len(keys):
         raise InputError(
             f"source {name} expects parameters {','.join(keys) or '(none)'}"
         )
-    try:
-        params = {k: int(v) for k, v in zip(keys, values)}
-    except ValueError:
-        raise InputError(f"non-integer parameter in {spec!r}") from None
-    return complexes.catalog(name, **params)
+    return complexes.catalog(name, **dict(zip(keys, values)))
 
 
 def resolve_target(spec: str):
     """Returns ('xmod', ModuleXMod) or ('special', (name, p, q))."""
     if _looks_like_path(spec):
         return "xmod", ModuleXMod.from_json(_read_object(spec), name=spec)
-    name, _, tail = spec.partition(":")
+    name, colon, _ = spec.partition(":")
     if name in ("rp2", "sphere2"):
-        if tail:
+        if colon:
             raise InputError(f"target {name} takes no parameters")
         return "xmod", xmod.target_catalog(name)
     if name == "trivial":
-        values = tail.split(",") if tail else []
+        values = _spec_ints(spec)
         if len(values) not in (1, 2):
             raise InputError("target trivial expects parameters r[,k]")
-        try:
-            r = int(values[0])
-            k = int(values[1]) if len(values) == 2 else 0
-        except ValueError:
-            raise InputError(f"non-integer parameter in {spec!r}") from None
+        r, k = (values + [0])[:2]
         return "xmod", xmod.target_catalog("trivial", r=r, k=k)
     if name == "so3":
-        if tail:
+        if colon:
             raise InputError("target so3 takes no parameters")
         return "special", ("so3", 2, 1)
     if name == "lens":
-        values = tail.split(",") if tail else []
+        values = _spec_ints(spec)
         if len(values) != 2:
             raise InputError("target lens expects parameters p,q")
-        try:
-            p, q = int(values[0]), int(values[1])
-        except ValueError:
-            raise InputError(f"non-integer parameter in {spec!r}") from None
+        p, q = values
         if p < 2 or q < 1:
             raise InputError("lens target needs p >= 2, q >= 1")
         return "special", (f"lens({p},{q})", p, q)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
-from .zlinalg import AbelianGroup, IntMatrix, quotient
+from .zlinalg import AbelianGroup, IntMatrix, json_int, quotient
 
 
 class CoefficientError(Exception):
@@ -196,7 +196,7 @@ def special_case_classify(
     """
     if not M.three_cells:
         raise ValueError("special_case_classify needs a complex with 3-cells")
-    factors = tuple(int(f) for f in pi1_factors)
+    factors = tuple(map(json_int, pi1_factors))
     if any(f < 2 for f in factors):
         raise ValueError("pi_1 invariant factors must be >= 2")
     matrices = (

@@ -13,6 +13,13 @@ and ``inverse_unimodular`` take U^-1 and V^-1, ``LatticeQuotient`` takes U
 and U^-1, and ``quotient`` takes none.  Which transforms are tracked never
 changes the order of the operations, so every result is the same whichever
 ones a caller asks for.
+
+``Lattice`` is the other reduction: its basis is the row Hermite normal
+form of its vectors, built in one sweep over the columns, with Euclid on
+the rows that are nonzero in each column.  A lattice has exactly one basis
+in that form, so the canonical coset representatives read from it, and
+every pinned output that prints them, depend neither on the algorithm nor
+on the order of the input vectors.
 """
 
 from __future__ import annotations
@@ -38,13 +45,23 @@ def json_int(x: object) -> int:
     return x
 
 
+def _int_row(values: Iterable[object]) -> Vector:
+    """``values`` as a tuple, refused by ``json_int``'s rule unless every
+    entry is an int.  A check, not a conversion: it is on the hot path."""
+    row = tuple(values)
+    for x in row:
+        if type(x) is not int:
+            json_int(x)
+    return row
+
+
 class IntMatrix:
     """An immutable integer matrix; supports empty shapes (0 x n, n x 0)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(map(_int_row, data))
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -366,7 +383,7 @@ class AbelianGroup:
         """Normalise any cyclic decomposition: Z_a x Z_b = Z_gcd x Z_lcm, so
         replacing each pair by its gcd and lcm leaves every factor dividing
         the next."""
-        factors = [abs(int(f)) for f in factors]
+        factors = [abs(json_int(f)) for f in factors]
         chain = [f for f in factors if f > 1]
         for i in range(len(chain)):
             for j in range(i + 1, len(chain)):
@@ -437,14 +454,39 @@ class Lattice:
     The basis rows have strictly increasing pivot columns, positive pivots,
     and entries above each pivot reduced into [0, pivot), so ``reduce``
     returns a unique canonical representative of each coset of the lattice.
+    The form is unique (Cohen, GTM 138, 2.4.3): any input order gives the
+    same rows.  They are built in one sweep over the columns: at column p,
+    the rows nonzero there reduce each other by Euclid until one is left;
+    made positive, it is the next basis row, and the earlier basis rows are
+    reduced into [0, pivot) at p.  The rows still to come are zero left of
+    p, so each step touches only columns >= p.
     """
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         self.dim = dim
         self.rows: list[list[int]] = []
         self._pivots: list[int] = []
-        for v in vectors:
-            self.add(v)
+        pending = [list(_int_row(v)) for v in vectors]
+        if any(len(row) != dim for row in pending):
+            raise ValueError("vector length does not match lattice dimension")
+        for p in range(dim):
+            active = [row for row in pending if row[p]]
+            pending = [row for row in pending if not row[p]]
+            while len(active) > 1:
+                pivot = min(active, key=lambda row: abs(row[p]))
+                for row in active:
+                    if row is not pivot:
+                        _reduce_row(row, pivot, p)
+                pending += [row for row in active if not row[p]]
+                active = [row for row in active if row[p]]
+            if active:
+                pivot = active[0]
+                if pivot[p] < 0:
+                    pivot[p:] = [-x for x in pivot[p:]]
+                for row in self.rows:
+                    _reduce_row(row, pivot, p)
+                self.rows.append(pivot)
+                self._pivots.append(p)
 
     @property
     def rank(self) -> int:
@@ -453,81 +495,13 @@ class Lattice:
     def basis(self) -> list[Vector]:
         return [tuple(r) for r in self.rows]
 
-    def _pivot_of(self, row: Sequence[int]) -> int:
-        for j, x in enumerate(row):
-            if x:
-                return j
-        return self.dim
-
-    def add(self, vector: Sequence[int]) -> None:
-        vec = [int(x) for x in vector]
-        if len(vec) != self.dim:
-            raise ValueError("vector length does not match lattice dimension")
-        changed = False
-        while True:
-            p = self._pivot_of(vec)
-            if p == self.dim:
-                break
-            if p in self._pivots:
-                i = self._pivots.index(p)
-                row = self.rows[i]
-                a, b = row[p], vec[p]
-                if b % a == 0:
-                    q = b // a
-                    for j in range(self.dim):
-                        vec[j] -= q * row[j]
-                else:
-                    # Replace the pivot row by the gcd combination and keep
-                    # eliminating with the remainder.
-                    x, y, g = _xgcd(a, b)
-                    new_row = [x * row[j] + y * vec[j] for j in range(self.dim)]
-                    rem = [(-(b // g)) * row[j] + (a // g) * vec[j] for j in range(self.dim)]
-                    self.rows[i] = new_row
-                    vec = rem
-                    changed = True
-            else:
-                where = 0
-                while where < len(self._pivots) and self._pivots[where] < p:
-                    where += 1
-                self.rows.insert(where, vec)
-                self._pivots.insert(where, p)
-                changed = True
-                break
-        if changed:
-            self._normalize()
-
-    def _normalize(self) -> None:
-        # Positive pivots, entries above pivots reduced mod the pivot.
-        # Pivots are processed left to right: reducing at pivot i only
-        # touches columns >= that pivot, so earlier columns stay reduced
-        # and later ones are fixed by subsequent passes.
-        for i, p in enumerate(self._pivots):
-            if self.rows[i][p] < 0:
-                self.rows[i] = [-x for x in self.rows[i]]
-        for i in range(len(self.rows)):
-            p = self._pivots[i]
-            piv = self.rows[i][p]
-            for above in range(i):
-                q = self.rows[above][p] // piv
-                if q:
-                    self.rows[above] = [
-                        a - q * b for a, b in zip(self.rows[above], self.rows[i])
-                    ]
-
     def _eliminate(self, vector: Sequence[int]) -> tuple[list[int], list[int]]:
         """``vector`` less the floor multiple of each basis row at its pivot,
         row by row, and the multiples taken.  A row is zero left of its pivot."""
-        vec = [int(x) for x in vector]
+        vec = list(_int_row(vector))
         if len(vec) != self.dim:
             raise ValueError("vector length does not match lattice dimension")
-        quotients = []
-        for row, p in zip(self.rows, self._pivots):
-            q = vec[p] // row[p]
-            quotients.append(q)
-            if q:
-                for j in range(p, self.dim):
-                    vec[j] -= q * row[j]
-        return vec, quotients
+        return vec, [_reduce_row(vec, row, p) for row, p in zip(self.rows, self._pivots)]
 
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Canonical representative of ``vector`` modulo the lattice."""
@@ -543,19 +517,14 @@ class Lattice:
         return None if any(rest) else tuple(coords)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """x, y, g with x*a + y*b == g == gcd(a, b)."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+def _reduce_row(row: list[int], pivot: Sequence[int], p: int) -> int:
+    """Take the floor multiple q of ``pivot`` at column p off ``row``, in
+    place, and return q.  Both are zero left of p, so only columns >= p move."""
+    q = row[p] // pivot[p]
+    if q:
+        for j in range(p, len(row)):
+            row[j] -= q * pivot[j]
+    return q
 
 
 @dataclass(frozen=True)
@@ -568,12 +537,12 @@ class AffineLattice:
 
     @staticmethod
     def from_solution(particular: Sequence[int], kernel: Iterable[Sequence[int]]) -> "AffineLattice":
-        particular = tuple(int(x) for x in particular)
+        particular = _int_row(particular)
         lat = Lattice(len(particular), kernel)
         return AffineLattice(len(particular), particular, lat)
 
     def __contains__(self, vector: Sequence[int]) -> bool:
-        diff = tuple(int(a) - b for a, b in zip(vector, self.particular))
+        diff = tuple(a - b for a, b in zip(vector, self.particular))
         return diff in self.directions
 
 
@@ -587,7 +556,7 @@ class LatticeQuotient:
 
     def __init__(self, ambient: AffineLattice, sublattice_generators: Iterable[Sequence[int]]):
         self.ambient = ambient
-        subgens = [tuple(int(x) for x in g) for g in sublattice_generators]
+        subgens = [_int_row(g) for g in sublattice_generators]
         coord_cols = []
         for g in subgens:
             coords = ambient.directions.coords_in_basis(g)
@@ -632,12 +601,12 @@ class LatticeQuotient:
 
     def same_class(self, v1: Sequence[int], v2: Sequence[int]) -> bool:
         """Do two solution vectors lie in the same coset of the sublattice?"""
-        diff = tuple(int(a) - int(b) for a, b in zip(v1, v2))
+        diff = tuple(a - b for a, b in zip(v1, v2))
         return diff in self.sub_lattice
 
     def class_coords(self, vector: Sequence[int]) -> Vector:
         """Coordinates of the coset of ``vector`` over the quotient generators."""
-        diff = tuple(int(a) - b for a, b in zip(vector, self.ambient.particular))
+        diff = tuple(a - b for a, b in zip(vector, self.ambient.particular))
         coords = self.ambient.directions.coords_in_basis(diff)
         if coords is None:
             raise ValueError("vector does not lie in the solution lattice")

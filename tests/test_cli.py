@@ -629,6 +629,35 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run(capsys, *argv) == expected
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--source", "genus_surface:2,"],
+            ["report", "--source", "torus_knot:2,,3"],
+            ["report", "--source", "genus_surface:1_0"],
+            ["report", "--source", "genus_surface: 2"],
+            ["report", "--source", "torus2:"],
+            ["report", "--source", "genus_surface:\u0662"],
+            ["classify", "--source", "torus3", "--target", "lens:1_1,1"],
+            ["classify", "--source", "torus3", "--target", "lens:+7,1"],
+            ["classify", "--source", "torus2", "--target", "trivial:1_0"],
+            ["classify", "--source", "torus2", "--target", "trivial:2,"],
+        ],
+        ids=lambda argv: argv[-1],
+    )
+    def test_malformed_catalog_parameter(self, capsys, argv):
+        # Every field is ASCII digits with an optional '-': an empty field is
+        # not skipped, and int()'s underscores, spaces and '+' are refused.
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: non-integer parameter in {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("target", ["rp2:", "sphere2:", "so3:"])
+    def test_colon_on_a_target_without_parameters(self, capsys, target):
+        code, out, err = run(capsys, "classify", "--source", "torus3", "--target", target)
+        assert code == 1 and out == ""
+        assert err == f"error: target {target[:-1]} takes no parameters\n"
+
     @pytest.mark.parametrize("out", [".", "missing/dir/x.txt"])
     def test_unwritable_out_is_input_error(self, capsys, tmp_path, out):
         path = tmp_path / out
@@ -705,6 +734,34 @@ PINNED_Z4_OUTPUTS = [
 def test_pinned_z4_output(capsys, monkeypatch, tmp_path, command, digest):
     (tmp_path / "z4.json").write_text(json.dumps(Z4_ROTATION_TARGET))
     monkeypatch.chdir(tmp_path)  # the target's name in the output is its path
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Z_2 x Z_2 acting on Z^2 by a swap and by -1 with zero boundary: two
+# torsion generators, so torsion-shift and lift columns both enter the
+# lattices.  sha256 of stdout, recorded before the one-sweep Hermite form.
+Z2Z2_SWAP_NEG_TARGET = {
+    "G": {"free_rank": 0, "torsion": [2, 2]},
+    "rank": 2,
+    "action": [[[0, 1], [1, 0]], [[-1, 0], [0, -1]]],
+    "boundary": [[0, 0], [0, 0]],
+}
+PINNED_Z2Z2_OUTPUTS = [
+    ("classify --source torus2 --target z2z2.json --free --format json",
+     "3d946d4a10bfc0cfc2287bfafda96bd975666a35d997ecc0ef0ac152ae1b90d0"),
+    ("crosscheck --source klein_bottle --target z2z2.json",
+     "868dda413dcc8d8143e0daadd2608a6c294cdd41c16531b51913efb465dcc137"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,digest", PINNED_Z2Z2_OUTPUTS, ids=[c for c, _ in PINNED_Z2Z2_OUTPUTS]
+)
+def test_pinned_z2z2_output(capsys, monkeypatch, tmp_path, command, digest):
+    (tmp_path / "z2z2.json").write_text(json.dumps(Z2Z2_SWAP_NEG_TARGET))
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

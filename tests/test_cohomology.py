@@ -214,6 +214,10 @@ class TestSpecialCase:
         with pytest.raises(ValueError):
             special_case_classify(catalog("torus2"), [2], 1)
 
+    def test_non_integer_factor_rejected(self):
+        with pytest.raises(ValueError, match="expected an integer"):
+            special_case_classify(catalog("torus3"), [2.9], 1)
+
     def test_bad_action_rejected(self):
         T = catalog("torus3")
         for factors, action in (

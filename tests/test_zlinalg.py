@@ -166,6 +166,21 @@ def test_negative_size_is_refused(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix([[1.5, "7"], [True, 2]]),
+        lambda: Lattice(2, [(2.9, 0)]),
+        lambda: quotient(1, [(2.5,)]),
+    ],
+    ids=["IntMatrix", "Lattice", "quotient"],
+)
+def test_non_integer_entries_are_refused(build):
+    # Floats, bools and strings are refused, as in json_int, not truncated.
+    with pytest.raises(ValueError, match="expected an integer"):
+        build()
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         dec = check_snf(IntMatrix.identity(2))
@@ -428,9 +443,8 @@ class TestLattice:
         rng = random.Random(29)
         for _ in range(50):
             dim = rng.randrange(1, 5)
-            lat = Lattice(dim)
-            for _ in range(rng.randrange(4)):
-                lat.add([rng.randint(-6, 6) for _ in range(dim)])
+            vectors = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(rng.randrange(4))]
+            lat = Lattice(dim, vectors)
             v = [rng.randint(-10, 10) for _ in range(dim)]
             r = lat.reduce(v)
             assert tuple(a - b for a, b in zip(v, r)) in lat
@@ -448,6 +462,32 @@ class TestLattice:
         coords = lat.coords_in_basis(v)
         assert coords == (2, -1)
         assert lat.coords_in_basis((1, 1, 1)) is None
+
+    def test_hermite_form_of_random_inputs(self):
+        # The basis is the unique row Hermite normal form of the span: pivots
+        # strictly increase and are positive, entries above a pivot lie in
+        # [0, pivot), and the rows span exactly the inputs.
+        rng = random.Random(41)
+        for _ in range(300):
+            dim = rng.randrange(1, 6)
+            vectors = [
+                tuple(rng.randint(-20, 20) for _ in range(dim))
+                for _ in range(rng.randrange(7))
+            ]
+            if vectors and rng.random() < 0.3:
+                vectors.append(tuple(2 * a - 3 * b for a, b in zip(vectors[0], vectors[-1])))
+            lat = Lattice(dim, vectors)
+            basis = lat.basis()
+            pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+            assert pivots == sorted(set(pivots))
+            for i, (row, p) in enumerate(zip(basis, pivots)):
+                assert row[p] > 0
+                assert all(0 <= above[p] < row[p] for above in basis[:i])
+            assert all(v in lat for v in vectors)
+            A = IntMatrix.from_columns(vectors, height=dim)
+            assert all(solve(A, row) is not None for row in basis)
+            rng.shuffle(vectors)
+            assert Lattice(dim, vectors).basis() == basis
 
 
 class TestLatticeQuotient:
