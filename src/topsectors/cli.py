@@ -233,7 +233,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         except OSError as err:
             raise InputError(f"cannot write {out}: {err}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # A reader that stops early, like ``head``, ends the output, not
+            # the run; stdout goes to devnull so the flush at exit stays quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +378,7 @@ def cmd_validate(args) -> int:
     obj = _read_object(args.path)
     if "generators" in obj:
         M = complexes.loads(json.dumps(obj))
-        print(f"ok: complex with cells {M.cell_counts()}")
+        _emit(f"ok: complex with cells {M.cell_counts()}", None)
         return EXIT_OK
     if "H_table" in obj:
         x = xmod.FiniteCrossedModule.from_json(obj)
@@ -384,10 +389,9 @@ def cmd_validate(args) -> int:
     else:
         raise InputError("unrecognized file: expected a complex, target, or crossed module")
     if violations:
-        for v in violations:
-            print(f"violation: {v}")
+        _emit("\n".join(f"violation: {v}" for v in violations), None)
         return EXIT_INPUT
-    print("ok")
+    _emit("ok", None)
     return EXIT_OK
 
 

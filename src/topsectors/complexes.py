@@ -363,16 +363,18 @@ _H_KEYS = {"f", "cell", "sign"}
 def _triad_letter_from_json(alphabet: Alphabet, obj: dict) -> TriadLetter:
     _check_keys(obj, _TRIAD_KEYS, "triad letter")
     h_letters = []
-    for h in obj.get("h", []):
+    for h in _field(obj, "h", list, "triad letter", []):
         _check_keys(h, _H_KEYS, "h letter")
-        h_letters.append(
-            (alphabet.word(h.get("f", "")), str(h["cell"]), int(h["sign"]))
-        )
+        h_letters.append((
+            alphabet.word(_field(h, "f", str, "h letter", "")),
+            _field(h, "cell", str, "h letter"),
+            _field(h, "sign", int, "h letter"),
+        ))
     return TriadLetter(
-        conj_f=alphabet.word(obj.get("f", "")),
+        conj_f=alphabet.word(_field(obj, "f", str, "triad letter", "")),
         conj_h=tuple(h_letters),
-        cell=str(obj["cell"]),
-        sign=int(obj["sign"]),
+        cell=_field(obj, "cell", str, "triad letter"),
+        sign=_field(obj, "sign", int, "triad letter"),
     )
 
 
@@ -382,6 +384,23 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ComplexError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+_REQUIRED = object()
+_KIND_NAMES = {list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str, default: object = _REQUIRED):
+    """``obj[key]``, or ``default`` when the key is absent and a default is
+    given, refused unless its type is exactly ``kind`` (a list, a string, or
+    an int by ``json_int``'s rule: a bool or a float is not one)."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ComplexError(f"missing key {key!r}")
+        return default
+    if type(obj[key]) is not kind:
+        raise ComplexError(f"{where} {key!r} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
+    return obj[key]
 
 
 def digit_limit_message(where: str) -> str:
@@ -399,21 +418,23 @@ def loads(text: str) -> CWComplex:
     except ValueError:  # an integer over Python's digit limit
         raise ComplexError(f"parse error: {digit_limit_message('the source file')}") from None
     _check_keys(obj, _TOP_KEYS, "complex")
-    try:
-        generators = [str(g) for g in obj.get("generators", [])]
-        alphabet = Alphabet(generators)
-        two = []
-        for c in obj.get("two_cells", []):
-            _check_keys(c, _TWO_KEYS, "two_cell")
-            two.append((str(c["name"]), alphabet.word(str(c.get("attach", "")))))
-        three = []
-        for c in obj.get("three_cells", []):
-            _check_keys(c, {"name", "attach"}, "three_cell")
-            letters = [_triad_letter_from_json(alphabet, l) for l in c["attach"]]
-            three.append((str(c["name"]), letters))
-    except KeyError as err:
-        raise ComplexError(f"missing key {err.args[0]!r}") from None
-    return CWComplex(generators, two, three, name=obj.get("name"))
+    generators = _field(obj, "generators", list, "complex", [])
+    if bad := [g for g in generators if type(g) is not str]:
+        raise ComplexError(f"complex 'generators' must list strings, got {bad[0]!r}")
+    alphabet = Alphabet(generators)
+    two = []
+    for c in _field(obj, "two_cells", list, "complex", []):
+        _check_keys(c, _TWO_KEYS, "two_cell")
+        attach = _field(c, "attach", str, "two_cell", "")
+        two.append((_field(c, "name", str, "two_cell"), alphabet.word(attach)))
+    three = []
+    for c in _field(obj, "three_cells", list, "complex", []):
+        _check_keys(c, {"name", "attach"}, "three_cell")
+        letters = [
+            _triad_letter_from_json(alphabet, l) for l in _field(c, "attach", list, "three_cell")
+        ]
+        three.append((_field(c, "name", str, "three_cell"), letters))
+    return CWComplex(generators, two, three, name=_field(obj, "name", str, "complex", None))
 
 
 def load(path: str) -> CWComplex:

@@ -6,11 +6,12 @@ calculus to integer bilinear algebra: a formal word in tensor and conjugated
 3-cell letters evaluates to an integer once every cell carries a value, and
 homotopy of homomorphisms becomes a linear Diophantine system over the
 cylinder cells.  The boundary word of the cylinder's 4-cell is per-space
-preset data, and each of its tensor letters has a factor made only of
-interval 2-cells, so the relation is linear in phi2: a preset walks it at
-phi2 = 0 and at each unit vector into integer rows, and every sector reads
-its relation off those rows.  The Pontrjagin cup-product route provides an
-independent check.
+preset data.  Each of its tensor letters pairs a factor of interval 2-cells
+with a factor of end copies, so the relation is linear in phi2: a preset
+reads it once, straight off the word, into an integer row at phi2 = 0 and a
+slope row per base 2-cell, and refuses any letter that is not linear in
+phi2.  Every sector reads its relation off those rows.  The Pontrjagin
+cup-product route provides an independent check.
 """
 
 from __future__ import annotations
@@ -57,78 +58,34 @@ class TensorLetter:
 FormalLWord = tuple[TensorLetter | TriadLetter, ...]
 
 
-class LinForm:
-    """An affine integer form over named unknowns; products are allowed only
-    when one factor is constant (all preset data stays bilinear in constants)."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const: int = 0, coeffs: Mapping[str, int] | None = None):
-        self.const = int(const)
-        self.coeffs = {k: int(v) for k, v in (coeffs or {}).items() if v}
-
-    @staticmethod
-    def symbol(name: str) -> "LinForm":
-        return LinForm(0, {name: 1})
-
-    @staticmethod
-    def lift(value: "LinForm | int") -> "LinForm":
-        return value if isinstance(value, LinForm) else LinForm(value)
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LinForm | int") -> "LinForm":
-        other = LinForm.lift(other)
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, 0) + v
-        return LinForm(self.const + other.const, coeffs)
-
-    def __mul__(self, other: "LinForm | int") -> "LinForm":
-        other = LinForm.lift(other)
-        if not self.is_constant and not other.is_constant:
-            raise Dim3Error("nonlinear product of two unknown-bearing values")
-        if self.is_constant:
-            scalar, form = self.const, other
-        else:
-            scalar, form = other.const, self
-        return LinForm(scalar * form.const, {k: scalar * v for k, v in form.coeffs.items()})
-
-    def scaled(self, n: int) -> "LinForm":
-        return LinForm(n * self.const, {k: n * v for k, v in self.coeffs.items()})
-
-
-def _phi2_of_hword(word: HWord, values: Mapping[str, "LinForm | int"]) -> LinForm:
+def _phi2_of_hword(word: HWord, values: Mapping[str, int]) -> int:
     """Signed sum of cell values over an H-word; conjugators drop because the
     target group acts trivially."""
-    out = LinForm(0)
+    total = 0
     for _, cell, sign in word:
         if cell not in values:
             raise Dim3Error(f"no value assigned to cell {cell!r}")
-        out = out + LinForm.lift(values[cell]).scaled(sign)
-    return out
+        total += sign * values[cell]
+    return total
 
 
-def evaluate_L(word: FormalLWord, values: Mapping[str, "LinForm | int"]) -> "LinForm | int":
+def evaluate_L(word: FormalLWord, values: Mapping[str, int]) -> int:
     """Image of a formal triad-group word in pi_3 S^2 = Z.
 
     Tensor letters multiply the signed phi2 sums of their two factors; a
     conjugated 3-cell letter contributes its own value, conjugators dropping
-    since the target action is trivial.  Returns an int when every referenced
-    value is an int.
+    since the target action is trivial.
     """
-    total = LinForm(0)
+    total = 0
     for letter in word:
         if isinstance(letter, TensorLetter):
             term = _phi2_of_hword(letter.h, values) * _phi2_of_hword(letter.k, values)
         else:
             if letter.cell not in values:
                 raise Dim3Error(f"no value assigned to cell {letter.cell!r}")
-            term = LinForm.lift(values[letter.cell])
-        total = total + term.scaled(letter.sign)
-    return total.const if total.is_constant else total
+            term = values[letter.cell]
+        total += letter.sign * term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +143,10 @@ class CylinderPreset:
 
     Cell values on the cylinder: both end copies of a base 2-cell carry its
     phi2 value, the 0-end copy of a base 3-cell x carries 0 and the 1-end
-    copy the unknown delta_x, and every interval cell is an unknown.
+    copy the unknown delta_x, and every interval cell is an unknown.  Each
+    preset reads its 4-cell words once, on construction, into integer rows
+    over ``columns`` that are linear in phi2, and refuses a letter that is
+    not.
     """
 
     space: str
@@ -199,11 +159,11 @@ class CylinderPreset:
 
     def __post_init__(self):
         self._check_phi2_rigidity()
-        self._check_linear_in_phi2()
         # No base 3-cell constrains phi2, so every phi2 assignment is a sector.
         for name, triad in self.base.three_cells:
             if counts := phi2_boundary(self.base, triad):
                 raise Dim3Error(f"base 3-cell {name} constrains phi2: {counts}")
+        self._rows = [self._read_relation(f"{name}I") for name in self.base.three_cell_names()]
 
     def _check_phi2_rigidity(self) -> None:
         """Every interval 3-cell must force the two phi2 end values of one
@@ -224,61 +184,56 @@ class CylinderPreset:
         if pinned != set(self.end_cell_pairs):
             raise Dim3Error("interval 3-cells do not pin every base 2-cell")
 
-    def _check_linear_in_phi2(self) -> None:
-        """Every 4-cell letter is a cylinder 3-cell or a tensor letter with a
-        factor made only of interval 2-cells.  So each relation is linear in
-        phi2 with no constant term, which ``relations`` relies on."""
-        three_cells = set(self.cylinder.three_cell_names())
-        for name, word in self.boundary4.items():
-            for letter in word:
-                if isinstance(letter, TensorLetter):
-                    factors = (letter.h, letter.k)
-                    ok = any(all(c in self.i_two_cells for _, c, _ in f) for f in factors)
-                else:
-                    ok = letter.cell in three_cells
-                if not ok:
-                    raise Dim3Error(f"4-cell {name} has a letter not linear in phi2: {letter}")
-
     @property
     def columns(self) -> tuple[str, ...]:
         """The unknowns: the interval cells, then the 1-end copy of each base 3-cell."""
         ends = tuple(f"{name}1" for name in self.base.three_cell_names())
         return self.i_two_cells + self.i_three_cells + ends
 
-    def walk(self, phi2: Mapping[str, int]) -> list[list[int]]:
-        """The relation of each interval 4-cell (one per base 3-cell) at one
-        phi2 assignment, read off its boundary word as a row over ``columns``."""
-        columns = self.columns
-        values: dict[str, LinForm | int] = {c: LinForm.symbol(c) for c in columns}
-        for base, (end0, end1) in self.end_cell_pairs.items():
-            values[end0] = values[end1] = phi2[base]
-        names = self.base.three_cell_names()
-        values.update((f"{name}0", 0) for name in names)
-        forms = [LinForm.lift(evaluate_L(self.boundary4[f"{name}I"], values)) for name in names]
-        return [[form.coeffs.get(c, 0) for c in columns] for form in forms]
+    def _read_relation(self, name: str) -> tuple[list[int], dict[str, list[int]]]:
+        """The relation of the interval 4-cell ``name`` over ``columns``: its
+        row at phi2 = 0 and its slope along each base 2-cell.
 
-    @functools.cached_property
-    def _walks(self) -> tuple[list[list[int]], dict[str, list[list[int]]]]:
-        """The relation rows at phi2 = 0 and their slope along each base
-        2-cell: 1 + n walks for n base 2-cells."""
-        cells = list(self.end_cell_pairs)
-        zero = self.walk(dict.fromkeys(cells, 0))
-        slopes = {}
-        for cell in cells:
-            unit = self.walk({c: int(c == cell) for c in cells})
-            slopes[cell] = [[u - z for u, z in zip(ur, zr)] for ur, zr in zip(unit, zero)]
-        return zero, slopes
+        A cylinder 3-cell letter adds its sign at its column; the 0-end copy
+        of a base 3-cell carries 0.  A tensor letter must pair a factor of
+        interval 2-cells with a factor of end copies, in either order: each
+        interval cell (sign s) and end copy (sign t) add sign * s * t at the
+        interval cell's column of the slope along the end's base 2-cell.  Any
+        other letter makes the relation not linear in phi2.
+        """
+        index = {c: j for j, c in enumerate(self.columns)}
+        base_of = {end: base for base, ends in self.end_cell_pairs.items() for end in ends}
+        three_cells = set(self.cylinder.three_cell_names())
+        row = [0] * len(index)
+        slopes = {base: [0] * len(index) for base in self.end_cell_pairs}
+        for letter in self.boundary4[name]:
+            if isinstance(letter, TriadLetter):
+                linear = letter.cell in three_cells
+                if letter.cell in index:
+                    row[index[letter.cell]] += letter.sign
+            else:
+                linear = False
+                for interval, ends in ((letter.h, letter.k), (letter.k, letter.h)):
+                    if all(c in self.i_two_cells for _, c, _ in interval) and all(
+                        c in base_of for _, c, _ in ends
+                    ):
+                        for (_, cell, s), (_, end, t) in itertools.product(interval, ends):
+                            slopes[base_of[end]][index[cell]] += letter.sign * s * t
+                        linear = True
+                        break
+            if not linear:
+                raise Dim3Error(f"4-cell {name} has a letter not linear in phi2: {letter}")
+        return row, slopes
 
     def relations(self, phi2: Mapping[str, int]) -> list[list[int]]:
-        """The 4-cell relation rows at phi2, f(0) + sum_i phi2_i (f(e_i) - f(0)):
-        equal to ``walk(phi2)`` since each relation is linear in phi2."""
-        zero, slopes = self._walks
+        """The 4-cell relation rows at phi2: each row at phi2 = 0 plus
+        phi2_i times its slope along each base 2-cell i."""
         return [
             [
-                z + sum(phi2[cell] * slope[i][j] for cell, slope in slopes.items())
+                z + sum(phi2[cell] * slope[j] for cell, slope in slopes.items())
                 for j, z in enumerate(row)
             ]
-            for i, row in enumerate(zero)
+            for row, slopes in self._rows
         ]
 
 
@@ -289,20 +244,18 @@ def _relabel(word: Word, target: Alphabet, suffix: str) -> Word:
 def _relabel_triad(
     letters: Sequence[TriadLetter], target: Alphabet, suffix: str
 ) -> list[TriadLetter]:
-    out = []
-    for letter in letters:
-        out.append(
-            TriadLetter(
-                conj_f=_relabel(letter.conj_f, target, suffix),
-                conj_h=tuple(
-                    (_relabel(f, target, suffix), f"{cell}{suffix}", sign)
-                    for f, cell, sign in letter.conj_h
-                ),
-                cell=f"{letter.cell}{suffix}",
-                sign=letter.sign,
-            )
+    return [
+        TriadLetter(
+            conj_f=_relabel(letter.conj_f, target, suffix),
+            conj_h=tuple(
+                (_relabel(f, target, suffix), f"{cell}{suffix}", sign)
+                for f, cell, sign in letter.conj_h
+            ),
+            cell=f"{letter.cell}{suffix}",
+            sign=letter.sign,
         )
-    return out
+        for letter in letters
+    ]
 
 
 @functools.lru_cache(maxsize=None)

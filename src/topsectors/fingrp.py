@@ -19,12 +19,12 @@ class GroupTableError(Exception):
 
 class FiniteGroup:
     def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         n = len(self.table)
         if any(len(row) != n for row in self.table):
             raise GroupTableError("multiplication table must be square")
-        if any(not (0 <= x < n) for row in self.table for x in row):
-            raise GroupTableError("table entries out of range")
+        if any(type(x) is not int or not (0 <= x < n) for row in self.table for x in row):
+            raise GroupTableError(f"table entries must be integers in 0..{n - 1}")
         if n == 0:
             raise GroupTableError("empty group")
         if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):

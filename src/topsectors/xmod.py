@@ -96,6 +96,10 @@ class ModuleXMod:
             raise XModError(f"unknown keys in target file: {sorted(unknown)}")
         try:
             g = obj["G"]
+            if not isinstance(g, dict):
+                raise XModError(f"malformed target file: G must be an object, got {g!r}")
+            if unknown := set(g) - {"free_rank", "torsion"}:
+                raise XModError(f"unknown keys in target file G: {sorted(unknown)}")
             free_rank = json_int(g.get("free_rank", 0))
             torsion = tuple(json_int(t) for t in g.get("torsion", []))
             rank = json_int(obj["rank"])
@@ -189,15 +193,27 @@ class FiniteCrossedModule:
         unknown = set(obj) - allowed
         if unknown:
             raise XModError(f"unknown keys in crossed module file: {sorted(unknown)}")
-        try:
-            return FiniteCrossedModule(
-                H=FiniteGroup(obj["H_table"]),
-                G=FiniteGroup(obj["G_table"]),
-                boundary=tuple(obj["boundary"]),
-                action=tuple(tuple(r) for r in obj["action"]),
-            )
-        except KeyError as err:
-            raise XModError(f"missing key {err.args[0]!r}") from None
+        if missing := sorted(allowed - set(obj)):
+            raise XModError(f"missing key {missing[0]!r}")
+        H = FiniteGroup(_index_rows(obj["H_table"], "H_table"))
+        G = FiniteGroup(_index_rows(obj["G_table"], "G_table"))
+        (boundary,) = _index_rows([obj["boundary"]], "boundary", len(G))
+        return FiniteCrossedModule(H, G, boundary, _index_rows(obj["action"], "action", len(H)))
+
+
+def _index_rows(rows: object, field_name: str, n: int | None = None) -> list[tuple[int, ...]]:
+    """JSON lists of element indices, ints by ``json_int``'s rule in
+    0..n-1; n is the number of rows for a multiplication table."""
+    if type(rows) is not list or any(type(row) is not list for row in rows):
+        raise XModError(f"{field_name} must hold lists of element indices")
+    n = len(rows) if n is None else n
+    try:
+        out = [tuple(json_int(x) for x in row) for row in rows]
+    except ValueError as err:
+        raise XModError(f"{field_name}: {err}") from None
+    if any(not 0 <= x < n for row in out for x in row):
+        raise XModError(f"{field_name} entries must lie in 0..{n - 1}")
+    return out
 
 
 # ---------------------------------------------------------------------------

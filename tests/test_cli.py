@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topsectors import classify2d, dim3
 from topsectors.cli import main
@@ -434,6 +437,125 @@ class TestNonIntegerFiles:
         assert err.startswith("error: malformed cup file")
 
 
+def _edited(obj, path, value):
+    """A deep copy of a JSON value with the subtree at ``path`` replaced."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+TORUS3_FILE = json.loads(saves(catalog("torus3")))
+LETTER = ("three_cells", 0, "attach", 0)
+Z2_MODULE_FILE = {
+    "H_table": [[0, 1], [1, 0]],
+    "G_table": [[0, 1], [1, 0]],
+    "boundary": [0, 0],
+    "action": [[0, 1], [0, 1]],
+}
+
+
+class TestMalformedFields:
+    """A field of the wrong type or out of range is an input error naming
+    the field, never a traceback, a silent conversion or an echo."""
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("generators",), 5, "'generators'"),
+            (("generators",), ["a", "b", "c", 3], "'generators'"),
+            (("two_cells",), 5, "'two_cells'"),
+            (("three_cells", 0, "attach"), 5, "'attach'"),
+            (("three_cells", 0, "name"), 5, "'name'"),
+            (LETTER + ("h",), 5, "'h'"),
+            (LETTER + ("f",), 5, "'f'"),
+            (LETTER + ("sign",), "x", "'sign'"),
+            (LETTER + ("sign",), 1.9, "'sign'"),
+            (("name",), ["x"], "'name'"),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, tuple) else "/".join(map(str, v)),
+    )
+    def test_complex_file(self, capsys, tmp_path, path, value, field):
+        file = tmp_path / "space.json"
+        file.write_text(json.dumps(_edited(TORUS3_FILE, path, value)))
+        for argv in (("validate", str(file)), ("classify", "--source", str(file), "--target", "sphere2")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("H_table", 1, 0), 1.5, "H_table"),
+            (("H_table", 0, 1), True, "H_table"),
+            (("G_table",), "ab", "G_table"),
+            (("boundary", 1), 5, "boundary"),
+            (("boundary",), 5, "boundary"),
+            (("action", 0, 0), "0", "action"),
+            (("action",), 5, "action"),
+            (("action", 1), 0, "action"),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, tuple) else "/".join(map(str, v)),
+    )
+    @pytest.mark.parametrize("command", ["validate", "hoang"])
+    def test_crossed_module_file(self, capsys, tmp_path, command, path, value, field):
+        file = tmp_path / "x.json"
+        file.write_text(json.dumps(_edited(Z2_MODULE_FILE, path, value)))
+        code, out, err = run(capsys, command, str(file))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}")
+
+    def test_unknown_key_in_target_group(self, capsys, tmp_path):
+        obj = _edited(target_catalog("rp2").to_json(), ("G",), {"free_rank": 1, "torsoin": [2]})
+        file = tmp_path / "target.json"
+        file.write_text(json.dumps(obj))
+        for argv in (("validate", str(file)), ("classify", "--source", "torus2", "--target", str(file))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == "error: unknown keys in target file G: ['torsoin']\n"
+
+
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _subtree_paths(node, prefix=()):
+    """The path of every subtree of a JSON value, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _subtree_paths(child, prefix + (key,))
+
+
+FUZZ_SITES = [
+    (valid, path)
+    for valid in (TORUS3_FILE, target_catalog("rp2").to_json(), Z2_MODULE_FILE)
+    for path in _subtree_paths(valid)
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(site=st.sampled_from(FUZZ_SITES), value=SMALL_JSON)
+def test_fuzzed_file_is_accepted_or_refused(tmp_path_factory, site, value):
+    # A valid complex, target or crossed-module file with one subtree
+    # replaced by a small random JSON value exits 0 or 1, never 4.
+    file = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    file.write_text(json.dumps(_edited(*site, value)))
+    assert main(["validate", str(file)]) in (0, 1)
+
+
 class TestHoang:
     def test_split_module(self, capsys, tmp_path):
         Z2 = cyclic(2)
@@ -666,6 +788,35 @@ class TestExitCodes:
         )
         assert code == 1 and stdout == ""
         assert err.startswith(f"error: cannot write {path}: ")
+
+    @staticmethod
+    def _cli_process(argv, stdout):
+        src = str(Path(classify2d.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "topsectors.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_closed_stdout_ends_quietly(self):
+        # The JSON is far larger than a pipe buffer, so the CLI is still
+        # writing when the reader closes the pipe after one line.
+        argv = "classify --source genus_surface:4 --target rp2 --free --format json".split()
+        proc = self._cli_process(argv, subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.communicate(timeout=60)[1] == b""
+        assert proc.returncode == 0
+
+    def test_validate_into_a_closed_pipe(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(saves(catalog("torus2")))
+        read, write = os.pipe()
+        os.close(read)
+        proc = self._cli_process(["validate", str(path)], write)
+        os.close(write)
+        assert proc.communicate(timeout=60)[1] == b""
+        assert proc.returncode == 0
 
     def test_determinism(self, capsys):
         outs = set()

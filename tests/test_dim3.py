@@ -10,7 +10,6 @@ from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves, 
 from topsectors.dim3 import (
     CupData,
     Dim3Error,
-    LinForm,
     TensorLetter,
     classify_s2,
     crossed_square_report,
@@ -109,14 +108,6 @@ class TestEvaluateL:
         with pytest.raises(Dim3Error):
             evaluate_L((TriadLetter(e, (), "zz", 1),), {})
 
-    def test_linform_rejects_nonlinear(self):
-        x, y = LinForm.symbol("x"), LinForm.symbol("y")
-        with pytest.raises(Dim3Error):
-            _ = x * y
-        square = TensorLetter(h=((E, "aI", 1),), k=((E, "aI", 1),), sign=1)
-        with pytest.raises(Dim3Error, match="nonlinear"):
-            evaluate_L((square,), {"aI": x})
-
 
 class TestCylinderPresets:
     def test_s1_x_s2_inventory(self):
@@ -154,46 +145,52 @@ class TestCylinderPresets:
 
     @pytest.mark.parametrize("space", ["s1_x_s2", "torus3"])
     def test_relations_equal_direct_walk(self, space):
-        # The preset interpolates its relation rows from 1 + n walks; here
-        # each is walked directly: end copies carry phi2, x0 = 0, and the
-        # interval cells and x1 are unknowns.
+        # Each 4-cell word is walked directly with evaluate_L: end copies
+        # carry phi2 and x0 = 0.  The word is linear in the unknowns, so it
+        # evaluates to 0 with every unknown at 0 and to column c of its row
+        # with unknown c alone at 1.
         preset = cylinder_preset(space)
         base3 = preset.base.three_cell_names()
         rng = random.Random(9)
         for _ in range(300):
             phi2 = {cell: rng.randint(-40, 40) for cell in preset.base.two_cell_names()}
-            values = {c: LinForm.symbol(c) for c in preset.i_two_cells + preset.i_three_cells}
+            values = dict.fromkeys(preset.columns, 0)
             for base, (end0, end1) in preset.end_cell_pairs.items():
                 values[end0] = values[end1] = phi2[base]
-            for name in base3:
-                values[f"{name}0"] = 0
-                values[f"{name}1"] = LinForm.symbol(f"{name}1")
+            values.update((f"{name}0", 0) for name in base3)
             for name, row in zip(base3, preset.relations(phi2), strict=True):
-                direct = LinForm.lift(evaluate_L(preset.boundary4[f"{name}I"], values))
-                assert set(direct.coeffs) <= set(preset.columns)
-                assert row == [direct.coeffs.get(c, 0) for c in preset.columns]
-                assert direct.const == 0
+                word = preset.boundary4[f"{name}I"]
+                assert evaluate_L(word, values) == 0
+                for c, entry in zip(preset.columns, row, strict=True):
+                    assert evaluate_L(word, {**values, c: 1}) == entry
 
-    @pytest.mark.parametrize("space, sweep, walks", [("torus3", 3, 4), ("s1_x_s2", 5, 2)])
-    def test_walks_once_per_preset(self, monkeypatch, space, sweep, walks):
-        calls = []
-        real = dim3.evaluate_L
+    @pytest.mark.parametrize("space, sweep", [("torus3", 3), ("s1_x_s2", 5)])
+    def test_rows_read_once_per_preset(self, monkeypatch, space, sweep):
+        # One reading per 4-cell when the preset is built, none per sector.
+        reads = []
+        real = dim3.CylinderPreset._read_relation
 
-        def counted(word, values):
-            calls.append(word)
-            return real(word, values)
+        def counted(self, name):
+            reads.append((self.space, name))
+            return real(self, name)
 
-        monkeypatch.setattr(dim3, "evaluate_L", counted)
+        monkeypatch.setattr(dim3.CylinderPreset, "_read_relation", counted)
         cylinder_preset.cache_clear()
         try:
-            classify_s2(catalog(space), sweep=sweep)
+            res = classify_s2(catalog(space), sweep=sweep)
         finally:
             cylinder_preset.cache_clear()
-        assert len(calls) <= walks
+        # preset_for may build both presets, each with one 4-cell.
+        assert (space, "xI") in reads and len(reads) == len(set(reads))
+        assert len(reads) <= 2 < len(res.sectors)
 
     @pytest.mark.parametrize("letter", [
         TensorLetter(h=((E, "t0", 1),), k=((E, "t0", 1),), sign=1),  # quadratic in phi2
         TriadLetter(E, (), "t0", 1),  # a 2-cell read as a 3-cell: a constant term
+        TriadLetter(E, (), "aI", 1),  # an interval 2-cell read as a 3-cell
+        TensorLetter(h=((E, "aI", 1),), k=((E, "aI", 1),), sign=1),  # quadratic in unknowns
+        # a factor mixing an interval cell with an end copy
+        TensorLetter(h=((E, "aI", 1),), k=((E, "aI", 1), (E, "t0", 1)), sign=1),
     ])
     def test_nonlinear_letter_refused(self, letter):
         preset = cylinder_preset("s1_x_s2")
