@@ -86,24 +86,25 @@ def resolve_source(spec: str) -> CWComplex:
 
 
 def resolve_target(spec: str):
-    """Returns ('xmod', ModuleXMod) or ('special', (name, p, q))."""
+    """A ModuleXMod, or (name, p) for a target with pi_1 = Z_p and nothing
+    between pi_1 and pi_3 = Z (lens spaces and SO(3))."""
     if _looks_like_path(spec):
-        return "xmod", ModuleXMod.from_json(_read_object(spec), name=spec)
+        return ModuleXMod.from_json(_read_object(spec), name=spec)
     name, colon, _ = spec.partition(":")
     if name in ("rp2", "sphere2"):
         if colon:
             raise InputError(f"target {name} takes no parameters")
-        return "xmod", xmod.target_catalog(name)
+        return xmod.target_catalog(name)
     if name == "trivial":
         values = _spec_ints(spec)
         if len(values) not in (1, 2):
             raise InputError("target trivial expects parameters r[,k]")
         r, k = (values + [0])[:2]
-        return "xmod", xmod.target_catalog("trivial", r=r, k=k)
+        return xmod.target_catalog("trivial", r=r, k=k)
     if name == "so3":
         if colon:
             raise InputError("target so3 takes no parameters")
-        return "special", ("so3", 2, 1)
+        return "so3", 2
     if name == "lens":
         values = _spec_ints(spec)
         if len(values) != 2:
@@ -111,7 +112,7 @@ def resolve_target(spec: str):
         p, q = values
         if p < 2 or q < 1:
             raise InputError("lens target needs p >= 2, q >= 1")
-        return "special", (f"lens({p},{q})", p, q)
+        return f"lens({p},{q})", p
     raise InputError(f"unknown target {spec!r}")
 
 
@@ -246,82 +247,60 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _is_sphere_route(M: CWComplex, kind: str, target) -> bool:
-    return kind == "xmod" and M.dim == 3 and target == xmod.target_catalog("sphere2")
-
-
-def _refuse_off_sphere_route(**flags) -> None:
-    """A sphere-route flag given on another route is an input error, so that
-    it is never silently ignored (``None`` = not given)."""
-    for flag, value in flags.items():
-        if value is not None:
-            raise InputError(
-                f"--{flag} applies only to a 3-dimensional source with the sphere2 target"
-            )
+def _route(M: CWComplex, target, args) -> Optional[str]:
+    """The one route for a source and a target: "2d" (crossed modules),
+    "sphere" (the rigid crossed square), "lens" (twisted top cohomology), or
+    None for an unsupported pair.  A sphere-route flag given on another
+    route is an input error, so that it is never silently ignored."""
+    if not isinstance(target, ModuleXMod):
+        route = "lens" if M.dim == 3 else None
+    elif M.dim <= 2:
+        route = "2d"
+    else:
+        route = "sphere" if target == xmod.target_catalog("sphere2") else None
+    if route != "sphere":
+        for flag in ("sweep", "cup"):
+            if getattr(args, flag, None) is not None:
+                raise InputError(
+                    f"--{flag} applies only to a 3-dimensional source with the sphere2 target"
+                )
+    return route
 
 
 def cmd_classify(args) -> int:
     M = resolve_source(args.source)
-    kind, target = resolve_target(args.target)
-    mode = "free" if args.free else "based"
-    sphere = _is_sphere_route(M, kind, target)
-    if not sphere:
-        _refuse_off_sphere_route(sweep=args.sweep)
-
-    if kind == "xmod":
-        if M.dim <= 2:
-            res = (
-                classify2d.classify_free(M, target)
-                if mode == "free"
-                else classify2d.classify_based(M, target)
-            )
-            text = (
-                json.dumps(res.to_json(), indent=2)
-                if args.format == "json"
-                else render_classification_text(res)
-            )
-            _emit(text, args.out)
-            return EXIT_OK
-        if sphere:
-            res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
-            text = (
-                json.dumps(res.to_json(), indent=2)
-                if args.format == "json"
-                else render_s2_text(res)
-            )
-            _emit(text, args.out)
-            return EXIT_OK
+    target = resolve_target(args.target)
+    route = _route(M, target, args)
+    if route == "2d":
+        classify = classify2d.classify_free if args.free else classify2d.classify_based
+        res = classify(M, target)
+        render = render_classification_text
+    elif route == "sphere":
+        res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
+        render = render_s2_text
+    elif route == "lens":
+        name, p = target
+        res = cohomology.special_case_classify(M, [p], 1)
+        render = lambda r: render_special_text(r, M.name or args.source, name)
+    elif isinstance(target, ModuleXMod):
         raise UnsupportedError(
             f"dimension-3 source with target {target.name or 'file'} is not supported"
         )
-
-    name, p, _q = target
-    if M.dim != 3:
-        raise UnsupportedError(f"target {name} needs a 3-dimensional source")
-    res = cohomology.special_case_classify(M, [p], 1)
-    text = (
-        json.dumps(res.to_json(), indent=2)
-        if args.format == "json"
-        else render_special_text(res, M.name or args.source, name)
-    )
-    _emit(text, args.out)
+    else:
+        raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
+    _emit(json.dumps(res.to_json(), indent=2) if args.format == "json" else render(res), args.out)
     return EXIT_OK
 
 
 def cmd_crosscheck(args) -> int:
     M = resolve_source(args.source)
-    kind, target = resolve_target(args.target)
-    sphere = _is_sphere_route(M, kind, target)
-    if not sphere:
-        _refuse_off_sphere_route(sweep=args.sweep, cup=args.cup)
+    target = resolve_target(args.target)
+    route = _route(M, target, args)
     lines = []
     mismatches = 0
-
-    if kind == "xmod" and M.dim <= 2:
-        data = classify2d.TargetData(target)
-        res = classify2d.classify_based(M, target)
-        for sector in res.sectors:
-            coeffs = cohomology.CoefficientModule.for_target_sector(data, sector.phi1)
+    if route == "2d":
+        for sector in classify2d.classify_based(M, target).sectors:
+            coeffs = cohomology.CoefficientModule.for_target_sector(sector.target_data, sector.phi1)
             oracle = cohomology.twisted_second_cohomology(M, coeffs)
             ok = oracle == sector.based_group
             mismatches += 0 if ok else 1
@@ -330,7 +309,7 @@ def cmd_crosscheck(args) -> int:
                 f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
                 f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
             )
-    elif sphere:
+    elif route == "sphere":
         cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else None
         res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
         if cup is None:
@@ -396,7 +375,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_snf(args) -> int:
-    if args.matrix:
+    if args.matrix is not None:
         try:
             data = json.loads(args.matrix)
         except json.JSONDecodeError as err:
@@ -405,10 +384,8 @@ def cmd_snf(args) -> int:
             raise InputError(
                 f"bad matrix literal: {complexes.digit_limit_message('--matrix')}"
             ) from None
-    elif args.file:
-        data = _read_json(args.file)
     else:
-        raise InputError("snf needs --matrix or --file")
+        data = _read_json(args.file)
     try:
         A = IntMatrix.from_json(data)
     except (TypeError, ValueError) as err:
@@ -495,8 +472,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p.add_argument("--matrix", help='JSON literal, e.g. "[[2,4],[6,8]]"')
-    p.add_argument("--file", help="JSON file holding the matrix")
+    matrix = p.add_mutually_exclusive_group(required=True)
+    matrix.add_argument("--matrix", help='JSON literal, e.g. "[[2,4],[6,8]]"')
+    matrix.add_argument("--file", help="JSON file holding the matrix")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_out(p)
     p.set_defaults(func=cmd_snf)
@@ -523,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedError, UnsupportedTargetError) as err:
+    except (UnsupportedError, UnsupportedTargetError, dim3.NoPresetError) as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (

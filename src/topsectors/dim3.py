@@ -40,6 +40,11 @@ class Dim3Error(Exception):
     pass
 
 
+class NoPresetError(Dim3Error):
+    """A 3-complex equal to no preset's base: an unsupported source, not a
+    malformed one."""
+
+
 # ---------------------------------------------------------------------------
 # Formal words in the triad group of the cylinder and their evaluation
 # ---------------------------------------------------------------------------
@@ -276,7 +281,9 @@ def preset_for(M: CWComplex) -> CylinderPreset:
         preset = cylinder_preset(space)
         if structurally_equal(preset.base, M):
             return preset
-    raise Dim3Error(f"no cylinder preset for {(M.name or 'complex')!r}")
+    raise NoPresetError(
+        f"no cylinder preset matches this complex (presets: {', '.join(_PRESETS)})"
+    )
 
 
 def _doubled_cells(M: CWComplex, alphabet: Alphabet):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topsectors.classify2d import (
@@ -21,7 +21,8 @@ from topsectors.classify2d import (
     rho_table,
     wedge_formula,
 )
-from topsectors.complexes import catalog
+from topsectors.cohomology import CoefficientModule, twisted_second_cohomology
+from topsectors.complexes import CWComplex, catalog
 from topsectors.fingrp import cyclic, symmetric
 from topsectors.words import Alphabet, Word
 from topsectors.xmod import ModuleXMod, target_catalog
@@ -678,3 +679,29 @@ class TestOrbitsOnClassCoordinates:
                 rep = q.representative(coords)
                 walk = {q.class_coords(s.act(label, rep)) for label in labels}
                 assert s.orbit_of_class(coords) == sorted(walk)
+
+
+@st.composite
+def small_2_complexes(draw):
+    """A 2-complex on at most 3 generators with at most 2 relators, each of at
+    most 4 runs with exponents in +-1..+-3."""
+    names = ["a", "b", "c"][: draw(st.integers(0, 3))]
+    runs = (
+        st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 3).filter(bool)), max_size=4)
+        if names
+        else st.just([])
+    )
+    relators = draw(st.lists(runs, max_size=2))
+    alphabet = Alphabet(names)
+    return CWComplex(names, [(f"t{i}", Word(alphabet, r)) for i, r in enumerate(relators)])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(small_2_complexes())
+def test_routes_agree_on_random_2_complexes(M):
+    """Route 1's based group equals twisted H^2 of the source, sector by
+    sector, for random presentations and three targets."""
+    for X in (RP2, Z4_ROTATION, Z2Z2_SWAP_NEG):
+        for sector in classify_based(M, X).sectors:
+            coeffs = CoefficientModule.for_target_sector(sector.target_data, sector.phi1)
+            assert twisted_second_cohomology(M, coeffs) == sector.based_group, (M.two_cells, X)

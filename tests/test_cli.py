@@ -272,6 +272,14 @@ class TestSnf:
         code, _, err = run(capsys, "snf", "--matrix", "oops")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["--matrix", "[[2]]", "--file", "/nonexistent.json"], []], ids=["both", "neither"]
+    )
+    def test_exactly_one_matrix_flag(self, capsys, argv):
+        code, out, err = run(capsys, "snf", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage: topsectors snf")
+
     @pytest.mark.parametrize("literal", ["[[2.7,4],[6,8]]", "[[true,4],[6,8]]", '[["2",4],[6,8]]'])
     def test_non_integer_entries_rejected(self, capsys, tmp_path, literal):
         code, out, err = run(capsys, "snf", "--matrix", literal)
@@ -628,6 +636,49 @@ class TestStructuralDispatch:
             code, out, err = run(capsys, command, "--source", "torus3", "--target", str(path))
             assert code == 0, err
             assert out == expected
+
+
+# The exit code of each command, source and target: 0 on a route, 2 for an
+# unsupported pair.  no_preset.json is a valid 3-complex equal to no cylinder
+# preset's base, though its name field says s1_x_s2.
+ROUTE_TABLE = {
+    "classify": {
+        "torus2": {"rp2": 0, "sphere2": 0, "lens:3,1": 2},
+        "torus3": {"rp2": 2, "sphere2": 0, "lens:3,1": 0},
+        "no_preset.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 0},
+    },
+    "crosscheck": {
+        "torus2": {"rp2": 0, "sphere2": 0, "lens:3,1": 2},
+        "torus3": {"rp2": 2, "sphere2": 0, "lens:3,1": 2},
+        "no_preset.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 2},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, source, target, expected",
+    [
+        (command, source, target, code)
+        for command, rows in ROUTE_TABLE.items()
+        for source, row in rows.items()
+        for target, code in row.items()
+    ],
+)
+def test_route_table(capsys, monkeypatch, tmp_path, command, source, target, expected):
+    obj = json.loads(saves(catalog("s1_x_s2")))
+    obj["generators"] = ["b"]
+    for cell in obj["three_cells"]:
+        for letter in cell["attach"]:
+            letter["f"] = letter["f"].replace("a", "b")
+    (tmp_path / "no_preset.json").write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--source", source, "--target", target)
+    assert code == expected, err
+    assert (out == "") == (code != 0)
+    if (source, target) == ("no_preset.json", "sphere2"):
+        assert err == (
+            "unsupported: no cylinder preset matches this complex (presets: s1_x_s2, torus3)\n"
+        )
 
 
 class TestCleanExits:

@@ -9,9 +9,11 @@ from topsectors.cohomology import (
     special_case_classify,
     twisted_second_cohomology,
 )
-from topsectors.complexes import catalog, loads
+from topsectors.complexes import CWComplex, TriadLetter, catalog, loads
+from topsectors.dim3 import phi2_boundary
+from topsectors.words import Alphabet, Word
 from topsectors.xmod import ModuleXMod, target_catalog
-from topsectors.zlinalg import AbelianGroup, IntMatrix
+from topsectors.zlinalg import AbelianGroup, IntMatrix, quotient
 
 RP2 = target_catalog("rp2")
 
@@ -209,6 +211,20 @@ class TestSpecialCase:
             {"a": (0,)},
             {"a": (2,)},
         ]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_sector_is_untwisted_h3(self, p):
+        # pi_1 = Z_p acts trivially on pi_3 = Z, so each sector's group is
+        # H^3(M; Z) = Z^{3-cells} / span of one row per 2-cell t, the signed
+        # counts of t in the boundaries of the 3-cells.
+        e = Word.identity(Alphabet([]))
+        moore = CWComplex([], [("t", "")], [("x", [TriadLetter(e, (), "t", 1)] * 2)])
+        for M, expected in ((catalog("torus3"), "Z"), (catalog("s1_x_s2"), "Z"), (moore, "Z_2")):
+            counts = [phi2_boundary(M, triad) for _, triad in M.three_cells]
+            h3 = quotient(len(counts), [[c.get(t, 0) for c in counts] for t in M.two_cell_names()])
+            assert str(h3) == expected
+            res = special_case_classify(M, [p], 1)
+            assert res.sectors and all(s.group == h3 for s in res.sectors)
 
     def test_requires_three_cells(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves, 
 from topsectors.dim3 import (
     CupData,
     Dim3Error,
+    NoPresetError,
     TensorLetter,
     classify_s2,
     crossed_square_report,
@@ -308,8 +309,14 @@ class TestPresetDispatch:
         ]
 
     def test_unknown_structure(self):
-        with pytest.raises(Dim3Error, match="no cylinder preset"):
-            preset_for(catalog("torus2"))
+        # an unsupported source, whose message never echoes the name field
+        M = loads(saves(catalog("torus2")))
+        M.name = "renamed"
+        with pytest.raises(NoPresetError) as err:
+            preset_for(M)
+        assert str(err.value) == (
+            "no cylinder preset matches this complex (presets: s1_x_s2, torus3)"
+        )
 
 
 class TestPontrjagin:
