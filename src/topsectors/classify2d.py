@@ -175,38 +175,6 @@ def layout_for(M: CWComplex, X: ModuleXMod) -> HomLayout:
     )
 
 
-@dataclass(frozen=True)
-class XModHom:
-    """A crossed-module homomorphism recorded on the cells."""
-
-    phi1: dict
-    phi2: dict
-
-    @staticmethod
-    def from_vector(layout: HomLayout, vec: Sequence[int]) -> "XModHom":
-        return XModHom(
-            phi1={g: layout.phi1(vec, g) for g in layout.generators},
-            phi2={t: layout.phi2(vec, t) for t in layout.two_cells},
-        )
-
-    def commutes(self, M: CWComplex, X: ModuleXMod) -> bool:
-        """d . phi2(t) == phi1(sigma_2(t)) in G, for every 2-cell."""
-        torsion = X.torsion
-        for cell, word in M.two_cells:
-            lhs = X.boundary.apply(self.phi2[cell])
-            sums = word.exponent_sums()
-            rhs = [0] * X.num_g_generators
-            for gen, s in zip(M.alphabet.names, sums):
-                for j in range(X.num_g_generators):
-                    rhs[j] += s * self.phi1[gen][j]
-            for j in range(X.num_g_generators):
-                order = 0 if j < X.free_rank else torsion[j - X.free_rank]
-                diff = lhs[j] - rhs[j]
-                if (diff % order if order else diff) != 0:
-                    return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # Sector enumeration
 # ---------------------------------------------------------------------------

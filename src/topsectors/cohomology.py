@@ -55,15 +55,6 @@ class CoefficientModule:
     sector: dict
 
     @staticmethod
-    def untwisted(rank: int, generators: Sequence[str]) -> "CoefficientModule":
-        return CoefficientModule(
-            rank=rank,
-            factors=(),
-            rho={(): IntMatrix.identity(rank)},
-            sector={g: () for g in generators},
-        )
-
-    @staticmethod
     def for_target_sector(data: TargetData, sector: dict) -> "CoefficientModule":
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
         return CoefficientModule(

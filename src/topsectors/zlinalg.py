@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -100,10 +101,7 @@ class IntMatrix:
             height = 0
         elif height < 0:
             raise ValueError(f"negative height {height}")
-        return IntMatrix(
-            [[columns[j][i] for j in range(len(columns))] for i in range(height)],
-            cols=len(columns),
-        )
+        return IntMatrix(zip(*columns) if columns else [()] * height, cols=len(columns))
 
     @staticmethod
     def from_json(data: object) -> "IntMatrix":
@@ -117,14 +115,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        columns = list(zip(*other.data)) if other.rows else [()] * other.cols
         return IntMatrix(
-            [
-                [
-                    sum(self.data[i][k] * other.data[k][j] for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
+            [[sum(map(operator.mul, row, col)) for col in columns] for row in self.data],
             cols=other.cols,
         )
 
@@ -147,7 +140,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> Vector:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.data)
+        return tuple(sum(map(operator.mul, row, vec)) for row in self.data)
 
     # -- queries -------------------------------------------------------------
 
@@ -234,7 +227,7 @@ def _diagonal(S: IntMatrix, length: int = 0) -> Vector:
 
 
 def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 _TRANSFORMS = ("U", "V", "Uinv", "Vinv")
@@ -253,10 +246,16 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
     """Smith reduction A = U S V.  Returns S and then, in the order U, V,
     Uinv, Vinv, the transforms named in ``track``; the others are never built.
 
+    The pivot of each step is the first smallest nonzero |x| of the block,
+    row-major.  No |x| is below 1, so the first row that holds a unit ends
+    the search, and a unit pivot needs no divisibility pass: it divides the
+    rest of the block.
+
     A row operation D -> L D turns U into U L^-1 and Uinv into L Uinv; a
     column operation D -> D R turns V into R^-1 V and Vinv into Vinv R.  U
     and Vinv change by columns, so they are kept transposed until the end,
-    and every transform update is one operation on rows.
+    and every transform update is one operation on rows.  The rows above
+    the block are zero from column k on, so column operations skip them.
     """
     track = set(track)
     if not track <= set(_TRANSFORMS):
@@ -274,18 +273,21 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
 
     k = 0
     while k < min(m, n):
-        # The pivot: the first smallest nonzero |x| of the block, row-major.
-        lows = [min(filter(None, map(abs, row[k:])), default=0) for row in D[k:]]
-        low = min(filter(None, lows), default=0)
+        low = 0
+        for r in range(k, m):
+            x = min(filter(None, map(abs, D[r][k:])), default=0)
+            if x and (not low or x < low):
+                low, i = x, r
+                if x == 1:
+                    break
         if not low:
             break
-        i = k + lows.index(low)
-        j = k + [abs(x) for x in D[i][k:]].index(low)
+        j = k + list(map(abs, D[i][k:])).index(low)
         if i != k:
             for X in row_same + row_inverse:
                 X[k], X[i] = X[i], X[k]
         if j != k:
-            for row in D:
+            for row in D[k:]:
                 row[k], row[j] = row[j], row[k]
             for X in col_same + col_inverse:
                 X[k], X[j] = X[j], X[k]
@@ -301,7 +303,7 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
         for j in range(k + 1, n):
             if D[k][j]:
                 q = -(D[k][j] // pivot)
-                for row in D:
+                for row in D[k:]:
                     row[j] += q * row[k]
                 _add_rows(col_same, col_inverse, j, k, q)
                 dirty = dirty or D[k][j] != 0
@@ -309,7 +311,9 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
             continue
         # The pivot must divide the rest of the block for the invariant
         # factors to come out in divisibility order.
-        offender = next((i for i in range(k + 1, m) if any(x % pivot for x in D[i][k + 1:])), None)
+        offender = None if pivot == 1 else next(
+            (i for i in range(k + 1, m) if any(x % pivot for x in D[i][k + 1:])), None
+        )
         if offender is None:
             k += 1
         else:
@@ -466,9 +470,7 @@ class Lattice:
         self.dim = dim
         self.rows: list[list[int]] = []
         self._pivots: list[int] = []
-        pending = [list(_int_row(v)) for v in vectors]
-        if any(len(row) != dim for row in pending):
-            raise ValueError("vector length does not match lattice dimension")
+        pending = [self._checked(v) for v in vectors]
         for p in range(dim):
             active = [row for row in pending if row[p]]
             pending = [row for row in pending if not row[p]]
@@ -495,26 +497,36 @@ class Lattice:
     def basis(self) -> list[Vector]:
         return [tuple(r) for r in self.rows]
 
-    def _eliminate(self, vector: Sequence[int]) -> tuple[list[int], list[int]]:
-        """``vector`` less the floor multiple of each basis row at its pivot,
-        row by row, and the multiples taken.  A row is zero left of its pivot."""
+    def _checked(self, vector: Sequence[int]) -> list[int]:
+        """``vector`` as a new list, refused unless it has ``dim`` int entries."""
         vec = list(_int_row(vector))
         if len(vec) != self.dim:
             raise ValueError("vector length does not match lattice dimension")
-        return vec, [_reduce_row(vec, row, p) for row, p in zip(self.rows, self._pivots)]
+        return vec
+
+    def _eliminate(self, vec: list[int]) -> Optional[Vector]:
+        """Take the floor multiple of each basis row at its pivot off the
+        checked ``vec``, in place and row by row.  A row is zero left of its
+        pivot.  Returns the multiples taken, or ``None`` when a pivot entry
+        its row does not divide leaves a nonzero remainder."""
+        coords = tuple(
+            [_reduce_row(vec, row, p) if vec[p] else 0 for row, p in zip(self.rows, self._pivots)]
+        )
+        return None if any(vec) else coords
 
     def reduce(self, vector: Sequence[int]) -> Vector:
         """Canonical representative of ``vector`` modulo the lattice."""
-        return tuple(self._eliminate(vector)[0])
+        vec = self._checked(vector)
+        self._eliminate(vec)
+        return tuple(vec)
 
     def __contains__(self, vector: Sequence[int]) -> bool:
-        return not any(self._eliminate(vector)[0])
+        return self.coords_in_basis(vector) is not None
 
     def coords_in_basis(self, vector: Sequence[int]) -> Optional[Vector]:
-        """Write ``vector`` as an integer combination of the basis rows; a
-        pivot entry its row does not divide leaves a nonzero remainder."""
-        rest, coords = self._eliminate(vector)
-        return None if any(rest) else tuple(coords)
+        """Write ``vector`` as an integer combination of the basis rows, or
+        ``None`` when it is not in the lattice."""
+        return self._eliminate(self._checked(vector))
 
 
 def _reduce_row(row: list[int], pivot: Sequence[int], p: int) -> int:
@@ -556,16 +568,17 @@ class LatticeQuotient:
 
     def __init__(self, ambient: AffineLattice, sublattice_generators: Iterable[Sequence[int]]):
         self.ambient = ambient
-        subgens = [_int_row(g) for g in sublattice_generators]
+        subgens = [tuple(g) for g in sublattice_generators]
+        # Building the sub-lattice is the one check of each generator.
+        self.sub_lattice = Lattice(ambient.dim, subgens)
         coord_cols = []
         for g in subgens:
-            coords = ambient.directions.coords_in_basis(g)
+            coords = ambient.directions._eliminate(list(g))
             if coords is None:
                 raise SublatticeError(
                     f"sublattice generator {g} is not a direction of the solution lattice"
                 )
             coord_cols.append(coords)
-        self.sub_lattice = Lattice(ambient.dim, subgens)
 
         basis = ambient.directions.basis()
         m = len(basis)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from topsectors.classify2d import (
     TargetData,
     UnsupportedTargetError,
-    XModHom,
     classify_based,
     classify_dim1,
     classify_free,
@@ -46,6 +46,39 @@ Z2Z2_SWAP_NEG = ModuleXMod(
     action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, -1]])),
     boundary=IntMatrix.zeros(2, 2),
 )
+
+
+@dataclass(frozen=True)
+class XModHom:
+    """A crossed-module homomorphism recorded on the cells: the direct
+    check that the hom lattice is tested against."""
+
+    phi1: dict
+    phi2: dict
+
+    @staticmethod
+    def from_vector(layout, vec):
+        return XModHom(
+            phi1={g: layout.phi1(vec, g) for g in layout.generators},
+            phi2={t: layout.phi2(vec, t) for t in layout.two_cells},
+        )
+
+    def commutes(self, M, X):
+        """d . phi2(t) == phi1(sigma_2(t)) in G, for every 2-cell."""
+        torsion = X.torsion
+        for cell, word in M.two_cells:
+            lhs = X.boundary.apply(self.phi2[cell])
+            sums = word.exponent_sums()
+            rhs = [0] * X.num_g_generators
+            for gen, s in zip(M.alphabet.names, sums):
+                for j in range(X.num_g_generators):
+                    rhs[j] += s * self.phi1[gen][j]
+            for j in range(X.num_g_generators):
+                order = 0 if j < X.free_rank else torsion[j - X.free_rank]
+                diff = lhs[j] - rhs[j]
+                if (diff % order if order else diff) != 0:
+                    return False
+        return True
 
 
 def paper_triple(layout, vec):

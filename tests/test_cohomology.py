@@ -19,7 +19,13 @@ RP2 = target_catalog("rp2")
 
 
 def untwisted(M, rank=1):
-    return CoefficientModule.untwisted(rank, M.alphabet.names)
+    """Z^rank with the trivial action, in the one sector of trivial labels."""
+    return CoefficientModule(
+        rank=rank,
+        factors=(),
+        rho={(): IntMatrix.identity(rank)},
+        sector={g: () for g in M.alphabet.names},
+    )
 
 
 class TestCochainComplex:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -139,6 +140,49 @@ class TestIntMatrix:
         for bad in ([[1.0, 2]], [[True, 2]], [["1", 2]], [[None]]):
             with pytest.raises(ValueError):
                 IntMatrix.from_json(bad)
+
+
+class TestProducts:
+    """``apply`` and ``@`` against a naive triple loop."""
+
+    @pytest.mark.parametrize(
+        "m, k, n, bound",
+        [
+            (0, 3, 4, 9),
+            (4, 3, 0, 9),
+            (3, 0, 4, 9),
+            (0, 0, 0, 9),
+            (1, 1, 1, 9),
+            (26, 26, 26, 9),
+            (3, 5, 2, 10**50),
+            (7, 1, 7, 10**50),
+        ],
+    )
+    def test_against_triple_loop(self, m, k, n, bound):
+        rng = random.Random(f"products-{m}-{k}-{n}-{bound}")
+        A = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)]
+        B = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(k)]
+        vec = [rng.randint(-bound, bound) for _ in range(k)]
+        product = [[0] * n for _ in range(m)]
+        for i in range(m):
+            for j in range(n):
+                for t in range(k):
+                    product[i][j] += A[i][t] * B[t][j]
+        assert IntMatrix(A, cols=k) @ IntMatrix(B, cols=n) == IntMatrix(product, cols=n)
+        image = tuple(sum(A[i][t] * vec[t] for t in range(k)) for i in range(m))
+        assert IntMatrix(A, cols=k).apply(vec) == image
+        assert IntMatrix(A, cols=k).apply(tuple(vec)) == image
+
+    def test_mismatches_raise(self):
+        A = IntMatrix([[1, 2, 3], [4, 5, 6]])
+        for bad in ((1, 2), (1, 2, 3, 4), ()):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                A.apply(bad)
+        for B in (IntMatrix.zeros(2, 2), IntMatrix.zeros(0, 3), IntMatrix.zeros(4, 1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                A @ B
+        with pytest.raises(ValueError, match="shape mismatch"):
+            IntMatrix.zeros(0, 2) @ IntMatrix.zeros(0, 2)
 
 
 def _parity(perm):
@@ -324,6 +368,122 @@ def test_pinned_operation_order():
         dec = smith_normal_form(A)
         assert _digest((dec.U.data, dec.S.data, dec.V.data)) == snf_digest
         assert _digest(solve(A, b)) == solve_digest
+
+
+def _unit_rich_cases():
+    """One genus 4 -> rp2 sector's 9 x 16 coordinate matrix C (eight [1, 1]
+    blocks and one row across them), and a seeded 7 x 9 matrix whose first
+    four rows hold no unit while its fifth does."""
+    last = [1, -1, 0, 0, 0, 0, -1, 1, 0, 0, 0, 0, 1, -1, -1, 1]
+    sector = [[int(j // 2 == i) for j in range(16)] for i in range(8)] + [last]
+    rng = random.Random(16)
+    no_unit = [x for x in range(-9, 10) if abs(x) != 1]
+    rows = [[rng.choice(no_unit) for _ in range(9)] for _ in range(4)]
+    rows.append([rng.choice(no_unit) for _ in range(9)])
+    rows[4][5] = -1
+    rows += [[rng.randint(-9, 9) for _ in range(9)] for _ in range(2)]
+    return [IntMatrix(sector), IntMatrix(rows)]
+
+
+# sha256 of the outputs of every ``track`` subset, in combinations order, for
+# each unit-rich case: the pivot search that stops at the first unit keeps
+# the operations of the search that scanned every row.
+UNIT_RICH_DIGESTS = [
+    "13d9eeb8d0094251530db921189fc85ad6a13ba75d8897533749671d24319b9b",
+    "081a39ac73f08e26ee4dd89aac4a9c002e64489798246dbe763f97350de8a85c",
+]
+
+
+def _track_subsets():
+    names = ("U", "V", "Uinv", "Vinv")
+    return [s for r in range(len(names) + 1) for s in itertools.combinations(names, r)]
+
+
+def test_pinned_unit_rich_operation_order():
+    for A, expected in zip(_unit_rich_cases(), UNIT_RICH_DIGESTS):
+        outs = [tuple(X.data for X in _smith_with_inverses(A, s)) for s in _track_subsets()]
+        assert _digest(outs) == expected
+
+
+def _reference_smith(A):
+    """S, U, V, Uinv, Vinv by the Smith reduction with the pivot search that
+    scans every row of the block: the least nonzero |x| of each row
+    (``lows``), then the first row holding the least of those.  It updates
+    every row in a column operation and always runs the divisibility pass.
+    U and Vinv are kept transposed, as in ``_smith_with_inverses``."""
+    m, n = A.rows, A.cols
+    D = [list(row) for row in A.data]
+    Ut, V, Uinv, Vinvt = ([[int(i == j) for j in range(s)] for i in range(s)] for s in (m, n, m, n))
+
+    def add(same, inverse, i, j, q):
+        for X in same:
+            X[i] = [a + q * b for a, b in zip(X[i], X[j])]
+        for X in inverse:
+            X[j] = [a - q * b for a, b in zip(X[j], X[i])]
+
+    k = 0
+    while k < min(m, n):
+        lows = [min(filter(None, map(abs, row[k:])), default=0) for row in D[k:]]
+        low = min(filter(None, lows), default=0)
+        if not low:
+            break
+        i = k + lows.index(low)
+        j = k + [abs(x) for x in D[i][k:]].index(low)
+        if i != k:
+            for X in (D, Uinv, Ut):
+                X[k], X[i] = X[i], X[k]
+        if j != k:
+            for row in D:
+                row[k], row[j] = row[j], row[k]
+            for X in (Vinvt, V):
+                X[k], X[j] = X[j], X[k]
+        if D[k][k] < 0:
+            for X in (D, Uinv, Ut):
+                X[k] = [-x for x in X[k]]
+        pivot = D[k][k]
+        dirty = False
+        for i in range(k + 1, m):
+            if D[i][k]:
+                add((D, Uinv), (Ut,), i, k, -(D[i][k] // pivot))
+                dirty = dirty or D[i][k] != 0
+        for j in range(k + 1, n):
+            if D[k][j]:
+                q = -(D[k][j] // pivot)
+                for row in D:
+                    row[j] += q * row[k]
+                add((Vinvt,), (V,), j, k, q)
+                dirty = dirty or D[k][j] != 0
+        if dirty:
+            continue
+        offender = next((i for i in range(k + 1, m) if any(x % pivot for x in D[i][k + 1:])), None)
+        if offender is None:
+            k += 1
+        else:
+            add((D, Uinv), (Ut,), k, offender, 1)
+    return {
+        "S": IntMatrix(D, cols=n),
+        "U": IntMatrix(zip(*Ut), cols=m),
+        "V": IntMatrix(V, cols=n),
+        "Uinv": IntMatrix(Uinv, cols=m),
+        "Vinv": IntMatrix(zip(*Vinvt), cols=n),
+    }
+
+
+def test_smith_matches_the_reference_pivot_search():
+    # 2000 seeded matrices up to 8 x 8, dense in 0 and +-1, among them empty,
+    # zero and rectangular ones.  Each is reduced with all four transforms
+    # and with one subset of them, taking the 16 subsets in turn.
+    rng = random.Random("unit-pivot")
+    palettes = [(0,), (0, 1, -1), (0, 0, 1, -1, 2), (0, 0, 1, -1, 1, -1, 2, -3, 4, 6)]
+    subsets = _track_subsets()
+    for t in range(2000):
+        m, n = rng.randrange(9), rng.randrange(9)
+        palette = palettes[t % len(palettes)]
+        rows = [[rng.choice(palette) for _ in range(n)] for _ in range(m)]
+        A = IntMatrix(rows, cols=n)
+        ref = _reference_smith(A)
+        for subset in (("U", "V", "Uinv", "Vinv"), subsets[t % len(subsets)]):
+            assert _smith_with_inverses(A, subset) == (ref["S"], *(ref[name] for name in subset))
 
 
 class TestSolve:
@@ -546,3 +706,25 @@ class TestLatticeQuotient:
         amb = AffineLattice.from_solution((0, 0), [(2, 0)])
         with pytest.raises(SublatticeError):
             LatticeQuotient(amb, [(1, 0)])
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_rejects_non_integer_generators(self, bad):
+        amb = AffineLattice.from_solution((0, 0), [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="expected an integer"):
+            LatticeQuotient(amb, [(2, 0), (bad, 0)])
+        with pytest.raises(ValueError, match="expected an integer"):
+            amb.directions.coords_in_basis((bad, 0))
+
+    def test_rejects_generators_outside_the_directions(self):
+        amb = AffineLattice.from_solution((5, 5), [(2, 0), (0, 3)])
+        for gens, outside in (([(1, 0)], "(1, 0)"), ([(4, 3), (0, 1)], "(0, 1)"), ([[2, 3], [3, 3]], "(3, 3)")):
+            message = f"sublattice generator {outside} is not a direction of the solution lattice"
+            with pytest.raises(SublatticeError, match=re.escape(message)):
+                LatticeQuotient(amb, gens)
+        assert amb.directions.coords_in_basis((1, 0)) is None
+        assert amb.directions.coords_in_basis((0, 1)) is None
+        assert amb.directions.coords_in_basis((4, 3)) == (2, 1)
+        with pytest.raises(ValueError, match="vector length"):
+            amb.directions.coords_in_basis((2, 0, 0))
+        with pytest.raises(ValueError, match="vector length"):
+            LatticeQuotient(amb, [(2, 0, 0)])
