@@ -310,10 +310,8 @@ def cmd_crosscheck(args) -> int:
                 f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
             )
     elif route == "sphere":
-        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else None
+        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else dim3.cup_table(M)
         res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
-        if cup is None:
-            cup = dim3.cup_preset(res.space)
         for sector in res.sectors:
             alpha = tuple(sector.phi2.values())
             oracle = dim3.pontrjagin_sector_group(cup, alpha)
@@ -501,7 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedError, UnsupportedTargetError, dim3.NoPresetError) as err:
+    except (UnsupportedError, UnsupportedTargetError, dim3.UnsupportedComplexError) as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (

@@ -5,13 +5,14 @@ are an identity and a zero pair), which collapses the nonabelian tensor
 calculus to integer bilinear algebra: a formal word in tensor and conjugated
 3-cell letters evaluates to an integer once every cell carries a value, and
 homotopy of homomorphisms becomes a linear Diophantine system over the
-cylinder cells.  The boundary word of the cylinder's 4-cell is per-space
-preset data.  Each of its tensor letters pairs a factor of interval 2-cells
-with a factor of end copies, so the relation is linear in phi2: a preset
-reads it once, straight off the word, into an integer row at phi2 = 0 and a
-slope row per base 2-cell, and refuses any letter that is not linear in
-phi2.  Every sector reads its relation off those rows.  The Pontrjagin
-cup-product route provides an independent check.
+cylinder cells.  The cylinder M x I is built from M's own product cells,
+and each of its 4-cell words pairs a factor of interval 2-cells with a
+factor of end copies in every tensor letter, so the relation is linear in
+phi2: the cylinder reads it once, straight off the word, into an integer
+row at phi2 = 0 and a slope row per base 2-cell, and refuses any letter
+that is not linear in phi2.  Every sector reads its relation off those
+rows.  The Pontrjagin cup-product route, with a cup table read off the
+triads, provides an independent check.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ class Dim3Error(Exception):
     pass
 
 
-class NoPresetError(Dim3Error):
-    """A 3-complex equal to no preset's base: an unsupported source, not a
-    malformed one."""
+class UnsupportedComplexError(Dim3Error):
+    """A valid complex outside the sphere route's domain: an unsupported
+    source, not a malformed one."""
 
 
 # ---------------------------------------------------------------------------
-# Formal words in the triad group of the cylinder and their evaluation
+# Formal words in the triad group of the cylinder
 # ---------------------------------------------------------------------------
 
 
@@ -61,36 +62,6 @@ class TensorLetter:
 
 # A TriadLetter here is a conjugated 3-cell (or cylinder 3-cell) generator.
 FormalLWord = tuple[TensorLetter | TriadLetter, ...]
-
-
-def _phi2_of_hword(word: HWord, values: Mapping[str, int]) -> int:
-    """Signed sum of cell values over an H-word; conjugators drop because the
-    target group acts trivially."""
-    total = 0
-    for _, cell, sign in word:
-        if cell not in values:
-            raise Dim3Error(f"no value assigned to cell {cell!r}")
-        total += sign * values[cell]
-    return total
-
-
-def evaluate_L(word: FormalLWord, values: Mapping[str, int]) -> int:
-    """Image of a formal triad-group word in pi_3 S^2 = Z.
-
-    Tensor letters multiply the signed phi2 sums of their two factors; a
-    conjugated 3-cell letter contributes its own value, conjugators dropping
-    since the target action is trivial.
-    """
-    total = 0
-    for letter in word:
-        if isinstance(letter, TensorLetter):
-            term = _phi2_of_hword(letter.h, values) * _phi2_of_hword(letter.k, values)
-        else:
-            if letter.cell not in values:
-                raise Dim3Error(f"no value assigned to cell {letter.cell!r}")
-            term = values[letter.cell]
-        total += letter.sign * term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +104,41 @@ def xsq_hom_lattice(M: CWComplex) -> tuple[XSqHomLayout, AffineLattice]:
 
 
 # ---------------------------------------------------------------------------
-# Cylinder presets
+# Cylinders
 # ---------------------------------------------------------------------------
+
+
+def _check_domain(M: CWComplex) -> None:
+    """Refuse a complex outside the sphere route's domain: a 3-complex whose
+    relators have zero exponent sums and whose 3-cells leave phi2 free.  On
+    it every phi2 is a sector, each interval 3-cell pins one 2-cell's two
+    end values together, and every cellular cochain differential is zero."""
+    if M.dim != 3:
+        raise UnsupportedComplexError("the sphere route needs a 3-complex")
+    for name, word in M.two_cells:
+        if any(word.exponent_sums()):
+            raise UnsupportedComplexError(
+                f"2-cell {name} has nonzero exponent sums, so its interval 3-cell"
+                " does not pin phi2"
+            )
+    for name, triad in M.three_cells:
+        if counts := phi2_boundary(M, triad):
+            raise UnsupportedComplexError(f"3-cell {name} constrains phi2: {counts}")
 
 
 @dataclass
 class CylinderPreset:
-    """The based cylinder of a catalog 3-complex: its CW data (doubled cells
+    """The based cylinder M x I of a 3-complex: its CW data (doubled cells
     plus interval cells) and the boundary word of each interval 4-cell.
-
-    The 4-cell boundary words are transcribed data, not computed objects;
-    the Pontrjagin route independently validates every sector group they
-    produce.
 
     Cell values on the cylinder: both end copies of a base 2-cell carry its
     phi2 value, the 0-end copy of a base 3-cell x carries 0 and the 1-end
-    copy the unknown delta_x, and every interval cell is an unknown.  Each
-    preset reads its 4-cell words once, on construction, into integer rows
+    copy the unknown delta_x, and every interval cell is an unknown.  The
+    cylinder reads its 4-cell words once, on construction, into integer rows
     over ``columns`` that are linear in phi2, and refuses a letter that is
     not.
     """
 
-    space: str
     base: CWComplex
     cylinder: CWComplex
     i_two_cells: tuple[str, ...]
@@ -164,10 +148,6 @@ class CylinderPreset:
 
     def __post_init__(self):
         self._check_phi2_rigidity()
-        # No base 3-cell constrains phi2, so every phi2 assignment is a sector.
-        for name, triad in self.base.three_cells:
-            if counts := phi2_boundary(self.base, triad):
-                raise Dim3Error(f"base 3-cell {name} constrains phi2: {counts}")
         self._rows = [self._read_relation(f"{name}I") for name in self.base.three_cell_names()]
 
     def _check_phi2_rigidity(self) -> None:
@@ -263,29 +243,6 @@ def _relabel_triad(
     ]
 
 
-@functools.lru_cache(maxsize=None)
-def cylinder_preset(space: str) -> CylinderPreset:
-    """Preset cylinders: available for s1_x_s2 and torus3.
-
-    Cached: presets are read-only data and sector sweeps request them often.
-    """
-    if space not in _PRESETS:
-        raise Dim3Error(f"no cylinder preset for {space!r}")
-    return _PRESETS[space]()
-
-
-def preset_for(M: CWComplex) -> CylinderPreset:
-    """The preset whose base complex is structurally equal to M, so that a
-    copy of a catalog space gets its preset under any name or none."""
-    for space in _PRESETS:
-        preset = cylinder_preset(space)
-        if structurally_equal(preset.base, M):
-            return preset
-    raise NoPresetError(
-        f"no cylinder preset matches this complex (presets: {', '.join(_PRESETS)})"
-    )
-
-
 def _doubled_cells(M: CWComplex, alphabet: Alphabet):
     two = []
     three = []
@@ -297,98 +254,72 @@ def _doubled_cells(M: CWComplex, alphabet: Alphabet):
     return two, three
 
 
-def _s1_x_s2_preset() -> CylinderPreset:
-    M = catalog("s1_x_s2")
-    alphabet = Alphabet(["a0", "a1"])
-    two, three = _doubled_cells(M, alphabet)
-    two.append(("aI", alphabet.word("a1 a0^-1")))
+@functools.lru_cache(maxsize=16)
+def cylinder_preset(M: CWComplex) -> CylinderPreset:
+    """The based cylinder M x I, built from M's product cells once per
+    complex object, so that sector sweeps and repeated calls share it.
+
+    Each 1-cell g gives an interval 2-cell gI = g1 g0^-1, each 2-cell r an
+    interval 3-cell rI = r1^-1 W(w) r0 over r's word w (``_interval_word``),
+    and each 3-cell x an interval 4-cell xI (``_interval_4cell``).  A complex
+    outside the sphere route's domain is refused first.
+    """
+    _check_domain(M)
+    gens = M.alphabet.names
+    alphabet = Alphabet([f"{g}{end}" for end in "01" for g in gens])
     e = Word.identity(alphabet)
-    tI = [
-        TriadLetter(e, (), "t1", 1),
-        TriadLetter(e, (), "t0", -1),
-    ]
-    three.append(("tI", tI))
-    cylinder = CWComplex(
-        alphabet.names, two, three, name="cylinder(s1_x_s2)"
-    )
-    t0_inv: HWord = ((e, "t0", -1),)
-    boundary4: FormalLWord = (
-        TensorLetter(h=((e, "aI", -1),), k=((e, "t0", 1),), sign=-1),
-        TensorLetter(h=((alphabet.word("a1"), "t0", -1),), k=((e, "aI", 1),), sign=-1),
-        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=1),
-        TriadLetter(conj_f=e, conj_h=t0_inv, cell="x1", sign=1),
-        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=-1),
-        TriadLetter(conj_f=e, conj_h=t0_inv + ((e, "aI", 1),), cell="x0", sign=-1),
-    )
-    return CylinderPreset(
-        space="s1_x_s2",
-        base=M,
-        cylinder=cylinder,
-        i_two_cells=("aI",),
-        i_three_cells=("tI",),
-        boundary4={"xI": boundary4},
-        end_cell_pairs={"t": ("t0", "t1")},
-    )
-
-
-def _torus3_preset() -> CylinderPreset:
-    M = catalog("torus3")
-    alphabet = Alphabet(["a0", "b0", "c0", "a1", "b1", "c1"])
     two, three = _doubled_cells(M, alphabet)
-    for gen in ("a", "b", "c"):
-        two.append((f"{gen}I", alphabet.word(f"{gen}1 {gen}0^-1")))
-    e = Word.identity(alphabet)
-
-    def w(text: str) -> Word:
-        return alphabet.word(text)
-
-    # sigma_3 of the interval 3-cells, cyclically in (t,a) -> (u,b) -> (v,c).
-    cyclic = [("t", "b", "c"), ("u", "c", "a"), ("v", "a", "b")]
-    for cell, y, z in cyclic:
+    two += [(f"{g}I", Word(alphabet, ((f"{g}1", 1), (f"{g}0", -1)))) for g in gens]
+    for name, word in M.two_cells:
         letters = [
-            TriadLetter(e, (), f"{cell}1", 1),
-            TriadLetter(w(f"{z}1"), (), f"{y}I", 1),
-            TriadLetter(e, (), f"{z}I", 1),
-            TriadLetter(e, (), f"{cell}0", -1),
-            TriadLetter(e, (), f"{y}I", -1),
-            TriadLetter(w(f"{y}1"), (), f"{z}I", -1),
+            TriadLetter(e, (), f"{name}1", -1),
+            *_interval_word(word, alphabet),
+            TriadLetter(e, (), f"{name}0", 1),
         ]
-        three.append((f"{cell}I", letters))
-    cylinder = CWComplex(alphabet.names, two, three, name="cylinder(torus3)")
-
-    tensor_pairs = [("a", "t"), ("b", "u"), ("c", "v")]
-    letters: list[TensorLetter | TriadLetter] = []
-    for gen, cell in tensor_pairs:
-        letters.append(
-            TensorLetter(h=((e, f"{gen}I", -1),), k=((e, f"{cell}0", 1),), sign=1)
-        )
-        letters.append(
-            TensorLetter(
-                h=((w(f"{gen}1"), f"{cell}0", -1),), k=((e, f"{gen}I", 1),), sign=1
-            )
-        )
-    letters += [
-        TriadLetter(e, (), "x1", 1),
-        TriadLetter(e, (), "tI", -1),
-        TriadLetter(w("c1"), (), "vI", 1),
-        TriadLetter(e, (), "uI", -1),
-        TriadLetter(e, (), "x0", -1),
-        TriadLetter(w("a1"), (), "tI", 1),
-        TriadLetter(e, (), "vI", -1),
-        TriadLetter(w("b1"), (), "uI", 1),
-    ]
+        three.append((f"{name}I", letters))
     return CylinderPreset(
-        space="torus3",
         base=M,
-        cylinder=cylinder,
-        i_two_cells=("aI", "bI", "cI"),
-        i_three_cells=("tI", "uI", "vI"),
-        boundary4={"xI": tuple(letters)},
-        end_cell_pairs={"t": ("t0", "t1"), "u": ("u0", "u1"), "v": ("v0", "v1")},
+        cylinder=CWComplex(alphabet.names, two, three, name=f"cylinder({M.name or 'complex'})"),
+        i_two_cells=tuple(f"{g}I" for g in gens),
+        i_three_cells=tuple(f"{name}I" for name in M.two_cell_names()),
+        boundary4={
+            f"{name}I": _interval_4cell(M, name, triad, alphabet) for name, triad in M.three_cells
+        },
+        end_cell_pairs={name: (f"{name}0", f"{name}1") for name in M.two_cell_names()},
     )
 
 
-_PRESETS = {"s1_x_s2": _s1_x_s2_preset, "torus3": _torus3_preset}
+def _interval_word(word: Word, alphabet: Alphabet) -> list[TriadLetter]:
+    """W(w), whose boundary is w1 w0^-1: W(g) = gI, W(g^-1) = ^{g1^-1} gI^-1
+    and W(uv) = ^{u1} W(v) W(u)."""
+    letters = []
+    prefix = Word.identity(word.alphabet)
+    for g, sign in word.letters():
+        step = Word(word.alphabet, ((g, sign),))
+        conj = prefix * step if sign == -1 else prefix
+        letters.append(TriadLetter(_relabel(conj, alphabet, "1"), (), f"{g}I", sign))
+        prefix = prefix * step
+    return letters[::-1]
+
+
+def _interval_4cell(M: CWComplex, name: str, triad: TriadWord, alphabet: Alphabet) -> FormalLWord:
+    """The boundary word of the interval 4-cell over the 3-cell ``name``: x1,
+    then for each letter (f, c, s) of x's H-word the interval 3-cell
+    ^{f1} cI^s and, per letter g^e of f, the Peiffer pair
+    (gI^e (x) c0^s)(c0^s (x) gI^e), then x0^-1.  The pair takes two tensor
+    letters because the Whitehead square [i, i] is twice the Hopf class in
+    pi_3 S^2."""
+    e = Word.identity(alphabet)
+    out: list[TensorLetter | TriadLetter] = [TriadLetter(e, (), f"{name}1", 1)]
+    for f, cell, s in M.triad_normal_form(triad)[1]:
+        out.append(TriadLetter(_relabel(f, alphabet, "1"), (), f"{cell}I", s))
+        end: HWord = ((e, f"{cell}0", s),)
+        for g, sign in f.letters():
+            interval: HWord = ((e, f"{g}I", sign),)
+            out += [TensorLetter(interval, end, 1), TensorLetter(end, interval, 1)]
+    out.append(TriadLetter(e, (), f"{name}0", -1))
+    return tuple(out)
+
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +341,6 @@ class S2Classification:
     source: str
     layout: XSqHomLayout
     sectors: list[S2Sector]
-    space: str  # the cylinder preset used; not in the JSON
 
     def to_json(self) -> dict:
         return {
@@ -426,10 +356,10 @@ def sector_group_s2(preset: CylinderPreset, phi2: Mapping[str, int]) -> AbelianG
     """Based = free classes over one phi2 assignment (the target is simply
     connected): quotient of Z^{3-cells} by the achievable phi3 differences.
 
-    A difference is achievable when the interval cells of the preset cylinder
-    admit integer values solving the 4-cell boundary relations.  The preset
-    checks once that every phi2 is a homomorphism and that the interval
-    3-cell constraints hold at every phi2.
+    A difference is achievable when the interval cells of the cylinder admit
+    integer values solving the 4-cell boundary relations.  The cylinder's
+    domain makes every phi2 a homomorphism, and the cylinder checks once that
+    the interval 3-cell constraints hold at every phi2.
     """
     cells = preset.base.two_cell_names()
     if set(phi2) != set(cells):
@@ -444,17 +374,17 @@ def sector_group_s2(preset: CylinderPreset, phi2: Mapping[str, int]) -> AbelianG
 
 
 def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
-    """Classify maps of a preset 3-complex into the 2-sphere, one sector per
-    phi2 assignment with entries in [-sweep, sweep]."""
+    """Classify maps of a 3-complex into the 2-sphere, one sector per phi2
+    assignment with entries in [-sweep, sweep]."""
     if sweep < 0:
         raise Dim3Error(f"sweep must be >= 0, got {sweep}")
     layout = XSqHomLayout(M.two_cell_names(), M.three_cell_names())
-    preset = preset_for(M)
+    preset = cylinder_preset(M)
     out = []
     for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(layout.two_cells)):
         phi2 = dict(zip(layout.two_cells, combo))
         out.append(S2Sector(phi2=phi2, group=sector_group_s2(preset, phi2)))
-    return S2Classification(M.name or "complex", layout, out, preset.space)
+    return S2Classification(M.name or "complex", layout, out)
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +462,35 @@ class CupData:
         }
 
 
+def cup_table(M: CWComplex) -> CupData:
+    """The cup pairing H^1 x H^2 -> H^3 of M, read off the triads:
+    (alpha u beta)(x) = -sum s alpha(f) beta(c) over the letters (f, c, s)
+    of x's H-word, with alpha(f) the alpha-weighted exponent sum of f.
+
+    On the sphere route's domain every cellular cochain differential is zero,
+    so H^k = C^k with the cell duals as generators; any other complex is
+    refused.
+    """
+    _check_domain(M)
+    cells = M.two_cell_names()
+    cup = [[[0] * len(M.three_cells) for _ in cells] for _ in M.alphabet.names]
+    for k, (_, triad) in enumerate(M.three_cells):
+        for f, cell, s in M.triad_normal_form(triad)[1]:
+            j = cells.index(cell)
+            for i, a in enumerate(f.exponent_sums()):
+                cup[i][j][k] -= s * a
+    return CupData(
+        h1_rank=len(M.alphabet),
+        h2=(0,) * len(cells),
+        h3=(0,) * len(M.three_cells),
+        cup=tuple(tuple(map(tuple, row)) for row in cup),
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def cup_preset(space: str) -> CupData:
-    """Cup pairing data for the catalog 3-manifolds."""
-    if space == "s1_x_s2":
-        return CupData(h1_rank=1, h2=(0,), h3=(0,), cup=(((1,),),))
-    if space == "torus3":
-        cup = tuple(
-            tuple((1,) if i == j else (0,) for j in range(3)) for i in range(3)
-        )
-        return CupData(h1_rank=3, h2=(0, 0, 0), h3=(0,), cup=cup)
-    raise Dim3Error(f"no cup preset for {space!r}")
+    """The cup table of the catalog space ``space``, a constant per name."""
+    return cup_table(catalog(space))
 
 
 def pontrjagin_sector_group(cup: CupData, alpha: Sequence[int]) -> AbelianGroup:

@@ -16,7 +16,7 @@ from topsectors.cohomology import (
     twisted_second_cohomology,
 )
 from topsectors.complexes import catalog
-from topsectors.dim3 import cup_preset, pontrjagin_sector_group, preset_for, sector_group_s2
+from topsectors.dim3 import cup_preset, cylinder_preset, pontrjagin_sector_group, sector_group_s2
 from topsectors.fingrp import cyclic, direct_product, symmetric
 from topsectors.words import Alphabet, Word, fox_derivative
 from topsectors.xmod import (
@@ -260,7 +260,7 @@ def test_criterion_7_lens_spaces():
 
 
 def test_criterion_8_sphere_target_both_routes():
-    preset = preset_for(catalog("s1_x_s2"))
+    preset = cylinder_preset(catalog("s1_x_s2"))
     cup = cup_preset("s1_x_s2")
     for q in range(-5, 6):
         lattice_route = sector_group_s2(preset, {"t": q})
@@ -268,7 +268,7 @@ def test_criterion_8_sphere_target_both_routes():
         expected = zn(2 * abs(q)) if q else Z
         assert lattice_route == cup_route == expected, q
 
-    preset = preset_for(catalog("torus3"))
+    preset = cylinder_preset(catalog("torus3"))
     cup = cup_preset("torus3")
     for q in itertools.product(range(-5, 6), repeat=3):
         lattice_route = sector_group_s2(preset, dict(zip("tuv", q)))

@@ -11,15 +11,37 @@ from hypothesis import given, settings, strategies as st
 
 from topsectors import classify2d, dim3
 from topsectors.cli import main
-from topsectors.complexes import CWComplex, catalog, saves
+from topsectors.complexes import CWComplex, TriadLetter, catalog, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
 from topsectors.fingrp import cyclic
+from topsectors.words import Alphabet
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _t(alphabet, f, cell, sign):
+    return TriadLetter(alphabet.word(f), (), cell, sign)
+
+
+def s1_x_s2_wedge_s2():
+    """S^1 x (S^2 v S^2): 2-cells t and s with empty words, 3-cells
+    t ^a t^-1 and s ^a s^-1."""
+    a = Alphabet(["a"])
+    return CWComplex(
+        ["a"],
+        [("t", ""), ("s", "")],
+        [("x", [_t(a, "", "t", 1), _t(a, "a", "t", -1)]),
+         ("y", [_t(a, "", "s", 1), _t(a, "a", "s", -1)])],
+    )
+
+
+def torus3_wedge_s2():
+    T = catalog("torus3")
+    return CWComplex(T.alphabet.names, [*T.two_cells, ("s", "")], T.three_cells)
 
 
 def trivial_action(G, H):
@@ -156,23 +178,32 @@ class TestCrosscheck:
         assert code == 0
         assert "all sectors match" in out
 
-    def test_sphere_preset_matched_once(self, capsys, monkeypatch):
-        # The cup table is keyed by the preset classify_s2 found, so M is
-        # matched against the presets once.
-        calls = []
-        real_preset_for = dim3.preset_for
+    @pytest.mark.parametrize("command", ["classify", "crosscheck"])
+    def test_sphere_cylinder_built_once(self, capsys, monkeypatch, command):
+        # One command builds one cylinder, for its source, and no other.
+        builds = []
+        real_post_init = dim3.CylinderPreset.__post_init__
 
-        def counted_preset_for(M):
-            calls.append(M)
-            return real_preset_for(M)
+        def counted_post_init(self):
+            builds.append(self.base.name)
+            real_post_init(self)
 
-        monkeypatch.setattr(dim3, "preset_for", counted_preset_for)
-        code, out, _ = run(
-            capsys, "crosscheck", "--source", "torus3", "--target", "sphere2", "--sweep", "1"
+        monkeypatch.setattr(dim3.CylinderPreset, "__post_init__", counted_post_init)
+        code, _, err = run(
+            capsys, command, "--source", "torus3", "--target", "sphere2", "--sweep", "1"
         )
-        assert code == 0
-        assert "all sectors match" in out
-        assert len(calls) == 1
+        assert code == 0, err
+        assert builds == ["torus3"]
+
+    @pytest.mark.parametrize("make", [s1_x_s2_wedge_s2, torus3_wedge_s2])
+    def test_non_catalog_sphere_source(self, capsys, tmp_path, make):
+        path = tmp_path / "source.json"
+        path.write_text(saves(make()))
+        code, out, err = run(
+            capsys, "crosscheck", "--source", str(path), "--target", "sphere2", "--sweep", "2"
+        )
+        assert code == 0, err
+        assert out.endswith("all sectors match\n")
 
     def test_corrupted_cup_table_mismatch(self, capsys, tmp_path):
         bad = {
@@ -604,7 +635,7 @@ class TestReport:
 
 
 class TestStructuralDispatch:
-    """Presets and the sphere target are recognised by structure, never by
+    """Sources and the sphere target are recognised by structure, never by
     a file's name field."""
 
     def _s1_x_s2_copy(self, tmp_path, name):
@@ -639,19 +670,31 @@ class TestStructuralDispatch:
 
 
 # The exit code of each command, source and target: 0 on a route, 2 for an
-# unsupported pair.  no_preset.json is a valid 3-complex equal to no cylinder
-# preset's base, though its name field says s1_x_s2.
+# unsupported pair.  renamed.json is s1_x_s2 with its 1-cell renamed, though
+# its name field says s1_x_s2.  lens31.json (t = a^3, 3-cell t ^a t^-1) and
+# constrained.json (3-cell t s^-1) are valid 3-complexes outside the sphere
+# route's domain.
 ROUTE_TABLE = {
     "classify": {
         "torus2": {"rp2": 0, "sphere2": 0, "lens:3,1": 2},
         "torus3": {"rp2": 2, "sphere2": 0, "lens:3,1": 0},
-        "no_preset.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 0},
+        "renamed.json": {"rp2": 2, "sphere2": 0, "lens:3,1": 0},
+        "lens31.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 0},
+        "constrained.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 0},
     },
     "crosscheck": {
         "torus2": {"rp2": 0, "sphere2": 0, "lens:3,1": 2},
         "torus3": {"rp2": 2, "sphere2": 0, "lens:3,1": 2},
-        "no_preset.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 2},
+        "renamed.json": {"rp2": 2, "sphere2": 0, "lens:3,1": 2},
+        "lens31.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 2},
+        "constrained.json": {"rp2": 2, "sphere2": 2, "lens:3,1": 2},
     },
+}
+
+SPHERE_DOMAIN_ERRORS = {
+    "lens31.json": "unsupported: 2-cell t has nonzero exponent sums,"
+    " so its interval 3-cell does not pin phi2\n",
+    "constrained.json": "unsupported: 3-cell x constrains phi2: {'t': 1, 's': -1}\n",
 }
 
 
@@ -670,15 +713,20 @@ def test_route_table(capsys, monkeypatch, tmp_path, command, source, target, exp
     for cell in obj["three_cells"]:
         for letter in cell["attach"]:
             letter["f"] = letter["f"].replace("a", "b")
-    (tmp_path / "no_preset.json").write_text(json.dumps(obj))
+    (tmp_path / "renamed.json").write_text(json.dumps(obj))
+    a, none = Alphabet(["a"]), Alphabet([])
+    lens31 = CWComplex(["a"], [("t", "a^3")], [("x", [_t(a, "", "t", 1), _t(a, "a", "t", -1)])])
+    (tmp_path / "lens31.json").write_text(saves(lens31))
+    constrained = CWComplex(
+        [], [("t", ""), ("s", "")], [("x", [_t(none, "", "t", 1), _t(none, "", "s", -1)])]
+    )
+    (tmp_path / "constrained.json").write_text(saves(constrained))
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, command, "--source", source, "--target", target)
     assert code == expected, err
     assert (out == "") == (code != 0)
-    if (source, target) == ("no_preset.json", "sphere2"):
-        assert err == (
-            "unsupported: no cylinder preset matches this complex (presets: s1_x_s2, torus3)\n"
-        )
+    if target == "sphere2" and source in SPHERE_DOMAIN_ERRORS:
+        assert err == SPHERE_DOMAIN_ERRORS[source]
 
 
 class TestCleanExits:

@@ -1,30 +1,33 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
+from typing import Mapping
 
 import pytest
 
 from topsectors import dim3
-from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves, validate_triad
+from topsectors.complexes import CWComplex, HWord, TriadLetter, catalog, loads, saves, validate_triad
 from topsectors.dim3 import (
     CupData,
+    CylinderPreset,
     Dim3Error,
-    NoPresetError,
+    FormalLWord,
     TensorLetter,
+    UnsupportedComplexError,
     classify_s2,
     crossed_square_report,
     cup_preset,
+    cup_table,
     cylinder_preset,
-    evaluate_L,
     phi2_boundary,
     pontrjagin_sector_group,
-    preset_for,
     sector_group_s2,
     xsq_hom_lattice,
 )
 from topsectors.words import Alphabet, Word
-from topsectors.zlinalg import AbelianGroup
+from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
 
 E = Word.identity(Alphabet(["a0", "a1"]))
@@ -32,6 +35,218 @@ E = Word.identity(Alphabet(["a0", "a1"]))
 
 def z_or(n):
     return AbelianGroup((0,)) if n == 0 else AbelianGroup.from_factors([abs(n)])
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators: a formal triad-group word walked letter by letter
+# ---------------------------------------------------------------------------
+
+
+def _phi2_of_hword(word: HWord, values: Mapping[str, int]) -> int:
+    """Signed sum of cell values over an H-word; conjugators drop because the
+    target group acts trivially."""
+    total = 0
+    for _, cell, sign in word:
+        if cell not in values:
+            raise Dim3Error(f"no value assigned to cell {cell!r}")
+        total += sign * values[cell]
+    return total
+
+
+def evaluate_L(word: FormalLWord, values: Mapping[str, int]) -> int:
+    """Image of a formal triad-group word in pi_3 S^2 = Z.
+
+    Tensor letters multiply the signed phi2 sums of their two factors; a
+    conjugated 3-cell letter contributes its own value, conjugators dropping
+    since the target action is trivial.
+    """
+    total = 0
+    for letter in word:
+        if isinstance(letter, TensorLetter):
+            term = _phi2_of_hword(letter.h, values) * _phi2_of_hword(letter.k, values)
+        else:
+            if letter.cell not in values:
+                raise Dim3Error(f"no value assigned to cell {letter.cell!r}")
+            term = values[letter.cell]
+        total += letter.sign * term
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Hand transcriptions of the two catalog cylinders and cup tables: the
+# external check of the built cylinders and the derived cup tables
+# ---------------------------------------------------------------------------
+
+
+def s1_x_s2_fixture() -> CylinderPreset:
+    M = catalog("s1_x_s2")
+    alphabet = Alphabet(["a0", "a1"])
+    two, three = dim3._doubled_cells(M, alphabet)
+    two.append(("aI", alphabet.word("a1 a0^-1")))
+    e = Word.identity(alphabet)
+    tI = [
+        TriadLetter(e, (), "t1", 1),
+        TriadLetter(e, (), "t0", -1),
+    ]
+    three.append(("tI", tI))
+    cylinder = CWComplex(
+        alphabet.names, two, three, name="cylinder(s1_x_s2)"
+    )
+    t0_inv: HWord = ((e, "t0", -1),)
+    boundary4: FormalLWord = (
+        TensorLetter(h=((e, "aI", -1),), k=((e, "t0", 1),), sign=-1),
+        TensorLetter(h=((alphabet.word("a1"), "t0", -1),), k=((e, "aI", 1),), sign=-1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="x1", sign=1),
+        TriadLetter(conj_f=e, conj_h=t0_inv, cell="tI", sign=-1),
+        TriadLetter(conj_f=e, conj_h=t0_inv + ((e, "aI", 1),), cell="x0", sign=-1),
+    )
+    return CylinderPreset(
+        base=M,
+        cylinder=cylinder,
+        i_two_cells=("aI",),
+        i_three_cells=("tI",),
+        boundary4={"xI": boundary4},
+        end_cell_pairs={"t": ("t0", "t1")},
+    )
+
+
+def torus3_fixture() -> CylinderPreset:
+    M = catalog("torus3")
+    alphabet = Alphabet(["a0", "b0", "c0", "a1", "b1", "c1"])
+    two, three = dim3._doubled_cells(M, alphabet)
+    for gen in ("a", "b", "c"):
+        two.append((f"{gen}I", alphabet.word(f"{gen}1 {gen}0^-1")))
+    e = Word.identity(alphabet)
+
+    def w(text: str) -> Word:
+        return alphabet.word(text)
+
+    # sigma_3 of the interval 3-cells, cyclically in (t,a) -> (u,b) -> (v,c).
+    cyclic = [("t", "b", "c"), ("u", "c", "a"), ("v", "a", "b")]
+    for cell, y, z in cyclic:
+        letters = [
+            TriadLetter(e, (), f"{cell}1", 1),
+            TriadLetter(w(f"{z}1"), (), f"{y}I", 1),
+            TriadLetter(e, (), f"{z}I", 1),
+            TriadLetter(e, (), f"{cell}0", -1),
+            TriadLetter(e, (), f"{y}I", -1),
+            TriadLetter(w(f"{y}1"), (), f"{z}I", -1),
+        ]
+        three.append((f"{cell}I", letters))
+    cylinder = CWComplex(alphabet.names, two, three, name="cylinder(torus3)")
+
+    tensor_pairs = [("a", "t"), ("b", "u"), ("c", "v")]
+    letters: list[TensorLetter | TriadLetter] = []
+    for gen, cell in tensor_pairs:
+        letters.append(
+            TensorLetter(h=((e, f"{gen}I", -1),), k=((e, f"{cell}0", 1),), sign=1)
+        )
+        letters.append(
+            TensorLetter(
+                h=((w(f"{gen}1"), f"{cell}0", -1),), k=((e, f"{gen}I", 1),), sign=1
+            )
+        )
+    letters += [
+        TriadLetter(e, (), "x1", 1),
+        TriadLetter(e, (), "tI", -1),
+        TriadLetter(w("c1"), (), "vI", 1),
+        TriadLetter(e, (), "uI", -1),
+        TriadLetter(e, (), "x0", -1),
+        TriadLetter(w("a1"), (), "tI", 1),
+        TriadLetter(e, (), "vI", -1),
+        TriadLetter(w("b1"), (), "uI", 1),
+    ]
+    return CylinderPreset(
+        base=M,
+        cylinder=cylinder,
+        i_two_cells=("aI", "bI", "cI"),
+        i_three_cells=("tI", "uI", "vI"),
+        boundary4={"xI": tuple(letters)},
+        end_cell_pairs={"t": ("t0", "t1"), "u": ("u0", "u1"), "v": ("v0", "v1")},
+    )
+
+
+FIXTURES = {"s1_x_s2": s1_x_s2_fixture, "torus3": torus3_fixture}
+
+HAND_CUP = {
+    "s1_x_s2": CupData(h1_rank=1, h2=(0,), h3=(0,), cup=(((1,),),)),
+    "torus3": CupData(
+        h1_rank=3,
+        h2=(0, 0, 0),
+        h3=(0,),
+        cup=tuple(tuple((1,) if i == j else (0,) for j in range(3)) for i in range(3)),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# 3-complexes outside the catalog
+# ---------------------------------------------------------------------------
+
+
+def _t(alphabet, f, cell, sign):
+    return TriadLetter(alphabet.word(f), (), cell, sign)
+
+
+def s1_x_s2_wedge_s2_complex():
+    """S^1 x (S^2 v S^2): 2-cells t and s with empty words, 3-cells
+    t ^a t^-1 and s ^a s^-1."""
+    A = Alphabet(["a"])
+    return CWComplex(
+        ["a"],
+        [("t", ""), ("s", "")],
+        [("x", [_t(A, "", "t", 1), _t(A, "a", "t", -1)]),
+         ("y", [_t(A, "", "s", 1), _t(A, "a", "s", -1)])],
+        name="s1_x_(s2_v_s2)",
+    )
+
+
+def torus3_wedge_s2_complex():
+    T = catalog("torus3")
+    return CWComplex(T.alphabet.names, [*T.two_cells, ("s", "")], T.three_cells, name="torus3_v_s2")
+
+
+def s1_x_s2_wedge_s1_x_s2_complex():
+    A = Alphabet(["a", "b"])
+    return CWComplex(
+        ["a", "b"],
+        [("t", ""), ("s", "")],
+        [("x", [_t(A, "", "t", 1), _t(A, "a", "t", -1)]),
+         ("y", [_t(A, "", "s", 1), _t(A, "b", "s", -1)])],
+        name="s1_x_s2_v_s1_x_s2",
+    )
+
+
+def lens31_complex():
+    """L(3,1): t = a^3 and the 3-cell t ^a t^-1, whose relator has a
+    nonzero exponent sum."""
+    A = Alphabet(["a"])
+    return CWComplex(["a"], [("t", "a^3")], [("x", [_t(A, "", "t", 1), _t(A, "a", "t", -1)])])
+
+
+def constrained_complex():
+    """Two 2-spheres and a 3-cell t s^-1, which forces phi2(t) = phi2(s)."""
+    A = Alphabet([])
+    return CWComplex([], [("t", ""), ("s", "")], [("x", [_t(A, "", "t", 1), _t(A, "", "s", -1)])])
+
+
+NON_CATALOG = {
+    "s1_x_(s2_v_s2)": s1_x_s2_wedge_s2_complex,
+    "torus3_v_s2": torus3_wedge_s2_complex,
+    "s1_x_s2_v_s1_x_s2": s1_x_s2_wedge_s1_x_s2_complex,
+}
+SOURCES = {space: functools.partial(catalog, space) for space in FIXTURES} | NON_CATALOG
+
+# Complexes outside the sphere route's domain, each with its exact error.
+DOMAIN_ERRORS = {
+    "torus2": (functools.partial(catalog, "torus2"), "the sphere route needs a 3-complex"),
+    "lens31": (
+        lens31_complex,
+        "2-cell t has nonzero exponent sums, so its interval 3-cell does not pin phi2",
+    ),
+    "constrained": (constrained_complex, "3-cell x constrains phi2: {'t': 1, 's': -1}"),
+}
 
 
 class TestHomLattice:
@@ -71,14 +286,19 @@ class TestEvaluateL:
             assert evaluate_L(word, {"t0": q}) == q * q
 
     def test_s1_x_s2_relation_word(self):
-        preset = cylinder_preset("s1_x_s2")
+        preset = s1_x_s2_fixture()
         word = preset.boundary4["xI"]
         for q, aI, psi, phi in [(3, 1, 10, 4), (0, 7, 1, 1), (-2, 2, 0, 8)]:
             values = {"t0": q, "t1": q, "aI": aI, "tI": 0, "x0": phi, "x1": psi}
             assert evaluate_L(word, values) == 2 * q * aI + psi - phi
+        # The built word takes the opposite orientation of aI.
+        word = cylinder_preset(catalog("s1_x_s2")).boundary4["xI"]
+        for q, aI, psi, phi in [(3, 1, 10, 4), (0, 7, 1, 1), (-2, 2, 0, 8)]:
+            values = {"t0": q, "t1": q, "aI": aI, "tI": 5, "x0": phi, "x1": psi}
+            assert evaluate_L(word, values) == -2 * q * aI + psi - phi
 
     def test_torus3_relation_word(self):
-        preset = cylinder_preset("torus3")
+        preset = torus3_fixture()
         word = preset.boundary4["xI"]
         values = {
             "t0": 2, "t1": 2, "u0": 3, "u1": 3, "v0": 5, "v1": 5,
@@ -112,27 +332,27 @@ class TestEvaluateL:
 
 class TestCylinderPresets:
     def test_s1_x_s2_inventory(self):
-        preset = cylinder_preset("s1_x_s2")
+        preset = cylinder_preset(catalog("s1_x_s2"))
         assert preset.cylinder.cell_counts() == (2, 3, 3)
         assert set(preset.i_two_cells) == {"aI"}
         assert set(preset.i_three_cells) == {"tI"}
 
     def test_torus3_inventory(self):
-        preset = cylinder_preset("torus3")
+        preset = cylinder_preset(catalog("torus3"))
         assert preset.cylinder.cell_counts() == (6, 9, 5)
         assert set(preset.i_two_cells) == {"aI", "bI", "cI"}
         assert set(preset.i_three_cells) == {"tI", "uI", "vI"}
 
-    def test_cylinder_triads_validate(self):
-        for name in ("s1_x_s2", "torus3"):
-            cyl = cylinder_preset(name).cylinder
-            for _, triad in cyl.three_cells:
-                assert validate_triad(cyl, triad) is None
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_cylinder_triads_validate(self, source):
+        cyl = cylinder_preset(SOURCES[source]()).cylinder
+        for _, triad in cyl.three_cells:
+            assert validate_triad(cyl, triad) is None
 
     def test_ends_restrict_to_copies(self):
         for name in ("s1_x_s2", "torus3"):
             M = catalog(name)
-            cyl = cylinder_preset(name).cylinder
+            cyl = cylinder_preset(M).cylinder
             for suffix in ("0", "1"):
                 for cell, word in M.two_cells:
                     end = cyl.attaching_word(f"{cell}{suffix}")
@@ -140,17 +360,13 @@ class TestCylinderPresets:
                         (f"{n}{suffix}", e) for n, e in word.runs
                     )
 
-    def test_missing_preset(self):
-        with pytest.raises(Dim3Error):
-            cylinder_preset("torus2")
-
-    @pytest.mark.parametrize("space", ["s1_x_s2", "torus3"])
-    def test_relations_equal_direct_walk(self, space):
+    @pytest.mark.parametrize("source", ["s1_x_s2", "torus3", "s1_x_(s2_v_s2)"])
+    def test_relations_equal_direct_walk(self, source):
         # Each 4-cell word is walked directly with evaluate_L: end copies
         # carry phi2 and x0 = 0.  The word is linear in the unknowns, so it
         # evaluates to 0 with every unknown at 0 and to column c of its row
         # with unknown c alone at 1.
-        preset = cylinder_preset(space)
+        preset = cylinder_preset(SOURCES[source]())
         base3 = preset.base.three_cell_names()
         rng = random.Random(9)
         for _ in range(300):
@@ -165,25 +381,23 @@ class TestCylinderPresets:
                 for c, entry in zip(preset.columns, row, strict=True):
                     assert evaluate_L(word, {**values, c: 1}) == entry
 
-    @pytest.mark.parametrize("space, sweep", [("torus3", 3), ("s1_x_s2", 5)])
-    def test_rows_read_once_per_preset(self, monkeypatch, space, sweep):
-        # One reading per 4-cell when the preset is built, none per sector.
+    @pytest.mark.parametrize("source, sweep", [
+        ("torus3", 3), ("s1_x_s2", 5), ("s1_x_(s2_v_s2)", 2),
+    ])
+    def test_rows_read_once_per_preset(self, monkeypatch, source, sweep):
+        # One reading per 4-cell when the cylinder is built, none per sector.
         reads = []
         real = dim3.CylinderPreset._read_relation
 
         def counted(self, name):
-            reads.append((self.space, name))
+            reads.append(name)
             return real(self, name)
 
         monkeypatch.setattr(dim3.CylinderPreset, "_read_relation", counted)
-        cylinder_preset.cache_clear()
-        try:
-            res = classify_s2(catalog(space), sweep=sweep)
-        finally:
-            cylinder_preset.cache_clear()
-        # preset_for may build both presets, each with one 4-cell.
-        assert (space, "xI") in reads and len(reads) == len(set(reads))
-        assert len(reads) <= 2 < len(res.sectors)
+        M = SOURCES[source]()
+        res = classify_s2(M, sweep=sweep)
+        assert reads == [f"{name}I" for name in M.three_cell_names()]
+        assert len(res.sectors) > len(reads)
 
     @pytest.mark.parametrize("letter", [
         TensorLetter(h=((E, "t0", 1),), k=((E, "t0", 1),), sign=1),  # quadratic in phi2
@@ -194,34 +408,61 @@ class TestCylinderPresets:
         TensorLetter(h=((E, "aI", 1),), k=((E, "aI", 1), (E, "t0", 1)), sign=1),
     ])
     def test_nonlinear_letter_refused(self, letter):
-        preset = cylinder_preset("s1_x_s2")
+        preset = cylinder_preset(catalog("s1_x_s2"))
         word = preset.boundary4["xI"] + (letter,)
         with pytest.raises(Dim3Error, match="not linear in phi2"):
             dataclasses.replace(preset, boundary4={"xI": word})
 
-    def test_sweep_traffic(self, monkeypatch):
-        # The preset is looked up once per call, and no sector re-derives a
-        # 3-cell's phi2 counts.  Every preset is built first, since
-        # preset_for may build one and its checks read phi2_boundary.
-        for space in ("s1_x_s2", "torus3"):
-            cylinder_preset(space)
-        lookups, boundaries = [], []
-        real_preset_for, real_boundary = dim3.preset_for, dim3.phi2_boundary
+    def test_one_build_per_complex(self, monkeypatch):
+        # One cylinder per complex object: the first sweep builds it, a
+        # second sweep on the same object reuses it, and no sector of either
+        # re-derives a 3-cell's phi2 counts.
+        builds, boundaries = [], []
+        real_post_init, real_boundary = CylinderPreset.__post_init__, dim3.phi2_boundary
 
-        def counted_preset_for(M):
-            lookups.append(M)
-            return real_preset_for(M)
+        def counted_post_init(self):
+            builds.append(self.base)
+            real_post_init(self)
 
         def counted_boundary(M, triad):
             boundaries.append(triad)
             return real_boundary(M, triad)
 
-        monkeypatch.setattr(dim3, "preset_for", counted_preset_for)
-        monkeypatch.setattr(dim3, "phi2_boundary", counted_boundary)
-        M = catalog("torus3")
+        monkeypatch.setattr(CylinderPreset, "__post_init__", counted_post_init)
+        M, N = catalog("torus3"), catalog("torus3")
         classify_s2(M, sweep=3)
-        assert len(lookups) <= 1
-        assert boundaries == []
+        assert builds == [M]
+        monkeypatch.setattr(dim3, "phi2_boundary", counted_boundary)
+        classify_s2(M, sweep=3)
+        assert builds == [M] and boundaries == []
+        classify_s2(N, sweep=1)
+        assert builds == [M, N]
+
+
+class TestFixtures:
+    """The built cylinders and derived cup tables against the hand
+    transcriptions of the two catalog spaces."""
+
+    @staticmethod
+    def delta_lattice(preset, phi2):
+        rows = preset.relations(phi2)
+        width, n = len(preset.columns), len(preset.base.three_cells)
+        _, kernel = solve(IntMatrix(rows, cols=width), (0,) * len(rows))
+        return Lattice(n, [k[width - n :] for k in kernel]).basis()
+
+    @pytest.mark.parametrize("space", sorted(FIXTURES))
+    def test_delta_lattice_equals_fixture(self, space):
+        # 13 + 13^3 = 2210 phi2 in [-6, 6]^n over both spaces.
+        fixture, built = FIXTURES[space](), cylinder_preset(catalog(space))
+        cells = built.base.two_cell_names()
+        assert fixture.columns == built.columns
+        for combo in itertools.product(range(-6, 7), repeat=len(cells)):
+            phi2 = dict(zip(cells, combo))
+            assert self.delta_lattice(built, phi2) == self.delta_lattice(fixture, phi2), phi2
+
+    @pytest.mark.parametrize("space", sorted(HAND_CUP))
+    def test_cup_table_equals_hand_table(self, space):
+        assert cup_table(catalog(space)) == cup_preset(space) == HAND_CUP[space]
 
 
 class TestClassifyS2:
@@ -234,31 +475,30 @@ class TestClassifyS2:
         monkeypatch.setattr(dim3, "xsq_hom_lattice", refuse)
         res = classify_s2(catalog("torus3"), sweep=1)
         assert len(res.sectors) == 27
-        assert res.space == "torus3"
         assert res.to_json()["two_cells"] == ["t", "u", "v"]
         assert "space" not in res.to_json()
 
     def test_s1_x_s2_sector_groups(self):
-        preset = cylinder_preset("s1_x_s2")
+        preset = cylinder_preset(catalog("s1_x_s2"))
         for q in range(-5, 6):
             assert sector_group_s2(preset, {"t": q}) == z_or(2 * q), q
 
     def test_torus3_sector_groups(self):
-        preset = cylinder_preset("torus3")
+        preset = cylinder_preset(catalog("torus3"))
         for q in [(0, 0, 0), (2, 4, 6), (1, 1, 1), (0, 3, 0), (-2, 2, 4)]:
             g = math.gcd(math.gcd(abs(q[0]), abs(q[1])), abs(q[2]))
             assert sector_group_s2(preset, dict(zip("tuv", q))) == z_or(2 * g), q
 
     def test_hopf_sector_is_z(self):
         for name in ("s1_x_s2", "torus3"):
-            preset = cylinder_preset(name)
+            preset = cylinder_preset(catalog(name))
             zero = {c: 0 for c in preset.base.two_cell_names()}
             assert sector_group_s2(preset, zero) == AbelianGroup((0,))
 
     @pytest.mark.parametrize("phi2", [{}, {"t": 1, "u": 2}, {"t": 1, "u": 2, "v": 3, "w": 0}])
     def test_phi2_must_name_the_two_cells(self, phi2):
         with pytest.raises(Dim3Error, match="exactly the 2-cells"):
-            sector_group_s2(cylinder_preset("torus3"), phi2)
+            sector_group_s2(cylinder_preset(catalog("torus3")), phi2)
 
     def test_classify_sweep(self):
         res = classify_s2(catalog("s1_x_s2"), sweep=2)
@@ -266,57 +506,31 @@ class TestClassifyS2:
         by_q = {s.phi2["t"]: s.group for s in res.sectors}
         assert by_q == {q: z_or(2 * q) for q in range(-2, 3)}
 
-    def test_bad_sector_rejected(self):
-        # torus2 has no 3-cells, so every phi2 is a homomorphism, but there
-        # is no cylinder preset for it
-        with pytest.raises(Dim3Error, match="no cylinder preset"):
-            classify_s2(catalog("torus2"))
-
-    def test_non_homomorphism_rejected(self):
-        # two 2-spheres and a 3-cell attached by t s^-1: phi2 must have t = s,
-        # so not every phi2 is a sector, and a preset on it is refused
-        e = Word.identity(Alphabet([]))
-        M = CWComplex(
-            [], [("t", ""), ("s", "")],
-            [("x", [TriadLetter(e, (), "t", 1), TriadLetter(e, (), "s", -1)])],
-        )
-        with pytest.raises(Dim3Error, match="base 3-cell x constrains phi2"):
-            dataclasses.replace(cylinder_preset("s1_x_s2"), base=M)
-        with pytest.raises(Dim3Error, match="no cylinder preset"):
-            classify_s2(M)
-
-    def test_negative_sweep_rejected(self):
-        with pytest.raises(Dim3Error, match="sweep"):
-            classify_s2(catalog("s1_x_s2"), sweep=-1)
-
-
-class TestPresetDispatch:
-    """Presets are chosen by the structure of the complex, never its name."""
-
-    @pytest.mark.parametrize("space", ["s1_x_s2", "torus3"])
-    @pytest.mark.parametrize("name", [None, "renamed", "torus3", "s1_x_s2"])
-    def test_copy_gets_its_own_preset(self, space, name):
-        M = loads(saves(catalog(space)))
+    @pytest.mark.parametrize("source", sorted(DOMAIN_ERRORS))
+    @pytest.mark.parametrize("name", [None, "s1_x_s2", "renamed"])
+    def test_outside_domain_refused(self, source, name):
+        # An unsupported source for the cylinder and the cup table alike,
+        # whose message names the cell at fault, never the name field.
+        make, message = DOMAIN_ERRORS[source]
+        M = make()
         M.name = name
-        assert preset_for(M) is cylinder_preset(space)
+        for route in (classify_s2, cylinder_preset, cup_table):
+            with pytest.raises(UnsupportedComplexError) as err:
+                route(M)
+            assert str(err.value) == message
 
-    def test_misnamed_copy_classifies_as_its_structure(self):
+    @pytest.mark.parametrize("name", [None, "renamed", "torus3"])
+    def test_misnamed_copy_classifies_as_its_structure(self, name):
         M = loads(saves(catalog("s1_x_s2")))
-        M.name = "torus3"
+        M.name = name
         res = classify_s2(M, sweep=2)
         assert [s.group for s in res.sectors] == [
             s.group for s in classify_s2(catalog("s1_x_s2"), sweep=2).sectors
         ]
 
-    def test_unknown_structure(self):
-        # an unsupported source, whose message never echoes the name field
-        M = loads(saves(catalog("torus2")))
-        M.name = "renamed"
-        with pytest.raises(NoPresetError) as err:
-            preset_for(M)
-        assert str(err.value) == (
-            "no cylinder preset matches this complex (presets: s1_x_s2, torus3)"
-        )
+    def test_negative_sweep_rejected(self):
+        with pytest.raises(Dim3Error, match="sweep"):
+            classify_s2(catalog("s1_x_s2"), sweep=-1)
 
 
 class TestPontrjagin:
@@ -351,7 +565,7 @@ class TestPontrjagin:
 
 class TestRouteAgreement:
     def test_s1_x_s2_sweep(self):
-        preset = preset_for(catalog("s1_x_s2"))
+        preset = cylinder_preset(catalog("s1_x_s2"))
         cup = cup_preset("s1_x_s2")
         for q in range(-5, 6):
             lattice_route = sector_group_s2(preset, {"t": q})
@@ -359,12 +573,28 @@ class TestRouteAgreement:
             assert lattice_route == cup_route
 
     def test_torus3_small_sweep(self):
-        preset = preset_for(catalog("torus3"))
+        preset = cylinder_preset(catalog("torus3"))
         cup = cup_preset("torus3")
         for q in itertools.product(range(-2, 3), repeat=3):
             lattice_route = sector_group_s2(preset, dict(zip("tuv", q)))
             cup_route = pontrjagin_sector_group(cup, q)
             assert lattice_route == cup_route, q
+
+    @pytest.mark.parametrize("source", sorted(NON_CATALOG))
+    def test_non_catalog_sweep(self, source):
+        M = NON_CATALOG[source]()
+        cup = cup_table(M)
+        res = classify_s2(M, sweep=2)
+        assert len(res.sectors) == 5 ** len(M.two_cells)
+        for sector in res.sectors:
+            assert sector.group == pontrjagin_sector_group(cup, tuple(sector.phi2.values()))
+
+    def test_s1_x_s2_wedge_s2_pinned_sector(self):
+        # 2 alpha u H^1 is spanned by (4, 12) in H^3 = Z^2
+        M = s1_x_s2_wedge_s2_complex()
+        group = sector_group_s2(cylinder_preset(M), {"t": 2, "s": 6})
+        assert group == AbelianGroup.from_factors([4, 0])
+        assert group == pontrjagin_sector_group(cup_table(M), (2, 6))
 
 
 class TestReport:
