@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .complexes import CWComplex
 from .fingrp import FiniteGroup
+from .words import Run
 from .xmod import ModuleXMod, XModError, validate
 from .zlinalg import (
     AbelianGroup,
@@ -258,7 +259,7 @@ class HomSystem:
     layout: HomLayout
     solver: SmithSolver
     directions: Lattice
-    fox: dict[tuple[str, str], dict[Vector, int]]
+    fox: dict[tuple[str, str], tuple[Run, ...]]
 
     def lattice(self, sector: dict) -> Optional[AffineLattice]:
         """Affine lattice of all homomorphisms inducing the given sector, or
@@ -337,19 +338,35 @@ def labelled_sum(
     r: int,
     factors: Sequence[int],
     images: Sequence[Vector],
-    terms: dict[Vector, int],
+    terms: Sequence[Run],
     rho: Callable[[Vector], IntMatrix],
 ) -> list[list[int]]:
-    """The r x r block, as plain rows, of an element of Z[Z^n] (a Fox
-    derivative or a triad's derivation image, keyed by exponent sums)
-    through a sector whose 1-cells carry the labels ``images``: the sum of
-    c * rho(label_of_sums(sums)).  Equal labels are merged first, so rho is
-    evaluated once per label that does not cancel.  Route 1, the oracle and
-    the lens route all evaluate their twisted blocks here."""
+    """The r x r block, as plain rows, of an element of Z[Z^n] given as run
+    terms (a Fox derivative or a triad's derivation image) through a sector
+    whose 1-cells carry the labels ``images``: the sum of c * rho(label) over
+    every key of every run.  Along a run of length n the label steps by the
+    label of the run's 1-cell, so the labels repeat with that label's order
+    f (Fox, 1953).  The walk stops when it comes back to its start, after at
+    most min(n, |pi_1|) steps, and label i of the cycle is counted
+    n // f + (i < n % f) times; a run of length 1 is one label and no walk.
+    Equal labels are merged first, so rho is evaluated once per label that
+    does not cancel.  Route 1, the oracle and the lens route all evaluate
+    their twisted blocks here."""
     merged: dict[Vector, int] = {}
-    for sums, c in terms.items():
-        label = label_of_sums(factors, images, sums)
-        merged[label] = merged.get(label, 0) + c
+    for start, gen, n, c in terms:
+        label = label_of_sums(factors, images, start)
+        if n == 1:
+            merged[label] = merged.get(label, 0) + c
+            continue
+        cycle = [label]
+        while len(cycle) < n:
+            label = label_of_sums(factors, (label, images[gen]), (1, 1))
+            if label == cycle[0]:
+                break
+            cycle.append(label)
+        q, rem = divmod(n, len(cycle))
+        for i, label in enumerate(cycle):
+            merged[label] = merged.get(label, 0) + c * (q + (i < rem))
     total = [[0] * r for _ in range(r)]
     for label, c in merged.items():
         if c:

@@ -6,13 +6,14 @@ rho(phi1(a)) - 1, d1 blocks evaluate Fox derivatives of the attaching words,
 and d2 blocks evaluate the derivation image of the triad words.  Every
 supported target has abelian pi_1 and the twist factors through it, so a
 word matters only through its exponent sums: the d1 blocks use the
-abelianised Fox derivatives of ``words.fox_derivative`` (counts keyed by
-exponent-sum vectors), and the d1 and d2 blocks are evaluated by
+abelianised Fox derivatives of ``words.fox_derivative`` (run terms, one per
+syllable), and the d1 and d2 blocks are evaluated by
 ``classify2d.labelled_sum``, the one twisted-block evaluation that route 1
-shares, which labels each key in pi_1 of the target and returns plain
-rows.  This labeling is exact for the twist.  The action of every label is
-one lookup in a ``classify2d.rho_table``, built once per target or per
-``special_case_classify`` call.  The Fox derivatives and derivation images
+shares.  It labels each run in pi_1 of the target, walking a run only
+until its labels cycle and counting each label in closed form, and returns
+plain rows.  This labeling is exact for the twist.  The action of every
+label is one lookup in a ``classify2d.rho_table``, built once per target or
+per ``special_case_classify`` call.  The Fox derivatives and derivation images
 are the complex's own (``CWComplex.fox`` and ``CWComplex.triad_images``),
 taken once per complex and shared with route 1 as data only: each route
 assembles its own differentials.  Only the assembled differentials are

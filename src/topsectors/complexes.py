@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .words import Alphabet, AlphabetError, Word, collect, fox_derivative
+from .words import Alphabet, AlphabetError, Run, Word, collect, fox_derivative
 
 # An HWord is a freely reduced word in the generators (f, t) of the free
 # pre-crossed module: a tuple of (conjugator word, 2-cell name, sign).
@@ -180,9 +180,10 @@ class CWComplex:
     # -- Fox calculus ----------------------------------------------------------
 
     @functools.cached_property
-    def fox(self) -> dict[tuple[str, str], dict[tuple[int, ...], int]]:
+    def fox(self) -> dict[tuple[str, str], tuple[Run, ...]]:
         """The Fox derivative of each 2-cell's attaching word by each 1-cell,
-        keyed by (2-cell, 1-cell)."""
+        as run terms (one per syllable of the 1-cell), keyed by (2-cell,
+        1-cell)."""
         return {
             (cell, gen): fox_derivative(word, gen)
             for cell, word in self.two_cells
@@ -190,11 +191,16 @@ class CWComplex:
         }
 
     @functools.cached_property
-    def triad_images(self) -> dict[str, dict[str, dict]]:
-        """The derivation image of each 3-cell's H-word, keyed by exponent
-        sums, by 3-cell name."""
+    def triad_images(self) -> dict[str, dict[str, tuple[Run, ...]]]:
+        """The derivation image of each 3-cell's H-word, by 3-cell name and
+        2-cell name, as run terms of length 1: one per exponent-sum key."""
         return {
-            name: derivation_image(self, self.triad_normal_form(triad)[1], Word.exponent_sums)
+            name: {
+                cell: tuple(Run(sums, 0, 1, c) for sums, c in terms.items())
+                for cell, terms in derivation_image(
+                    self, self.triad_normal_form(triad)[1], Word.exponent_sums
+                ).items()
+            }
             for name, triad in self.three_cells
         }
 

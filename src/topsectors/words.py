@@ -1,9 +1,10 @@
-"""Free-group word arithmetic and abelianised Fox derivatives.
+"""Free-group word arithmetic and abelianised Fox derivatives as run terms.
 
 Words are stored run-length as ``(generator, exponent)`` syllables, always
 freely reduced, so attaching words like ``a^p b^-q`` stay compact for large
-exponents.  Alphabets and words are immutable and hashable; every operation
-is pure.
+exponents.  Their Fox derivatives stay compact too: one run term per
+syllable, not one key per letter.  Alphabets and words are immutable and
+hashable; every operation is pure.
 
 Text syntax (used by all file formats and the CLI): whitespace-separated
 tokens ``name`` or ``name^k`` with ``k`` a nonzero decimal integer, e.g.
@@ -12,7 +13,7 @@ tokens ``name`` or ``name^k`` with ``k`` a nonzero decimal integer, e.g.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 
 class AlphabetError(Exception):
@@ -200,28 +201,39 @@ def collect(terms: Iterable[tuple[Hashable, int]]) -> dict:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def fox_derivative(w: Word, gen: str) -> dict[tuple[int, ...], int]:
+class Run(NamedTuple):
+    """A run term of Z[Z^n]: ``coeff * (t^v + t^(v + e) + ... + t^(v + (length - 1) e))``
+    with v = ``start`` (exponent sums over the alphabet) and e the unit
+    vector of the 1-cell with index ``gen``.  A term of length 1 is the
+    single key ``coeff * t^start``; its ``gen`` is never read."""
+
+    start: tuple[int, ...]
+    gen: int
+    length: int
+    coeff: int
+
+
+def fox_derivative(w: Word, gen: str) -> tuple[Run, ...]:
     """Abelianised free (Fox) derivative of ``w`` with respect to ``gen``.
 
     The Fox derivative satisfies d(uv) = du + u . dv, d(a)/da = 1,
     d(b)/da = 0 for b != a, and d(a^-1)/da = -a^-1.  Each prefix u that it
     produces is kept only as its exponent-sum vector over the alphabet, so
-    the result lies in Z[Z^n]: a map {exponent sums of u: coefficient} with
-    zero coefficients dropped.  This is exact wherever the derivative is
-    evaluated through an abelian group.
+    the result lies in Z[Z^n].  A syllable a^n of ``gen`` contributes the
+    geometric sum of its prefixes as one :class:`Run`, never expanded:
+    d(a^n)/da = 1 + a + ... + a^(n-1) for n > 0, and
+    -(a^-1 + ... + a^n) for n < 0.  This is exact wherever the derivative
+    is evaluated through an abelian group.
     """
     alphabet = w.alphabet
     g = alphabet.index(gen)
     prefix = [0] * len(alphabet)
-    terms: list[tuple[tuple[int, ...], int]] = []
+    terms: list[Run] = []
     for name, exp in w.runs:
         i = alphabet.index(name)
         if i == g:
-            # d(a^n)/da = sum_{j=0}^{n-1} a^j   for n > 0
-            #           = -sum_{j=1}^{|n|} a^-j for n < 0
-            head, tail = tuple(prefix[:g]), tuple(prefix[g + 1 :])
-            low = prefix[g] + min(exp, 0)
-            step = 1 if exp > 0 else -1
-            terms.extend((head + (x,) + tail, step) for x in range(low, low + abs(exp)))
+            start = prefix[:]
+            start[g] += min(exp, 0)
+            terms.append(Run(tuple(start), g, abs(exp), 1 if exp > 0 else -1))
         prefix[i] += exp
-    return collect(terms)
+    return tuple(terms)

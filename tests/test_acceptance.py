@@ -31,6 +31,8 @@ from topsectors.xmod import (
 )
 from topsectors.zlinalg import AbelianGroup, IntMatrix, smith_normal_form
 
+from runterms import expand
+
 RP2 = target_catalog("rp2")
 
 Z = AbelianGroup((0,))
@@ -331,12 +333,13 @@ def test_criterion_10a_fox_properties():
     for _ in range(500):
         u, v = _random_word(rng, alphabet), _random_word(rng, alphabet)
         for g in alphabet.names:
-            assert fox_derivative(u * v, g) == add(
-                fox_derivative(u, g), shift(fox_derivative(v, g), u.exponent_sums())
+            assert expand(fox_derivative(u * v, g)) == add(
+                expand(fox_derivative(u, g)),
+                shift(expand(fox_derivative(v, g)), u.exponent_sums()),
             )
         total = {}
         for g in alphabet.names:
-            d = fox_derivative(u, g)
+            d = expand(fox_derivative(u, g))
             minus_d = {key: -c for key, c in d.items()}
             total = add(total, shift(d, alphabet.gen(g).exponent_sums()), minus_d)
         assert total == add({u.exponent_sums(): 1}, {zero: -1})

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topsectors import classify2d
 from topsectors.classify2d import (
     TargetData,
     UnsupportedTargetError,
@@ -16,6 +17,7 @@ from topsectors.classify2d import (
     hom_lattice,
     homotopy_sublattice,
     label_of_sums,
+    labelled_sum,
     layout_for,
     pi1_sectors,
     rho_table,
@@ -24,9 +26,11 @@ from topsectors.classify2d import (
 from topsectors.cohomology import CoefficientModule, twisted_second_cohomology
 from topsectors.complexes import CWComplex, catalog
 from topsectors.fingrp import cyclic, symmetric
-from topsectors.words import Alphabet, Word
+from topsectors.words import Alphabet, Run, Word, fox_derivative
 from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
+
+from runterms import expand
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
@@ -214,6 +218,82 @@ class TestLabelOfWord:
             ]
         images = tuple(assignment[g] for g in ABC.names)
         assert label_of_sums(factors, images, word.exponent_sums()) == tuple(out)
+
+
+def _fake_rho(label):
+    """A 2 x 2 matrix that tells labels apart: any function of the label
+    serves, since a block is a sum of c * rho(label) over keys."""
+    v = 0
+    for x in label:
+        v = 1009 * v + x + 17
+    return IntMatrix([[v, 1], [-3, v * v]])
+
+
+def _keywise_sum(factors, images, terms):
+    """The block of run terms summed one exponent-sum key at a time."""
+    total = [[0, 0], [0, 0]]
+    for sums, c in expand(terms).items():
+        m = _fake_rho(label_of_sums(factors, images, sums))
+        for row, m_row in zip(total, m.data):
+            for j, x in enumerate(m_row):
+                row[j] += c * x
+    return total
+
+
+class TestLabelledSum:
+    """``labelled_sum`` walks a run's labels only until they cycle and counts
+    each by the closed form; the oracle labels every key of the expansion."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(labelled_words())
+    def test_fox_runs_match_keywise_sum(self, case):
+        word, factors, assignment = case
+        images = tuple(assignment[g] for g in ABC.names)
+        for g in ABC.names:
+            terms = fox_derivative(word, g)
+            assert labelled_sum(2, factors, images, terms, _fake_rho) == _keywise_sum(
+                factors, images, terms
+            )
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        labelled_words(),
+        st.sampled_from(range(3)),
+        st.integers(1, 10**5),
+        st.integers(-3, 3),
+        st.tuples(*[st.integers(-9, 9) for _ in ABC.names]),
+    )
+    def test_long_run_matches_keywise_sum(self, case, gen, length, coeff, start):
+        _, factors, assignment = case
+        images = tuple(assignment[g] for g in ABC.names)
+        terms = (Run(start, gen, length, coeff),)
+        assert labelled_sum(2, factors, images, terms, _fake_rho) == _keywise_sum(
+            factors, images, terms
+        )
+
+    @pytest.mark.parametrize("label", [(0,), (1,)])
+    def test_long_run_into_rp2_takes_few_label_steps(self, monkeypatch, label):
+        # a^(10^9) through pi_1(rp2) = Z_2: one label for the run's start,
+        # then at most |pi_1 X| = 2 steps before the walk is back at it.
+        data = TargetData(RP2)
+        calls = []
+        real = classify2d.label_of_sums
+
+        def counted(factors, images, sums):
+            calls.append(sums)
+            assert len(calls) - 1 <= 2, "more label steps than |pi_1 X|"
+            return real(factors, images, sums)
+
+        monkeypatch.setattr(classify2d, "label_of_sums", counted)
+        n = 10**9
+        terms = fox_derivative(Alphabet(["a"]).word(f"a^{n}"), "a")
+        block = labelled_sum(RP2.rank, (2,), (label,), terms, data.rho.__getitem__)
+        # label 0: n copies of rho(0); label 1: n / 2 each of rho(0), rho(1)
+        m0, m1 = data.rho[(0,)].data, data.rho[(1,)].data
+        if label == (0,):
+            assert block == [[n * x for x in row] for row in m0]
+        else:
+            assert block == [[n // 2 * (x + y) for x, y in zip(*rows)] for rows in zip(m0, m1)]
 
 
 class TestHomLattice:

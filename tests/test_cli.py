@@ -233,6 +233,16 @@ class TestCrosscheck:
         code, _, err = run(capsys, "crosscheck", "--source", "s1_x_s2", "--target", "rp2")
         assert code == 2
 
+    def test_thousand_digit_run(self, capsys):
+        # a^p with a 1001-digit p: each run's labels cycle through Z_2, so
+        # both routes finish in label steps bounded by |pi_1 X|.
+        p = "1" + "0" * 1000
+        code, out, err = run(
+            capsys, "crosscheck", "--source", f"torus_knot:{p},3", "--target", "rp2"
+        )
+        assert code == 0, err
+        assert out.endswith("all sectors match\n")
+
 
 class TestValidate:
     def test_target_file_ok(self, capsys, tmp_path):
@@ -959,6 +969,19 @@ def test_pinned_output(capsys, command, digest):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A Fox derivative of a^1000000 evaluated through Z_2: sha256 of stdout,
+# recorded while each of the 10^6 keys was still labelled one by one.
+def test_pinned_long_run_output(capsys):
+    code, out, _ = run(
+        capsys, *"classify --source torus_knot:1000000,3 --target rp2 --free --format json".split()
+    )
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "f59f532592bd42a7846e6bf2aa880ace18dfaa1d6266d748855e0f8aed430db4"
+    )
 
 
 # Z_4 rotating Z^2 by a quarter turn with zero boundary: |pi_1 X| > 2, a

@@ -15,6 +15,8 @@ from topsectors.complexes import (
 )
 from topsectors.words import Word
 
+from runterms import expand
+
 ALL_CATALOG = [
     ("circle_wedge", {"n": 3}),
     ("sphere2", {}),
@@ -116,9 +118,12 @@ class TestCatalog:
         T = catalog("torus3")
         assert T.fox is T.fox and T.triad_images is T.triad_images
         assert len(calls) == 9
-        assert T.fox["t", "b"] == {(0, 0, 0): 1, (0, 0, 1): -1}
+        assert expand(T.fox["t", "b"]) == {(0, 0, 0): 1, (0, 0, 1): -1}
         assert set(T.triad_images) == {"x"}
         assert set(T.triad_images["x"]) == {"t", "u", "v"}
+        # a triad image is runs of length 1, one per exponent-sum key
+        assert all(run.length == 1 for image in T.triad_images["x"].values() for run in image)
+        assert expand(T.triad_images["x"]["t"]) == {(0, 0, 0): 1, (1, 0, 0): -1}
 
 
 class TestValidateTriad:
