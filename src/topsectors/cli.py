@@ -214,7 +214,8 @@ def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: 
 def _any_int_size():
     """Lift Python's limit on the digits of an int turned into a string
     (4300 by default) for the duration: output integers have no size limit.
-    Input keeps the limit, so that parsing stays bounded."""
+    A command enters it only once its input is read, so that input keeps
+    the limit and parsing stays bounded."""
     if not hasattr(sys, "set_int_max_str_digits"):  # Pythons with no limit
         yield
         return
@@ -271,24 +272,26 @@ def cmd_classify(args) -> int:
     M = resolve_source(args.source)
     target = resolve_target(args.target)
     route = _route(M, target, args)
-    if route == "2d":
-        classify = classify2d.classify_free if args.free else classify2d.classify_based
-        res = classify(M, target)
-        render = render_classification_text
-    elif route == "sphere":
-        res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
-        render = render_s2_text
-    elif route == "lens":
-        name, p = target
-        res = cohomology.special_case_classify(M, [p], 1)
-        render = lambda r: render_special_text(r, M.name or args.source, name)
-    elif isinstance(target, ModuleXMod):
-        raise UnsupportedError(
-            f"dimension-3 source with target {target.name or 'file'} is not supported"
-        )
-    else:
-        raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
-    _emit(json.dumps(res.to_json(), indent=2) if args.format == "json" else render(res), args.out)
+    with _any_int_size():
+        if route == "2d":
+            classify = classify2d.classify_free if args.free else classify2d.classify_based
+            res = classify(M, target)
+            render = render_classification_text
+        elif route == "sphere":
+            res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
+            render = render_s2_text
+        elif route == "lens":
+            name, p = target
+            res = cohomology.special_case_classify(M, [p], 1)
+            render = lambda r: render_special_text(r, M.name or args.source, name)
+        elif isinstance(target, ModuleXMod):
+            raise UnsupportedError(
+                f"dimension-3 source with target {target.name or 'file'} is not supported"
+            )
+        else:
+            raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
+        text = json.dumps(res.to_json(), indent=2) if args.format == "json" else render(res)
+        _emit(text, args.out)
     return EXIT_OK
 
 
@@ -296,38 +299,42 @@ def cmd_crosscheck(args) -> int:
     M = resolve_source(args.source)
     target = resolve_target(args.target)
     route = _route(M, target, args)
+    if route == "sphere":
+        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else dim3.cup_table(M)
     lines = []
     mismatches = 0
-    if route == "2d":
-        for sector in classify2d.classify_based(M, target).sectors:
-            coeffs = cohomology.CoefficientModule.for_target_sector(sector.target_data, sector.phi1)
-            oracle = cohomology.twisted_second_cohomology(M, coeffs)
-            ok = oracle == sector.based_group
-            mismatches += 0 if ok else 1
-            phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
-            lines.append(
-                f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
-                f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
-            )
-    elif route == "sphere":
-        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else dim3.cup_table(M)
-        res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
-        for sector in res.sectors:
-            alpha = tuple(sector.phi2.values())
-            oracle = dim3.pontrjagin_sector_group(cup, alpha)
-            ok = oracle == sector.group
-            mismatches += 0 if ok else 1
-            lines.append(
-                f"sector {alpha}: crossed-square {sector.group} vs cup-product {oracle}"
-                f" -> {'match' if ok else 'MISMATCH'}"
-            )
-    else:
-        raise UnsupportedError("no cross-check available for this source/target pair")
+    with _any_int_size():
+        if route == "2d":
+            for sector in classify2d.classify_based(M, target).sectors:
+                coeffs = cohomology.CoefficientModule.for_target_sector(
+                    sector.target_data, sector.phi1
+                )
+                oracle = cohomology.twisted_second_cohomology(M, coeffs)
+                ok = oracle == sector.based_group
+                mismatches += 0 if ok else 1
+                phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
+                lines.append(
+                    f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
+                    f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
+                )
+        elif route == "sphere":
+            res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
+            for sector in res.sectors:
+                alpha = tuple(sector.phi2.values())
+                oracle = dim3.pontrjagin_sector_group(cup, alpha)
+                ok = oracle == sector.group
+                mismatches += 0 if ok else 1
+                lines.append(
+                    f"sector {alpha}: crossed-square {sector.group} vs cup-product {oracle}"
+                    f" -> {'match' if ok else 'MISMATCH'}"
+                )
+        else:
+            raise UnsupportedError("no cross-check available for this source/target pair")
 
-    lines.append(
-        f"{'all sectors match' if not mismatches else f'{mismatches} sector(s) mismatch'}"
-    )
-    _emit("\n".join(lines), args.out)
+        lines.append(
+            f"{'all sectors match' if not mismatches else f'{mismatches} sector(s) mismatch'}"
+        )
+        _emit("\n".join(lines), args.out)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 

@@ -3,16 +3,15 @@
 The target's crossed square is rigid (all four groups are Z, the side maps
 are an identity and a zero pair), which collapses the nonabelian tensor
 calculus to integer bilinear algebra: a formal word in tensor and conjugated
-3-cell letters evaluates to an integer once every cell carries a value, and
-homotopy of homomorphisms becomes a linear Diophantine system over the
-cylinder cells.  The cylinder M x I is built from M's own product cells,
-and each of its 4-cell words pairs a factor of interval 2-cells with a
-factor of end copies in every tensor letter, so the relation is linear in
-phi2: the cylinder reads it once, straight off the word, into an integer
-row at phi2 = 0 and a slope row per base 2-cell, and refuses any letter
-that is not linear in phi2.  Every sector reads its relation off those
-rows.  The Pontrjagin cup-product route, with a cup table read off the
-triads, provides an independent check.
+3-cell letters evaluates to an integer once every cell carries a value.
+The cylinder M x I is built from M's own product cells.  Each of its 4-cell
+words reduces, in 3-cell letters, to its own 1-end copy x1, and each of its
+tensor letters pairs interval 2-cells with end copies, so the 4-cell over x
+says delta_x = -sum_g C_xg(phi2) gI with C(phi2) = sum_c phi2(c) slope_c.
+The cylinder reads the slopes once, straight off the words, and refuses any
+word that is not of that form.  A sector's classes are then Z^{3-cells}
+modulo the columns of C(phi2).  The Pontrjagin cup-product route, with a
+cup table read off the triads, provides an independent check.
 """
 
 from __future__ import annotations
@@ -53,7 +52,8 @@ class UnsupportedComplexError(Dim3Error):
 
 @dataclass(frozen=True)
 class TensorLetter:
-    """A tensor generator h (x) k of two pre-crossed module words, to a sign."""
+    """A tensor generator h (x) k of two pre-crossed module words, raised to
+    the integer exponent ``sign``."""
 
     h: HWord
     k: HWord
@@ -134,9 +134,10 @@ class CylinderPreset:
     Cell values on the cylinder: both end copies of a base 2-cell carry its
     phi2 value, the 0-end copy of a base 3-cell x carries 0 and the 1-end
     copy the unknown delta_x, and every interval cell is an unknown.  The
-    cylinder reads its 4-cell words once, on construction, into integer rows
-    over ``columns`` that are linear in phi2, and refuses a letter that is
-    not.
+    cylinder reads each 4-cell word once, on construction, into
+    ``slopes[x][c]``: the slope of x's relation along the base 2-cell c,
+    one entry per interval 2-cell.  The relation then reads
+    delta_x = -sum_g C_xg(phi2) gI with C(phi2) = sum_c phi2(c) slopes[.][c].
     """
 
     base: CWComplex
@@ -148,7 +149,9 @@ class CylinderPreset:
 
     def __post_init__(self):
         self._check_phi2_rigidity()
-        self._rows = [self._read_relation(f"{name}I") for name in self.base.three_cell_names()]
+        self.slopes = {
+            name: self._read_relation(f"{name}I") for name in self.base.three_cell_names()
+        }
 
     def _check_phi2_rigidity(self) -> None:
         """Every interval 3-cell must force the two phi2 end values of one
@@ -169,37 +172,33 @@ class CylinderPreset:
         if pinned != set(self.end_cell_pairs):
             raise Dim3Error("interval 3-cells do not pin every base 2-cell")
 
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """The unknowns: the interval cells, then the 1-end copy of each base 3-cell."""
-        ends = tuple(f"{name}1" for name in self.base.three_cell_names())
-        return self.i_two_cells + self.i_three_cells + ends
+    def _read_relation(self, name: str) -> dict[str, list[int]]:
+        """The slopes of the interval 4-cell ``name`` over ``i_two_cells``,
+        one row per base 2-cell.
 
-    def _read_relation(self, name: str) -> tuple[list[int], dict[str, list[int]]]:
-        """The relation of the interval 4-cell ``name`` over ``columns``: its
-        row at phi2 = 0 and its slope along each base 2-cell.
-
-        A cylinder 3-cell letter adds its sign at its column; the 0-end copy
-        of a base 3-cell carries 0.  A tensor letter must pair a factor of
-        interval 2-cells with a factor of end copies, in either order: each
-        interval cell (sign s) and end copy (sign t) add sign * s * t at the
-        interval cell's column of the slope along the end's base 2-cell.  Any
-        other letter makes the relation not linear in phi2.
+        The 3-cell letters must reduce to the 4-cell's own 1-end copy x1,
+        once: the 0-end copies carry 0, and any other cell that remains is
+        refused.  A tensor letter must pair a factor of interval 2-cells
+        with a factor of end copies, in either order: each interval cell
+        (sign s) and end copy (sign t) add exponent * s * t at the interval
+        cell's entry of the slope along the end's base 2-cell.  Any other
+        letter makes the relation not linear in phi2.
         """
-        index = {c: j for j, c in enumerate(self.columns)}
+        index = {c: j for j, c in enumerate(self.i_two_cells)}
         base_of = {end: base for base, ends in self.end_cell_pairs.items() for end in ends}
         three_cells = set(self.cylinder.three_cell_names())
-        row = [0] * len(index)
+        zero_ends = {f"{x}0" for x in self.base.three_cell_names()}
+        cells = []
         slopes = {base: [0] * len(index) for base in self.end_cell_pairs}
         for letter in self.boundary4[name]:
             if isinstance(letter, TriadLetter):
                 linear = letter.cell in three_cells
-                if letter.cell in index:
-                    row[index[letter.cell]] += letter.sign
+                if letter.cell not in zero_ends:
+                    cells.append((letter.cell, letter.sign))
             else:
                 linear = False
                 for interval, ends in ((letter.h, letter.k), (letter.k, letter.h)):
-                    if all(c in self.i_two_cells for _, c, _ in interval) and all(
+                    if all(c in index for _, c, _ in interval) and all(
                         c in base_of for _, c, _ in ends
                     ):
                         for (_, cell, s), (_, end, t) in itertools.product(interval, ends):
@@ -208,18 +207,10 @@ class CylinderPreset:
                         break
             if not linear:
                 raise Dim3Error(f"4-cell {name} has a letter not linear in phi2: {letter}")
-        return row, slopes
-
-    def relations(self, phi2: Mapping[str, int]) -> list[list[int]]:
-        """The 4-cell relation rows at phi2: each row at phi2 = 0 plus
-        phi2_i times its slope along each base 2-cell i."""
-        return [
-            [
-                z + sum(phi2[cell] * slope[j] for cell, slope in slopes.items())
-                for j, z in enumerate(row)
-            ]
-            for row, slopes in self._rows
-        ]
+        own = f"{name.removesuffix('I')}1"
+        if (counts := collect(cells)) != {own: 1}:
+            raise Dim3Error(f"4-cell {name} reduces to the 3-cells {counts}, not to {own}")
+        return slopes
 
 
 def _relabel(word: Word, target: Alphabet, suffix: str) -> Word:
@@ -305,21 +296,20 @@ def _interval_word(word: Word, alphabet: Alphabet) -> list[TriadLetter]:
 def _interval_4cell(M: CWComplex, name: str, triad: TriadWord, alphabet: Alphabet) -> FormalLWord:
     """The boundary word of the interval 4-cell over the 3-cell ``name``: x1,
     then for each letter (f, c, s) of x's H-word the interval 3-cell
-    ^{f1} cI^s and, per letter g^e of f, the Peiffer pair
-    (gI^e (x) c0^s)(c0^s (x) gI^e), then x0^-1.  The pair takes two tensor
-    letters because the Whitehead square [i, i] is twice the Hopf class in
-    pi_3 S^2."""
+    ^{f1} cI^s and, per run g^n of f, the Peiffer pair
+    (gI^e (x) c0^s)^|n| (c0^s (x) gI^e)^|n| with e the sign of n, then
+    x0^-1.  The pair takes two tensor letters because the Whitehead square
+    [i, i] is twice the Hopf class in pi_3 S^2."""
     e = Word.identity(alphabet)
     out: list[TensorLetter | TriadLetter] = [TriadLetter(e, (), f"{name}1", 1)]
     for f, cell, s in M.triad_normal_form(triad)[1]:
         out.append(TriadLetter(_relabel(f, alphabet, "1"), (), f"{cell}I", s))
         end: HWord = ((e, f"{cell}0", s),)
-        for g, sign in f.letters():
-            interval: HWord = ((e, f"{g}I", sign),)
-            out += [TensorLetter(interval, end, 1), TensorLetter(end, interval, 1)]
+        for g, n in f.runs:
+            interval: HWord = ((e, f"{g}I", 1 if n > 0 else -1),)
+            out += [TensorLetter(interval, end, abs(n)), TensorLetter(end, interval, abs(n))]
     out.append(TriadLetter(e, (), f"{name}0", -1))
     return tuple(out)
-
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +344,24 @@ class S2Classification:
 
 def sector_group_s2(preset: CylinderPreset, phi2: Mapping[str, int]) -> AbelianGroup:
     """Based = free classes over one phi2 assignment (the target is simply
-    connected): quotient of Z^{3-cells} by the achievable phi3 differences.
+    connected): Z^{3-cells} modulo the achievable phi3 differences.
 
-    A difference is achievable when the interval cells of the cylinder admit
-    integer values solving the 4-cell boundary relations.  The cylinder's
-    domain makes every phi2 a homomorphism, and the cylinder checks once that
-    the interval 3-cell constraints hold at every phi2.
+    The interval 2-cells of the cylinder are free unknowns, and each 4-cell
+    gives delta_x = -sum_g C_xg(phi2) gI, so the achievable differences are
+    the column span of C(phi2) = sum_c phi2(c) slope_c, one column per
+    interval 2-cell.  The cylinder's domain makes every phi2 a homomorphism,
+    and the cylinder checks once that the interval 3-cell constraints hold
+    at every phi2.
     """
     cells = preset.base.two_cell_names()
     if set(phi2) != set(cells):
         raise Dim3Error(f"phi2 must name exactly the 2-cells {list(cells)}, got {sorted(phi2)}")
-    rows = preset.relations(phi2)
-    width = len(preset.columns)
-    # No relation has a constant term, so the system is homogeneous.
-    _, kernel = solve(IntMatrix(rows, cols=width), (0,) * len(rows))
-    n = len(preset.base.three_cells)
-    deltas = (k[width - n :] for k in kernel)
-    return quotient(n, [d for d in deltas if any(d)])
+    width = len(preset.i_two_cells)
+    rows = [
+        [sum(phi2[c] * slope[j] for c, slope in slopes.items()) for j in range(width)]
+        for slopes in preset.slopes.values()
+    ]
+    return quotient(len(rows), zip(*rows))
 
 
 def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:

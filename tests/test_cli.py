@@ -39,6 +39,12 @@ def s1_x_s2_wedge_s2():
     )
 
 
+def twisted(n):
+    """A 2-sphere t and the 3-cell t ^{a^n} t^-1: Z_{2|nq|} at phi2 = q."""
+    a = Alphabet(["a"])
+    return CWComplex(["a"], [("t", "")], [("x", [_t(a, "", "t", 1), _t(a, f"a^{n}", "t", -1)])])
+
+
 def torus3_wedge_s2():
     T = catalog("torus3")
     return CWComplex(T.alphabet.names, [*T.two_cells, ("s", "")], T.three_cells)
@@ -244,6 +250,24 @@ class TestCrosscheck:
         assert out.endswith("all sectors match\n")
 
 
+    def test_thousand_digit_conjugator(self, capsys, tmp_path):
+        # a^N with a 1001-digit N in a 3-cell's conjugator is one run: one
+        # Peiffer pair raised to N, so both routes finish at once.
+        n = 10**1000
+        path = tmp_path / "twisted.json"
+        path.write_text(saves(twisted(n)))
+        code, out, err = run(
+            capsys, "classify", "--source", str(path), "--target", "sphere2", "--sweep", "1"
+        )
+        assert code == 0, err
+        assert f"sector t=-1: Z_{2 * n}\n" in out and f"sector t=1: Z_{2 * n}\n" in out
+        code, out, err = run(
+            capsys, "crosscheck", "--source", str(path), "--target", "sphere2", "--sweep", "1"
+        )
+        assert code == 0, err
+        assert out.endswith("all sectors match\n")
+
+
 class TestValidate:
     def test_target_file_ok(self, capsys, tmp_path):
         path = tmp_path / "rp2.json"
@@ -407,6 +431,40 @@ class TestOverLimitIntegers:
         assert code == 1 and out == ""
         assert err.startswith("error: parse error")
         self.check_message(err, "the source file")
+
+
+class TestOverLimitOutput:
+    """Answers whose integers run past the digit limit are printed in full:
+    the limit is lifted only after the input has been read."""
+
+    N = int("5" * 4300)
+
+    def check(self, capsys, argv, order):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert f"Z_{order}" in out
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert argv[0] == "classify" or out.endswith("all sectors match\n")
+
+    def test_two_complex(self, capsys, tmp_path):
+        # Z_N + Z_{N+1} = Z_{N(N+1)}, an answer of 8600 digits.
+        path = tmp_path / "big.json"
+        two_cells = [("r", f"a^{self.N}"), ("s", f"b^{self.N + 1}")]
+        path.write_text(saves(CWComplex(["a", "b"], two_cells)))
+        argv = ["crosscheck", "--source", str(path), "--target", "trivial:1"]
+        self.check(capsys, argv, self.N * (self.N + 1))
+
+    @pytest.mark.parametrize("command", ["classify", "crosscheck"])
+    def test_sphere_conjugator(self, capsys, tmp_path, command):
+        path = tmp_path / "twisted.json"
+        path.write_text(saves(twisted(self.N)))
+        argv = [command, "--source", str(path), "--target", "sphere2", "--sweep", "1"]
+        self.check(capsys, argv, 2 * self.N)
 
 
 @pytest.mark.parametrize("text", ["5", '"x"', "[1, 2]"])

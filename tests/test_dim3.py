@@ -7,7 +7,7 @@ from typing import Mapping
 
 import pytest
 
-from topsectors import dim3
+from topsectors import dim3, zlinalg
 from topsectors.complexes import CWComplex, HWord, TriadLetter, catalog, loads, saves, validate_triad
 from topsectors.dim3 import (
     CupData,
@@ -218,6 +218,25 @@ def s1_x_s2_wedge_s1_x_s2_complex():
     )
 
 
+def s2_wedge_s3_complex():
+    """S^2 v S^3: no 1-cells, so the cylinder has no interval 2-cell and
+    every sector is Z."""
+    return CWComplex([], [("t", "")], [("x", [])], name="s2_v_s3")
+
+
+def s1_wedge_s3_complex():
+    """S^1 v S^3: no 2-cells, so there is one sector, the empty phi2, and it
+    is Z."""
+    return CWComplex(["a"], [], [("x", [])], name="s1_v_s3")
+
+
+def twisted_complex(n=2):
+    """A 2-sphere t and the 3-cell t ^{a^n} t^-1, whose conjugator is one
+    run: the sector at phi2 = q is Z_{2n|q|}, and Z at 0."""
+    A = Alphabet(["a"])
+    return CWComplex(["a"], [("t", "")], [("x", [_t(A, "", "t", 1), _t(A, f"a^{n}", "t", -1)])])
+
+
 def lens31_complex():
     """L(3,1): t = a^3 and the 3-cell t ^a t^-1, whose relator has a
     nonzero exponent sum."""
@@ -235,6 +254,9 @@ NON_CATALOG = {
     "s1_x_(s2_v_s2)": s1_x_s2_wedge_s2_complex,
     "torus3_v_s2": torus3_wedge_s2_complex,
     "s1_x_s2_v_s1_x_s2": s1_x_s2_wedge_s1_x_s2_complex,
+    "s2_v_s3": s2_wedge_s3_complex,
+    "s1_v_s3": s1_wedge_s3_complex,
+    "twisted_a2": twisted_complex,
 }
 SOURCES = {space: functools.partial(catalog, space) for space in FIXTURES} | NON_CATALOG
 
@@ -360,26 +382,34 @@ class TestCylinderPresets:
                         (f"{n}{suffix}", e) for n, e in word.runs
                     )
 
-    @pytest.mark.parametrize("source", ["s1_x_s2", "torus3", "s1_x_(s2_v_s2)"])
+    @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_relations_equal_direct_walk(self, source):
         # Each 4-cell word is walked directly with evaluate_L: end copies
         # carry phi2 and x0 = 0.  The word is linear in the unknowns, so it
-        # evaluates to 0 with every unknown at 0 and to column c of its row
-        # with unknown c alone at 1.
+        # evaluates to 0 with every unknown at 0, to 1 with its own x1 alone
+        # at 1 (0 with another 3-cell's), to 0 with one interval 3-cell alone
+        # at 1, and to the slope sum sum_c phi2(c) slope_c[g] with gI alone
+        # at 1.
         preset = cylinder_preset(SOURCES[source]())
         base3 = preset.base.three_cell_names()
         rng = random.Random(9)
         for _ in range(300):
             phi2 = {cell: rng.randint(-40, 40) for cell in preset.base.two_cell_names()}
-            values = dict.fromkeys(preset.columns, 0)
+            values = dict.fromkeys(preset.i_two_cells + preset.i_three_cells, 0)
             for base, (end0, end1) in preset.end_cell_pairs.items():
                 values[end0] = values[end1] = phi2[base]
-            values.update((f"{name}0", 0) for name in base3)
-            for name, row in zip(base3, preset.relations(phi2), strict=True):
+            values.update((f"{name}{end}", 0) for name in base3 for end in "01")
+            for name in base3:
                 word = preset.boundary4[f"{name}I"]
                 assert evaluate_L(word, values) == 0
-                for c, entry in zip(preset.columns, row, strict=True):
-                    assert evaluate_L(word, {**values, c: 1}) == entry
+                for other in base3:
+                    assert evaluate_L(word, {**values, f"{other}1": 1}) == (other == name)
+                for cell in preset.i_three_cells:
+                    assert evaluate_L(word, {**values, cell: 1}) == 0
+                slopes = preset.slopes[name]
+                for j, cell in enumerate(preset.i_two_cells):
+                    slope_sum = sum(phi2[c] * slope[j] for c, slope in slopes.items())
+                    assert evaluate_L(word, {**values, cell: 1}) == slope_sum
 
     @pytest.mark.parametrize("source, sweep", [
         ("torus3", 3), ("s1_x_s2", 5), ("s1_x_(s2_v_s2)", 2),
@@ -413,6 +443,29 @@ class TestCylinderPresets:
         with pytest.raises(Dim3Error, match="not linear in phi2"):
             dataclasses.replace(preset, boundary4={"xI": word})
 
+    @pytest.mark.parametrize("edit", [
+        lambda word: word + (TriadLetter(E, (), "tI", 1),),  # an extra interval 3-cell
+        lambda word: tuple(l for l in word if getattr(l, "cell", None) != "x1"),  # no x1
+        lambda word: word + (TriadLetter(E, (), "y1", 1),),  # another 3-cell's y1
+    ], ids=["extra tI", "no x1", "other y1"])
+    def test_three_cell_letters_must_reduce_to_own_x1(self, edit):
+        preset = cylinder_preset(s1_x_s2_wedge_s2_complex())
+        boundary4 = {**preset.boundary4, "xI": edit(preset.boundary4["xI"])}
+        with pytest.raises(Dim3Error, match="4-cell xI reduces to the 3-cells"):
+            dataclasses.replace(preset, boundary4=boundary4)
+
+    @pytest.mark.parametrize("n", [1, 3, -7, 10**1000 + 1], ids=["1", "3", "-7", "1001-digit"])
+    def test_one_peiffer_pair_per_run(self, n):
+        # The conjugator a^n is one run, so it gives one pair of tensor
+        # letters, each raised to |n|, whatever n is.
+        word = cylinder_preset(twisted_complex(n)).boundary4["xI"]
+        tensors = [letter for letter in word if isinstance(letter, TensorLetter)]
+        interval = ((E, "aI", 1 if n > 0 else -1),)
+        end = ((E, "t0", -1),)
+        assert tensors == [
+            TensorLetter(interval, end, abs(n)), TensorLetter(end, interval, abs(n))
+        ]
+
     def test_one_build_per_complex(self, monkeypatch):
         # One cylinder per complex object: the first sweep builds it, a
         # second sweep on the same object reuses it, and no sector of either
@@ -444,21 +497,49 @@ class TestFixtures:
     transcriptions of the two catalog spaces."""
 
     @staticmethod
-    def delta_lattice(preset, phi2):
-        rows = preset.relations(phi2)
-        width, n = len(preset.columns), len(preset.base.three_cells)
-        _, kernel = solve(IntMatrix(rows, cols=width), (0,) * len(rows))
-        return Lattice(n, [k[width - n :] for k in kernel]).basis()
+    def walked_delta_lattice(preset, phi2):
+        """The delta-lattice by the general route: each 4-cell word walked
+        with evaluate_L into a row over every unknown (the interval cells,
+        then each 1-end copy x1), the homogeneous system solved, and the x1
+        parts of its kernel spanned."""
+        base3 = preset.base.three_cell_names()
+        unknowns = preset.i_two_cells + preset.i_three_cells + tuple(f"{x}1" for x in base3)
+        values = dict.fromkeys(unknowns, 0) | {f"{x}0": 0 for x in base3}
+        for base, ends in preset.end_cell_pairs.items():
+            values.update(dict.fromkeys(ends, phi2[base]))
+        rows = [
+            [evaluate_L(preset.boundary4[f"{x}I"], {**values, c: 1}) for c in unknowns]
+            for x in base3
+        ]
+        _, kernel = solve(IntMatrix(rows, cols=len(unknowns)), (0,) * len(rows))
+        return Lattice(len(base3), [k[-len(base3) :] for k in kernel]).basis()
 
     @pytest.mark.parametrize("space", sorted(FIXTURES))
-    def test_delta_lattice_equals_fixture(self, space):
-        # 13 + 13^3 = 2210 phi2 in [-6, 6]^n over both spaces.
+    def test_delta_lattice_equals_fixture(self, space, monkeypatch):
+        # 13 + 13^3 = 2210 phi2 in [-6, 6]^n over both spaces: the HNF of
+        # the columns that sector_group_s2 hands to the quotient, for the
+        # built cylinder and for the fixture, equals the fixture's walked
+        # delta-lattice.
         fixture, built = FIXTURES[space](), cylinder_preset(catalog(space))
         cells = built.base.two_cell_names()
-        assert fixture.columns == built.columns
+        assert (fixture.i_two_cells, fixture.i_three_cells) == (
+            built.i_two_cells, built.i_three_cells
+        )
+        spans, real = [], dim3.quotient
+
+        def spanned(n, columns):
+            columns = list(columns)
+            spans.append(Lattice(n, columns).basis())
+            return real(n, columns)
+
+        monkeypatch.setattr(dim3, "quotient", spanned)
         for combo in itertools.product(range(-6, 7), repeat=len(cells)):
             phi2 = dict(zip(cells, combo))
-            assert self.delta_lattice(built, phi2) == self.delta_lattice(fixture, phi2), phi2
+            sector_group_s2(built, phi2)
+            sector_group_s2(fixture, phi2)
+            walked = self.walked_delta_lattice(fixture, phi2)
+            assert spans == [walked, walked], phi2
+            spans.clear()
 
     @pytest.mark.parametrize("space", sorted(HAND_CUP))
     def test_cup_table_equals_hand_table(self, space):
@@ -477,6 +558,36 @@ class TestClassifyS2:
         assert len(res.sectors) == 27
         assert res.to_json()["two_cells"] == ["t", "u", "v"]
         assert "space" not in res.to_json()
+
+    def test_one_smith_reduction_per_sector(self, monkeypatch):
+        # Each sector is one quotient of Z^{3-cells} by the columns of
+        # C(phi2): no solve, and at most one Smith reduction.
+        calls = {"solve": 0, "smith": 0}
+        real_smith = zlinalg._smith_with_inverses
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        def counted_smith(*args):
+            calls["smith"] += 1
+            return real_smith(*args)
+
+        monkeypatch.setattr(zlinalg, "solve", counted_solve)
+        monkeypatch.setattr(dim3, "solve", counted_solve)
+        monkeypatch.setattr(zlinalg, "_smith_with_inverses", counted_smith)
+        res = classify_s2(catalog("torus3"), sweep=3)
+        assert len(res.sectors) == 343
+        assert calls["solve"] == 0 and calls["smith"] <= 343
+
+    @pytest.mark.parametrize("source, groups", [
+        ("s2_v_s3", [z_or(0)] * 7),  # no 1-cells, so C(phi2) has no column
+        ("s1_v_s3", [z_or(0)]),  # no 2-cells: one sector, the empty phi2
+        ("twisted_a2", [z_or(4 * q) for q in range(-3, 4)]),
+    ])
+    def test_edge_sector_groups(self, source, groups):
+        res = classify_s2(NON_CATALOG[source](), sweep=3)
+        assert [s.group for s in res.sectors] == groups
 
     def test_s1_x_s2_sector_groups(self):
         preset = cylinder_preset(catalog("s1_x_s2"))
