@@ -20,7 +20,7 @@ from .complexes import CWComplex, ComplexError
 from .dim3 import Dim3Error
 from .fingrp import GroupTableError
 from .xmod import ModuleXMod, XModError
-from .zlinalg import IntMatrix
+from .zlinalg import IntMatrix, TooManyClassesError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -506,7 +506,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedError, UnsupportedTargetError, dim3.UnsupportedComplexError) as err:
+    except (
+        UnsupportedError, UnsupportedTargetError, dim3.UnsupportedComplexError, TooManyClassesError
+    ) as err:
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (

@@ -3,16 +3,13 @@ and lattice quotients with canonical coset representatives.
 
 Everything is arbitrary-precision (plain Python ints); there is no floating
 point anywhere.  Every route ends in one Smith reduction,
-``_smith_with_inverses``.  It pivots on the smallest nonzero entry, which
-keeps the diagonal's intermediate entries small, but the entries of the
-transforms U, V, U^-1 and V^-1 still grow to thousands of bits on a
-random 50 x 50 matrix, and updating them is most of the cost.  So each
-caller names the transforms it reads and only those are built:
-``smith_normal_form`` takes U and V, ``solve`` (through ``SmithSolver``)
-and ``inverse_unimodular`` take U^-1 and V^-1, ``LatticeQuotient`` takes U
-and U^-1, and ``quotient`` takes none.  Which transforms are tracked never
-changes the order of the operations, so every result is the same whichever
-ones a caller asks for.
+``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
+the diagonal small, but transform entries grow to thousands of bits on a
+random 50 x 50 matrix.  So the sweep updates U and V only for the callers
+that read them, ``smith_normal_form`` and ``LatticeQuotient`` (U), and
+never carries U^-1 or V^-1: ``SmithSolver`` (so ``solve``) and
+``LatticeQuotient`` log its elementary steps and replay them on the few
+vectors they read.  The order of the operations never changes.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
 form of its vectors, built in one sweep over the columns, with Euclid on
@@ -27,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -36,6 +34,10 @@ Vector = tuple[int, ...]
 
 class SublatticeError(Exception):
     """A claimed sublattice is not contained in the ambient lattice."""
+
+
+class TooManyClassesError(ValueError):
+    """A quotient has more classes than can be listed."""
 
 
 def json_int(x: object) -> int:
@@ -233,43 +235,53 @@ def _identity_rows(n: int) -> list[list[int]]:
 _TRANSFORMS = ("U", "V", "Uinv", "Vinv")
 
 
-def _add_rows(same: list[list[list[int]]], inverse: list[list[list[int]]], i: int, j: int, q: int) -> None:
-    """Row i += q * row j in every matrix of ``same``, and the matching
-    inverse step, row j -= q * row i, in every matrix of ``inverse``."""
+def _add_rows(same: Sequence, inverse: list, log: Optional[list], i: int, j: int, q: int) -> None:
+    """Row i += q * row j in each matrix of ``same``, logged as (i, j, q) in
+    ``log`` if any, and its inverse, row j -= q * row i, in each of ``inverse``."""
     for X in same:
         X[i] = [a + q * b for a, b in zip(X[i], X[j])]
     for X in inverse:
         X[j] = [a - q * b for a, b in zip(X[j], X[i])]
+    if log is not None:
+        log.append((i, j, q))
 
 
-def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix, ...]:
+def _replay(log: list, x: list[int], transposed: bool = False) -> list[int]:
+    """Apply the logged steps to the vector x in place and return it: in
+    order, or, when ``transposed``, their transposes in reverse order."""
+    for i, k, q in reversed(log) if transposed else log:
+        if q is None:
+            x[i], x[k] = x[k], x[i]
+        elif transposed:
+            x[k] += q * x[i]
+        else:
+            x[i] += q * x[k]
+    return x
+
+
+def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[IntMatrix, ...]:
     """Smith reduction A = U S V.  Returns S and then, in the order U, V,
     Uinv, Vinv, the transforms named in ``track``; the others are never built.
 
     The pivot of each step is the first smallest nonzero |x| of the block,
     row-major.  No |x| is below 1, so the first row that holds a unit ends
     the search, and a unit pivot needs no divisibility pass: it divides the
-    rest of the block.
-
-    A row operation D -> L D turns U into U L^-1 and Uinv into L Uinv; a
-    column operation D -> D R turns V into R^-1 V and Vinv into Vinv R.  U
-    and Vinv change by columns, so they are kept transposed until the end,
-    and every transform update is one operation on rows.  The rows above
-    the block are zero from column k on, so column operations skip them.
+    rest of the block.  A row step D -> L D turns U into U L^-1 (U is kept
+    transposed), a column step D -> D R turns V into R^-1 V, and column
+    steps skip the rows above the block, zero from column k on.  ``log``, a
+    pair (row steps, column steps) of lists or ``None``, gets each step as
+    it is made: (i, k, q) adds q times row (column) k to i, so (k, k, -2)
+    negates k, and (i, k, None) swaps them.  Uinv = L_t ... L_1 and Vinv =
+    R_1 ... R_s are replayed from it.
     """
     track = set(track)
     if not track <= set(_TRANSFORMS):
         raise ValueError(f"unknown transforms {sorted(track - set(_TRANSFORMS))}")
+    row_log, col_log = log or (([], []) if track & {"Uinv", "Vinv"} else (None, None))
     m, n = A.rows, A.cols
-    size = {"U": m, "V": n, "Uinv": m, "Vinv": n}
-    T = {name: _identity_rows(size[name]) for name in _TRANSFORMS if name in track}
-
-    def tracked(*names: str) -> list[list[list[int]]]:
-        return [T[name] for name in names if name in T]
-
     D = [list(row) for row in A.data]
-    row_same, row_inverse = [D] + tracked("Uinv"), tracked("U")
-    col_same, col_inverse = tracked("Vinv"), tracked("V")
+    row_inverse = [_identity_rows(m)] if "U" in track else []
+    col_inverse = [_identity_rows(n)] if "V" in track else []
 
     k = 0
     while k < min(m, n):
@@ -284,28 +296,34 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
             break
         j = k + list(map(abs, D[i][k:])).index(low)
         if i != k:
-            for X in row_same + row_inverse:
+            for X in [D] + row_inverse:
                 X[k], X[i] = X[i], X[k]
+            if row_log is not None:
+                row_log.append((k, i, None))
         if j != k:
             for row in D[k:]:
                 row[k], row[j] = row[j], row[k]
-            for X in col_same + col_inverse:
+            for X in col_inverse:
                 X[k], X[j] = X[j], X[k]
+            if col_log is not None:
+                col_log.append((k, j, None))
         if D[k][k] < 0:
-            for X in row_same + row_inverse:
+            for X in [D] + row_inverse:
                 X[k] = [-x for x in X[k]]
+            if row_log is not None:
+                row_log.append((k, k, -2))
         pivot = D[k][k]
         dirty = False
         for i in range(k + 1, m):
             if D[i][k]:
-                _add_rows(row_same, row_inverse, i, k, -(D[i][k] // pivot))
+                _add_rows([D], row_inverse, row_log, i, k, -(D[i][k] // pivot))
                 dirty = dirty or D[i][k] != 0
         for j in range(k + 1, n):
             if D[k][j]:
                 q = -(D[k][j] // pivot)
                 for row in D[k:]:
                     row[j] += q * row[k]
-                _add_rows(col_same, col_inverse, j, k, q)
+                _add_rows((), col_inverse, col_log, j, k, q)
                 dirty = dirty or D[k][j] != 0
         if dirty:
             continue
@@ -317,12 +335,15 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str]) -> tuple[IntMatrix,
         if offender is None:
             k += 1
         else:
-            _add_rows(row_same, row_inverse, k, offender, 1)
+            _add_rows([D], row_inverse, row_log, k, offender, 1)
 
-    return (IntMatrix(D, cols=n),) + tuple(
-        IntMatrix(zip(*rows) if name in ("U", "Vinv") else rows, cols=size[name])
-        for name, rows in T.items()
-    )
+    out = [IntMatrix(D, cols=n)] + [IntMatrix(zip(*Ut), cols=m) for Ut in row_inverse]
+    out += [IntMatrix(V, cols=n) for V in col_inverse]
+    for name, steps, size in (("Uinv", row_log, m), ("Vinv", col_log, n)):
+        if name in track:
+            columns = [_replay(steps, e, name == "Vinv") for e in _identity_rows(size)]
+            out.append(IntMatrix.from_columns(columns, height=size))
+    return tuple(out)
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -334,19 +355,22 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 class SmithSolver:
     """One Smith reduction A = U S V, reused for every right-hand side b of
     A x = b: the solutions are V^-1 (S^-1 U^-1 b) plus the integer kernel
-    of A, the columns of V^-1 at the zero diagonal entries."""
+    of A, the columns of V^-1 at the zero diagonal entries.  U^-1 and V^-1
+    are never built: each vector replays the reduction's logged steps."""
 
     def __init__(self, A: IntMatrix):
         self.rows, self.cols = A.rows, A.cols
-        S, self._Uinv, self._Vinv = _smith_with_inverses(A, ("Uinv", "Vinv"))
+        self._log = ([], [])
+        S, = _smith_with_inverses(A, (), log=self._log)
         self._diagonal = _diagonal(S, max(A.rows, A.cols))
-        self.kernel = [self._Vinv.column(j) for j in range(A.cols) if self._diagonal[j] == 0]
+        zeros = [e for e, d in zip(_identity_rows(A.cols), self._diagonal) if d == 0]
+        self.kernel = [tuple(_replay(self._log[1], e, True)) for e in zeros]
 
     def particular(self, b: Sequence[int]) -> Optional[Vector]:
         """One integer solution of A x = b, or ``None`` when there is none."""
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
-        y = self._Uinv.apply(tuple(b))
+        y = _replay(self._log[0], list(b))
         z = [0] * self.cols
         for i, (d, yi) in enumerate(zip(self._diagonal, y)):
             if d:
@@ -355,7 +379,7 @@ class SmithSolver:
                 z[i] = yi // d
             elif yi:
                 return None
-        return self._Vinv.apply(tuple(z))
+        return tuple(_replay(self._log[1], z, True))
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
@@ -424,12 +448,7 @@ class AbelianGroup:
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
-        if not self.is_finite:
-            return None
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return math.prod(self.invariant_factors) if self.is_finite else None
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -583,21 +602,20 @@ class LatticeQuotient:
         basis = ambient.directions.basis()
         m = len(basis)
         C = IntMatrix.from_columns(coord_cols, height=m)
-        S, U, self._Uinv = _smith_with_inverses(C, ("U", "Uinv"))
+        row_log: list = []
+        S, U = _smith_with_inverses(C, ("U",), log=(row_log, None))
         diag = _diagonal(S, m)
-        self._kept = [i for i in range(m) if diag[i] != 1]
-        self._kept_factors = tuple(diag[i] for i in self._kept)
+        kept = [i for i in range(m) if diag[i] != 1]
+        self._kept_factors = tuple(diag[i] for i in kept)
         self.group = AbelianGroup.from_factors(self._kept_factors)
+        # Row i of U^-1 is U^-T e_i, the row steps transposed in reverse.
+        units = _identity_rows(m)
+        self._uinv_rows = [_replay(row_log, units[i], True) for i in kept]
         # Ambient generator vector for each kept cyclic factor.
-        self.generator_vectors: list[Vector] = []
-        for i in self._kept:
-            vec = [0] * ambient.dim
-            for j in range(m):
-                coeff = U.data[j][i]
-                if coeff:
-                    for c in range(ambient.dim):
-                        vec[c] += coeff * basis[j][c]
-            self.generator_vectors.append(tuple(vec))
+        columns = list(zip(*basis))
+        self.generator_vectors: list[Vector] = [
+            tuple(sum(map(operator.mul, u, c)) for c in columns) for u in map(U.column, kept)
+        ]
 
     # -- factor bookkeeping --------------------------------------------------
 
@@ -623,31 +641,32 @@ class LatticeQuotient:
         coords = self.ambient.directions.coords_in_basis(diff)
         if coords is None:
             raise ValueError("vector does not lie in the solution lattice")
-        y = self._Uinv.apply(coords)
-        out = []
-        for i, d in zip(self._kept, self._kept_factors):
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
+        ys = [sum(map(operator.mul, row, coords)) for row in self._uinv_rows]
+        return tuple(y % d if d else y for y, d in zip(ys, self._kept_factors))
 
     def representative(self, coords: Sequence[int]) -> Vector:
         """Canonical solution vector for the class with the given coordinates."""
-        vec = list(self.ambient.particular)
+        vec = self.ambient.particular
         for c, g in zip(coords, self.generator_vectors):
-            for j in range(self.ambient.dim):
-                vec[j] += c * g[j]
+            vec = [a + c * b for a, b in zip(vec, g)]
         return self.sub_lattice.reduce(vec)
+
+    def _class_coords_ranges(self) -> list[range]:
+        """Each class coordinate's values, 0 alone for a free one; refused past sys.maxsize."""
+        count = math.prod(self.group.torsion)
+        if count > sys.maxsize:
+            raise TooManyClassesError(f"{count} classes are too many to list")
+        return [range(d or 1) for d in self._kept_factors]
 
     def enumerate_class_coords(self) -> Iterator[Vector]:
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite quotient")
-        ranges = [range(d) for d in self._kept_factors]
-        return (tuple(c) for c in itertools.product(*ranges))
+        return itertools.product(*self._class_coords_ranges())
 
     def representatives(self) -> list[Vector]:
         """Canonical representatives of the classes whose free coordinates
         are 0: every class of a finite quotient."""
-        ranges = [range(d) if d else range(1) for d in self._kept_factors]
-        return [self.representative(c) for c in itertools.product(*ranges)]
+        return [self.representative(c) for c in itertools.product(*self._class_coords_ranges())]
 
     def free_generator_vectors(self) -> list[Vector]:
         return [g for g, d in zip(self.generator_vectors, self._kept_factors) if d == 0]

@@ -467,6 +467,19 @@ class TestOverLimitOutput:
         self.check(capsys, argv, 2 * self.N)
 
 
+@pytest.mark.parametrize("extra", [(), ("--format", "json"), ("--free",)])
+def test_too_many_classes_to_list_is_unsupported(capsys, tmp_path, extra):
+    # Z_N + Z_{N+1} = Z_{N(N+1)}: about 10^20 classes, more than a range can
+    # hold, so the count is refused before any class is listed.
+    N = 10**10
+    path = tmp_path / "big.json"
+    path.write_text(saves(CWComplex(["a", "b"], [("r", f"a^{N}"), ("s", f"b^{N + 1}")])))
+    argv = ["classify", "--source", str(path), "--target", "trivial:1", *extra]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"unsupported: {N * (N + 1)} classes are too many to list\n"
+
+
 @pytest.mark.parametrize("text", ["5", '"x"', "[1, 2]"])
 @pytest.mark.parametrize(
     "argv",

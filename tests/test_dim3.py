@@ -569,9 +569,9 @@ class TestClassifyS2:
             calls["solve"] += 1
             return solve(*args)
 
-        def counted_smith(*args):
+        def counted_smith(*args, **kwargs):
             calls["smith"] += 1
-            return real_smith(*args)
+            return real_smith(*args, **kwargs)
 
         monkeypatch.setattr(zlinalg, "solve", counted_solve)
         monkeypatch.setattr(dim3, "solve", counted_solve)

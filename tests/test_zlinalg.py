@@ -6,12 +6,14 @@ import re
 
 import pytest
 
+from topsectors import zlinalg
 from topsectors.zlinalg import (
     AbelianGroup,
     AffineLattice,
     IntMatrix,
     Lattice,
     LatticeQuotient,
+    SmithSolver,
     SublatticeError,
     _smith_with_inverses,
     quotient,
@@ -469,21 +471,96 @@ def _reference_smith(A):
     }
 
 
-def test_smith_matches_the_reference_pivot_search():
-    # 2000 seeded matrices up to 8 x 8, dense in 0 and +-1, among them empty,
-    # zero and rectangular ones.  Each is reduced with all four transforms
-    # and with one subset of them, taking the 16 subsets in turn.
+def _unit_pivot_matrices():
+    """2000 seeded matrices up to 8 x 8, dense in 0 and +-1, among them
+    empty, zero and rectangular ones."""
     rng = random.Random("unit-pivot")
     palettes = [(0,), (0, 1, -1), (0, 0, 1, -1, 2), (0, 0, 1, -1, 1, -1, 2, -3, 4, 6)]
-    subsets = _track_subsets()
     for t in range(2000):
         m, n = rng.randrange(9), rng.randrange(9)
         palette = palettes[t % len(palettes)]
         rows = [[rng.choice(palette) for _ in range(n)] for _ in range(m)]
-        A = IntMatrix(rows, cols=n)
+        yield IntMatrix(rows, cols=n)
+
+
+def test_smith_matches_the_reference_pivot_search():
+    # Each matrix is reduced with all four transforms and with one subset of
+    # them, taking the 16 subsets in turn.
+    subsets = _track_subsets()
+    for t, A in enumerate(_unit_pivot_matrices()):
         ref = _reference_smith(A)
         for subset in (("U", "V", "Uinv", "Vinv"), subsets[t % len(subsets)]):
             assert _smith_with_inverses(A, subset) == (ref["S"], *(ref[name] for name in subset))
+
+
+def _padded_diagonal(S, length):
+    return [S.data[i][i] for i in range(min(S.shape))] + [0] * (length - min(S.shape))
+
+
+def _reference_solution(ref, b):
+    """V^-1 (S^-1 U^-1 b) by the reference's matrices, or None when some
+    entry of U^-1 b is not a multiple of its diagonal entry."""
+    S = ref["S"]
+    diag = _padded_diagonal(S, S.rows)
+    y = ref["Uinv"].apply(b)
+    if any(yi % d if d else yi for d, yi in zip(diag, y)):
+        return None
+    z = [yi // d if d else 0 for d, yi in zip(diag, y)][: S.cols]
+    return ref["Vinv"].apply(z + [0] * (S.cols - len(z)))
+
+
+def test_replayed_inverses_match_the_reference_matrices():
+    # On the same matrices, the solver's particular solutions and kernel and
+    # the quotient's class coordinates, replayed from the reduction's log,
+    # equal the products with the reference's U^-1 and V^-1 matrices.
+    rng = random.Random("replay")
+    for A in _unit_pivot_matrices():
+        ref = _reference_smith(A)
+        m, n = A.shape
+        diag = _padded_diagonal(ref["S"], max(m, n))
+        solver = SmithSolver(A)
+        assert solver.kernel == [ref["Vinv"].column(j) for j in range(n) if diag[j] == 0]
+        solvable = A.apply([rng.randint(-5, 5) for _ in range(n)])
+        assert solver.particular(solvable) == _reference_solution(ref, solvable) is not None
+        # U e_i is unsolvable at a diagonal entry other than 1.
+        off = [ref["U"].column(i) for i in range(m) if diag[i] != 1][:1]
+        for b in off + [tuple(rng.randint(-9, 9) for _ in range(m))]:
+            assert solver.particular(b) == _reference_solution(ref, b)
+        assert all(_reference_solution(ref, b) is None for b in off)
+
+        # C = A, read in the standard basis of Z^m.
+        identity = IntMatrix.identity(m).data
+        quot = LatticeQuotient(AffineLattice.from_solution((0,) * m, identity), A.columns())
+        kept = [i for i in range(m) if diag[i] != 1]
+        assert quot.factors == tuple(diag[i] for i in kept)
+        for _ in range(3):
+            v = tuple(rng.randint(-20, 20) for _ in range(m))
+            y = ref["Uinv"].apply(v)
+            expected = tuple(y[i] % diag[i] if diag[i] else y[i] for i in kept)
+            assert quot.class_coords(v) == expected
+
+
+def test_solver_and_quotient_reduce_once_without_inverses(monkeypatch):
+    # One Smith reduction each, tracking neither U^-1 nor V^-1: every later
+    # vector is replayed from its log.
+    tracks = []
+    real_smith = zlinalg._smith_with_inverses
+
+    def recorded_smith(*args, **kwargs):
+        tracks.append(set(args[1] if len(args) > 1 else kwargs["track"]))
+        return real_smith(*args, **kwargs)
+
+    monkeypatch.setattr(zlinalg, "_smith_with_inverses", recorded_smith)
+    A = IntMatrix([[2, 4, 4, 1], [-6, 6, 12, 0], [10, -4, -16, 3]])
+    solver = SmithSolver(A)
+    assert solver.particular(A.apply((1, 2, 3, 4))) is not None and len(solver.kernel) == 1
+    assert len(tracks) == 1
+    ambient = AffineLattice.from_solution((0, 0, 0), IntMatrix.identity(3).data)
+    quot = LatticeQuotient(ambient, A.columns())
+    quot.class_coords((5, -7, 9))
+    quot.representatives()
+    assert len(tracks) == 2
+    assert not any(track & {"Uinv", "Vinv"} for track in tracks)
 
 
 class TestSolve:
