@@ -214,19 +214,19 @@ def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     free pre-crossed boundary.  Returns None on success.
     """
     _, h = M.triad_normal_form(word)
-    residual = M.hword_boundary(h)
-    if residual.is_identity:
+    if M.hword_boundary(h).is_identity:
         return None
-    # Locate the last prefix whose running boundary closes up; everything
-    # after it fails to cancel.
+    # Free reduction keeps the boundary, so a prefix's boundary is the
+    # product of its letters'.  Note the last prefix that closes up.
     index = 0
     running = Word.identity(M.alphabet)
     for i, letter in enumerate(word):
-        _, h_prefix = M.triad_normal_form(word[: i + 1])
-        running = M.hword_boundary(h_prefix)
+        core = ((letter.conj_f, letter.cell, letter.sign),)
+        conj_h = tuple(letter.conj_h)
+        running = running * M.hword_boundary(conj_h + core + invert_hword(conj_h))
         if running.is_identity:
             index = i + 1
-    return TriadViolation(index=min(index, len(word) - 1), residual=residual)
+    return TriadViolation(index=min(index, len(word) - 1), residual=running)
 
 
 def derivation_image(M: CWComplex, w: HWord, proj: Callable[[Word], object]) -> dict[str, dict]:

@@ -5,11 +5,12 @@ Everything is arbitrary-precision (plain Python ints); there is no floating
 point anywhere.  Every route ends in one Smith reduction,
 ``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
 the diagonal small, but transform entries grow to thousands of bits on a
-random 50 x 50 matrix.  So the sweep updates U and V only for the callers
-that read them, ``smith_normal_form`` and ``LatticeQuotient`` (U), and
-never carries U^-1 or V^-1: ``SmithSolver`` (so ``solve``) and
-``LatticeQuotient`` log its elementary steps and replay them on the few
-vectors they read.  The order of the operations never changes.
+random 50 x 50 matrix.  So the sweep reduces D alone and logs its steps,
+and ``_replay`` builds each of U, V, U^-1 and V^-1 from that one log.
+Only ``smith_normal_form`` and ``inverse_unimodular`` replay it on whole
+identity matrices; ``SmithSolver`` (so ``solve``) and ``LatticeQuotient``
+replay it on the few vectors they read, so no classify path builds a
+transform.  The order of the operations never changes.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
 form of its vectors, built in one sweep over the columns, with Euclid on
@@ -232,30 +233,27 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-_TRANSFORMS = ("U", "V", "Uinv", "Vinv")
+# The replay that builds each transform: (log, transposed, inverse).  U
+# comes out transposed.
+_TRANSFORMS = {"U": (0, 1, 1), "V": (1, 1, 1), "Uinv": (0, 0, 0), "Vinv": (1, 1, 0)}
 
 
-def _add_rows(same: Sequence, inverse: list, log: Optional[list], i: int, j: int, q: int) -> None:
-    """Row i += q * row j in each matrix of ``same``, logged as (i, j, q) in
-    ``log`` if any, and its inverse, row j -= q * row i, in each of ``inverse``."""
-    for X in same:
-        X[i] = [a + q * b for a, b in zip(X[i], X[j])]
-    for X in inverse:
-        X[j] = [a - q * b for a, b in zip(X[j], X[i])]
-    if log is not None:
-        log.append((i, j, q))
-
-
-def _replay(log: list, x: list[int], transposed: bool = False) -> list[int]:
-    """Apply the logged steps to the vector x in place and return it: in
-    order, or, when ``transposed``, their transposes in reverse order."""
-    for i, k, q in reversed(log) if transposed else log:
+def _replay(log: list, x: list, transposed: bool = False, inverse: bool = False) -> list:
+    """Multiply x, a vector or a list of whole rows, in place by the product
+    E_t ... E_1 of the logged steps, or by its transpose, inverse or both,
+    and return it.  A step (i, k, q) is x[i] += q x[k]; each transpose or
+    inverse reverses the order of the steps.  (k, k, -2) negates k and is
+    its own inverse, and (i, k, None) swaps i and k."""
+    whole_rows = bool(x) and isinstance(x[0], list)
+    for i, k, q in reversed(log) if transposed != inverse else log:
         if q is None:
             x[i], x[k] = x[k], x[i]
-        elif transposed:
-            x[k] += q * x[i]
-        else:
-            x[i] += q * x[k]
+            continue
+        if inverse and i != k:
+            q = -q
+        if transposed:
+            i, k = k, i
+        x[i] = [a + q * b for a, b in zip(x[i], x[k])] if whole_rows else x[i] + q * x[k]
     return x
 
 
@@ -266,22 +264,20 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
     The pivot of each step is the first smallest nonzero |x| of the block,
     row-major.  No |x| is below 1, so the first row that holds a unit ends
     the search, and a unit pivot needs no divisibility pass: it divides the
-    rest of the block.  A row step D -> L D turns U into U L^-1 (U is kept
-    transposed), a column step D -> D R turns V into R^-1 V, and column
-    steps skip the rows above the block, zero from column k on.  ``log``, a
-    pair (row steps, column steps) of lists or ``None``, gets each step as
-    it is made: (i, k, q) adds q times row (column) k to i, so (k, k, -2)
-    negates k, and (i, k, None) swaps them.  Uinv = L_t ... L_1 and Vinv =
-    R_1 ... R_s are replayed from it.
+    rest of the block.  Column steps skip the rows above the block, zero
+    from column k on.  The sweep changes D alone and appends each step, in
+    ``_replay``'s form, to ``log``, a pair (row steps, column steps) of
+    lists, or to a pair of its own.  Each transform is one replay of one
+    log on identity rows: the row steps multiply to U^-1 and the column
+    steps to V^-T.  U^T and V replay the inverse steps transposed in the
+    sweep's order, so their entries grow as if the sweep carried them.
     """
     track = set(track)
     if not track <= set(_TRANSFORMS):
         raise ValueError(f"unknown transforms {sorted(track - set(_TRANSFORMS))}")
-    row_log, col_log = log or (([], []) if track & {"Uinv", "Vinv"} else (None, None))
+    row_log, col_log = logs = log or ([], [])
     m, n = A.rows, A.cols
     D = [list(row) for row in A.data]
-    row_inverse = [_identity_rows(m)] if "U" in track else []
-    col_inverse = [_identity_rows(n)] if "V" in track else []
 
     k = 0
     while k < min(m, n):
@@ -296,34 +292,29 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
             break
         j = k + list(map(abs, D[i][k:])).index(low)
         if i != k:
-            for X in [D] + row_inverse:
-                X[k], X[i] = X[i], X[k]
-            if row_log is not None:
-                row_log.append((k, i, None))
+            D[k], D[i] = D[i], D[k]
+            row_log.append((k, i, None))
         if j != k:
             for row in D[k:]:
                 row[k], row[j] = row[j], row[k]
-            for X in col_inverse:
-                X[k], X[j] = X[j], X[k]
-            if col_log is not None:
-                col_log.append((k, j, None))
+            col_log.append((k, j, None))
         if D[k][k] < 0:
-            for X in [D] + row_inverse:
-                X[k] = [-x for x in X[k]]
-            if row_log is not None:
-                row_log.append((k, k, -2))
+            D[k] = [-x for x in D[k]]
+            row_log.append((k, k, -2))
         pivot = D[k][k]
         dirty = False
         for i in range(k + 1, m):
             if D[i][k]:
-                _add_rows([D], row_inverse, row_log, i, k, -(D[i][k] // pivot))
+                q = -(D[i][k] // pivot)
+                D[i] = [a + q * b for a, b in zip(D[i], D[k])]
+                row_log.append((i, k, q))
                 dirty = dirty or D[i][k] != 0
         for j in range(k + 1, n):
             if D[k][j]:
                 q = -(D[k][j] // pivot)
                 for row in D[k:]:
                     row[j] += q * row[k]
-                _add_rows((), col_inverse, col_log, j, k, q)
+                col_log.append((j, k, q))
                 dirty = dirty or D[k][j] != 0
         if dirty:
             continue
@@ -335,14 +326,15 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
         if offender is None:
             k += 1
         else:
-            _add_rows([D], row_inverse, row_log, k, offender, 1)
+            D[k] = [a + b for a, b in zip(D[k], D[offender])]
+            row_log.append((k, offender, 1))
 
-    out = [IntMatrix(D, cols=n)] + [IntMatrix(zip(*Ut), cols=m) for Ut in row_inverse]
-    out += [IntMatrix(V, cols=n) for V in col_inverse]
-    for name, steps, size in (("Uinv", row_log, m), ("Vinv", col_log, n)):
+    out = [IntMatrix(D, cols=n)]
+    for name, (side, transposed, inverse) in _TRANSFORMS.items():
         if name in track:
-            columns = [_replay(steps, e, name == "Vinv") for e in _identity_rows(size)]
-            out.append(IntMatrix.from_columns(columns, height=size))
+            size = (m, n)[side]
+            X = _replay(logs[side], _identity_rows(size), transposed, inverse)
+            out.append(IntMatrix(zip(*X) if name == "U" else X, cols=size))
     return tuple(out)
 
 
@@ -603,18 +595,20 @@ class LatticeQuotient:
         m = len(basis)
         C = IntMatrix.from_columns(coord_cols, height=m)
         row_log: list = []
-        S, U = _smith_with_inverses(C, ("U",), log=(row_log, None))
+        S, = _smith_with_inverses(C, (), log=(row_log, []))
         diag = _diagonal(S, m)
         kept = [i for i in range(m) if diag[i] != 1]
         self._kept_factors = tuple(diag[i] for i in kept)
         self.group = AbelianGroup.from_factors(self._kept_factors)
-        # Row i of U^-1 is U^-T e_i, the row steps transposed in reverse.
+        # Row i of U^-1 is U^-T e_i and column i of U is U e_i, both replayed
+        # from the row steps; each replay changes its own unit vector.
         units = _identity_rows(m)
-        self._uinv_rows = [_replay(row_log, units[i], True) for i in kept]
+        self._uinv_rows = [_replay(row_log, list(units[i]), transposed=True) for i in kept]
+        u_columns = [_replay(row_log, units[i], inverse=True) for i in kept]
         # Ambient generator vector for each kept cyclic factor.
         columns = list(zip(*basis))
         self.generator_vectors: list[Vector] = [
-            tuple(sum(map(operator.mul, u, c)) for c in columns) for u in map(U.column, kept)
+            tuple(sum(map(operator.mul, u, c)) for c in columns) for u in u_columns
         ]
 
     # -- factor bookkeeping --------------------------------------------------

@@ -13,7 +13,7 @@ from topsectors.complexes import (
     structurally_equal,
     validate_triad,
 )
-from topsectors.words import Word
+from topsectors.words import Alphabet, Word
 
 from runterms import expand
 
@@ -159,6 +159,32 @@ class TestValidateTriad:
         assert verdict is not None
         assert verdict.index == 0
         assert str(verdict.residual) == "b c b^-1 c^-1"
+
+    def test_violation_after_a_valid_triad(self):
+        T = catalog("torus3")
+        (_, triad), = T.three_cells
+        verdict = validate_triad(T, triad + (TriadLetter(Word.identity(T.alphabet), (), "t", 1),))
+        assert verdict.index == 6
+        assert str(verdict.residual) == "b c b^-1 c^-1"
+
+    def test_long_bad_triad_refused_in_one_pass(self, monkeypatch):
+        # 1-cell a, 2-cell t = a and a 3-cell t^N: each letter's boundary is
+        # taken once, not once for every prefix that holds it, so the
+        # boundaries taken hold a few N letters in all, not N^2 / 2.
+        N = 400
+        calls = []
+        real = CWComplex.hword_boundary
+
+        def counted(self, word):
+            calls.append(len(word))
+            return real(self, word)
+
+        monkeypatch.setattr(CWComplex, "hword_boundary", counted)
+        letter = TriadLetter(Word.identity(Alphabet(["a"])), (), "t", 1)
+        with pytest.raises(ComplexError, match=rf"at letter 0: boundary residue 'a\^{N}' != identity"):
+            CWComplex(["a"], [("t", "a")], [("x", [letter] * N)])
+        assert 0 < len(calls) <= N + 1
+        assert sum(calls) <= 3 * N
 
     def test_construction_rejects_bad_triad(self):
         T = catalog("torus3")

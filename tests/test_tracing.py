@@ -1,10 +1,15 @@
 """The benchmark's tracer wraps functions of the package by name; every name
-it lists must still resolve, so that a renamed or deleted layer fails here
-rather than in a traced benchmark run."""
+it lists must still resolve, and its hooks must still find figures in what
+those functions take and return, so that a renamed, deleted or reshaped
+layer fails here rather than in a traced benchmark run."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from topsectors import classify2d, zlinalg
+from topsectors.complexes import catalog
+from topsectors.xmod import target_catalog
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -40,3 +45,20 @@ def test_every_traced_name_resolves():
         tracer.uninstall()
     for owner, attr in names:
         assert getattr(holder_of(owner), attr) is originals[owner, attr]
+
+
+def test_hooks_still_read_results():
+    # The hooks read the wrapped functions' arguments and results; a change
+    # of what those hold would leave the counters at zero, not fail a run.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        zlinalg.smith_normal_form(zlinalg.IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+        classify2d.classify_free(catalog("torus2"), target_catalog("rp2"))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics("setup")
+    for name in ("zlinalg.snf_calls", "zlinalg.max_rows", "zlinalg.max_entry_bits",
+                 "zlinalg.intmatrix_built", "classify2d.sectors"):
+        assert metrics[name] > 0, name

@@ -7,6 +7,9 @@ import re
 import pytest
 
 from topsectors import zlinalg
+from topsectors.classify2d import classify_free
+from topsectors.complexes import catalog
+from topsectors.xmod import target_catalog
 from topsectors.zlinalg import (
     AbelianGroup,
     AffineLattice,
@@ -533,6 +536,7 @@ def test_replayed_inverses_match_the_reference_matrices():
         quot = LatticeQuotient(AffineLattice.from_solution((0,) * m, identity), A.columns())
         kept = [i for i in range(m) if diag[i] != 1]
         assert quot.factors == tuple(diag[i] for i in kept)
+        assert quot.generator_vectors == [ref["U"].column(i) for i in kept]
         for _ in range(3):
             v = tuple(rng.randint(-20, 20) for _ in range(m))
             y = ref["Uinv"].apply(v)
@@ -541,8 +545,8 @@ def test_replayed_inverses_match_the_reference_matrices():
 
 
 def test_solver_and_quotient_reduce_once_without_inverses(monkeypatch):
-    # One Smith reduction each, tracking neither U^-1 nor V^-1: every later
-    # vector is replayed from its log.
+    # One Smith reduction each, tracking no transform: every later vector
+    # is replayed from its log.  Nor does a classification track any.
     tracks = []
     real_smith = zlinalg._smith_with_inverses
 
@@ -561,6 +565,9 @@ def test_solver_and_quotient_reduce_once_without_inverses(monkeypatch):
     quot.representatives()
     assert len(tracks) == 2
     assert not any(track & {"Uinv", "Vinv"} for track in tracks)
+    classify_free(catalog("genus_surface", g=2), target_catalog("rp2"))
+    assert len(tracks) > 2
+    assert all(track == set() for track in tracks)
 
 
 class TestSolve:
