@@ -361,7 +361,7 @@ def _read_object(path: str) -> dict:
 def cmd_validate(args) -> int:
     obj = _read_object(args.path)
     if "generators" in obj:
-        M = complexes.loads(json.dumps(obj))
+        M = complexes.from_json(obj)
         _emit(f"ok: complex with cells {M.cell_counts()}", None)
         return EXIT_OK
     if "H_table" in obj:

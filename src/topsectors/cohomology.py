@@ -163,9 +163,6 @@ class SpecialCaseResult:
     sectors: list[SpecialSector]
     action_is_trivial: bool
 
-    def groups(self) -> list[AbelianGroup]:
-        return [s.group for s in self.sectors]
-
     def to_json(self) -> dict:
         return {
             "pi1": list(self.pi1_factors),

@@ -159,8 +159,8 @@ class CWComplex:
             out = out * (piece if sign == 1 else piece.inverse())
         return out
 
-    def triad_normal_form(self, word: TriadWord) -> tuple[Word, HWord]:
-        """(F-component, H-component) of a triad word in F |x H.
+    def triad_normal_form(self, word: TriadWord) -> HWord:
+        """The H-component of a triad word in F |x H.
 
         Each letter is an H-element conjugated inside the semidirect group,
         so the F-component of the product is always the identity; the
@@ -175,7 +175,7 @@ class CWComplex:
                 tuple(letter.conj_h) + core + invert_hword(letter.conj_h)
             )
             h.extend(conjugated)
-        return Word.identity(self.alphabet), reduce_hword(h)
+        return reduce_hword(h)
 
     # -- Fox calculus ----------------------------------------------------------
 
@@ -198,7 +198,7 @@ class CWComplex:
             name: {
                 cell: tuple(Run(sums, 0, 1, c) for sums, c in terms.items())
                 for cell, terms in derivation_image(
-                    self, self.triad_normal_form(triad)[1], Word.exponent_sums
+                    self, self.triad_normal_form(triad), Word.exponent_sums
                 ).items()
             }
             for name, triad in self.three_cells
@@ -213,7 +213,7 @@ def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     inverse H-component, which here reduces to the H-component having trivial
     free pre-crossed boundary.  Returns None on success.
     """
-    _, h = M.triad_normal_form(word)
+    h = M.triad_normal_form(word)
     if M.hword_boundary(h).is_identity:
         return None
     # Free reduction keeps the boundary, so a prefix's boundary is the
@@ -367,46 +367,64 @@ _H_KEYS = {"f", "cell", "sign"}
 
 
 def _triad_letter_from_json(alphabet: Alphabet, obj: dict) -> TriadLetter:
-    _check_keys(obj, _TRIAD_KEYS, "triad letter")
+    check_keys(obj, _TRIAD_KEYS, "triad letter")
     h_letters = []
-    for h in _field(obj, "h", list, "triad letter", []):
-        _check_keys(h, _H_KEYS, "h letter")
+    for h in json_field(obj, "h", list, "triad letter", []):
+        check_keys(h, _H_KEYS, "h letter")
         h_letters.append((
-            alphabet.word(_field(h, "f", str, "h letter", "")),
-            _field(h, "cell", str, "h letter"),
-            _field(h, "sign", int, "h letter"),
+            alphabet.word(json_field(h, "f", str, "h letter", "")),
+            json_field(h, "cell", str, "h letter"),
+            json_field(h, "sign", int, "h letter"),
         ))
     return TriadLetter(
-        conj_f=alphabet.word(_field(obj, "f", str, "triad letter", "")),
+        conj_f=alphabet.word(json_field(obj, "f", str, "triad letter", "")),
         conj_h=tuple(h_letters),
-        cell=_field(obj, "cell", str, "triad letter"),
-        sign=_field(obj, "sign", int, "triad letter"),
+        cell=json_field(obj, "cell", str, "triad letter"),
+        sign=json_field(obj, "sign", int, "triad letter"),
     )
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def check_keys(obj: dict, allowed: set[str], where: str, error: type = ComplexError) -> None:
     if not isinstance(obj, dict):
-        raise ComplexError(f"expected an object for {where}")
+        raise error(f"expected an object for {where}")
     unknown = set(obj) - allowed
     if unknown:
-        raise ComplexError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 _REQUIRED = object()
-_KIND_NAMES = {list: "a list", str: "a string", int: "an integer"}
+_KIND_NAMES = {list: "a list", str: "a string", int: "an integer", dict: "an object"}
 
 
-def _field(obj: dict, key: str, kind: type, where: str, default: object = _REQUIRED):
+def json_field(
+    obj: dict, key: str, kind: type, where: str, default: object = _REQUIRED,
+    error: type = ComplexError,
+):
     """``obj[key]``, or ``default`` when the key is absent and a default is
-    given, refused unless its type is exactly ``kind`` (a list, a string, or
-    an int by ``json_int``'s rule: a bool or a float is not one)."""
+    given, refused as ``error`` unless its type is exactly ``kind`` (a list,
+    a string, an object, or an int by ``json_int``'s rule: a bool or a float
+    is not one)."""
     if key not in obj:
         if default is _REQUIRED:
-            raise ComplexError(f"missing key {key!r}")
+            raise error(f"missing key {key!r}")
         return default
     if type(obj[key]) is not kind:
-        raise ComplexError(f"{where} {key!r} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
+        raise error(f"{where} {key!r} must be {_KIND_NAMES[kind]}, got {obj[key]!r}")
     return obj[key]
+
+
+def json_list_field(
+    obj: dict, key: str, convert: Callable, where: str, default: object = _REQUIRED,
+    error: type = ComplexError,
+):
+    """``convert`` of the list ``json_field(obj, key, list, ...)``; a
+    ValueError or TypeError from ``convert`` is refused as ``error`` naming
+    the field."""
+    value = json_field(obj, key, list, where, default, error)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise error(f"{where} {key!r}: {err}") from None
 
 
 def digit_limit_message(where: str) -> str:
@@ -423,24 +441,28 @@ def loads(text: str) -> CWComplex:
         raise ComplexError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
     except ValueError:  # an integer over Python's digit limit
         raise ComplexError(f"parse error: {digit_limit_message('the source file')}") from None
-    _check_keys(obj, _TOP_KEYS, "complex")
-    generators = _field(obj, "generators", list, "complex", [])
+    return from_json(obj)
+
+
+def from_json(obj: dict) -> CWComplex:
+    """A complex from its parsed JSON form."""
+    check_keys(obj, _TOP_KEYS, "complex")
+    generators = json_field(obj, "generators", list, "complex", [])
     if bad := [g for g in generators if type(g) is not str]:
         raise ComplexError(f"complex 'generators' must list strings, got {bad[0]!r}")
     alphabet = Alphabet(generators)
     two = []
-    for c in _field(obj, "two_cells", list, "complex", []):
-        _check_keys(c, _TWO_KEYS, "two_cell")
-        attach = _field(c, "attach", str, "two_cell", "")
-        two.append((_field(c, "name", str, "two_cell"), alphabet.word(attach)))
+    for c in json_field(obj, "two_cells", list, "complex", []):
+        check_keys(c, _TWO_KEYS, "two_cell")
+        attach = json_field(c, "attach", str, "two_cell", "")
+        two.append((json_field(c, "name", str, "two_cell"), alphabet.word(attach)))
     three = []
-    for c in _field(obj, "three_cells", list, "complex", []):
-        _check_keys(c, {"name", "attach"}, "three_cell")
-        letters = [
-            _triad_letter_from_json(alphabet, l) for l in _field(c, "attach", list, "three_cell")
-        ]
-        three.append((_field(c, "name", str, "three_cell"), letters))
-    return CWComplex(generators, two, three, name=_field(obj, "name", str, "complex", None))
+    for c in json_field(obj, "three_cells", list, "complex", []):
+        check_keys(c, {"name", "attach"}, "three_cell")
+        attach = json_field(c, "attach", list, "three_cell")
+        letters = [_triad_letter_from_json(alphabet, l) for l in attach]
+        three.append((json_field(c, "name", str, "three_cell"), letters))
+    return CWComplex(generators, two, three, name=json_field(obj, "name", str, "complex", None))
 
 
 def load(path: str) -> CWComplex:

@@ -21,14 +21,24 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .complexes import CWComplex, HWord, TriadLetter, TriadWord, catalog, structurally_equal
+from .complexes import (
+    CWComplex,
+    HWord,
+    TriadLetter,
+    TriadWord,
+    catalog,
+    check_keys,
+    json_field,
+    json_list_field,
+    structurally_equal,
+)
 from .words import Alphabet, Word, collect
 from .zlinalg import (
     AbelianGroup,
     AffineLattice,
     IntMatrix,
     Lattice,
-    json_int,
+    json_ints,
     quotient,
     solve,
 )
@@ -73,7 +83,7 @@ def phi2_boundary(M: CWComplex, triad: TriadWord) -> dict[str, int]:
     """Signed count of each 2-cell in a 3-cell's H-word (zero counts
     dropped): phi2 maps the 3-cell's boundary to the sum of phi2(cell) times
     its count, conjugators dropping because the target acts trivially."""
-    return collect((cell, sign) for _, cell, sign in M.triad_normal_form(triad)[1])
+    return collect((cell, sign) for _, cell, sign in M.triad_normal_form(triad))
 
 
 @dataclass(frozen=True)
@@ -302,7 +312,7 @@ def _interval_4cell(M: CWComplex, name: str, triad: TriadWord, alphabet: Alphabe
     [i, i] is twice the Hopf class in pi_3 S^2."""
     e = Word.identity(alphabet)
     out: list[TensorLetter | TriadLetter] = [TriadLetter(e, (), f"{name}1", 1)]
-    for f, cell, s in M.triad_normal_form(triad)[1]:
+    for f, cell, s in M.triad_normal_form(triad):
         out.append(TriadLetter(_relabel(f, alphabet, "1"), (), f"{cell}I", s))
         end: HWord = ((e, f"{cell}0", s),)
         for g, n in f.runs:
@@ -427,22 +437,20 @@ class CupData:
 
     @staticmethod
     def from_json(obj: dict) -> "CupData":
-        allowed = {"h1_rank", "h2", "h3", "cup"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise Dim3Error(f"unknown keys in cup file: {sorted(unknown)}")
-        try:
-            return CupData(
-                h1_rank=json_int(obj["h1_rank"]),
-                h2=tuple(json_int(x) for x in obj["h2"]),
-                h3=tuple(json_int(x) for x in obj["h3"]),
-                cup=tuple(
-                    tuple(tuple(json_int(x) for x in entry) for entry in row)
-                    for row in obj["cup"]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as err:
-            raise Dim3Error(f"malformed cup file: {err}") from None
+        where = "malformed cup file:"
+        check_keys(obj, {"h1_rank", "h2", "h3", "cup"}, "cup file", Dim3Error)
+        return CupData(
+            h1_rank=json_field(obj, "h1_rank", int, where, error=Dim3Error),
+            h2=json_list_field(obj, "h2", json_ints, where, error=Dim3Error),
+            h3=json_list_field(obj, "h3", json_ints, where, error=Dim3Error),
+            cup=json_list_field(
+                obj,
+                "cup",
+                lambda rows: tuple(tuple(map(json_ints, row)) for row in rows),
+                where,
+                error=Dim3Error,
+            ),
+        )
 
     def to_json(self) -> dict:
         return {
@@ -466,7 +474,7 @@ def cup_table(M: CWComplex) -> CupData:
     cells = M.two_cell_names()
     cup = [[[0] * len(M.three_cells) for _ in cells] for _ in M.alphabet.names]
     for k, (_, triad) in enumerate(M.three_cells):
-        for f, cell, s in M.triad_normal_form(triad)[1]:
+        for f, cell, s in M.triad_normal_form(triad):
             j = cells.index(cell)
             for i, a in enumerate(f.exponent_sums()):
                 cup[i][j][k] -= s * a
@@ -549,7 +557,7 @@ def crossed_square_report(M: CWComplex) -> CrossedSquareReport:
     sigma2 = [(name, str(word)) for name, word in M.two_cells]
     sigma3 = []
     for name, triad in M.three_cells:
-        _, hword = M.triad_normal_form(triad)
+        hword = M.triad_normal_form(triad)
         text = " ".join(
             ("" if f.is_identity else f"^({f})") + cell + ("" if sign == 1 else "^-1")
             for f, cell, sign in hword

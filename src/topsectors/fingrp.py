@@ -8,9 +8,8 @@ table fails immediately.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
-
-from .zlinalg import AbelianGroup
+import operator
+from typing import Sequence
 
 
 class GroupTableError(Exception):
@@ -36,11 +35,13 @@ class FiniteGroup:
                     self.inverse[i] = j
             if self.inverse[i] is None:
                 raise GroupTableError(f"element {i} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        raise GroupTableError("table is not associative")
+        # (ab)c = a(bc) for every c: row ab is row b read through row a.
+        # One element needs no check, and its itemgetter returns no tuple.
+        through = [operator.itemgetter(*row) for row in self.table] if n > 1 else []
+        for row_a in self.table:
+            for b, row_b_of in enumerate(through):
+                if self.table[row_a[b]] != row_b_of(row_a):
+                    raise GroupTableError("table is not associative")
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
         if len(self.names) != n:
             raise GroupTableError("wrong number of element names")
@@ -59,21 +60,6 @@ class FiniteGroup:
     def conj(self, g: int, h: int) -> int:
         return self.mul(self.mul(g, h), self.inv(g))
 
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        out = 0
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def order_of(self, a: int) -> int:
-        out, n = a, 1
-        while out != 0:
-            out = self.mul(out, a)
-            n += 1
-        return n
-
     @property
     def is_abelian(self) -> bool:
         n = len(self)
@@ -84,27 +70,17 @@ class FiniteGroup:
 
     # -- subgroups and quotients -------------------------------------------------
 
-    def closure(self, gens: Iterable[int]) -> frozenset[int]:
-        out = set(gens) | {0}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(out):
-                for c in [self.inv(a)] + [self.mul(a, b) for b in list(out)]:
-                    if c not in out:
-                        out.add(c)
-                        changed = True
-        return frozenset(out)
-
     def is_normal(self, subgroup: frozenset[int]) -> bool:
         return all(self.conj(g, h) in subgroup for g in self.elements() for h in subgroup)
 
     def quotient(self, subgroup: frozenset[int]) -> tuple["FiniteGroup", list[int]]:
         """Quotient by a normal subgroup.
 
-        Returns the coset group (coset of the identity is element 0) and the
-        projection list element -> coset index.
+        Returns the coset group (the identity's coset, found first, is
+        element 0) and the projection list element -> coset index.
         """
+        if 0 not in subgroup:
+            raise GroupTableError("subgroup must contain the identity")
         if not self.is_normal(subgroup):
             raise GroupTableError("subgroup is not normal")
         coset_of = [None] * len(self)
@@ -116,12 +92,6 @@ class FiniteGroup:
             reps.append(a)
             for h in subgroup:
                 coset_of[self.mul(a, h)] = idx
-        # Force the identity coset to index 0.
-        zero = coset_of[0]
-        if zero != 0:
-            reps[0], reps[zero] = reps[zero], reps[0]
-            swap = {0: zero, zero: 0}
-            coset_of = [swap.get(c, c) for c in coset_of]
         table = [
             [coset_of[self.mul(reps[i], reps[j])] for j in range(len(reps))]
             for i in range(len(reps))
@@ -138,19 +108,6 @@ class FiniteGroup:
         table = [[index[self.mul(a, b)] for b in members] for a in members]
         names = [self.names[g] for g in members]
         return FiniteGroup(table, names), members
-
-    def abelian_invariants(self) -> AbelianGroup:
-        """Invariant factors of an abelian group, by peeling off maximal
-        cyclic factors."""
-        if not self.is_abelian:
-            raise GroupTableError("group is not abelian")
-        factors: list[int] = []
-        group = self
-        while len(group) > 1:
-            top = max(group.elements(), key=group.order_of)
-            factors.append(group.order_of(top))
-            group, _ = group.quotient(group.closure([top]))
-        return AbelianGroup.from_factors(factors)
 
 
 # -- constructions ----------------------------------------------------------------

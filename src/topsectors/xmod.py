@@ -13,9 +13,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .complexes import catalog_params
+from .complexes import catalog_params, check_keys, json_field, json_list_field
 from .fingrp import FiniteGroup
-from .zlinalg import AbelianGroup, IntMatrix, json_int
+from .zlinalg import (
+    AbelianGroup,
+    AffineLattice,
+    IntMatrix,
+    json_int,
+    json_ints,
+    quotient_with_representatives,
+)
 
 
 class XModError(Exception):
@@ -90,26 +97,24 @@ class ModuleXMod:
 
     @staticmethod
     def from_json(obj: dict, name: str | None = None) -> "ModuleXMod":
-        allowed = {"G", "rank", "action", "boundary"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise XModError(f"unknown keys in target file: {sorted(unknown)}")
-        try:
-            g = obj["G"]
-            if not isinstance(g, dict):
-                raise XModError(f"malformed target file: G must be an object, got {g!r}")
-            if unknown := set(g) - {"free_rank", "torsion"}:
-                raise XModError(f"unknown keys in target file G: {sorted(unknown)}")
-            free_rank = json_int(g.get("free_rank", 0))
-            torsion = tuple(json_int(t) for t in g.get("torsion", []))
-            rank = json_int(obj["rank"])
-            action = tuple(IntMatrix.from_json(m) for m in obj["action"])
-            boundary = IntMatrix.from_columns(
-                [tuple(json_int(x) for x in col) for col in obj["boundary"]],
-                height=free_rank + len(torsion),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            raise XModError(f"malformed target file: {err}") from None
+        where = "malformed target file:"
+        check_keys(obj, {"G", "rank", "action", "boundary"}, "target file", XModError)
+        g = json_field(obj, "G", dict, where, error=XModError)
+        check_keys(g, {"free_rank", "torsion"}, "target file G", XModError)
+        free_rank = json_field(g, "free_rank", int, where, 0, XModError)
+        torsion = json_list_field(g, "torsion", json_ints, where, [], XModError)
+        rank = json_field(obj, "rank", int, where, error=XModError)
+        action = json_list_field(
+            obj, "action", lambda ms: tuple(map(IntMatrix.from_json, ms)), where, error=XModError
+        )
+        height = free_rank + len(torsion)
+        boundary = json_list_field(
+            obj,
+            "boundary",
+            lambda cols: IntMatrix.from_columns(list(map(json_ints, cols)), height=height),
+            where,
+            error=XModError,
+        )
         return ModuleXMod(free_rank, torsion, rank, action, boundary, name=name)
 
 
@@ -190,9 +195,7 @@ class FiniteCrossedModule:
     @staticmethod
     def from_json(obj: dict) -> "FiniteCrossedModule":
         allowed = {"H_table", "G_table", "boundary", "action"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise XModError(f"unknown keys in crossed module file: {sorted(unknown)}")
+        check_keys(obj, allowed, "crossed module file", XModError)
         if missing := sorted(allowed - set(obj)):
             raise XModError(f"missing key {missing[0]!r}")
         H = FiniteGroup(_index_rows(obj["H_table"], "H_table"))
@@ -330,10 +333,13 @@ def _validate_finite(x: FiniteCrossedModule) -> list[str]:
 class HoangData:
     """Classification data (pi1, pi2, alpha, beta) of a finite crossed module.
 
-    ``pi1`` is coker(d) and ``pi2`` = ker(d) as finite groups; ``alpha``
-    gives the induced action as a matrix per pi1 element over the chosen
-    generators of pi2; ``beta`` is the twisted 3-cocycle table
-    pi1^3 -> pi2 measuring the double extension.
+    ``pi1`` is coker(d) and ``pi2`` = ker(d) as finite groups.
+    ``pi2_invariants`` and the basis of ``alpha`` come from one lattice
+    quotient, pi2 read as Z^k modulo the relations among k generators:
+    ``alpha`` gives the induced action as a matrix per pi1 element over the
+    quotient's generators, row i taken modulo the i-th invariant factor.
+    ``beta`` is the twisted 3-cocycle table pi1^3 -> pi2 measuring the
+    double extension.
     """
 
     pi1: FiniteGroup
@@ -341,7 +347,6 @@ class HoangData:
     pi2_invariants: AbelianGroup
     alpha: tuple[IntMatrix, ...]
     beta: dict[tuple[int, int, int], int]
-    pi2_generators: tuple[int, ...]
     _act_on_pi2: tuple[tuple[int, ...], ...]
 
     def act(self, a: int, k: int) -> int:
@@ -446,22 +451,13 @@ def hoang_data(x: FiniteCrossedModule) -> HoangData:
             raise XModError("extension cocycle escaped the kernel; invalid input")
         beta[(a, b, c)] = member_index[val]
 
-    pi2_invariants = pi2.abelian_invariants()
-
-    # pi2 generators realizing the invariant factors, and alpha as matrices.
-    generators = _decompose_generators(pi2, pi2_invariants)
-    alpha = tuple(
-        _matrix_of_automorphism(pi2, generators, pi2_invariants, act_on_pi2[a])
-        for a in pi1.elements()
-    )
-
+    pi2_invariants, alpha = _pi2_structure(pi2, act_on_pi2)
     data = HoangData(
         pi1=pi1,
         pi2=pi2,
         pi2_invariants=pi2_invariants,
         alpha=alpha,
         beta=beta,
-        pi2_generators=tuple(generators),
         _act_on_pi2=act_on_pi2,
     )
     if not data.is_cocycle():
@@ -469,48 +465,47 @@ def hoang_data(x: FiniteCrossedModule) -> HoangData:
     return data
 
 
-def _decompose_generators(group: FiniteGroup, invariants: AbelianGroup) -> list[int]:
-    """Elements of an abelian group whose coordinate span is the whole group,
-    with orders equal to the invariant factors."""
-    factors = invariants.invariant_factors
-    if not factors:
-        return []
-    for combo in itertools.permutations(
-        [g for g in group.elements() if g != 0], len(factors)
-    ):
-        if any(group.order_of(g) != f for g, f in zip(combo, factors)):
+def _pi2_structure(
+    pi2: FiniteGroup, act_on_pi2: Sequence[Sequence[int]]
+) -> tuple[AbelianGroup, tuple[IntMatrix, ...]]:
+    """pi2 and its automorphisms ``act_on_pi2`` read through one lattice
+    quotient of Z^k.
+
+    Generators s_1..s_k keep each element, in index order, that the kept
+    ones do not yet generate; walking the cosets of each new s_j gives
+    every h exponents c(h) with h = s_1^c_1 ... s_k^c_k and c(1) = 0.  Every
+    v in Z^k is congruent to c(s^v) modulo the relations
+    c(h) + e_j - c(h s_j), so they span the kernel of v -> s^v and the
+    quotient is pi2.  An automorphism sends v to the sum of v_j c(perm(s_j)).
+    """
+    gens: list[int] = []
+    coords: dict[int, tuple[int, ...]] = {0: ()}
+    for g in pi2.elements():
+        if g in coords:
             continue
-        # check the coordinate map is a bijection
-        seen = set()
-        for coords in itertools.product(*[range(f) for f in factors]):
-            elem = 0
-            for g, c in zip(combo, coords):
-                elem = group.mul(elem, group.power(g, c))
-            seen.add(elem)
-        if len(seen) == len(group):
-            return list(combo)
-    raise XModError("could not decompose abelian group into cyclic generators")
-
-
-def _matrix_of_automorphism(
-    group: FiniteGroup,
-    generators: list[int],
-    invariants: AbelianGroup,
-    perm: tuple[int, ...],
-) -> IntMatrix:
-    """Express an automorphism (given as a permutation of elements) as an
-    integer matrix over the cyclic generator coordinates."""
-    factors = invariants.invariant_factors
-    if not generators:
-        return IntMatrix.identity(0)
-    coords_of = {}
-    for coords in itertools.product(*[range(f) for f in factors]):
-        elem = 0
-        for g, c in zip(generators, coords):
-            elem = group.mul(elem, group.power(g, c))
-        coords_of.setdefault(elem, coords)
-    cols = [coords_of[perm[g]] for g in generators]
-    return IntMatrix.from_columns(cols, height=len(generators))
+        reached = [(r, c + (0,) * (len(gens) - len(c))) for r, c in coords.items()]
+        # Coset i of the reached subgroup is r g^i, until g^i falls inside.
+        p, i = g, 1
+        while p not in coords:
+            for r, c in reached:
+                coords[pi2.mul(r, p)] = c + (i,)
+            p, i = pi2.mul(p, g), i + 1
+        gens.append(g)
+    k = len(gens)
+    vec = {h: c + (0,) * (k - len(c)) for h, c in coords.items()}
+    relations = [
+        tuple(a - b + (i == j) for i, (a, b) in enumerate(zip(vec[h], vec[pi2.mul(h, s)])))
+        for h in pi2.elements()
+        for j, s in enumerate(gens)
+    ]
+    ambient = AffineLattice.from_solution((0,) * k, IntMatrix.identity(k).data)
+    quot = quotient_with_representatives(ambient, relations)
+    alpha = []
+    for perm in act_on_pi2:
+        moved = IntMatrix.from_columns([vec[perm[s]] for s in gens], height=k)
+        cols = [quot.class_coords(moved.apply(v)) for v in quot.generator_vectors]
+        alpha.append(IntMatrix.from_columns(cols, height=len(quot.factors)))
+    return quot.group, tuple(alpha)
 
 
 # ---------------------------------------------------------------------------

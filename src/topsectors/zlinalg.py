@@ -49,6 +49,13 @@ def json_int(x: object) -> int:
     return x
 
 
+def json_ints(values: object) -> Vector:
+    """A list of integers read from JSON, each by ``json_int``'s rule."""
+    if type(values) is not list:
+        raise ValueError(f"expected a list of integers, got {values!r}")
+    return tuple(map(json_int, values))
+
+
 def _int_row(values: Iterable[object]) -> Vector:
     """``values`` as a tuple, refused by ``json_int``'s rule unless every
     entry is an int.  A check, not a conversion: it is on the hot path."""

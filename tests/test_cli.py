@@ -23,6 +23,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _cli_env():
+    """The environment for a CLI subprocess, with this package importable."""
+    src = str(Path(classify2d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def _t(alphabet, f, cell, sign):
     return TriadLetter(alphabet.word(f), (), cell, sign)
 
@@ -629,6 +636,70 @@ class TestMalformedFields:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {field}")
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("action",), 5, "'action'"),
+            (("action", 0), [[0, 1], [1]], "'action'"),
+            (("rank",), 1.5, "'rank'"),
+            (("rank",), None, "'rank'"),
+            (("boundary",), 5, "'boundary'"),
+            (("boundary", 0), 2, "'boundary'"),
+            (("G", "torsion"), 3, "'torsion'"),
+            (("G", "torsion"), [2.5], "'torsion'"),
+            (("G", "free_rank"), "1", "'free_rank'"),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, tuple) else "/".join(map(str, v)),
+    )
+    def test_target_file(self, capsys, tmp_path, path, value, field):
+        file = tmp_path / "target.json"
+        file.write_text(json.dumps(_edited(target_catalog("rp2").to_json(), path, value)))
+        for argv in (("validate", str(file)), ("classify", "--source", "torus2", "--target", str(file))):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and field in err
+
+    def test_target_file_missing_field(self, capsys, tmp_path):
+        obj = target_catalog("rp2").to_json()
+        del obj["rank"]
+        file = tmp_path / "target.json"
+        file.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "validate", str(file))
+        assert code == 1 and out == ""
+        assert err == "error: missing key 'rank'\n"
+
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("cup",), None, "'cup'"),
+            (("cup",), 5, "'cup'"),
+            (("cup", 0), 5, "'cup'"),
+            (("cup", 0, 0, 0), 1.5, "'cup'"),
+            (("h1_rank",), 1.0, "'h1_rank'"),
+            (("h2",), "x", "'h2'"),
+            (("h3", 0), True, "'h3'"),
+        ],
+        ids=lambda v: json.dumps(v) if not isinstance(v, tuple) else "/".join(map(str, v)),
+    )
+    def test_cup_file(self, capsys, tmp_path, path, value, field):
+        cup = {"h1_rank": 1, "h2": [0], "h3": [0], "cup": [[[1]]]}
+        file = tmp_path / "cup.json"
+        file.write_text(json.dumps(_edited(cup, path, value)))
+        code, out, err = run(
+            capsys, "crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--cup", str(file)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and field in err
+
+    def test_cup_file_missing_field(self, capsys, tmp_path):
+        file = tmp_path / "cup.json"
+        file.write_text(json.dumps({"h1_rank": 1, "h2": [0], "h3": [0]}))
+        code, out, err = run(
+            capsys, "crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--cup", str(file)
+        )
+        assert code == 1 and out == ""
+        assert err == "error: missing key 'cup'\n"
+
     def test_unknown_key_in_target_group(self, capsys, tmp_path):
         obj = _edited(target_catalog("rp2").to_json(), ("G",), {"free_rank": 1, "torsoin": [2]})
         file = tmp_path / "target.json"
@@ -700,6 +771,24 @@ class TestHoang:
         code, out, _ = run(capsys, "hoang", str(path), "--witness")
         assert code == 0
         assert "nontrivial" in out
+
+    def test_z2_to_the_6_finishes(self, tmp_path):
+        # pi_2 = Z_2^6 under XOR; a search over tuples of elements took
+        # minutes here, so the run is a subprocess that a timeout can stop.
+        n = 64
+        path = tmp_path / "z2_6.json"
+        path.write_text(json.dumps({
+            "H_table": [[i ^ j for j in range(n)] for i in range(n)],
+            "G_table": [[0]],
+            "boundary": [0] * n,
+            "action": [list(range(n))],
+        }))
+        proc = subprocess.run(
+            [sys.executable, "-m", "topsectors.cli", "hoang", str(path)],
+            capture_output=True, text=True, timeout=10, env=_cli_env(),
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert f"pi_2: {' x '.join(['Z_2'] * 6)}\n" in proc.stdout
 
 
 class TestReport:
@@ -971,11 +1060,9 @@ class TestExitCodes:
 
     @staticmethod
     def _cli_process(argv, stdout):
-        src = str(Path(classify2d.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.Popen(
             [sys.executable, "-m", "topsectors.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+            stdout=stdout, stderr=subprocess.PIPE, env=_cli_env(),
         )
 
     def test_closed_stdout_ends_quietly(self):

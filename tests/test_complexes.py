@@ -201,8 +201,7 @@ class TestNormalForm:
     def test_f_component_trivial(self):
         T = catalog("torus3")
         (_, triad), = T.three_cells
-        f, h = T.triad_normal_form(triad)
-        assert f.is_identity
+        h = T.triad_normal_form(triad)
         assert T.hword_boundary(h).is_identity
 
     def test_conjugator_h_part(self):
@@ -211,7 +210,7 @@ class TestNormalForm:
         e = Word.identity(M.alphabet)
         conj_h = ((e, "t", 1),)
         letter = TriadLetter(e, conj_h, "t", -1)
-        _, h = M.triad_normal_form((letter,))
+        h = M.triad_normal_form((letter,))
         # t t^-1 t^-1 reduces to t^-1 after cancelling the wrap
         assert h == ((e, "t", -1),)
 

@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from topsectors.complexes import catalog, derivation_image, reduce_hword
-from topsectors.fingrp import FiniteGroup, cyclic, direct_product, symmetric
+from topsectors.fingrp import FiniteGroup, GroupTableError, cyclic, direct_product, symmetric
 from topsectors.words import Word
 from topsectors.xmod import (
     FiniteCrossedModule,
@@ -44,6 +46,71 @@ def mult2_z4(action="trivial"):
     return FiniteCrossedModule(
         H=Z4, G=Z4, boundary=tuple((2 * h) % 4 for h in range(4)), action=act
     )
+
+
+def gl22_on_klein():
+    # S3 = GL(2, 2) permuting the three nonzero elements of Z2 x Z2
+    klein = direct_product(cyclic(2), cyclic(2))
+    act = [(0,) + tuple(p[i] + 1 for i in range(3)) for p in sorted(itertools.permutations(range(3)))]
+    return FiniteCrossedModule(H=klein, G=symmetric(3), boundary=(0,) * 4, action=act)
+
+
+def shear_z2_z4():
+    # Z2 acting on Z2 x Z4 by (a, b) -> (a, b + 2a)
+    H = direct_product(cyclic(2), cyclic(4))
+    shear = tuple(4 * (h // 4) + (h + 2 * (h // 4)) % 4 for h in range(8))
+    return FiniteCrossedModule(H=H, G=cyclic(2), boundary=(0,) * 8, action=(tuple(range(8)), shear))
+
+
+def _with_boundary(H, G, boundary):
+    return FiniteCrossedModule(H=H, G=G, boundary=boundary, action=trivial_action(G, H))
+
+
+# The valid finite crossed modules of this file's tests, and two whose
+# action on a two-factor pi2 is nontrivial (nonabelian for gl22_klein).
+CROSSED_MODULES = {
+    "identity_z2": lambda: zn_to_zn_identity(2),
+    "identity_z3": lambda: zn_to_zn_identity(3),
+    "identity_z4": lambda: zn_to_zn_identity(4),
+    "identity_z8": lambda: zn_to_zn_identity(8),
+    "mult2_trivial": lambda: mult2_z4("trivial"),
+    "mult2_invert": lambda: mult2_z4("invert"),
+    "zero_z2_z2": lambda: _with_boundary(cyclic(2), cyclic(2), (0, 0)),
+    "z4_mod2_z2": lambda: _with_boundary(cyclic(4), cyclic(2), (0, 1, 0, 1)),
+    "klein_z2": lambda: _with_boundary(direct_product(cyclic(2), cyclic(2)), cyclic(2), (0,) * 4),
+    "z4_klein": lambda: _with_boundary(cyclic(4), direct_product(cyclic(2), cyclic(2)), (0,) * 4),
+    "z2_z4": lambda: _with_boundary(cyclic(2), cyclic(4), (0, 2)),
+    "inversion_z3_z2": lambda: FiniteCrossedModule(
+        H=cyclic(3), G=cyclic(2), boundary=(0, 0, 0), action=(tuple(range(3)), (0, 2, 1))
+    ),
+    "gl22_klein": gl22_on_klein,
+    "shear_z2_z4": shear_z2_z4,
+}
+
+
+class TestFiniteGroup:
+    def test_non_associative_loop_refused(self):
+        # a Latin square with identity 0 and inverses, but (1 2) 2 != 1 (2 2)
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        assert loop[loop[1][2]][2] != loop[1][loop[2][2]]
+        with pytest.raises(GroupTableError, match="not associative"):
+            FiniteGroup(loop)
+
+    def test_groups_accepted(self):
+        for G in (cyclic(1), cyclic(2), symmetric(3), direct_product(cyclic(2), cyclic(4))):
+            assert FiniteGroup(G.table).table == G.table
+
+    def test_quotient_needs_the_identity(self):
+        with pytest.raises(GroupTableError, match="identity"):
+            cyclic(4).quotient(frozenset({2}))
+        pi1, proj = cyclic(4).quotient(frozenset({0, 2}))
+        assert len(pi1) == 2 and proj == [0, 1, 0, 1]
 
 
 class TestTargetCatalog:
@@ -303,28 +370,43 @@ class TestHoang:
     def test_cocycle_suite_small_catalog(self):
         # exhaustive cocycle check over a family of crossed modules on
         # groups of order <= 8
-        Z2, Z4 = cyclic(2), cyclic(4)
-        klein = direct_product(Z2, Z2)
-        cases = [
-            zn_to_zn_identity(2),
-            zn_to_zn_identity(3),
-            zn_to_zn_identity(8),
-            mult2_z4("trivial"),
-            mult2_z4("invert"),
-            FiniteCrossedModule(
-                H=klein, G=Z2, boundary=(0, 0, 0, 0), action=trivial_action(Z2, klein)
-            ),
-            FiniteCrossedModule(
-                H=Z4, G=klein, boundary=(0,) * 4, action=trivial_action(klein, Z4)
-            ),
-            FiniteCrossedModule(
-                H=Z2, G=Z4, boundary=(0, 2), action=trivial_action(Z4, Z2)
-            ),
-        ]
-        for x in cases:
+        for build in CROSSED_MODULES.values():
+            x = build()
             assert validate(x) == []
             data = hoang_data(x)
             assert data.is_cocycle()
+
+    @pytest.mark.parametrize("name", CROSSED_MODULES)
+    def test_alpha_is_the_action(self, name):
+        # alpha[a] over the pi2 generators, row i read modulo the i-th
+        # invariant factor, is the identity at a = 0, multiplies as pi1
+        # does, and is the identity exactly where the action is.
+        data = hoang_data(CROSSED_MODULES[name]())
+        factors = data.pi2_invariants.invariant_factors
+
+        def reduced(matrix):
+            return tuple(tuple(x % f for x in row) for row, f in zip(matrix.data, factors))
+
+        identity = reduced(IntMatrix.identity(len(factors)))
+        assert all(m.shape == (len(factors),) * 2 for m in data.alpha)
+        assert reduced(data.alpha[0]) == identity
+        pi1, pi2 = data.pi1, data.pi2
+        for a in pi1.elements():
+            acts_trivially = all(data.act(a, h) == h for h in pi2.elements())
+            assert (reduced(data.alpha[a]) == identity) == acts_trivially
+            for b in pi1.elements():
+                product = data.alpha[a] @ data.alpha[b]
+                assert reduced(data.alpha[pi1.mul(a, b)]) == reduced(product)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_pi2_of_a_product_is_gcd_times_lcm(self, m):
+        G = cyclic(1)
+        for n in range(2, 13):
+            H = direct_product(cyclic(m), cyclic(n))
+            x = FiniteCrossedModule(H=H, G=G, boundary=(0,) * len(H), action=trivial_action(G, H))
+            g = math.gcd(m, n)
+            expected = AbelianGroup(tuple(f for f in (g, m * n // g) if f > 1))
+            assert hoang_data(x).pi2_invariants == expected
 
     def test_kernel_is_central_and_abelian(self):
         for x in [zn_to_zn_identity(4), mult2_z4("trivial"), mult2_z4("invert")]:
