@@ -13,11 +13,12 @@ shares.  It labels each run in pi_1 of the target, walking a run only
 until its labels cycle and counting each label in closed form, and returns
 plain rows.  This labeling is exact for the twist.  The action of every
 label is one lookup in a ``classify2d.rho_table``, built once per target or
-per ``special_case_classify`` call.  The Fox derivatives and derivation images
-are the complex's own (``CWComplex.fox`` and ``CWComplex.triad_images``),
-taken once per complex and shared with route 1 as data only: each route
-assembles its own differentials.  Only the assembled differentials are
-``IntMatrix`` objects.
+per ``special_case_classify`` call, which builds one complex per class of
+sectors with equal rho-images; the 2-d oracle builds one per sector.  The
+Fox derivatives and derivation images are the complex's own
+(``CWComplex.fox`` and ``CWComplex.triad_images``), taken once per complex
+and shared with route 1 as data only: each route assembles its own
+differentials.  Only the assembled differentials are ``IntMatrix`` objects.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ class CoefficientModule:
     The action does not depend on the sector, so it is checked and tabulated
     once where it enters: ``special_case_classify`` checks the matrices it is
     given, and ``for_target_sector`` reads ``TargetData.pi2_rho`` of a target
-    whose torsion orders and Peiffer condition ``validate`` checks.
+    whose torsion orders and Peiffer condition ``validate`` checks.  The
+    oracle gets a module per sector, the lens route one per class of sectors
+    with equal rho-images.
     """
 
     rank: int
@@ -71,16 +74,18 @@ class CoefficientModule:
 
 def _check_action(rank: int, factors: Sequence[int], matrices: Sequence[IntMatrix]) -> None:
     """Raise CoefficientError unless there is one rank x rank matrix per
-    pi_1 generator and the matrix of a generator of order f has f-th power
-    the identity."""
+    pi_1 generator, the matrix of a generator of order f has f-th power the
+    identity, and the matrices commute, so that rho is a homomorphism."""
     if len(matrices) != len(factors):
         raise CoefficientError("need one action matrix per pi_1 generator")
     identity = IntMatrix.identity(rank)
-    for m, f in zip(matrices, factors):
+    for i, (m, f) in enumerate(zip(matrices, factors)):
         if m.shape != (rank, rank):
             raise CoefficientError("action matrix of wrong shape")
         if f and m**f != identity:
             raise CoefficientError("action does not respect the order of a pi_1 generator")
+        if any(m @ n != n @ m for n in matrices[:i]):
+            raise CoefficientError("action matrices do not commute")
 
 
 @dataclass(frozen=True)
@@ -182,28 +187,31 @@ def special_case_classify(
     given rank, with an optional action matrix per pi_1 generator).
 
     Per sector the answer is H^3 = coker(d2) with the twisted differentials.
+    Sectors whose 1-cells have equal rho-images share one complex and one
+    quotient: a sector enters d0, d1 and d2 only through rho, a homomorphism.
     """
     if not M.three_cells:
         raise ValueError("special_case_classify needs a complex with 3-cells")
     factors = tuple(map(json_int, pi1_factors))
     if any(f < 2 for f in factors):
         raise ValueError("pi_1 invariant factors must be >= 2")
-    matrices = (
-        tuple(pi_d_action)
-        if pi_d_action is not None
-        else tuple(IntMatrix.identity(pi_d_rank) for _ in factors)
-    )
-    _check_action(pi_d_rank, factors, matrices)
-    identity = IntMatrix.identity(pi_d_rank)
-    trivial_action = all(m == identity for m in matrices)
-
-    rho = rho_table(factors, matrices, pi_d_rank)
+    rank = json_int(pi_d_rank)
+    if rank < 0:
+        raise ValueError(f"pi_d rank must be >= 0, got {rank}")
+    identity = IntMatrix.identity(rank)
+    matrices = tuple(pi_d_action) if pi_d_action is not None else (identity,) * len(factors)
+    _check_action(rank, factors, matrices)
+    rho = rho_table(factors, matrices, rank)
+    # A label stands for the first label with its matrix.
+    first: dict[IntMatrix, tuple[int, ...]] = {}
+    canonical = {label: first.setdefault(m, label) for label, m in rho.items()}
+    groups: dict[tuple, AbelianGroup] = {}
     sectors = []
-    n3r = len(M.three_cells) * pi_d_rank
+    n3r = len(M.three_cells) * rank
     for assignment in label_sectors(M, factors):
-        coeffs = CoefficientModule(rank=pi_d_rank, factors=factors, rho=rho, sector=assignment)
-        cx = build_complex(M, coeffs)
-        sectors.append(SpecialSector(phi1=assignment, group=quotient(n3r, cx.d2.columns())))
-    return SpecialCaseResult(
-        pi1_factors=factors, sectors=sectors, action_is_trivial=trivial_action
-    )
+        key = tuple(canonical[label] for label in assignment.values())
+        if key not in groups:
+            coeffs = CoefficientModule(rank, factors, rho, dict(zip(assignment, key)))
+            groups[key] = quotient(n3r, build_complex(M, coeffs).d2.columns())
+        sectors.append(SpecialSector(phi1=assignment, group=groups[key]))
+    return SpecialCaseResult(factors, sectors, action_is_trivial=len(first) == 1)

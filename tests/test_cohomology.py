@@ -1,7 +1,14 @@
 import pytest
 
-from topsectors import complexes
-from topsectors.classify2d import TargetData, UnsupportedTargetError, classify_based, pi1_sectors
+from topsectors import cohomology, complexes
+from topsectors.classify2d import (
+    TargetData,
+    UnsupportedTargetError,
+    classify_based,
+    label_sectors,
+    pi1_sectors,
+    rho_table,
+)
 from topsectors.cohomology import (
     CoefficientError,
     CoefficientModule,
@@ -16,6 +23,15 @@ from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix, quotient
 
 RP2 = target_catalog("rp2")
+# A 3-complex with relator a^2, so that Z_4 keeps only a = 0, 2.
+RP3 = loads(
+    '{"generators": ["a"], "two_cells": [{"name": "t", "attach": "a^2"}],'
+    ' "three_cells": [{"name": "x", "attach": ['
+    '{"f": "", "h": [], "cell": "t", "sign": 1},'
+    ' {"f": "a", "h": [], "cell": "t", "sign": -1}]}]}'
+)
+MINUS = IntMatrix([[-1]])
+QUARTER_TURN = IntMatrix([[0, -1], [1, 0]])
 
 
 def untwisted(M, rank=1):
@@ -195,14 +211,7 @@ class TestSpecialCase:
         assert all(s.group == AbelianGroup((0,)) for s in res.sectors)
 
     def test_sectors_match_pi1_sectors(self):
-        # A 3-complex with relator a^2, so that Z_4 keeps only a = 0, 2.
-        rp3 = loads(
-            '{"generators": ["a"], "two_cells": [{"name": "t", "attach": "a^2"}],'
-            ' "three_cells": [{"name": "x", "attach": ['
-            '{"f": "", "h": [], "cell": "t", "sign": 1},'
-            ' {"f": "a", "h": [], "cell": "t", "sign": -1}]}]}'
-        )
-        for M, factors in ((rp3, (4,)), (catalog("torus3"), (2, 2)), (catalog("s1_x_s2"), (3,))):
+        for M, factors in ((RP3, (4,)), (catalog("torus3"), (2, 2)), (catalog("s1_x_s2"), (3,))):
             # a target whose pi_1 has the same invariant factors
             X = ModuleXMod(
                 free_rank=0,
@@ -213,7 +222,7 @@ class TestSpecialCase:
             )
             res = special_case_classify(M, factors, 1)
             assert [s.phi1 for s in res.sectors] == pi1_sectors(M, TargetData(X))
-        assert [s.phi1 for s in special_case_classify(rp3, [4], 1).sectors] == [
+        assert [s.phi1 for s in special_case_classify(RP3, [4], 1).sectors] == [
             {"a": (0,)},
             {"a": (2,)},
         ]
@@ -231,6 +240,57 @@ class TestSpecialCase:
             assert str(h3) == expected
             res = special_case_classify(M, [p], 1)
             assert res.sectors and all(s.group == h3 for s in res.sectors)
+
+    @pytest.mark.parametrize(
+        "name, factors, rank, action",
+        [
+            ("torus3", [7], 1, None),
+            ("torus3", [2, 2], 1, None),
+            ("s1_x_s2", [3], 1, None),
+            ("rp3", [4], 1, None),
+            ("torus3", [4], 1, [MINUS]),
+            ("torus3", [6], 1, [MINUS]),
+            ("s1_x_s2", [4], 2, [QUARTER_TURN]),
+        ],
+    )
+    def test_keyed_groups_match_per_sector_rebuild(self, name, factors, rank, action):
+        # Sectors whose labels act alike share one complex; each sector's
+        # own complex and quotient must give the same group.
+        M = RP3 if name == "rp3" else catalog(name)
+        matrices = action or [IntMatrix.identity(rank)] * len(factors)
+        rho = rho_table(factors, matrices, rank)
+        expected = []
+        for sector in label_sectors(M, factors):
+            cx = build_complex(M, CoefficientModule(rank, tuple(factors), rho, sector))
+            expected.append((sector, quotient(len(M.three_cells) * rank, cx.d2.columns())))
+        res = special_case_classify(M, factors, rank, action)
+        assert [(s.phi1, s.group) for s in res.sectors] == expected
+        assert res.action_is_trivial == (action is None)
+
+    @pytest.mark.parametrize(
+        "factors, action, sectors, keys",
+        # lens:7,1 acts trivially, so all its sectors share one key; under -1
+        # a key is the parity of each of the three labels.
+        [([7], None, 343, 1), ([4], [MINUS], 64, 8), ([6], [MINUS], 216, 8)],
+    )
+    def test_one_complex_per_key(self, monkeypatch, factors, action, sectors, keys):
+        calls = []
+        build = cohomology.build_complex
+
+        def counted(M, coeffs):
+            calls.append(None)
+            return build(M, coeffs)
+
+        monkeypatch.setattr(cohomology, "build_complex", counted)
+        res = special_case_classify(catalog("torus3"), factors, 1, action)
+        assert len(res.sectors) == sectors
+        assert len(calls) == keys
+
+    @pytest.mark.parametrize("rank", [-1, 1.5, True])
+    def test_bad_rank_rejected(self, rank):
+        # refused by json_int's rule or as negative, naming the value
+        with pytest.raises(ValueError, match=f"got {rank!r}$"):
+            special_case_classify(catalog("torus3"), [2], rank)
 
     def test_requires_three_cells(self):
         with pytest.raises(ValueError):
@@ -250,6 +310,10 @@ class TestSpecialCase:
         ):
             with pytest.raises(CoefficientError):
                 special_case_classify(T, factors, 1, action)
+        # each of order 2, but they do not commute, so rho is no homomorphism
+        flip, swap = IntMatrix([[1, 0], [0, -1]]), IntMatrix([[0, 1], [1, 0]])
+        with pytest.raises(CoefficientError, match="commute"):
+            special_case_classify(T, [2, 2], 2, [flip, swap])
 
     def test_action_order_checked_once(self, monkeypatch):
         # The sector-independent check is made once, not once per sector.
@@ -289,15 +353,15 @@ class TestSpecialCase:
         res = special_case_classify(catalog("torus3"), [2], 1, [IntMatrix([[-1]])])
         assert not res.action_is_trivial
         assert [str(s.group) for s in res.sectors] == ["Z"] + ["Z_2"] * 7
-        quarter_turn = IntMatrix([[0, -1], [1, 0]])
-        res = special_case_classify(catalog("s1_x_s2"), [4], 2, [quarter_turn])
+        res = special_case_classify(catalog("s1_x_s2"), [4], 2, [QUARTER_TURN])
         assert [s.phi1 for s in res.sectors] == [{"a": (c,)} for c in range(4)]
         assert [str(s.group) for s in res.sectors] == ["Z x Z", "Z_2", "Z_2 x Z_2", "Z_2"]
 
 
 class TestBuildBudget:
-    """Twisted blocks are plain rows: a sector builds an IntMatrix only for
-    its assembled differentials, the d.d = 0 products and its quotient."""
+    """Twisted blocks are plain rows: a sector (in the lens route, a key of
+    sectors that act alike) builds an IntMatrix only for its assembled
+    differentials, the d.d = 0 products and its quotient."""
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -312,10 +376,13 @@ class TestBuildBudget:
         return calls
 
     def test_lens_route(self, monkeypatch):
+        # All 343 sectors share one key.  Once per call, the rho table builds
+        # one matrix per label and the order check at most one power per label.
         builds = self.count_builds(monkeypatch)
         res = special_case_classify(catalog("torus3"), [7], 1)
         assert len(res.sectors) == 343
-        assert len(builds) <= 8 * len(res.sectors)
+        keys, labels = 1, 7
+        assert len(builds) <= 8 * keys + 2 * labels
 
     def test_oracle(self, monkeypatch):
         M = catalog("genus_surface", g=2)
