@@ -19,15 +19,19 @@ Fox derivatives and derivation images are the complex's own
 (``CWComplex.fox`` and ``CWComplex.triad_images``), taken once per complex
 and shared with route 1 as data only: each route assembles its own
 differentials.  Only the assembled differentials are ``IntMatrix`` objects.
+An action given by matrices is checked by ``xmod.action_violations``, the
+one check of commuting, order-respecting matrices, which ``xmod.validate``
+also makes of a target's action.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
+from .xmod import action_violations
 from .zlinalg import AbelianGroup, IntMatrix, json_int, quotient
 
 
@@ -47,8 +51,9 @@ class CoefficientModule:
 
     The action does not depend on the sector, so it is checked and tabulated
     once where it enters: ``special_case_classify`` checks the matrices it is
-    given, and ``for_target_sector`` reads ``TargetData.pi2_rho`` of a target
-    whose torsion orders and Peiffer condition ``validate`` checks.  The
+    given with ``xmod.action_violations``, and ``for_target_sector`` reads
+    ``TargetData.pi2_rho`` of a target that ``validate`` checks with the same
+    function, then for its equivariance and Peiffer conditions.  The
     oracle gets a module per sector, the lens route one per class of sectors
     with equal rho-images.
     """
@@ -72,20 +77,19 @@ class CoefficientModule:
         return self.rho[tuple(label)]
 
 
-def _check_action(rank: int, factors: Sequence[int], matrices: Sequence[IntMatrix]) -> None:
-    """Raise CoefficientError unless there is one rank x rank matrix per
-    pi_1 generator, the matrix of a generator of order f has f-th power the
-    identity, and the matrices commute, so that rho is a homomorphism."""
+def _check_action(rank: int, factors: Sequence[int], matrices: object) -> None:
+    """Raise CoefficientError unless ``matrices`` is a sequence of one
+    rank x rank IntMatrix per pi_1 generator that defines an action of the
+    pi_1, by ``xmod.action_violations``: the check that ``validate`` makes
+    of a target's action, so both name the first violation alike."""
+    if not isinstance(matrices, Sequence) or not all(isinstance(m, IntMatrix) for m in matrices):
+        raise CoefficientError(f"pi_d_action must be a sequence of IntMatrix, got {matrices!r}")
     if len(matrices) != len(factors):
         raise CoefficientError("need one action matrix per pi_1 generator")
-    identity = IntMatrix.identity(rank)
-    for i, (m, f) in enumerate(zip(matrices, factors)):
-        if m.shape != (rank, rank):
-            raise CoefficientError("action matrix of wrong shape")
-        if f and m**f != identity:
-            raise CoefficientError("action does not respect the order of a pi_1 generator")
-        if any(m @ n != n @ m for n in matrices[:i]):
-            raise CoefficientError("action matrices do not commute")
+    if any(m.shape != (rank, rank) for m in matrices):
+        raise CoefficientError("action matrix of wrong shape")
+    if violations := action_violations(matrices, factors):
+        raise CoefficientError(violations[0])
 
 
 @dataclass(frozen=True)
@@ -192,14 +196,15 @@ def special_case_classify(
     """
     if not M.three_cells:
         raise ValueError("special_case_classify needs a complex with 3-cells")
+    if not isinstance(pi1_factors, Sequence):
+        raise ValueError(f"pi1_factors must be a sequence of integers, got {pi1_factors!r}")
     factors = tuple(map(json_int, pi1_factors))
     if any(f < 2 for f in factors):
         raise ValueError("pi_1 invariant factors must be >= 2")
     rank = json_int(pi_d_rank)
     if rank < 0:
         raise ValueError(f"pi_d rank must be >= 0, got {rank}")
-    identity = IntMatrix.identity(rank)
-    matrices = tuple(pi_d_action) if pi_d_action is not None else (identity,) * len(factors)
+    matrices = (IntMatrix.identity(rank),) * len(factors) if pi_d_action is None else pi_d_action
     _check_action(rank, factors, matrices)
     rho = rho_table(factors, matrices, rank)
     # A label stands for the first label with its matrix.

@@ -17,7 +17,7 @@ class GroupTableError(Exception):
 
 
 class FiniteGroup:
-    def __init__(self, table: Sequence[Sequence[int]], names: Sequence[str] | None = None):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = tuple(tuple(row) for row in table)
         n = len(self.table)
         if any(len(row) != n for row in self.table):
@@ -42,9 +42,6 @@ class FiniteGroup:
             for b, row_b_of in enumerate(through):
                 if self.table[row_a[b]] != row_b_of(row_a):
                     raise GroupTableError("table is not associative")
-        self.names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
-        if len(self.names) != n:
-            raise GroupTableError("wrong number of element names")
 
     # -- basic operations ------------------------------------------------------
 
@@ -96,8 +93,7 @@ class FiniteGroup:
             [coset_of[self.mul(reps[i], reps[j])] for j in range(len(reps))]
             for i in range(len(reps))
         ]
-        names = [self.names[r] for r in reps]
-        return FiniteGroup(table, names), coset_of
+        return FiniteGroup(table), coset_of
 
     def subgroup_table(self, subgroup: frozenset[int]) -> tuple["FiniteGroup", list[int]]:
         """Restrict the table to a subgroup; returns it with the element list."""
@@ -106,18 +102,14 @@ class FiniteGroup:
             raise GroupTableError("subgroup must contain the identity")
         index = {g: i for i, g in enumerate(members)}
         table = [[index[self.mul(a, b)] for b in members] for a in members]
-        names = [self.names[g] for g in members]
-        return FiniteGroup(table, names), members
+        return FiniteGroup(table), members
 
 
 # -- constructions ----------------------------------------------------------------
 
 
 def cyclic(n: int) -> FiniteGroup:
-    return FiniteGroup(
-        [[(i + j) % n for j in range(n)] for i in range(n)],
-        names=[str(i) for i in range(n)],
-    )
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -127,8 +119,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
         [index[(A.mul(a1, a2), B.mul(b1, b2))] for (a2, b2) in pairs]
         for (a1, b1) in pairs
     ]
-    names = [f"({A.names[a]},{B.names[b]})" for a, b in pairs]
-    return FiniteGroup(table, names)
+    return FiniteGroup(table)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -137,5 +128,4 @@ def symmetric(n: int) -> FiniteGroup:
     index = {p: i for i, p in enumerate(perms)}
     compose = lambda p, q: tuple(p[q[i]] for i in range(n))
     table = [[index[compose(p, q)] for q in perms] for p in perms]
-    names = ["".join(str(x) for x in p) for p in perms]
-    return FiniteGroup(table, names)
+    return FiniteGroup(table)

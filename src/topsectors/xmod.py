@@ -232,96 +232,78 @@ def validate(x: ModuleXMod | FiniteCrossedModule) -> list[str]:
 
 
 def _validate_module(x: ModuleXMod) -> list[str]:
-    out = []
-    identity = IntMatrix.identity(x.rank)
-    for i, m in enumerate(x.action):
-        if not m.is_unimodular:
-            out.append(f"action matrix {i} is not invertible over Z")
-    if out:
-        return out
-    # G is abelian, so its action must be by commuting matrices; this also
-    # makes rho of a coordinate vector independent of the factor order.
-    for (i, a), (j, b) in itertools.combinations(enumerate(x.action), 2):
-        if a @ b != b @ a:
-            out.append(f"action matrices {i} and {j} do not commute")
-    for i, order in enumerate(x.torsion):
-        if x.action[x.free_rank + i] ** order != identity:
-            out.append(
-                f"action of torsion generator {i} does not respect its order {order}"
-            )
+    if singular := [i for i, m in enumerate(x.action) if not m.is_unimodular]:
+        return [f"action matrix {i} is not invertible over Z" for i in singular]
+    orders = (0,) * x.free_rank + tuple(x.torsion)
+    out = action_violations(x.action, orders)
     # Condition 1 (G abelian): d(^g h) = d(h), i.e. d . rho(g) = d, where the
     # comparison in torsion rows is modulo the generator order.
     for i, m in enumerate(x.action):
         moved = x.boundary @ m
-        for row in range(x.num_g_generators):
-            order = 0 if row < x.free_rank else x.torsion[row - x.free_rank]
-            for col in range(x.rank):
-                diff = moved.data[row][col] - x.boundary.data[row][col]
-                if (diff % order if order else diff) != 0:
-                    out.append(
-                        f"equivariance fails: boundary not preserved by action of generator {i}"
-                    )
-                    break
-            else:
-                continue
-            break
+        if any(
+            (a - b) % n if n else a != b
+            for n, moved_row, row in zip(orders, moved.data, x.boundary.data)
+            for a, b in zip(moved_row, row)
+        ):
+            out.append(f"equivariance fails: boundary not preserved by action of generator {i}")
     # Condition 2: rho(d e_j) = identity for every basis vector of H.
+    identity = IntMatrix.identity(x.rank)
     for j in range(x.rank):
         if x.rho_of_coords(x.boundary.column(j)) != identity:
             out.append(f"Peiffer condition fails: d(e_{j}) does not act trivially")
     return out
 
 
+def action_violations(matrices: Sequence[IntMatrix], orders: Sequence[int]) -> list[str]:
+    """Why square matrices, one per generator of an abelian group of the
+    given orders (0 = infinite), define no action: a pair that does not
+    commute (commuting also makes rho of a coordinate vector independent of
+    the factor order), or a generator of order n whose n-th power is not I."""
+    out = [
+        f"action matrices {i} and {j} do not commute"
+        for (i, a), (j, b) in itertools.combinations(enumerate(matrices), 2)
+        if a @ b != b @ a
+    ]
+    identity = None  # built once, and only for a generator of finite order
+    for i, (m, n) in enumerate(zip(matrices, orders)):
+        if n:
+            if identity is None:
+                identity = IntMatrix.identity(m.rows)
+            if m**n != identity:
+                out.append(f"action of generator {i} does not respect its order {n}")
+    return out
+
+
+def _is_homomorphism(f: Sequence, A: FiniteGroup, mul) -> bool:
+    """f(ab) = f(a) f(b) for all a, b in A, with f(a) the a-th entry of f
+    and the product on the right taken by ``mul``."""
+    return all(f[A.mul(a, b)] == mul(f[a], f[b]) for a in A.elements() for b in A.elements())
+
+
 def _validate_finite(x: FiniteCrossedModule) -> list[str]:
     out = []
     H, G = x.H, x.G
-    # boundary is a homomorphism
-    for h1 in H.elements():
-        for h2 in H.elements():
-            if x.boundary[H.mul(h1, h2)] != G.mul(x.boundary[h1], x.boundary[h2]):
-                out.append("boundary is not a homomorphism")
-                break
-        else:
-            continue
-        break
+    if not _is_homomorphism(x.boundary, H, G.mul):
+        out.append("boundary is not a homomorphism")
     # each action[g] is an automorphism and g -> action[g] a homomorphism
-    for g in G.elements():
-        row = x.action[g]
+    for g, row in enumerate(x.action):
         if sorted(row) != list(H.elements()):
             out.append(f"action of {g} is not a bijection")
-            continue
-        for h1 in H.elements():
-            for h2 in H.elements():
-                if x.act(g, H.mul(h1, h2)) != H.mul(x.act(g, h1), x.act(g, h2)):
-                    out.append(f"action of {g} is not an automorphism")
-                    break
-            else:
-                continue
-            break
-    for g1 in G.elements():
-        for g2 in G.elements():
-            for h in H.elements():
-                if x.act(G.mul(g1, g2), h) != x.act(g1, x.act(g2, h)):
-                    out.append("action is not a group action")
-                    break
-            else:
-                continue
-            break
+        elif not _is_homomorphism(row, H, H.mul):
+            out.append(f"action of {g} is not an automorphism")
+    if not _is_homomorphism(x.action, G, lambda r, s: tuple(r[h] for h in s)):
+        out.append("action is not a group action")
     if out:
         return out
-    for g in G.elements():
-        for h in H.elements():
-            if x.boundary[x.act(g, h)] != G.conj(g, x.boundary[h]):
-                out.append(
-                    f"equivariance fails at g={g}, h={h}: d(^g h) != g d(h) g^-1"
-                )
-    for h1 in H.elements():
-        for h2 in H.elements():
-            if x.act(x.boundary[h1], h2) != H.conj(h1, h2):
-                out.append(
-                    f"Peiffer condition fails at h={h1}, h'={h2}: ^d(h) h' != h h' h^-1"
-                )
-    return out
+    return [
+        f"equivariance fails at g={g}, h={h}: d(^g h) != g d(h) g^-1"
+        for g, h in itertools.product(G.elements(), H.elements())
+        if x.boundary[x.act(g, h)] != G.conj(g, x.boundary[h])
+    ] + [
+        f"Peiffer condition fails at h={h1}, h'={h2}: ^d(h) h' != h h' h^-1"
+        for h1, h2 in itertools.product(H.elements(), repeat=2)
+        if x.act(x.boundary[h1], h2) != H.conj(h1, h2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +365,24 @@ class HoangData:
         for assignment in itertools.product(pi2.elements(), repeat=len(cells)):
             lam = {(a, b): 0 for a in pi1.elements() for b in pi1.elements()}
             lam.update(dict(zip(cells, assignment)))
-            if self._delta2(lam) == self.beta:
+            if _coboundary(pi1, pi2, self.act, lam) == self.beta:
                 return lam
         return None
 
-    def _delta2(self, lam: dict[tuple[int, int], int]) -> dict[tuple[int, int, int], int]:
-        pi1, pi2 = self.pi1, self.pi2
-        out = {}
-        for a, b, c in itertools.product(pi1.elements(), repeat=3):
-            val = self.act(a, lam[(b, c)])
-            val = pi2.mul(val, lam[(a, pi1.mul(b, c))])
-            val = pi2.mul(val, pi2.inv(lam[(pi1.mul(a, b), c)]))
-            val = pi2.mul(val, pi2.inv(lam[(a, b)]))
-            out[(a, b, c)] = val
-        return out
+
+def _coboundary(
+    pi1: FiniteGroup, coeffs: FiniteGroup, act, cochain: dict[tuple[int, int], int]
+) -> dict[tuple[int, int, int], int]:
+    """The twisted coboundary of a 2-cochain w: pi1^2 -> coeffs, with pi1
+    acting on coeffs by ``act(a, k)``:
+    (delta w)(a, b, c) = ^a w(b, c) . w(a, bc) . w(ab, c)^-1 . w(a, b)^-1."""
+    out = {}
+    for a, b, c in itertools.product(pi1.elements(), repeat=3):
+        val = act(a, cochain[(b, c)])
+        val = coeffs.mul(val, cochain[(a, pi1.mul(b, c))])
+        val = coeffs.mul(val, coeffs.inv(cochain[(pi1.mul(a, b), c)]))
+        out[(a, b, c)] = coeffs.mul(val, coeffs.inv(cochain[(a, b)]))
+    return out
 
 
 def hoang_data(x: FiniteCrossedModule) -> HoangData:
@@ -424,11 +410,9 @@ def hoang_data(x: FiniteCrossedModule) -> HoangData:
     section = [min(g for g in G.elements() if proj[g] == a) for a in pi1.elements()]
 
     # Induced action of pi1 on pi2 through the section.
-    act_rows = []
-    for a in pi1.elements():
-        row = [member_index[x.act(section[a], members[k])] for k in pi2.elements()]
-        act_rows.append(tuple(row))
-    act_on_pi2 = tuple(act_rows)
+    act_on_pi2 = tuple(
+        tuple(member_index[x.act(section[a], m)] for m in members) for a in pi1.elements()
+    )
 
     # Failure of the section to be a homomorphism, lifted into H.
     def lift_to_h(g: int) -> int:
@@ -441,15 +425,10 @@ def hoang_data(x: FiniteCrossedModule) -> HoangData:
             omega_tilde[(a, b)] = lift_to_h(w)
 
     # beta = delta omega~, computed in H; it lands in the kernel.
-    beta = {}
-    for a, b, c in itertools.product(pi1.elements(), repeat=3):
-        val = x.act(section[a], omega_tilde[(b, c)])
-        val = H.mul(val, omega_tilde[(a, pi1.mul(b, c))])
-        val = H.mul(val, H.inv(omega_tilde[(pi1.mul(a, b), c)]))
-        val = H.mul(val, H.inv(omega_tilde[(a, b)]))
-        if val not in kernel:
-            raise XModError("extension cocycle escaped the kernel; invalid input")
-        beta[(a, b, c)] = member_index[val]
+    delta = _coboundary(pi1, H, lambda a, h: x.act(section[a], h), omega_tilde)
+    if not kernel.issuperset(delta.values()):
+        raise XModError("extension cocycle escaped the kernel; invalid input")
+    beta = {abc: member_index[h] for abc, h in delta.items()}
 
     pi2_invariants, alpha = _pi2_structure(pi2, act_on_pi2)
     data = HoangData(
@@ -545,9 +524,9 @@ def to_strict_2group(x: FiniteCrossedModule) -> Strict2Group:
         return (H.mul(x.act(G.inv(g2), h1), h2), G.mul(g1, g2))
 
     table = [[index[mul(p1, p2)] for p2 in pairs] for p1 in pairs]
-    # Reorder so the identity 2-morphism (1, 1) sits at index 0.
+    # The pair order puts the identity 2-morphism (1, 1) first, at index 0.
     assert index[(0, 0)] == 0
-    two = FiniteGroup(table, names=[f"({H.names[h]};{G.names[g]})" for h, g in pairs])
+    two = FiniteGroup(table)
     source = tuple(g for _, g in pairs)
     target = tuple(G.mul(g, x.boundary[h]) for h, g in pairs)
     identity_morphism = tuple(index[(0, g)] for g in G.elements())

@@ -19,7 +19,7 @@ from topsectors.cohomology import (
 from topsectors.complexes import CWComplex, TriadLetter, catalog, loads
 from topsectors.dim3 import phi2_boundary
 from topsectors.words import Alphabet, Word
-from topsectors.xmod import ModuleXMod, target_catalog
+from topsectors.xmod import ModuleXMod, target_catalog, validate
 from topsectors.zlinalg import AbelianGroup, IntMatrix, quotient
 
 RP2 = target_catalog("rp2")
@@ -297,8 +297,9 @@ class TestSpecialCase:
             special_case_classify(catalog("torus2"), [2], 1)
 
     def test_non_integer_factor_rejected(self):
-        with pytest.raises(ValueError, match="expected an integer"):
-            special_case_classify(catalog("torus3"), [2.9], 1)
+        for factors, match in (([2.9], "expected an integer"), (5, "^pi1_factors must be")):
+            with pytest.raises(ValueError, match=match):
+                special_case_classify(catalog("torus3"), factors, 1)
 
     def test_bad_action_rejected(self):
         T = catalog("torus3")
@@ -314,6 +315,27 @@ class TestSpecialCase:
         flip, swap = IntMatrix([[1, 0], [0, -1]]), IntMatrix([[0, 1], [1, 0]])
         with pytest.raises(CoefficientError, match="commute"):
             special_case_classify(T, [2, 2], 2, [flip, swap])
+        # not a sequence of IntMatrix: nested lists, or one bare matrix
+        for action in ([[[-1]]], MINUS):
+            with pytest.raises(CoefficientError, match="^pi_d_action must be"):
+                special_case_classify(T, [2], 1, action)
+
+    @pytest.mark.parametrize(
+        "orders, action",
+        [
+            ((2, 2), (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -1]]))),
+            ((3,), (MINUS,)),
+        ],
+        ids=["swap_and_reflection", "minus_one_of_order_3"],
+    )
+    def test_action_check_shared_with_validate(self, orders, action):
+        # A target's action and the lens route's action fail one check,
+        # with the same text.
+        rank = action[0].rows
+        X = ModuleXMod(0, orders, rank, action, IntMatrix.zeros(len(orders), rank))
+        with pytest.raises(CoefficientError) as err:
+            special_case_classify(catalog("torus3"), list(orders), rank, action)
+        assert validate(X) == [str(err.value)]
 
     def test_action_order_checked_once(self, monkeypatch):
         # The sector-independent check is made once, not once per sector.

@@ -230,6 +230,39 @@ class TestValidation:
         )
         assert validate(X) == ["action matrices 0 and 1 do not commute"]
 
+    # One table per law of a finite crossed module's boundary and action,
+    # each with the violations it gets, every law reported once.  A row that
+    # is no bijection cannot be part of a group action, so that law fails too.
+    @pytest.mark.parametrize(
+        "boundary, H, action, expected",
+        [
+            ((0, 1, 1), cyclic(3), ((0, 1, 2),) * 3, ["boundary is not a homomorphism"]),
+            (
+                (0, 0, 0),
+                cyclic(3),
+                ((0, 1, 2), (0, 1, 1), (0, 1, 2)),
+                ["action of 1 is not a bijection", "action is not a group action"],
+            ),
+            (
+                (0, 0, 0, 0),
+                cyclic(4),
+                ((0, 1, 2, 3), (0, 2, 1, 3)),
+                ["action of 1 is not an automorphism"],
+            ),
+            (
+                (0, 0, 0),
+                cyclic(3),
+                ((0, 1, 2), (0, 2, 1), (0, 2, 1)),
+                ["action is not a group action"],
+            ),
+        ],
+        ids=["boundary", "bijection", "automorphism", "group_action"],
+    )
+    def test_each_law_reported_once(self, boundary, H, action, expected):
+        G = cyclic(len(action))
+        x = FiniteCrossedModule(H=H, G=G, boundary=boundary, action=action)
+        assert validate(x) == expected
+
     def test_catalog_targets_accepted(self):
         for name in ("rp2", "sphere2"):
             assert validate(target_catalog(name)) == []
