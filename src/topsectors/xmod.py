@@ -180,6 +180,8 @@ class FiniteCrossedModule:
             raise XModError("boundary must assign an image to every H element")
         if len(self.action) != len(self.G) or any(len(r) != len(self.H) for r in self.action):
             raise XModError("action must be a |G| x |H| table")
+        _check_indices([self.boundary], len(self.G), "boundary")
+        _check_indices(self.action, len(self.H), "action")
 
     def act(self, g: int, h: int) -> int:
         return self.action[g][h]
@@ -214,9 +216,14 @@ def _index_rows(rows: object, field_name: str, n: int | None = None) -> list[tup
         out = [tuple(json_int(x) for x in row) for row in rows]
     except ValueError as err:
         raise XModError(f"{field_name}: {err}") from None
-    if any(not 0 <= x < n for row in out for x in row):
-        raise XModError(f"{field_name} entries must lie in 0..{n - 1}")
+    _check_indices(out, n, field_name)
     return out
+
+
+def _check_indices(rows: Sequence[Sequence[int]], n: int, field_name: str) -> None:
+    """Refuse any entry of ``rows`` that is not an int in 0..n-1."""
+    if any(type(x) is not int or not 0 <= x < n for row in rows for x in row):
+        raise XModError(f"{field_name} entries must lie in 0..{n - 1}")
 
 
 # ---------------------------------------------------------------------------

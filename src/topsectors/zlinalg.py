@@ -4,13 +4,13 @@ and lattice quotients with canonical coset representatives.
 Everything is arbitrary-precision (plain Python ints); there is no floating
 point anywhere.  Every route ends in one Smith reduction,
 ``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
-the diagonal small, but transform entries grow to thousands of bits on a
-random 50 x 50 matrix.  So the sweep reduces D alone and logs its steps,
-and ``_replay`` builds each of U, V, U^-1 and V^-1 from that one log.
-Only ``smith_normal_form`` and ``inverse_unimodular`` replay it on whole
-identity matrices; ``SmithSolver`` (so ``solve``) and ``LatticeQuotient``
-replay it on the few vectors they read, so no classify path builds a
-transform.  The order of the operations never changes.
+the diagonal small, but its transforms of a dense 50 x 50 matrix reach
+thousands of bits.  So the sweep reduces D alone and logs its steps, and
+``_replay`` builds each of U, V, U^-1 and V^-1 from that one log.
+``SmithSolver`` (so ``solve``) and ``LatticeQuotient`` replay it on the
+few vectors they read, so no classify path builds a transform.
+``smith_normal_form`` sweeps A's row Hermite form instead, whose reduced
+entries keep U and V within a small multiple of the length of det A.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
 form of its vectors, built in one sweep over the columns, with Euclid on
@@ -346,9 +346,27 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form A = U @ S @ V over the integers, exactly."""
-    S, U, V = _smith_with_inverses(A, ("U", "V"))
-    return SmithDecomposition(U, S, V)
+    """Smith normal form A = U @ S @ V over the integers, exactly.
+
+    The sweep reduces H, the r x n row Hermite basis of A (r = rank A),
+    whose entries are reduced above its mostly unit pivots, so V stays
+    within a small multiple of the length of det.  A = X H and
+    H = U_H S_H V give A V^-1 = (X U_H) S_H, so U's first r columns are
+    A V^-1's, each divided exactly by its invariant factor.  When r < m
+    they are completed from the Smith form of their transpose, which has
+    full row rank and so needs no completion.
+    """
+    m, n = A.shape
+    H = IntMatrix(Lattice(n, A.data).rows, cols=n)
+    S, V, Vinv = _smith_with_inverses(H, ("V", "Vinv"))
+    r = H.rows
+    pairs = list(zip(zip(*Vinv.data), _diagonal(S)))
+    Y = [[sum(map(operator.mul, row, c)) // s for c, s in pairs] for row in A.data]
+    if r < m:
+        T = smith_normal_form(IntMatrix(zip(*Y), cols=m))
+        Y = zip(*(T.U @ IntMatrix(T.V.data[:r], cols=m)).data + T.V.data[r:])
+    S = IntMatrix(S.data + ((0,) * n,) * (m - r), cols=n)
+    return SmithDecomposition(IntMatrix(Y, cols=m), S, V)
 
 
 class SmithSolver:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -325,20 +326,32 @@ class TestSnf:
         assert code == 0
         assert "invariant factors: [2, 4]" in out
 
+    @staticmethod
+    def matmul(A, B):
+        return [
+            [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+            for i in range(len(A))
+        ]
+
     def test_json_output_reconstructs(self, capsys):
         code, out, _ = run(
             capsys, "snf", "--matrix", "[[2,4],[6,8]]", "--format", "json"
         )
         doc = json.loads(out)
-        U, S, V = doc["U"], doc["S"], doc["V"]
+        assert self.matmul(self.matmul(doc["U"], doc["S"]), doc["V"]) == [[2, 4], [6, 8]]
 
-        def matmul(A, B):
-            return [
-                [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-                for i in range(len(A))
-            ]
-
-        assert matmul(matmul(U, S), V) == [[2, 4], [6, 8]]
+    def test_seeded_50x50_json_is_small_and_reconstructs(self, capsys, tmp_path):
+        # Transforms read off the Hermite form stay near the length of det A;
+        # the sweep over A itself wrote 2516525 bytes for this matrix.
+        rng = random.Random(50)
+        A = [[rng.randint(-9, 9) for _ in range(50)] for _ in range(50)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(A))
+        code, out, err = run(capsys, "snf", "--file", str(path), "--format", "json")
+        assert code == 0 and err == ""
+        assert len(out.encode()) < 200_000
+        doc = json.loads(out)
+        assert self.matmul(self.matmul(doc["U"], doc["S"]), doc["V"]) == A
 
     def test_bad_literal(self, capsys):
         code, _, err = run(capsys, "snf", "--matrix", "oops")

@@ -156,6 +156,19 @@ class TestTargetCatalog:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "field, boundary, action",
+        [
+            ("boundary", (0, 5, 0), ((0, 1, 2),) * 3),
+            ("boundary", (0, -1, 0), ((0, 1, 2),) * 3),
+            ("action", (0, 0, 0), ((0, 1, 2), (0, 7, 2), (0, 1, 2))),
+            ("action", (0, 0, 0), ((0, 1, 2), (0, 1.0, 2), (0, 1, 2))),
+        ],
+    )
+    def test_entries_that_are_not_element_indices_rejected(self, field, boundary, action):
+        with pytest.raises(XModError, match=rf"^{field} entries must lie in 0\.\.2$"):
+            FiniteCrossedModule(cyclic(3), cyclic(3), boundary, action)
+
     def test_rp2_with_odd_boundary_rejected(self):
         # d = (1, 1) makes d(e_j) act by the swap, violating the Peiffer rule
         X = ModuleXMod(
