@@ -14,13 +14,24 @@ Typical use::
         print(sector.phi1, sector.based_group)
 
 Everything else is reached through its module, e.g. ``topsectors.zlinalg``.
+Each of these names and modules is imported on first use (PEP 562), so a
+caller of one route loads no other.  Every error the package raises on
+purpose is a ``topsectors.errors.InputError`` or ``UnsupportedError``.
 """
 
-from . import classify2d, cohomology, complexes, dim3, words, xmod, zlinalg
-from .classify2d import classify_free
-from .complexes import catalog
-from .xmod import target_catalog
+import importlib
 
 __all__ = ["catalog", "classify_free", "target_catalog"]
 
 __version__ = "0.1.0"
+
+_HOMES = {"catalog": "complexes", "classify_free": "classify2d", "target_catalog": "xmod"}
+_MODULES = "classify2d cohomology complexes dim3 errors fingrp words xmod zlinalg".split()
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

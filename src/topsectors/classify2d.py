@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .complexes import CWComplex
+from .errors import UnsupportedError
 from .fingrp import FiniteGroup
 from .words import Run
 from .xmod import ModuleXMod, XModError, validate
@@ -34,7 +35,7 @@ from .zlinalg import (
 Vector = tuple[int, ...]
 
 
-class UnsupportedTargetError(Exception):
+class UnsupportedTargetError(UnsupportedError):
     """Target outside the supported family (e.g. infinite pi_1)."""
 
 
@@ -615,14 +616,6 @@ class Dim1Classification:
     n_circles: int
     based: list[tuple[int, ...]]
     free_orbits: list[list[tuple[int, ...]]]
-
-    @property
-    def based_count(self) -> int:
-        return len(self.based)
-
-    @property
-    def free_count(self) -> int:
-        return len(self.free_orbits)
 
 
 def classify_dim1(n_circles: int, pi1x: FiniteGroup) -> Dim1Classification:

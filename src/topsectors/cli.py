@@ -12,29 +12,21 @@ import contextlib
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import classify2d, cohomology, complexes, dim3, words, xmod, zlinalg
-from .classify2d import UnsupportedTargetError
-from .complexes import CWComplex, ComplexError
-from .dim3 import Dim3Error
-from .fingrp import GroupTableError
-from .xmod import ModuleXMod, XModError
-from .zlinalg import IntMatrix, TooManyClassesError
+# Each command imports the modules of the route it runs, and no other route.
+from . import complexes
+from .complexes import CWComplex
+from .errors import InputError, UnsupportedError
+
+if TYPE_CHECKING:
+    from . import classify2d, cohomology, dim3
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
-
-
-class InputError(Exception):
-    pass
-
-
-class UnsupportedError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +80,9 @@ def resolve_source(spec: str) -> CWComplex:
 def resolve_target(spec: str):
     """A ModuleXMod, or (name, p) for a target with pi_1 = Z_p and nothing
     between pi_1 and pi_3 = Z (lens spaces and SO(3))."""
+    from . import xmod
     if _looks_like_path(spec):
-        return ModuleXMod.from_json(_read_object(spec), name=spec)
+        return xmod.ModuleXMod.from_json(_read_object(spec), name=spec)
     name, colon, _ = spec.partition(":")
     if name in ("rp2", "sphere2"):
         if colon:
@@ -253,7 +246,8 @@ def _route(M: CWComplex, target, args) -> Optional[str]:
     "sphere" (the rigid crossed square), "lens" (twisted top cohomology), or
     None for an unsupported pair.  A sphere-route flag given on another
     route is an input error, so that it is never silently ignored."""
-    if not isinstance(target, ModuleXMod):
+    from . import xmod
+    if not isinstance(target, xmod.ModuleXMod):
         route = "lens" if M.dim == 3 else None
     elif M.dim <= 2:
         route = "2d"
@@ -274,22 +268,25 @@ def cmd_classify(args) -> int:
     route = _route(M, target, args)
     with _any_int_size():
         if route == "2d":
+            from . import classify2d
             classify = classify2d.classify_free if args.free else classify2d.classify_based
             res = classify(M, target)
             render = render_classification_text
         elif route == "sphere":
+            from . import dim3
             res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
             render = render_s2_text
         elif route == "lens":
+            from . import cohomology
             name, p = target
             res = cohomology.special_case_classify(M, [p], 1)
             render = lambda r: render_special_text(r, M.name or args.source, name)
-        elif isinstance(target, ModuleXMod):
+        elif isinstance(target, tuple):
+            raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
+        else:
             raise UnsupportedError(
                 f"dimension-3 source with target {target.name or 'file'} is not supported"
             )
-        else:
-            raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
         text = json.dumps(res.to_json(), indent=2) if args.format == "json" else render(res)
         _emit(text, args.out)
     return EXIT_OK
@@ -300,11 +297,13 @@ def cmd_crosscheck(args) -> int:
     target = resolve_target(args.target)
     route = _route(M, target, args)
     if route == "sphere":
+        from . import dim3
         cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else dim3.cup_table(M)
     lines = []
     mismatches = 0
     with _any_int_size():
         if route == "2d":
+            from . import classify2d, cohomology
             for sector in classify2d.classify_based(M, target).sectors:
                 coeffs = cohomology.CoefficientModule.for_target_sector(
                     sector.target_data, sector.phi1
@@ -364,11 +363,12 @@ def cmd_validate(args) -> int:
         M = complexes.from_json(obj)
         _emit(f"ok: complex with cells {M.cell_counts()}", None)
         return EXIT_OK
+    from . import xmod
     if "H_table" in obj:
         x = xmod.FiniteCrossedModule.from_json(obj)
         violations = xmod.validate(x)
     elif "G" in obj:
-        target = ModuleXMod.from_json(obj, name=args.path)
+        target = xmod.ModuleXMod.from_json(obj, name=args.path)
         violations = xmod.validate(target)
     else:
         raise InputError("unrecognized file: expected a complex, target, or crossed module")
@@ -380,6 +380,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_snf(args) -> int:
+    from .zlinalg import IntMatrix, smith_normal_form
     if args.matrix is not None:
         try:
             data = json.loads(args.matrix)
@@ -395,7 +396,7 @@ def cmd_snf(args) -> int:
         A = IntMatrix.from_json(data)
     except (TypeError, ValueError) as err:
         raise InputError(f"bad matrix: {err}") from None
-    dec = zlinalg.smith_normal_form(A)
+    dec = smith_normal_form(A)
     out = {
         "S": [list(r) for r in dec.S.data],
         "U": [list(r) for r in dec.U.data],
@@ -415,6 +416,7 @@ def cmd_snf(args) -> int:
 
 
 def cmd_hoang(args) -> int:
+    from . import xmod
     x = xmod.FiniteCrossedModule.from_json(_read_object(args.path))
     data = xmod.hoang_data(x)
     nonzero = sum(1 for v in data.beta.values() if v != 0)
@@ -435,6 +437,7 @@ def cmd_hoang(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import dim3
     M = resolve_source(args.source)
     report = dim3.crossed_square_report(M)
     _emit(report.render(), args.out)
@@ -503,17 +506,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (
-        UnsupportedError, UnsupportedTargetError, dim3.UnsupportedComplexError, TooManyClassesError
-    ) as err:
+    except UnsupportedError as err:  # first: an unsupported complex is also a Dim3Error
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (
-        ComplexError, XModError, Dim3Error, GroupTableError, words.AlphabetError, words.WordSyntaxError
-    ) as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # any other failure is a bug: one line, no traceback

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .errors import InputError
 from .words import Alphabet, AlphabetError, Run, Word, collect, fox_derivative
 
 # An HWord is a freely reduced word in the generators (f, t) of the free
@@ -25,7 +26,7 @@ HLetter = tuple[Word, str, int]
 HWord = tuple[HLetter, ...]
 
 
-class ComplexError(Exception):
+class ComplexError(InputError):
     """Structural problem in a CW complex or its file form."""
 
 

@@ -32,6 +32,7 @@ from .complexes import (
     json_list_field,
     structurally_equal,
 )
+from .errors import InputError, UnsupportedError
 from .words import Alphabet, Word, collect
 from .zlinalg import (
     AbelianGroup,
@@ -46,11 +47,11 @@ from .zlinalg import (
 Vector = tuple[int, ...]
 
 
-class Dim3Error(Exception):
+class Dim3Error(InputError):
     pass
 
 
-class UnsupportedComplexError(Dim3Error):
+class UnsupportedComplexError(Dim3Error, UnsupportedError):
     """A valid complex outside the sphere route's domain: an unsupported
     source, not a malformed one."""
 

@@ -11,8 +11,10 @@ import itertools
 import operator
 from typing import Sequence
 
+from .errors import InputError
 
-class GroupTableError(Exception):
+
+class GroupTableError(InputError):
     pass
 
 
@@ -110,16 +112,6 @@ class FiniteGroup:
 
 def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
-
-
-def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    pairs = list(itertools.product(A.elements(), B.elements()))
-    index = {p: i for i, p in enumerate(pairs)}
-    table = [
-        [index[(A.mul(a1, a2), B.mul(b1, b2))] for (a2, b2) in pairs]
-        for (a1, b1) in pairs
-    ]
-    return FiniteGroup(table)
 
 
 def symmetric(n: int) -> FiniteGroup:

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
+from .errors import InputError
 
-class AlphabetError(Exception):
+
+class AlphabetError(InputError):
     """Unknown generator, or an operation mixing two different alphabets."""
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(ValueError, InputError):
     """Malformed word text."""
 
 

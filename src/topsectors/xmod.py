@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import catalog_params, check_keys, json_field, json_list_field
+from .errors import InputError
 from .fingrp import FiniteGroup
 from .zlinalg import (
     AbelianGroup,
@@ -25,7 +26,7 @@ from .zlinalg import (
 )
 
 
-class XModError(Exception):
+class XModError(InputError):
     pass
 
 
@@ -357,9 +358,6 @@ class HoangData:
                 return False
         return True
 
-    def is_trivial_cocycle(self) -> bool:
-        return all(v == 0 for v in self.beta.values())
-
     def coboundary_witness(self) -> dict[tuple[int, int], int] | None:
         """Brute-force search for a normalized 2-cochain lam with
         beta = delta lam; None when the class is nontrivial.
@@ -564,12 +562,3 @@ def from_strict_2group(two_group: Strict2Group) -> FiniteCrossedModule:
         action.append(tuple(row))
     return FiniteCrossedModule(H=sub, G=G, boundary=boundary, action=tuple(action))
 
-
-def crossed_modules_equal(a: FiniteCrossedModule, b: FiniteCrossedModule) -> bool:
-    """Exact table equality (same element order)."""
-    return (
-        a.H.table == b.H.table
-        and a.G.table == b.G.table
-        and a.boundary == b.boundary
-        and a.action == b.action
-    )

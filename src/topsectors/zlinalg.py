@@ -6,7 +6,7 @@ point anywhere.  Every route ends in one Smith reduction,
 ``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
 the diagonal small, but its transforms of a dense 50 x 50 matrix reach
 thousands of bits.  So the sweep reduces D alone and logs its steps, and
-``_replay`` builds each of U, V, U^-1 and V^-1 from that one log.
+``_replay`` builds each of V, U^-1 and V^-1 from that one log.
 ``SmithSolver`` (so ``solve``) and ``LatticeQuotient`` replay it on the
 few vectors they read, so no classify path builds a transform.
 ``smith_normal_form`` sweeps A's row Hermite form instead, whose reduced
@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .errors import UnsupportedError
+
 
 Vector = tuple[int, ...]
 
@@ -37,7 +39,7 @@ class SublatticeError(Exception):
     """A claimed sublattice is not contained in the ambient lattice."""
 
 
-class TooManyClassesError(ValueError):
+class TooManyClassesError(ValueError, UnsupportedError):
     """A quotient has more classes than can be listed."""
 
 
@@ -240,9 +242,8 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-# The replay that builds each transform: (log, transposed, inverse).  U
-# comes out transposed.
-_TRANSFORMS = {"U": (0, 1, 1), "V": (1, 1, 1), "Uinv": (0, 0, 0), "Vinv": (1, 1, 0)}
+# The replay that builds each transform: (log, transposed, inverse).
+_TRANSFORMS = {"V": (1, 1, 1), "Uinv": (0, 0, 0), "Vinv": (1, 1, 0)}
 
 
 def _replay(log: list, x: list, transposed: bool = False, inverse: bool = False) -> list:
@@ -265,8 +266,8 @@ def _replay(log: list, x: list, transposed: bool = False, inverse: bool = False)
 
 
 def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[IntMatrix, ...]:
-    """Smith reduction A = U S V.  Returns S and then, in the order U, V,
-    Uinv, Vinv, the transforms named in ``track``; the others are never built.
+    """Smith reduction A = U S V.  Returns S and then, in the order V, Uinv,
+    Vinv, the transforms named in ``track``; the others are never built.
 
     The pivot of each step is the first smallest nonzero |x| of the block,
     row-major.  No |x| is below 1, so the first row that holds a unit ends
@@ -276,8 +277,8 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
     ``_replay``'s form, to ``log``, a pair (row steps, column steps) of
     lists, or to a pair of its own.  Each transform is one replay of one
     log on identity rows: the row steps multiply to U^-1 and the column
-    steps to V^-T.  U^T and V replay the inverse steps transposed in the
-    sweep's order, so their entries grow as if the sweep carried them.
+    steps to V^-T.  V replays the inverse steps transposed in the sweep's
+    order, so its entries grow as if the sweep carried it.
     """
     track = set(track)
     if not track <= set(_TRANSFORMS):
@@ -341,7 +342,7 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
         if name in track:
             size = (m, n)[side]
             X = _replay(logs[side], _identity_rows(size), transposed, inverse)
-            out.append(IntMatrix(zip(*X) if name == "U" else X, cols=size))
+            out.append(IntMatrix(X, cols=size))
     return tuple(out)
 
 

@@ -690,18 +690,18 @@ class TestDim1:
     def test_s3(self):
         S3 = symmetric(3)
         res = classify_dim1(1, S3)
-        assert res.based_count == 6
-        assert res.free_count == 3  # conjugacy classes of S3
+        assert len(res.based) == 6
+        assert len(res.free_orbits) == 3  # conjugacy classes of S3
 
     def test_two_circles_z2(self):
         res = classify_dim1(2, cyclic(2))
-        assert res.based_count == 4
-        assert res.free_count == 4
+        assert len(res.based) == 4
+        assert len(res.free_orbits) == 4
 
     def test_trivial_group(self):
         res = classify_dim1(1, cyclic(1))
-        assert res.based_count == 1
-        assert res.free_count == 1
+        assert len(res.based) == 1
+        assert len(res.free_orbits) == 1
 
     def test_orbits_match_brute_force(self):
         S3 = symmetric(3)
@@ -713,7 +713,7 @@ class TestDim1:
                 tuple(S3.conj(g, x) for x in tup) for g in range(6)
             )
             orbits.add(orbit)
-        assert res.free_count == len(orbits)
+        assert len(res.free_orbits) == len(orbits)
 
 
 class TestWedgeFormula:
