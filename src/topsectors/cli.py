@@ -343,7 +343,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise InputError(f"bad JSON in {path}: {err}") from None
     except ValueError:  # an integer over Python's digit limit
         raise InputError(f"bad JSON in {path}: {complexes.digit_limit_message(path)}") from None
@@ -384,7 +384,7 @@ def cmd_snf(args) -> int:
     if args.matrix is not None:
         try:
             data = json.loads(args.matrix)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise InputError(f"bad matrix literal: {err}") from None
         except ValueError:  # an integer over Python's digit limit
             raise InputError(

@@ -440,6 +440,8 @@ def loads(text: str) -> CWComplex:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ComplexError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except RecursionError as err:
+        raise ComplexError(f"parse error: {err}") from None
     except ValueError:  # an integer over Python's digit limit
         raise ComplexError(f"parse error: {digit_limit_message('the source file')}") from None
     return from_json(obj)

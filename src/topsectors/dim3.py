@@ -453,14 +453,6 @@ class CupData:
             ),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "h1_rank": self.h1_rank,
-            "h2": list(self.h2),
-            "h3": list(self.h3),
-            "cup": [[list(entry) for entry in row] for row in self.cup],
-        }
-
 
 def cup_table(M: CWComplex) -> CupData:
     """The cup pairing H^1 x H^2 -> H^3 of M, read off the triads:

@@ -5,12 +5,12 @@ Everything is arbitrary-precision (plain Python ints); there is no floating
 point anywhere.  Every route ends in one Smith reduction,
 ``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
 the diagonal small, but its transforms of a dense 50 x 50 matrix reach
-thousands of bits.  So the sweep reduces D alone and logs its steps, and
-``_replay`` builds each of V, U^-1 and V^-1 from that one log.
-``SmithSolver`` (so ``solve``) and ``LatticeQuotient`` replay it on the
-few vectors they read, so no classify path builds a transform.
-``smith_normal_form`` sweeps A's row Hermite form instead, whose reduced
-entries keep U and V within a small multiple of the length of det A.
+thousands of bits.  So the sweep reduces D alone, logs its steps and
+returns S only.  ``SmithSolver`` (so ``solve`` and ``inverse_unimodular``)
+and ``LatticeQuotient`` replay the log on the few vectors they read, so no
+classify path builds a transform.  ``smith_normal_form`` sweeps A's row
+Hermite form instead, whose reduced entries keep U and V within a small
+multiple of the length of det A; ``_replay`` builds its V and V^-1.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
 form of its vectors, built in one sweep over the columns, with Euclid on
@@ -202,12 +202,11 @@ class IntMatrix:
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix, from one Smith reduction:
-        A = U S V with S = I exactly when A is unimodular, and then
-        A^-1 = V^-1 U^-1."""
-        S, Uinv, Vinv = _smith_with_inverses(self, ("Uinv", "Vinv"))
-        if S != IntMatrix.identity(self.rows):
+        S = I exactly when A is unimodular, and column j solves A x = e_j."""
+        solver = SmithSolver(self)
+        if not self.is_square or any(d != 1 for d in solver._diagonal):
             raise ValueError("matrix is not unimodular")
-        return Vinv @ Uinv
+        return IntMatrix.from_columns([*map(solver.particular, _identity_rows(self.rows))])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.shape == other.shape and self.data == other.data
@@ -242,10 +241,6 @@ def _identity_rows(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
-# The replay that builds each transform: (log, transposed, inverse).
-_TRANSFORMS = {"V": (1, 1, 1), "Uinv": (0, 0, 0), "Vinv": (1, 1, 0)}
-
-
 def _replay(log: list, x: list, transposed: bool = False, inverse: bool = False) -> list:
     """Multiply x, a vector or a list of whole rows, in place by the product
     E_t ... E_1 of the logged steps, or by its transpose, inverse or both,
@@ -265,25 +260,18 @@ def _replay(log: list, x: list, transposed: bool = False, inverse: bool = False)
     return x
 
 
-def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[IntMatrix, ...]:
-    """Smith reduction A = U S V.  Returns S and then, in the order V, Uinv,
-    Vinv, the transforms named in ``track``; the others are never built.
+def _smith_with_inverses(A: IntMatrix, log=None) -> tuple[IntMatrix]:
+    """Smith reduction A = U S V.  Returns (S,) and builds no transform.
 
     The pivot of each step is the first smallest nonzero |x| of the block,
     row-major.  No |x| is below 1, so the first row that holds a unit ends
     the search, and a unit pivot needs no divisibility pass: it divides the
     rest of the block.  Column steps skip the rows above the block, zero
-    from column k on.  The sweep changes D alone and appends each step, in
-    ``_replay``'s form, to ``log``, a pair (row steps, column steps) of
-    lists, or to a pair of its own.  Each transform is one replay of one
-    log on identity rows: the row steps multiply to U^-1 and the column
-    steps to V^-T.  V replays the inverse steps transposed in the sweep's
-    order, so its entries grow as if the sweep carried it.
+    from column k on.  Each step is appended, in ``_replay``'s form, to
+    ``log``, a pair (row steps, column steps) of lists, or to a pair of its
+    own.  The row steps multiply to U^-1 and the column steps to V^-T.
     """
-    track = set(track)
-    if not track <= set(_TRANSFORMS):
-        raise ValueError(f"unknown transforms {sorted(track - set(_TRANSFORMS))}")
-    row_log, col_log = logs = log or ([], [])
+    row_log, col_log = log or ([], [])
     m, n = A.rows, A.cols
     D = [list(row) for row in A.data]
 
@@ -337,13 +325,7 @@ def _smith_with_inverses(A: IntMatrix, track: Iterable[str], log=None) -> tuple[
             D[k] = [a + b for a, b in zip(D[k], D[offender])]
             row_log.append((k, offender, 1))
 
-    out = [IntMatrix(D, cols=n)]
-    for name, (side, transposed, inverse) in _TRANSFORMS.items():
-        if name in track:
-            size = (m, n)[side]
-            X = _replay(logs[side], _identity_rows(size), transposed, inverse)
-            out.append(IntMatrix(X, cols=size))
-    return tuple(out)
+    return (IntMatrix(D, cols=n),)
 
 
 def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
@@ -359,7 +341,12 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """
     m, n = A.shape
     H = IntMatrix(Lattice(n, A.data).rows, cols=n)
-    S, V, Vinv = _smith_with_inverses(H, ("V", "Vinv"))
+    col_log: list = []
+    S, = _smith_with_inverses(H, ([], col_log))
+    # V replays the inverse column steps transposed, in the sweep's order,
+    # so its entries grow as if the sweep carried it.
+    V = IntMatrix(_replay(col_log, _identity_rows(n), True, True), cols=n)
+    Vinv = IntMatrix(_replay(col_log, _identity_rows(n), True), cols=n)
     r = H.rows
     pairs = list(zip(zip(*Vinv.data), _diagonal(S)))
     Y = [[sum(map(operator.mul, row, c)) // s for c, s in pairs] for row in A.data]
@@ -379,7 +366,7 @@ class SmithSolver:
     def __init__(self, A: IntMatrix):
         self.rows, self.cols = A.rows, A.cols
         self._log = ([], [])
-        S, = _smith_with_inverses(A, (), log=self._log)
+        S, = _smith_with_inverses(A, self._log)
         self._diagonal = _diagonal(S, max(A.rows, A.cols))
         zeros = [e for e, d in zip(_identity_rows(A.cols), self._diagonal) if d == 0]
         self.kernel = [tuple(_replay(self._log[1], e, True)) for e in zeros]
@@ -389,15 +376,11 @@ class SmithSolver:
         if len(b) != self.rows:
             raise ValueError("right-hand side length mismatch")
         y = _replay(self._log[0], list(b))
-        z = [0] * self.cols
-        for i, (d, yi) in enumerate(zip(self._diagonal, y)):
-            if d:
-                if yi % d:
-                    return None
-                z[i] = yi // d
-            elif yi:
-                return None
-        return tuple(_replay(self._log[1], z, True))
+        if any(yi % d if d else yi for d, yi in zip(self._diagonal, y)):
+            return None
+        # The nonzero diagonal entries come first.
+        z = [yi // d for d, yi in zip(self._diagonal, y) if d]
+        return tuple(_replay(self._log[1], z + [0] * (self.cols - len(z)), True))
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
@@ -408,9 +391,7 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]
     """
     solver = SmithSolver(A)
     particular = solver.particular(b)
-    if particular is None:
-        return None
-    return particular, solver.kernel
+    return None if particular is None else (particular, solver.kernel)
 
 
 @dataclass(frozen=True)
@@ -485,7 +466,7 @@ def quotient(ambient_rank: int, sublattice_generators: Iterable[Sequence[int]]) 
             raise ValueError("generator length does not match ambient rank")
     if not gens:
         return AbelianGroup.free(ambient_rank)
-    S, = _smith_with_inverses(IntMatrix.from_columns(gens, height=ambient_rank), ())
+    S, = _smith_with_inverses(IntMatrix.from_columns(gens, height=ambient_rank))
     return AbelianGroup.from_factors(_diagonal(S, ambient_rank))
 
 
@@ -587,8 +568,7 @@ class AffineLattice:
     @staticmethod
     def from_solution(particular: Sequence[int], kernel: Iterable[Sequence[int]]) -> "AffineLattice":
         particular = _int_row(particular)
-        lat = Lattice(len(particular), kernel)
-        return AffineLattice(len(particular), particular, lat)
+        return AffineLattice(len(particular), particular, Lattice(len(particular), kernel))
 
     def __contains__(self, vector: Sequence[int]) -> bool:
         diff = tuple(a - b for a, b in zip(vector, self.particular))
@@ -621,7 +601,7 @@ class LatticeQuotient:
         m = len(basis)
         C = IntMatrix.from_columns(coord_cols, height=m)
         row_log: list = []
-        S, = _smith_with_inverses(C, (), log=(row_log, []))
+        S, = _smith_with_inverses(C, (row_log, []))
         diag = _diagonal(S, m)
         kept = [i for i in range(m) if diag[i] != 1]
         self._kept_factors = tuple(diag[i] for i in kept)

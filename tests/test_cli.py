@@ -534,6 +534,28 @@ def test_file_not_utf8_is_input_error(capsys, tmp_path, argv):
     assert err.startswith("error:") and "utf-8" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("snf", "--file", "{path}"),
+        ("snf", "--matrix", "[" * 50000),
+        ("validate", "{path}"),
+        ("classify", "--source", "{path}", "--target", "rp2"),
+        ("classify", "--source", "torus2", "--target", "{path}"),
+        ("hoang", "{path}"),
+        ("crosscheck", "--source", "torus3", "--target", "sphere2", "--cup", "{path}"),
+    ],
+    ids=["snf-file", "snf-matrix", "validate", "source", "target", "hoang", "cup"],
+)
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
+    # The decoder's RecursionError is a bad input, not an internal error.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestNonIntegerFiles:
     @pytest.mark.parametrize(
         "edit",
@@ -1055,6 +1077,18 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: non-integer parameter in {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("source, target, message", [
+        ("torus_knot:2", "rp2", "source torus_knot expects parameters p,q"),
+        ("torus2", "trivial:1,2,3", "target trivial expects parameters r[,k]"),
+        ("torus3", "lens:7", "target lens expects parameters p,q"),
+        ("torus3", "lens:1,1", "lens target needs p >= 2, q >= 1"),
+        ("torus2", "foo", "unknown target 'foo'"),
+    ])
+    def test_wrong_catalog_parameters(self, capsys, source, target, message):
+        code, out, err = run(capsys, "classify", "--source", source, "--target", target)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("target", ["rp2:", "sphere2:", "so3:"])
     def test_colon_on_a_target_without_parameters(self, capsys, target):

@@ -365,6 +365,15 @@ class TestCylinderPresets:
         assert set(preset.i_two_cells) == {"aI", "bI", "cI"}
         assert set(preset.i_three_cells) == {"tI", "uI", "vI"}
 
+    @pytest.mark.parametrize("space, i_three_cells, message", [
+        ("s1_x_s2", ("x1",), "interval 3-cell x1 does not pin a single 2-cell"),
+        ("torus3", ("tI", "uI"), "interval 3-cells do not pin every base 2-cell"),
+    ])
+    def test_unpinned_two_cells_refused(self, space, i_three_cells, message):
+        preset = cylinder_preset(catalog(space))
+        with pytest.raises(Dim3Error, match=message):
+            dataclasses.replace(preset, i_three_cells=i_three_cells)
+
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_cylinder_triads_validate(self, source):
         cyl = cylinder_preset(SOURCES[source]()).cylinder
@@ -672,6 +681,19 @@ class TestPontrjagin:
 
     def test_torsion_consistent_table(self):
         CupData(h1_rank=1, h2=(2,), h3=(2,), cup=(((1,),),))
+
+    @pytest.mark.parametrize("h1_rank, cup, message", [
+        (2, (((1,),),), "cup table must have one row per H"),
+        (1, (((1,), (1,)),), "cup table row must have one entry per H"),
+        (1, (((1, 0),),), "cup entry must give coordinates over H"),
+    ])
+    def test_cup_table_of_the_wrong_shape_refused(self, h1_rank, cup, message):
+        with pytest.raises(Dim3Error, match=message):
+            CupData(h1_rank=h1_rank, h2=(0,), h3=(0,), cup=cup)
+
+    def test_alpha_of_the_wrong_length_refused(self):
+        with pytest.raises(Dim3Error, match="alpha must have one coordinate per H"):
+            pontrjagin_sector_group(cup_preset("torus3"), (1, 2))
 
 
 class TestRouteAgreement:

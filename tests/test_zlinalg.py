@@ -48,7 +48,7 @@ def random_unimodular(rng, n, steps=8):
 def check_snf(A):
     dec = smith_normal_form(A)
     assert dec.U @ dec.S @ dec.V == A
-    assert dec.S == _smith_with_inverses(A, ())[0]
+    assert dec.S == _smith_with_inverses(A)[0]
     assert dec.U.is_unimodular
     assert dec.V.is_unimodular
     diag = dec.diagonal
@@ -342,37 +342,6 @@ def test_transform_entries_stay_near_the_hadamard_bound():
         assert _transform_bits(dec) <= _hadamard_bits(A) + 64
 
 
-class TestTransformSelection:
-    """The transforms a Smith reduction tracks never change what it returns:
-    every subset gives the matrices of the full set."""
-
-    NAMES = ("V", "Uinv", "Vinv")
-
-    @staticmethod
-    def matrices():
-        rng = random.Random("transform-selection")
-        empty = [IntMatrix([], cols=3), IntMatrix([[], []]), IntMatrix([])]
-        kinds = ("zero", "singular", "rank_deficient", "any_shape")
-        return empty + [A for kind in kinds for A in oracle_matrices(rng, kind, count=8, max_dim=8)]
-
-    def test_every_subset_matches_the_full_set(self):
-        for A in self.matrices():
-            S, V, Uinv, Vinv = _smith_with_inverses(A, self.NAMES)
-            assert Uinv @ A @ Vinv == S
-            assert Uinv.is_unimodular
-            assert V @ Vinv == IntMatrix.identity(A.cols)
-            full = dict(zip(self.NAMES, (V, Uinv, Vinv)))
-            for r in range(len(self.NAMES) + 1):
-                for subset in itertools.combinations(self.NAMES, r):
-                    expected = (S, *(full[name] for name in subset))
-                    assert _smith_with_inverses(A, subset) == expected
-                    assert _smith_with_inverses(A, subset[::-1]) == expected
-
-    def test_unknown_transform_rejected(self):
-        with pytest.raises(ValueError):
-            _smith_with_inverses(IntMatrix.identity(2), ("U",))
-
-
 def _pinned_cases():
     """One seeded 12 x 12 matrix and one 9 x 16 matrix of rank 5, each with
     a solvable right-hand side."""
@@ -430,23 +399,42 @@ def _unit_rich_cases():
     return [IntMatrix(sector), IntMatrix(rows)]
 
 
-# sha256 of the outputs of every ``track`` subset, in combinations order, for
-# each unit-rich case: the pivot search that stops at the first unit keeps
-# the operations of the search that scanned every row.
+# sha256 of the outputs of ``_smith_with_transforms`` for every subset of
+# the transforms, in combinations order, for each unit-rich case: the pivot
+# search that stops at the first unit keeps the operations of the search
+# that scanned every row.
 UNIT_RICH_DIGESTS = [
     "ad4a31889b1866ef63bcaece8813dac181e37abff2487849aa83f3c7bdea86c9",
     "e57e064c9ed94b89ee9426fa157919a2a39f3105a2d6c312452acee12d2374f5",
 ]
 
+# Each transform as one replay of the sweep's log on identity rows:
+# (row or column steps, transposed, inverse).  The row steps multiply to
+# U^-1 and the column steps to V^-T.
+TRANSFORM_REPLAYS = {"V": (1, True, True), "Uinv": (0, False, False), "Vinv": (1, True, False)}
 
-def _track_subsets():
-    names = ("V", "Uinv", "Vinv")
+
+def _smith_with_transforms(A, names):
+    """S and then, in the order V, Uinv, Vinv, the transforms in ``names``,
+    each replayed from the log of one Smith reduction of A."""
+    logs = ([], [])
+    out = list(_smith_with_inverses(A, logs))
+    for name, (side, transposed, inverse) in TRANSFORM_REPLAYS.items():
+        if name in names:
+            size = A.shape[side]
+            X = zlinalg._replay(logs[side], zlinalg._identity_rows(size), transposed, inverse)
+            out.append(IntMatrix(X, cols=size))
+    return tuple(out)
+
+
+def _transform_subsets():
+    names = tuple(TRANSFORM_REPLAYS)
     return [s for r in range(len(names) + 1) for s in itertools.combinations(names, r)]
 
 
 def test_pinned_unit_rich_operation_order():
     for A, expected in zip(_unit_rich_cases(), UNIT_RICH_DIGESTS):
-        outs = [tuple(X.data for X in _smith_with_inverses(A, s)) for s in _track_subsets()]
+        outs = [tuple(X.data for X in _smith_with_transforms(A, s)) for s in _transform_subsets()]
         assert _digest(outs) == expected
 
 
@@ -527,13 +515,12 @@ def _unit_pivot_matrices():
 
 
 def test_smith_matches_the_reference_pivot_search():
-    # Each matrix is reduced with all three transforms and with one subset
-    # of them, taking the 8 subsets in turn.
-    subsets = _track_subsets()
-    for t, A in enumerate(_unit_pivot_matrices()):
+    # S and the three transforms replayed from the sweep's log equal the
+    # reference's matrices.
+    names = tuple(TRANSFORM_REPLAYS)
+    for A in _unit_pivot_matrices():
         ref = _reference_smith(A)
-        for subset in (("V", "Uinv", "Vinv"), subsets[t % len(subsets)]):
-            assert _smith_with_inverses(A, subset) == (ref["S"], *(ref[name] for name in subset))
+        assert _smith_with_transforms(A, names) == (ref["S"], *(ref[name] for name in names))
 
 
 def _padded_diagonal(S, length):
@@ -585,29 +572,33 @@ def test_replayed_inverses_match_the_reference_matrices():
 
 
 def test_solver_and_quotient_reduce_once_without_inverses(monkeypatch):
-    # One Smith reduction each, tracking no transform: every later vector
-    # is replayed from its log.  Nor does a classification track any.
-    tracks = []
-    real_smith = zlinalg._smith_with_inverses
+    # One Smith reduction each, and no transform built: every later vector
+    # is replayed from its log.  Nor does a classification build any.
+    sweeps, whole_rows = [], []
+    real_smith, real_replay = zlinalg._smith_with_inverses, zlinalg._replay
 
     def recorded_smith(*args, **kwargs):
-        tracks.append(set(args[1] if len(args) > 1 else kwargs["track"]))
+        sweeps.append(args[0].shape)
         return real_smith(*args, **kwargs)
 
+    def recorded_replay(log, x, *args, **kwargs):
+        whole_rows.append(bool(x) and isinstance(x[0], list))
+        return real_replay(log, x, *args, **kwargs)
+
     monkeypatch.setattr(zlinalg, "_smith_with_inverses", recorded_smith)
+    monkeypatch.setattr(zlinalg, "_replay", recorded_replay)
     A = IntMatrix([[2, 4, 4, 1], [-6, 6, 12, 0], [10, -4, -16, 3]])
     solver = SmithSolver(A)
     assert solver.particular(A.apply((1, 2, 3, 4))) is not None and len(solver.kernel) == 1
-    assert len(tracks) == 1
+    assert len(sweeps) == 1
     ambient = AffineLattice.from_solution((0, 0, 0), IntMatrix.identity(3).data)
     quot = LatticeQuotient(ambient, A.columns())
     quot.class_coords((5, -7, 9))
     quot.representatives()
-    assert len(tracks) == 2
-    assert not any(track & {"Uinv", "Vinv"} for track in tracks)
+    assert len(sweeps) == 2
     classify_free(catalog("genus_surface", g=2), target_catalog("rp2"))
-    assert len(tracks) > 2
-    assert all(track == set() for track in tracks)
+    assert len(sweeps) > 2
+    assert whole_rows and not any(whole_rows)
 
 
 class TestSolve:
