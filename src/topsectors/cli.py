@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import complexes
 from .complexes import CWComplex
 from .errors import InputError, UnsupportedError
+from .words import WordSyntaxError, decimal
 
 if TYPE_CHECKING:
     from . import classify2d, cohomology, dim3
@@ -46,25 +47,18 @@ def _looks_like_path(spec: str) -> bool:
 
 
 def _spec_ints(spec: str) -> list[int]:
-    """The comma-separated parameters after a spec's colon.  Each field is
-    ASCII decimal digits with an optional leading '-'; an empty field, as in
-    ``torus2:``, or any other text (underscores, spaces, '+') is refused,
-    not skipped or read."""
+    """The comma-separated parameters after a spec's colon, each read by
+    ``words.decimal``; an empty field, as in ``torus2:``, is refused."""
     _, colon, tail = spec.partition(":")
-    fields = tail.split(",") if colon else []
-    for field in fields:
-        digits = field.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise InputError(f"non-integer parameter in {spec!r}")
-    return [int(field) for field in fields]
+    try:
+        return [decimal(field) for field in tail.split(",")] if colon else []
+    except WordSyntaxError:
+        raise InputError(f"non-integer parameter in {spec!r}") from None
 
 
 def resolve_source(spec: str) -> CWComplex:
     if _looks_like_path(spec):
-        try:
-            return complexes.load(spec)
-        except (OSError, UnicodeDecodeError) as err:
-            raise InputError(f"cannot read {spec}: {err}") from None
+        return complexes.from_json(_read_object(spec))
     name = spec.partition(":")[0]
     if name not in complexes.CATALOG_PARAMS:
         raise InputError(f"unknown source {spec!r}")
@@ -84,20 +78,16 @@ def resolve_target(spec: str):
     if _looks_like_path(spec):
         return xmod.ModuleXMod.from_json(_read_object(spec), name=spec)
     name, colon, _ = spec.partition(":")
-    if name in ("rp2", "sphere2"):
+    if name in ("rp2", "sphere2", "so3"):
         if colon:
             raise InputError(f"target {name} takes no parameters")
-        return xmod.target_catalog(name)
+        return ("so3", 2) if name == "so3" else xmod.target_catalog(name)
     if name == "trivial":
         values = _spec_ints(spec)
         if len(values) not in (1, 2):
             raise InputError("target trivial expects parameters r[,k]")
         r, k = (values + [0])[:2]
         return xmod.target_catalog("trivial", r=r, k=k)
-    if name == "so3":
-        if colon:
-            raise InputError("target so3 takes no parameters")
-        return "so3", 2
     if name == "lens":
         values = _spec_ints(spec)
         if len(values) != 2:
@@ -221,7 +211,7 @@ def _any_int_size():
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -298,7 +288,10 @@ def cmd_crosscheck(args) -> int:
     route = _route(M, target, args)
     if route == "sphere":
         from . import dim3
-        cup = dim3.CupData.from_json(_read_object(args.cup)) if args.cup else dim3.cup_table(M)
+        if args.cup is None:
+            cup = dim3.cup_table(M)
+        else:
+            cup = dim3.CupData.from_json(_read_object(args.cup))
     lines = []
     mismatches = 0
     with _any_int_size():
@@ -340,13 +333,12 @@ def cmd_crosscheck(args) -> int:
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+    except UnicodeDecodeError as err:
         raise InputError(f"bad JSON in {path}: {err}") from None
-    except ValueError:  # an integer over Python's digit limit
-        raise InputError(f"bad JSON in {path}: {complexes.digit_limit_message(path)}") from None
+    return complexes.decode_json(text, f"bad JSON in {path}", path, InputError)
 
 
 def _read_object(path: str) -> dict:
@@ -359,7 +351,7 @@ def _read_object(path: str) -> dict:
 
 def cmd_validate(args) -> int:
     obj = _read_object(args.path)
-    if "generators" in obj:
+    if "generators" in obj or obj.keys() <= complexes.FILE_KEYS:
         M = complexes.from_json(obj)
         _emit(f"ok: complex with cells {M.cell_counts()}", None)
         return EXIT_OK
@@ -382,14 +374,7 @@ def cmd_validate(args) -> int:
 def cmd_snf(args) -> int:
     from .zlinalg import IntMatrix, smith_normal_form
     if args.matrix is not None:
-        try:
-            data = json.loads(args.matrix)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise InputError(f"bad matrix literal: {err}") from None
-        except ValueError:  # an integer over Python's digit limit
-            raise InputError(
-                f"bad matrix literal: {complexes.digit_limit_message('--matrix')}"
-            ) from None
+        data = complexes.decode_json(args.matrix, "bad matrix literal", "--matrix", InputError)
     else:
         data = _read_json(args.file)
     try:
@@ -462,7 +447,7 @@ def build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--based", action="store_true", default=True)
     mode.add_argument("--free", action="store_true", default=False)
-    p.add_argument("--sweep", type=int, help="sector sweep radius (sphere target; default 2)")
+    p.add_argument("--sweep", type=decimal, help="sector sweep radius (sphere target; default 2)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_out(p)
     p.set_defaults(func=cmd_classify)
@@ -470,7 +455,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("crosscheck", help="run both routes and compare per sector")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--sweep", type=int, help="sector sweep radius (sphere target; default 3)")
+    p.add_argument("--sweep", type=decimal, help="sector sweep radius (sphere target; default 3)")
     p.add_argument("--cup", help="override the cup-product table (JSON path; sphere target)")
     add_out(p)
     p.set_defaults(func=cmd_crosscheck)

@@ -6,7 +6,8 @@ of conjugated 2-cell generators that land in the intersection of the two
 canonical relative subgroups of the semidirect group F |x H.  Membership is
 checked on construction, so every held complex is valid.  The Fox table
 and triad images that the twisted routes read are the complex's own, taken
-once on first use.
+once on first use.  ``loads`` and ``saves`` read and write a complex's JSON
+text; ``decode_json`` decodes every JSON text from outside, for the CLI too.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def catalog_params(
 
 # -- file format ----------------------------------------------------------------
 
-_TOP_KEYS = {"generators", "two_cells", "three_cells", "name"}
+FILE_KEYS = {"generators", "two_cells", "three_cells", "name"}
 _TWO_KEYS = {"name", "attach"}
 _TRIAD_KEYS = {"f", "h", "cell", "sign"}
 _H_KEYS = {"f", "cell", "sign"}
@@ -428,28 +429,29 @@ def json_list_field(
         raise error(f"{where} {key!r}: {err}") from None
 
 
-def digit_limit_message(where: str) -> str:
-    """The input error for an integer in ``where`` longer than Python's limit
-    on the digits of an int read from text (4300 by default)."""
-    return f"an integer in {where} has more than {sys.get_int_max_str_digits()} digits"
+def decode_json(text: str, prefix: str, where: str, error: type[Exception]):
+    """The value of the JSON ``text``.  Text that is not JSON, nests deeper
+    than the decoder's recursion limit, or holds an integer longer than
+    Python's limit on the digits of an int read from text (4300 by default,
+    which keeps decoding bounded) raises ``error`` with a message that starts
+    ``prefix: `` and names ``where`` for an over-long integer."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise error(f"{prefix}: {err}") from None
+    except ValueError:  # an integer over Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise error(f"{prefix}: an integer in {where} has more than {limit} digits") from None
 
 
 def loads(text: str) -> CWComplex:
     """Parse a complex from its JSON text form."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ComplexError(f"parse error at line {err.lineno}, column {err.colno}: {err.msg}") from None
-    except RecursionError as err:
-        raise ComplexError(f"parse error: {err}") from None
-    except ValueError:  # an integer over Python's digit limit
-        raise ComplexError(f"parse error: {digit_limit_message('the source file')}") from None
-    return from_json(obj)
+    return from_json(decode_json(text, "bad JSON", "the JSON text", ComplexError))
 
 
 def from_json(obj: dict) -> CWComplex:
     """A complex from its parsed JSON form."""
-    check_keys(obj, _TOP_KEYS, "complex")
+    check_keys(obj, FILE_KEYS, "complex")
     generators = json_field(obj, "generators", list, "complex", [])
     if bad := [g for g in generators if type(g) is not str]:
         raise ComplexError(f"complex 'generators' must list strings, got {bad[0]!r}")
@@ -466,11 +468,6 @@ def from_json(obj: dict) -> CWComplex:
         letters = [_triad_letter_from_json(alphabet, l) for l in attach]
         three.append((json_field(c, "name", str, "three_cell"), letters))
     return CWComplex(generators, two, three, name=json_field(obj, "name", str, "complex", None))
-
-
-def load(path: str) -> CWComplex:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
 
 
 def saves(M: CWComplex) -> str:

@@ -7,12 +7,13 @@ syllable, not one key per letter.  Alphabets and words are immutable and
 hashable; every operation is pure.
 
 Text syntax (used by all file formats and the CLI): whitespace-separated
-tokens ``name`` or ``name^k`` with ``k`` a nonzero decimal integer, e.g.
-``a b a^-1 b^-1``.  The empty string is the identity.
+tokens ``name`` or ``name^k`` with ``k`` a nonzero integer read by
+:func:`decimal`, e.g. ``a b a^-1 b^-1``.  The empty string is the identity.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .errors import InputError
@@ -24,6 +25,21 @@ class AlphabetError(InputError):
 
 class WordSyntaxError(ValueError, InputError):
     """Malformed word text."""
+
+
+def decimal(text: str) -> int:
+    """``text`` read as ASCII decimal digits with an optional leading '-',
+    the one integer syntax of word exponents and CLI parameters.  Other text
+    that ``int`` reads ('+', '_', spaces, other scripts' digits) is a
+    WordSyntaxError; a value over Python's limit on the digits of an int read
+    from text (4300 by default) is an InputError, so reading stays bounded."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise WordSyntaxError(f"not a decimal integer: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 class Alphabet:
@@ -112,8 +128,8 @@ class Word:
             if "^" in token:
                 name, _, exp_text = token.partition("^")
                 try:
-                    exp = int(exp_text)
-                except ValueError:
+                    exp = decimal(exp_text)
+                except WordSyntaxError:
                     raise WordSyntaxError(
                         f"bad exponent in token {token!r}: expected a decimal integer"
                     ) from None

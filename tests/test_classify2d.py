@@ -24,7 +24,7 @@ from topsectors.classify2d import (
     wedge_formula,
 )
 from topsectors.cohomology import CoefficientModule, twisted_second_cohomology
-from topsectors.complexes import CWComplex, catalog
+from topsectors.complexes import CWComplex, catalog, loads, saves, structurally_equal
 from topsectors.fingrp import cyclic, symmetric
 from topsectors.words import Alphabet, Run, Word, fox_derivative
 from topsectors.xmod import ModuleXMod, target_catalog
@@ -807,6 +807,12 @@ def small_2_complexes(draw):
     relators = draw(st.lists(runs, max_size=2))
     alphabet = Alphabet(names)
     return CWComplex(names, [(f"t{i}", Word(alphabet, r)) for i, r in enumerate(relators)])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(small_2_complexes())
+def test_file_form_round_trips_on_random_2_complexes(M):
+    assert structurally_equal(loads(saves(M)), M)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -309,6 +309,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0 and "cells (3, 3, 1)" in out
 
+    @pytest.mark.parametrize("obj, cells", [
+        ({"two_cells": [{"name": "t", "attach": ""}]}, (0, 1, 0)),
+        ({}, (0, 0, 0)),
+    ])
+    def test_complex_file_without_generators(self, capsys, tmp_path, obj, cells):
+        # Recognised by the format that --source reads: "generators" is optional.
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(obj))
+        assert run(capsys, "validate", str(path)) == (0, f"ok: complex with cells {cells}\n", "")
+        code, _, err = run(capsys, "classify", "--source", str(path), "--target", "rp2")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("obj", [{"foo": 1}, {"two_cells": [], "G_table": []}])
+    def test_unrecognized_file(self, capsys, tmp_path, obj):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized file: expected a complex, target, or crossed module\n"
+
     def test_finite_crossed_module_file(self, capsys, tmp_path):
         Z2 = cyclic(2)
         x = FiniteCrossedModule(
@@ -449,8 +469,20 @@ class TestOverLimitIntegers:
         path.write_text(f'{{"generators": ["a"], "two_cells": [], "x": {self.BIG}}}')
         code, out, err = run(capsys, "classify", "--source", str(path), "--target", "rp2")
         assert code == 1 and out == ""
-        assert err.startswith("error: parse error")
-        self.check_message(err, "the source file")
+        assert err.startswith(f"error: bad JSON in {path}")
+        self.check_message(err, path)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--source", f"genus_surface:{BIG}", "--target", "rp2"],
+        ["classify", "--source", "torus3", "--target", f"lens:{BIG},1"],
+        ["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", BIG],
+        ["classify", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", f"-{BIG}"],
+    ], ids=["source", "target", "sweep", "negative-sweep"])
+    def test_parameter(self, capsys, argv):
+        # Not an internal error (exit 4), and the digits are not echoed.
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: an integer has more than 4300 digits\n"
 
 
 class TestOverLimitOutput:
@@ -554,6 +586,41 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(path=path) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BAD_FILES = {
+    "truncated": '{"generators": [',
+    "nested": "[" * 100000 + "]" * 100000,
+    "long-integer": '{"generators": [], "x": ' + "7" * 5000 + "}",
+    "list": "[]",
+    "not-utf8": b"\xff\xfe{}",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("kind", BAD_FILES)
+def test_bad_complex_file_gets_one_message(capsys, tmp_path, kind):
+    # Every command that reads a complex file reads it through one reader.
+    path = tmp_path / "space.json"
+    content = BAD_FILES[kind]
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    results = {
+        run(capsys, *argv)
+        for argv in (
+            ("validate", str(path)),
+            ("classify", "--source", str(path), "--target", "rp2"),
+            ("crosscheck", "--source", str(path), "--target", "rp2"),
+            ("report", "--source", str(path)),
+        )
+    }
+    assert len(results) == 1
+    ((code, out, err),) = results
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {'cannot read' if content is None else 'bad JSON in'} {path}")
 
 
 class TestNonIntegerFiles:
@@ -765,9 +832,18 @@ def _subtree_paths(node, prefix=()):
         yield from _subtree_paths(child, prefix + (key,))
 
 
+RP2_FILE = target_catalog("rp2").to_json()
+CUP_FILE = {"h1_rank": 1, "h2": [0], "h3": [0], "cup": [[[1]]]}
+# Each valid file with the commands that read it ("{}" stands for its path).
+FUZZ_FILES = [
+    (TORUS3_FILE, ["validate {}", "classify --source {} --target sphere2 --sweep 1"]),
+    (RP2_FILE, ["validate {}", "classify --source torus2 --target {} --free"]),
+    (Z2_MODULE_FILE, ["validate {}", "hoang {} --witness"]),
+    (CUP_FILE, ["crosscheck --source s1_x_s2 --target sphere2 --sweep 1 --cup {}"]),
+]
 FUZZ_SITES = [
-    (valid, path)
-    for valid in (TORUS3_FILE, target_catalog("rp2").to_json(), Z2_MODULE_FILE)
+    (valid, path, commands)
+    for valid, commands in FUZZ_FILES
     for path in _subtree_paths(valid)
 ]
 
@@ -775,11 +851,82 @@ FUZZ_SITES = [
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(site=st.sampled_from(FUZZ_SITES), value=SMALL_JSON)
 def test_fuzzed_file_is_accepted_or_refused(tmp_path_factory, site, value):
-    # A valid complex, target or crossed-module file with one subtree
-    # replaced by a small random JSON value exits 0 or 1, never 4.
+    # A valid complex, target, crossed-module or cup file with one subtree
+    # replaced by a small random JSON value: validate exits 0 or 1, and the
+    # other commands that read the file exit 0 to 3, never 4.
+    valid, path, commands = site
     file = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    file.write_text(json.dumps(_edited(*site, value)))
-    assert main(["validate", str(file)]) in (0, 1)
+    file.write_text(json.dumps(_edited(valid, path, value)))
+    for command in commands:
+        code = main([arg.format(file) for arg in command.split()])
+        assert code in ((0, 1) if command.startswith("validate") else (0, 1, 2, 3)), command
+
+
+# Each command's required and optional arguments ("" is a positional one),
+# and the values each may take: small catalog values, malformed ones and the
+# fuzz files, so that every random command line stays bounded.
+ARG_OPTIONS = {
+    "classify": (["--source", "--target"], ["--free", "--sweep", "--format", "--out"]),
+    "crosscheck": (["--source", "--target"], ["--sweep", "--cup", "--out"]),
+    "validate": ([""], []),
+    "snf": ([], ["--matrix", "--file", "--format", "--out"]),
+    "hoang": ([""], ["--witness", "--out"]),
+    "report": (["--source"], ["--out"]),
+}
+ARG_VALUES = {
+    "--source": [
+        "torus2", "rp2", "sphere2", "torus3", "s1_x_s2", "klein_bottle", "genus_surface:2",
+        "torus_knot:2,3", "circle_wedge:2", "genus_surface:0_2", "torus2:", "{complex}", "{missing}",
+    ],
+    "--target": [
+        "rp2", "sphere2", "trivial:1", "trivial:1,1", "lens:3,1", "so3", "lens:1,1", "lens:+3,1",
+        "{target}", "{module}",
+    ],
+    "--sweep": ["0", "1", "-1", "0_1", ""],
+    "--cup": ["{cup}", "{complex}", "", "{missing}"],
+    "--format": ["text", "json", "xml"],
+    "--out": ["{out}", "", "{missing}/x.txt"],
+    "--matrix": ["[[2,4],[6,8]]", "[[", "[[1.5]]", "[]", "[[" + "7" * 5000 + "]]"],
+    "--file": ["{matrix}", "{complex}", "{missing}"],
+    "": ["{complex}", "{target}", "{module}", "{cup}", "{missing}", ""],
+}
+ARG_FLAGS = ("--free", "--witness")
+
+
+@st.composite
+def command_lines(draw):
+    """A command with each required argument left out one time in eight,
+    each optional one given half the time, and sometimes a stray token."""
+    command = draw(st.sampled_from(sorted(ARG_OPTIONS)))
+    required, optional = ARG_OPTIONS[command]
+    argv = [command]
+    for option in required + optional:
+        if draw(st.integers(0, 7)) if option in required else draw(st.booleans()):
+            argv += [option] if option else []
+            if option not in ARG_FLAGS:
+                argv.append(draw(st.sampled_from(ARG_VALUES[option])))
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(["--based", "--sweep", "1", "{module}"])))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=command_lines())
+def test_random_command_line_exits_cleanly(tmp_path_factory, argv):
+    # Any command line built from these parts exits 0 to 3, never 4.
+    folder = tmp_path_factory.getbasetemp() / "argv"
+    folder.mkdir(exist_ok=True)
+    files = {"missing": folder / "missing.json", "out": folder / "out.txt"}
+    for name, obj in [
+        ("complex", TORUS3_FILE), ("target", RP2_FILE), ("module", Z2_MODULE_FILE),
+        ("cup", CUP_FILE), ("matrix", [[2, 4], [6, 8]]),
+    ]:
+        files[name] = folder / f"{name}.json"
+        files[name].write_text(json.dumps(obj))  # afresh: an --out may have overwritten it
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(folder)  # where an --out naming no directory writes
+        code = main([arg.format(**files) for arg in argv])
+    assert code in (0, 1, 2, 3), argv
 
 
 class TestHoang:
@@ -1077,6 +1224,27 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: non-integer parameter in {argv[-1]!r}\n"
+
+    @pytest.mark.parametrize("command", ["classify", "crosscheck"])
+    @pytest.mark.parametrize("sweep", ["0_1", "+1", "\u0661", " 1", "1.0"])
+    def test_sweep_is_ascii_decimal(self, capsys, command, sweep):
+        # int() would read each of these as 1.
+        code, out, err = run(
+            capsys, command, "--source", "s1_x_s2", "--target", "sphere2", "--sweep", sweep
+        )
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument --sweep: invalid decimal value: {sweep!r}\n")
+
+    def test_empty_out_is_a_path(self, capsys):
+        code, out, err = run(capsys, "snf", "--matrix", "[[2]]", "--out", "")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write : ")
+
+    def test_empty_cup_is_a_path(self, capsys):
+        argv = ["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", "1"]
+        code, out, err = run(capsys, *argv, "--cup", "")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read : ")
 
     @pytest.mark.parametrize("source, target, message", [
         ("torus_knot:2", "rp2", "source torus_knot expects parameters p,q"),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from topsectors.errors import InputError
 from topsectors.words import (
     Alphabet,
     AlphabetError,
@@ -9,6 +10,7 @@ from topsectors.words import (
     Run,
     WordSyntaxError,
     collect,
+    decimal,
     fox_derivative,
 )
 
@@ -125,6 +127,34 @@ class TestText:
     def test_zero_exponent(self):
         with pytest.raises(WordSyntaxError):
             AB.word("a^0")
+
+    @pytest.mark.parametrize("exponent", ["1_0", "+3", "\u0663", "", "-", "--3", "3.0"])
+    def test_exponent_is_ascii_decimal(self, exponent):
+        # int() reads "1_0" as 10, and "+3" and the Arabic-Indic three as 3.
+        with pytest.raises(WordSyntaxError, match="bad exponent"):
+            AB.word(f"a^{exponent}")
+
+    def test_over_limit_exponent(self):
+        with pytest.raises(InputError, match="more than 4300 digits"):
+            AB.word("a^" + "7" * 5000)
+
+
+class TestDecimal:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("-0", 0), ("42", 42), ("-007", -7)])
+    def test_reads_ascii_decimal(self, text, value):
+        assert decimal(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "3 ", "", "-", "0x1", "1e3"])
+    def test_refuses_other_int_syntax(self, text):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            decimal(text)
+
+    def test_over_limit_is_an_input_error(self):
+        # Not a ValueError, so that argparse does not echo the 5000 digits.
+        with pytest.raises(InputError) as info:
+            decimal("-" + "7" * 5000)
+        assert not isinstance(info.value, ValueError)
+        assert str(info.value) == "an integer has more than 4300 digits"
 
 
 class TestExponentSums:
