@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import os
 import sys
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import complexes
 from .complexes import CWComplex
 from .errors import InputError, UnsupportedError
-from .words import WordSyntaxError, decimal
+from .words import WordSyntaxError, decimal as read_decimal
 
 if TYPE_CHECKING:
     from . import classify2d, cohomology, dim3
@@ -28,6 +30,11 @@ EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
+
+# Sectors that classify renders and writes as one piece of its output.  With
+# one json.dumps and one write per sector, surface_sectors' cli_rel read
+# about 3 % higher than with the whole answer written at once.
+PIECE_SECTORS = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,9 +56,10 @@ def _looks_like_path(spec: str) -> bool:
 def _spec_ints(spec: str) -> list[int]:
     """The comma-separated parameters after a spec's colon, each read by
     ``words.decimal``; an empty field, as in ``torus2:``, is refused."""
-    _, colon, tail = spec.partition(":")
+    name, colon, tail = spec.partition(":")
+    where = f"the parameters of {name}"
     try:
-        return [decimal(field) for field in tail.split(",")] if colon else []
+        return [read_decimal(field, where) for field in tail.split(",")] if colon else []
     except WordSyntaxError:
         raise InputError(f"non-integer parameter in {spec!r}") from None
 
@@ -112,42 +120,57 @@ def _fmt_vec(vec) -> str:
     return "[" + ",".join(map(str, vec)) + "]"
 
 
-def render_classification_text(res: classify2d.SectorClassification) -> str:
-    lines = [
-        f"{res.mode} classes of maps {res.source} -> {res.target}",
-        f"coordinates: phi1 per generator {list(res.layout.generators)}"
-        f" ({res.layout.k} coords each), phi2 per 2-cell {list(res.layout.two_cells)}"
-        f" ({res.layout.r} coords each)",
-    ]
-    for sector in res.sectors:
-        phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
-        lines.append(f"sector {phi1 or '(trivial pi_1)'}: {sector.based_group}")
-        reps = sector.representatives()
-        if sector.is_finite:
-            lines.append("  representatives: " + " ".join(_fmt_vec(v) for v in reps))
-            if sector.free_orbits is not None:
-                lines.append(
-                    "  free orbits: "
-                    + " ".join("{" + ",".join(map(str, o)) + "}" for o in sector.free_orbits)
-                )
-        else:
-            gens = sector.free_generators()
+def render_classification_text(
+    res: classify2d.SectorClassification, sector: Optional[classify2d.SectorResult] = None
+) -> str:
+    """The lines of one sector of ``res``, or with no sector its header
+    lines; each line ends in a newline."""
+    if sector is None:
+        return (
+            f"{res.mode} classes of maps {res.source} -> {res.target}\n"
+            f"coordinates: phi1 per generator {list(res.layout.generators)}"
+            f" ({res.layout.k} coords each), phi2 per 2-cell {list(res.layout.two_cells)}"
+            f" ({res.layout.r} coords each)\n"
+        )
+    phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
+    lines = [f"sector {phi1 or '(trivial pi_1)'}: {sector.based_group}"]
+    reps = sector.representatives()
+    if sector.is_finite:
+        lines.append("  representatives: " + " ".join(_fmt_vec(v) for v in reps))
+        if sector.free_orbits is not None:
             lines.append(
-                "  representatives: base "
-                + " ".join(_fmt_vec(v) for v in reps)
-                + " + integer multiples of "
-                + " ".join(_fmt_vec(v) for v in gens)
+                "  free orbits: "
+                + " ".join("{" + ",".join(map(str, o)) + "}" for o in sector.free_orbits)
             )
-            if res.mode == "free":
-                for label, matrix, shift in sector.loop_maps:
-                    lines.append(
-                        f"  free identification by loop {_fmt_label(label)}:"
-                        f" class c -> {_fmt_affine(matrix, shift)}"
-                    )
-    total = res.total_free_classes()
+    else:
+        gens = sector.free_generators()
+        lines.append(
+            "  representatives: base "
+            + " ".join(_fmt_vec(v) for v in reps)
+            + " + integer multiples of "
+            + " ".join(_fmt_vec(v) for v in gens)
+        )
+        if res.mode == "free":
+            for label, matrix, shift in sector.loop_maps:
+                lines.append(
+                    f"  free identification by loop {_fmt_label(label)}:"
+                    f" class c -> {_fmt_affine(matrix, shift)}"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def _classification_text(res: classify2d.SectorClassification, batches):
+    """The text of a route-1 classification, one piece per batch of sectors
+    after a header; the free-class total is summed on the way."""
+    yield render_classification_text(res)
+    total = 0
+    for batch in batches:
+        yield "".join(render_classification_text(res, sector) for sector in batch)
+        for sector in batch:
+            if total is not None:
+                total = None if sector.free_orbits is None else total + len(sector.free_orbits)
     if res.mode == "free" and total is not None:
-        lines.append(f"total free classes: {total}")
-    return "\n".join(lines)
+        yield f"total free classes: {total}\n"
 
 
 def _fmt_affine(cols, shift) -> str:
@@ -165,18 +188,41 @@ def _fmt_affine(cols, shift) -> str:
     return "(" + ", ".join(terms) + ")"
 
 
-def render_s2_text(res: dim3.S2Classification) -> str:
-    lines = [
-        f"classes of maps {res.source} -> sphere2 (based = free: simply connected target)",
-        f"sectors are phi2 assignments to 2-cells {list(res.layout.two_cells)};"
-        " within each sector classes differ by phi3 on "
-        + str(list(res.layout.three_cells)),
-    ]
-    for sector in res.sectors:
-        phi2 = " ".join(f"{c}={v}" for c, v in sector.phi2.items())
-        lines.append(f"sector {phi2}: {sector.group}")
-    lines.append("(sectors outside the sweep follow the same lattice rule)")
-    return "\n".join(lines)
+def render_s2_text(res: dim3.S2Classification, sector: Optional[dim3.S2Sector] = None) -> str:
+    """The line of one sector of ``res``, or with no sector its header
+    lines; each line ends in a newline."""
+    if sector is None:
+        return (
+            f"classes of maps {res.source} -> sphere2 (based = free: simply connected target)\n"
+            f"sectors are phi2 assignments to 2-cells {list(res.layout.two_cells)};"
+            f" within each sector classes differ by phi3 on {list(res.layout.three_cells)}\n"
+        )
+    phi2 = " ".join(f"{c}={v}" for c, v in sector.phi2.items())
+    return f"sector {phi2}: {sector.group}\n"
+
+
+def _s2_text(res: dim3.S2Classification, batches):
+    """The text of a sphere-route classification, one piece per batch of
+    sectors after a header."""
+    yield render_s2_text(res)
+    for batch in batches:
+        yield "".join(render_s2_text(res, sector) for sector in batch)
+    yield "(sectors outside the sweep follow the same lattice rule)\n"
+
+
+def _json_pieces(res, batches):
+    """``json.dumps(res.to_json(), indent=2)`` and a newline, one piece per
+    batch of sectors after a header: ``res`` holds no sectors, and
+    "sectors" is the last key of its JSON.  A batch's dump is a JSON list;
+    without its brackets and moved two spaces in, it gives each sector's own
+    dump four spaces in, joined by a comma and a newline."""
+    yield json.dumps(res.to_json(), indent=2)[: -len("]\n}")]
+    sep = "\n"
+    for batch in batches:
+        dump = json.dumps([sector.to_json() for sector in batch], indent=2)
+        yield sep + "  " + dump[2:-2].replace("\n", "\n  ")
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
 def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: str) -> str:
@@ -210,20 +256,74 @@ def _any_int_size():
         sys.set_int_max_str_digits(limit)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out is not None:
+class _Output:
+    """Where a command's output goes, piece by piece (``_emit``): stdout, or
+    the file named by --out.  A regular file is written beside its path from
+    the first piece on, and moved there only when the command succeeds, so
+    that a failed run leaves no partial file and an older file as it was."""
+
+    def __init__(self, out: Optional[str]):
+        self.out = out
+        self.file = None
+        self.path = ""  # the file that --out names, through any links
+        self.part: Optional[str] = None  # the file beside it
+
+    def write(self, text: str) -> None:
+        if self.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        if self.file is None:
+            self.path = os.path.realpath(self.out) if self.out else ""
+            if self.path and (os.path.isfile(self.path) or not os.path.exists(self.path)):
+                self.part = f"{self.path}.{os.getpid()}.part"
+            self.file = open(self.part or self.path, "x" if self.part else "w", encoding="utf-8")
+        self.file.write(text)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, failure, *_) -> None:
+        if self.file is None:
+            return
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            self.file.close()
+            if self.part is not None and failure is None:
+                os.replace(self.part, self.path)
         except OSError as err:
-            raise InputError(f"cannot write {out}: {err}") from None
-    else:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # A reader that stops early, like ``head``, ends the output, not
-            # the run; stdout goes to devnull so the flush at exit stays quiet.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if failure is None:
+                raise InputError(f"cannot write {self.out}: {err}") from None
+        finally:
+            if self.part is not None and os.path.lexists(self.part):
+                os.remove(self.part)
+
+
+def _emit(text: str, output: _Output) -> None:
+    """Write one piece of a command's output."""
+    try:
+        output.write(text)
+    except OSError as err:
+        if output.out is not None:
+            raise InputError(f"cannot write {output.out}: {err}") from None
+        if not isinstance(err, BrokenPipeError):
+            raise
+        # A reader that stops early, like ``head``, ends the output, not
+        # the run; stdout goes to devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _write(pieces, output: _Output) -> None:
+    """Write each piece with ``_emit`` as it comes.  The first piece, a
+    header, waits for the second, so that a command that fails in its first
+    batch of sectors writes nothing, and one that fails later stops after a
+    whole batch."""
+    pieces = iter(pieces)
+    head = next(pieces)
+    for piece in pieces:
+        _emit(head + piece, output)
+        head = ""
+    if head:
+        _emit(head, output)
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +359,32 @@ def cmd_classify(args) -> int:
     with _any_int_size():
         if route == "2d":
             from . import classify2d
-            classify = classify2d.classify_free if args.free else classify2d.classify_based
-            res = classify(M, target)
-            render = render_classification_text
+            res = classify2d.SectorClassification.of(M, target, args.free)
+            sectors = classify2d.classify_sectors(M, target, args.free)
+            text = _classification_text
         elif route == "sphere":
             from . import dim3
-            res = dim3.classify_s2(M, sweep=2 if args.sweep is None else args.sweep)
-            render = render_s2_text
+            res = dim3.S2Classification.of(M)
+            sectors = dim3.s2_sectors(M, sweep=2 if args.sweep is None else args.sweep)
+            text = _s2_text
         elif route == "lens":
             from . import cohomology
             name, p = target
             res = cohomology.special_case_classify(M, [p], 1)
-            render = lambda r: render_special_text(r, M.name or args.source, name)
+            if args.format == "json":
+                _emit(json.dumps(res.to_json(), indent=2) + "\n", args.output)
+            else:
+                _emit(render_special_text(res, M.name or args.source, name) + "\n", args.output)
+            return EXIT_OK
         elif isinstance(target, tuple):
             raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
         else:
             raise UnsupportedError(
                 f"dimension-3 source with target {target.name or 'file'} is not supported"
             )
-        text = json.dumps(res.to_json(), indent=2) if args.format == "json" else render(res)
-        _emit(text, args.out)
+        batches = iter(lambda: list(itertools.islice(sectors, PIECE_SECTORS)), [])
+        pieces = _json_pieces(res, batches) if args.format == "json" else text(res, batches)
+        _write(pieces, args.output)
     return EXIT_OK
 
 
@@ -297,7 +403,7 @@ def cmd_crosscheck(args) -> int:
     with _any_int_size():
         if route == "2d":
             from . import classify2d, cohomology
-            for sector in classify2d.classify_based(M, target).sectors:
+            for sector in classify2d.classify_sectors(M, target):
                 coeffs = cohomology.CoefficientModule.for_target_sector(
                     sector.target_data, sector.phi1
                 )
@@ -326,7 +432,7 @@ def cmd_crosscheck(args) -> int:
         lines.append(
             f"{'all sectors match' if not mismatches else f'{mismatches} sector(s) mismatch'}"
         )
-        _emit("\n".join(lines), args.out)
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
@@ -353,7 +459,7 @@ def cmd_validate(args) -> int:
     obj = _read_object(args.path)
     if "generators" in obj or obj.keys() <= complexes.FILE_KEYS:
         M = complexes.from_json(obj)
-        _emit(f"ok: complex with cells {M.cell_counts()}", None)
+        _emit(f"ok: complex with cells {M.cell_counts()}\n", args.output)
         return EXIT_OK
     from . import xmod
     if "H_table" in obj:
@@ -365,9 +471,9 @@ def cmd_validate(args) -> int:
     else:
         raise InputError("unrecognized file: expected a complex, target, or crossed module")
     if violations:
-        _emit("\n".join(f"violation: {v}" for v in violations), None)
+        _emit("".join(f"violation: {v}\n" for v in violations), args.output)
         return EXIT_INPUT
-    _emit("ok", None)
+    _emit("ok\n", args.output)
     return EXIT_OK
 
 
@@ -390,13 +496,13 @@ def cmd_snf(args) -> int:
     }
     with _any_int_size():
         if args.format == "json":
-            _emit(json.dumps(out, indent=2), args.out)
+            _emit(json.dumps(out, indent=2) + "\n", args.output)
         else:
             lines = [f"invariant factors: {list(dec.diagonal)}"]
             for label in ("S", "U", "V"):
                 lines.append(f"{label} =")
                 lines.extend("  " + " ".join(f"{x:4d}" for x in row) for row in out[label])
-            _emit("\n".join(lines), args.out)
+            _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -417,7 +523,7 @@ def cmd_hoang(args) -> int:
             if witness is not None
             else "no coboundary witness: the extension class is nontrivial"
         )
-    _emit("\n".join(lines), args.out)
+    _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
@@ -425,7 +531,7 @@ def cmd_report(args) -> int:
     from . import dim3
     M = resolve_source(args.source)
     report = dim3.crossed_square_report(M)
-    _emit(report.render(), args.out)
+    _emit(report.render() + "\n", args.output)
     return EXIT_OK
 
 
@@ -434,12 +540,18 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state on it, and ``main`` looks each command up by name when it runs."""
     parser = _Parser(prog="topsectors", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(p):
         p.add_argument("--out", help="write the report to a file")
+
+    def decimal(text):  # argparse's messages name a type by its function's name
+        return read_decimal(text, "--sweep")
 
     p = sub.add_parser("classify", help="classify homotopy classes of maps")
     p.add_argument("--source", required=True, help="catalog name[:params] or JSON path")
@@ -450,7 +562,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sweep", type=decimal, help="sector sweep radius (sphere target; default 2)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_out(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("crosscheck", help="run both routes and compare per sector")
     p.add_argument("--source", required=True)
@@ -458,11 +569,9 @@ def build_parser() -> _Parser:
     p.add_argument("--sweep", type=decimal, help="sector sweep radius (sphere target; default 3)")
     p.add_argument("--cup", help="override the cup-product table (JSON path; sphere target)")
     add_out(p)
-    p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("validate", help="validate a complex/target/crossed-module file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     matrix = p.add_mutually_exclusive_group(required=True)
@@ -470,27 +579,24 @@ def build_parser() -> _Parser:
     matrix.add_argument("--file", help="JSON file holding the matrix")
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_out(p)
-    p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("hoang", help="classification data of a finite crossed module")
     p.add_argument("path")
     p.add_argument("--witness", action="store_true", help="search for a coboundary witness")
     add_out(p)
-    p.set_defaults(func=cmd_hoang)
 
     p = sub.add_parser("report", help="structural crossed-square report of a complex")
     p.add_argument("--source", required=True)
     add_out(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        with _Output(getattr(args, "out", None)) as args.output:
+            return globals()[f"cmd_{args.command}"](args)
     except UnsupportedError as err:  # first: an unsupported complex is also a Dim3Error
         print(f"unsupported: {err}", file=sys.stderr)
         return EXIT_UNSUPPORTED

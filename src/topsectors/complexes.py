@@ -368,18 +368,18 @@ _TRIAD_KEYS = {"f", "h", "cell", "sign"}
 _H_KEYS = {"f", "cell", "sign"}
 
 
-def _triad_letter_from_json(alphabet: Alphabet, obj: dict) -> TriadLetter:
+def _triad_letter_from_json(alphabet: Alphabet, obj: dict, where: str) -> TriadLetter:
     check_keys(obj, _TRIAD_KEYS, "triad letter")
     h_letters = []
     for h in json_field(obj, "h", list, "triad letter", []):
         check_keys(h, _H_KEYS, "h letter")
         h_letters.append((
-            alphabet.word(json_field(h, "f", str, "h letter", "")),
+            alphabet.word(json_field(h, "f", str, "h letter", ""), where),
             json_field(h, "cell", str, "h letter"),
             json_field(h, "sign", int, "h letter"),
         ))
     return TriadLetter(
-        conj_f=alphabet.word(json_field(obj, "f", str, "triad letter", "")),
+        conj_f=alphabet.word(json_field(obj, "f", str, "triad letter", ""), where),
         conj_h=tuple(h_letters),
         cell=json_field(obj, "cell", str, "triad letter"),
         sign=json_field(obj, "sign", int, "triad letter"),
@@ -460,13 +460,15 @@ def from_json(obj: dict) -> CWComplex:
     for c in json_field(obj, "two_cells", list, "complex", []):
         check_keys(c, _TWO_KEYS, "two_cell")
         attach = json_field(c, "attach", str, "two_cell", "")
-        two.append((json_field(c, "name", str, "two_cell"), alphabet.word(attach)))
+        name = json_field(c, "name", str, "two_cell")
+        two.append((name, alphabet.word(attach, f"2-cell {name!r}")))
     three = []
     for c in json_field(obj, "three_cells", list, "complex", []):
         check_keys(c, {"name", "attach"}, "three_cell")
         attach = json_field(c, "attach", list, "three_cell")
-        letters = [_triad_letter_from_json(alphabet, l) for l in attach]
-        three.append((json_field(c, "name", str, "three_cell"), letters))
+        name = json_field(c, "name", str, "three_cell")
+        where = f"3-cell {name!r}"
+        three.append((name, [_triad_letter_from_json(alphabet, l, where) for l in attach]))
     return CWComplex(generators, two, three, name=json_field(obj, "name", str, "complex", None))
 
 

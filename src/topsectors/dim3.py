@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .complexes import (
     CWComplex,
@@ -343,6 +343,14 @@ class S2Classification:
     layout: XSqHomLayout
     sectors: list[S2Sector]
 
+    @classmethod
+    def of(cls, M: CWComplex, sectors: Iterable[S2Sector] = ()) -> S2Classification:
+        """The classification of maps M -> S^2 with the given sectors; with
+        none, the header that ``s2_sectors`` streams the sectors of."""
+        sectors = list(sectors)
+        layout = XSqHomLayout(M.two_cell_names(), M.three_cell_names())
+        return cls(M.name or "complex", layout, sectors)
+
     def to_json(self) -> dict:
         return {
             "source": self.source,
@@ -375,18 +383,21 @@ def sector_group_s2(preset: CylinderPreset, phi2: Mapping[str, int]) -> AbelianG
     return quotient(len(rows), zip(*rows))
 
 
-def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
-    """Classify maps of a 3-complex into the 2-sphere, one sector per phi2
-    assignment with entries in [-sweep, sweep]."""
+def s2_sectors(M: CWComplex, sweep: int = 2) -> Iterator[S2Sector]:
+    """Each sector of maps of a 3-complex into the 2-sphere as it is found,
+    one per phi2 assignment with entries in [-sweep, sweep]."""
     if sweep < 0:
         raise Dim3Error(f"sweep must be >= 0, got {sweep}")
-    layout = XSqHomLayout(M.two_cell_names(), M.three_cell_names())
     preset = cylinder_preset(M)
-    out = []
-    for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(layout.two_cells)):
-        phi2 = dict(zip(layout.two_cells, combo))
-        out.append(S2Sector(phi2=phi2, group=sector_group_s2(preset, phi2)))
-    return S2Classification(M.name or "complex", layout, out)
+    names = M.two_cell_names()
+    for combo in itertools.product(range(-sweep, sweep + 1), repeat=len(names)):
+        phi2 = dict(zip(names, combo))
+        yield S2Sector(phi2=phi2, group=sector_group_s2(preset, phi2))
+
+
+def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
+    """Classify maps of a 3-complex into the 2-sphere (``s2_sectors``)."""
+    return S2Classification.of(M, s2_sectors(M, sweep))
 
 
 # ---------------------------------------------------------------------------

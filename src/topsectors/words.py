@@ -27,19 +27,22 @@ class WordSyntaxError(ValueError, InputError):
     """Malformed word text."""
 
 
-def decimal(text: str) -> int:
+def decimal(text: str, where: str = "") -> int:
     """``text`` read as ASCII decimal digits with an optional leading '-',
     the one integer syntax of word exponents and CLI parameters.  Other text
     that ``int`` reads ('+', '_', spaces, other scripts' digits) is a
     WordSyntaxError; a value over Python's limit on the digits of an int read
-    from text (4300 by default) is an InputError, so reading stays bounded."""
+    from text (4300 by default) is an InputError that names ``where`` the
+    integer was, so reading stays bounded."""
     digits = text.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise WordSyntaxError(f"not a decimal integer: {text!r}")
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+        place = f" in {where}" if where else ""
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"an integer{place} has more than {limit} digits") from None
 
 
 class Alphabet:
@@ -80,8 +83,8 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({list(self.names)!r})"
 
-    def word(self, text: str) -> "Word":
-        return Word.parse(self, text)
+    def word(self, text: str, where: str = "") -> "Word":
+        return Word.parse(self, text, where)
 
     def gen(self, name: str) -> "Word":
         self.index(name)
@@ -122,13 +125,15 @@ class Word:
         return Word(alphabet, ())
 
     @staticmethod
-    def parse(alphabet: Alphabet, text: str) -> "Word":
+    def parse(alphabet: Alphabet, text: str, where: str = "") -> "Word":
+        """The word of ``text``; ``where`` names it in the message for an
+        over-long exponent."""
         runs = []
         for token in text.split():
             if "^" in token:
                 name, _, exp_text = token.partition("^")
                 try:
-                    exp = decimal(exp_text)
+                    exp = decimal(exp_text, where)
                 except WordSyntaxError:
                     raise WordSyntaxError(
                         f"bad exponent in token {token!r}: expected a decimal integer"

@@ -472,17 +472,32 @@ class TestOverLimitIntegers:
         assert err.startswith(f"error: bad JSON in {path}")
         self.check_message(err, path)
 
-    @pytest.mark.parametrize("argv", [
-        ["classify", "--source", f"genus_surface:{BIG}", "--target", "rp2"],
-        ["classify", "--source", "torus3", "--target", f"lens:{BIG},1"],
-        ["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", BIG],
-        ["classify", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", f"-{BIG}"],
+    @pytest.mark.parametrize("argv, where", [
+        (["classify", "--source", f"genus_surface:{BIG}", "--target", "rp2"],
+         "the parameters of genus_surface"),
+        (["classify", "--source", "torus3", "--target", f"lens:{BIG},1"], "the parameters of lens"),
+        (["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", BIG], "--sweep"),
+        (["classify", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", f"-{BIG}"],
+         "--sweep"),
     ], ids=["source", "target", "sweep", "negative-sweep"])
-    def test_parameter(self, capsys, argv):
+    def test_parameter(self, capsys, argv, where):
         # Not an internal error (exit 4), and the digits are not echoed.
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: an integer has more than 4300 digits\n"
+        assert err == f"error: an integer in {where} has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("cell, where", [
+        ({"name": "t", "attach": f"a^{BIG}"}, "2-cell 't'"),
+        ({"name": "x", "attach": [{"f": f"a^-{BIG}", "cell": "t", "sign": 1}]}, "3-cell 'x'"),
+    ], ids=["two-cell", "three-cell"])
+    def test_exponent_in_a_complex_file(self, capsys, tmp_path, cell, where):
+        key = "two_cells" if "2-cell" in where else "three_cells"
+        obj = {"generators": ["a"], "two_cells": [{"name": "t", "attach": ""}], key: [cell]}
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "classify", "--source", str(path), "--target", "rp2")
+        assert code == 1 and out == ""
+        assert err == f"error: an integer in {where} has more than 4300 digits\n"
 
 
 class TestOverLimitOutput:
@@ -1180,7 +1195,7 @@ class TestExitCodes:
         def route(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(classify2d, "classify_based", route)
+        monkeypatch.setattr(classify2d, "classify_sectors", route)
         code, out, err = run(capsys, "classify", "--source", "torus2", "--target", "rp2")
         assert code == 4 and out == ""
         assert err == f"internal error: {type(exc).__name__}: {exc}\n"
