@@ -545,12 +545,7 @@ class SectorClassification:
 
     def total_free_classes(self) -> Optional[int]:
         """Number of free classes when every sector is finite, else None."""
-        total = 0
-        for s in self.sectors:
-            if not s.is_finite or s.free_orbits is None:
-                return None
-            total += len(s.free_orbits)
-        return total
+        return functools.reduce(add_free_classes, self.sectors, 0)
 
     def to_json(self) -> dict:
         return {
@@ -560,6 +555,14 @@ class SectorClassification:
             "layout": self.layout.to_json(),
             "sectors": [s.to_json() for s in self.sectors],
         }
+
+
+def add_free_classes(total: Optional[int], sector: SectorResult) -> Optional[int]:
+    """A running count of free classes after one more sector: None from the
+    first sector with no orbit list (an infinite one, or any in based mode)."""
+    if total is None or sector.free_orbits is None:
+        return None
+    return total + len(sector.free_orbits)
 
 
 # Sectors are found this many at a time, the orbit passes of a batch after

@@ -31,9 +31,9 @@ EXIT_UNSUPPORTED = 2
 EXIT_MISMATCH = 3
 EXIT_INTERNAL = 4
 
-# Sectors that classify renders and writes as one piece of its output.  With
-# one json.dumps and one write per sector, surface_sectors' cli_rel read
-# about 3 % higher than with the whole answer written at once.
+# Sectors that classify and crosscheck render and write as one piece of their
+# output.  With one json.dumps and one write per sector, surface_sectors'
+# cli_rel read about 3 % higher than with the whole answer written at once.
 PIECE_SECTORS = 32
 
 
@@ -159,20 +159,6 @@ def render_classification_text(
     return "\n".join(lines) + "\n"
 
 
-def _classification_text(res: classify2d.SectorClassification, batches):
-    """The text of a route-1 classification, one piece per batch of sectors
-    after a header; the free-class total is summed on the way."""
-    yield render_classification_text(res)
-    total = 0
-    for batch in batches:
-        yield "".join(render_classification_text(res, sector) for sector in batch)
-        for sector in batch:
-            if total is not None:
-                total = None if sector.free_orbits is None else total + len(sector.free_orbits)
-    if res.mode == "free" and total is not None:
-        yield f"total free classes: {total}\n"
-
-
 def _fmt_affine(cols, shift) -> str:
     n = len(shift)
     terms = []
@@ -201,16 +187,22 @@ def render_s2_text(res: dim3.S2Classification, sector: Optional[dim3.S2Sector] =
     return f"sector {phi2}: {sector.group}\n"
 
 
-def _s2_text(res: dim3.S2Classification, batches):
-    """The text of a sphere-route classification, one piece per batch of
-    sectors after a header."""
-    yield render_s2_text(res)
-    for batch in batches:
-        yield "".join(render_s2_text(res, sector) for sector in batch)
-    yield "(sectors outside the sweep follow the same lattice rule)\n"
+def _batches(sectors):
+    """The sectors in lists of ``PIECE_SECTORS``, one list per piece of output."""
+    return iter(lambda: list(itertools.islice(sectors, PIECE_SECTORS)), [])
 
 
-def _json_pieces(res, batches):
+def _text_pieces(head: str, sectors, render, tail):
+    """A text output, one piece per batch of sectors after ``head``: each
+    sector's lines are ``render(sector)``, and the last piece is ``tail()``,
+    asked for once every sector is rendered."""
+    yield head
+    for batch in _batches(sectors):
+        yield "".join(map(render, batch))
+    yield tail()
+
+
+def _json_pieces(res, sectors):
     """``json.dumps(res.to_json(), indent=2)`` and a newline, one piece per
     batch of sectors after a header: ``res`` holds no sectors, and
     "sectors" is the last key of its JSON.  A batch's dump is a JSON list;
@@ -218,7 +210,7 @@ def _json_pieces(res, batches):
     dump four spaces in, joined by a comma and a newline."""
     yield json.dumps(res.to_json(), indent=2)[: -len("]\n}")]
     sep = "\n"
-    for batch in batches:
+    for batch in _batches(sectors):
         dump = json.dumps([sector.to_json() for sector in batch], indent=2)
         yield sep + "  " + dump[2:-2].replace("\n", "\n  ")
         sep = ",\n"
@@ -292,7 +284,7 @@ class _Output:
                 os.replace(self.part, self.path)
         except OSError as err:
             if failure is None:
-                raise InputError(f"cannot write {self.out}: {err}") from None
+                raise InputError(f"cannot write {self.out}: {err.strerror or err}") from None
         finally:
             if self.part is not None and os.path.lexists(self.part):
                 os.remove(self.part)
@@ -304,7 +296,7 @@ def _emit(text: str, output: _Output) -> None:
         output.write(text)
     except OSError as err:
         if output.out is not None:
-            raise InputError(f"cannot write {output.out}: {err}") from None
+            raise InputError(f"cannot write {output.out}: {err.strerror or err}") from None
         if not isinstance(err, BrokenPipeError):
             raise
         # A reader that stops early, like ``head``, ends the output, not
@@ -313,11 +305,10 @@ def _emit(text: str, output: _Output) -> None:
 
 
 def _write(pieces, output: _Output) -> None:
-    """Write each piece with ``_emit`` as it comes.  The first piece, a
-    header, waits for the second, so that a command that fails in its first
-    batch of sectors writes nothing, and one that fails later stops after a
-    whole batch."""
-    pieces = iter(pieces)
+    """Write each piece of an iterator with ``_emit`` as it comes.  The
+    first piece, a header, waits for the second, so that a command that
+    fails in its first batch of sectors writes nothing, and one that fails
+    later stops after a whole batch."""
     head = next(pieces)
     for piece in pieces:
         _emit(head + piece, output)
@@ -331,12 +322,14 @@ def _write(pieces, output: _Output) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _route(M: CWComplex, target, args) -> Optional[str]:
-    """The one route for a source and a target: "2d" (crossed modules),
+def _route(args):
+    """The source, the target and their one route: "2d" (crossed modules),
     "sphere" (the rigid crossed square), "lens" (twisted top cohomology), or
     None for an unsupported pair.  A sphere-route flag given on another
     route is an input error, so that it is never silently ignored."""
     from . import xmod
+    M = resolve_source(args.source)
+    target = resolve_target(args.target)
     if not isinstance(target, xmod.ModuleXMod):
         route = "lens" if M.dim == 3 else None
     elif M.dim <= 2:
@@ -349,24 +342,33 @@ def _route(M: CWComplex, target, args) -> Optional[str]:
                 raise InputError(
                     f"--{flag} applies only to a 3-dimensional source with the sphere2 target"
                 )
-    return route
+    return M, target, route
 
 
 def cmd_classify(args) -> int:
-    M = resolve_source(args.source)
-    target = resolve_target(args.target)
-    route = _route(M, target, args)
+    M, target, route = _route(args)
     with _any_int_size():
         if route == "2d":
             from . import classify2d
             res = classify2d.SectorClassification.of(M, target, args.free)
             sectors = classify2d.classify_sectors(M, target, args.free)
-            text = _classification_text
+            head, total = render_classification_text(res), 0
+
+            def render(sector):
+                nonlocal total
+                total = classify2d.add_free_classes(total, sector)
+                return render_classification_text(res, sector)
+
+            def tail():
+                return f"total free classes: {total}\n" if args.free and total is not None else ""
         elif route == "sphere":
             from . import dim3
             res = dim3.S2Classification.of(M)
             sectors = dim3.s2_sectors(M, sweep=2 if args.sweep is None else args.sweep)
-            text = _s2_text
+            head, render = render_s2_text(res), functools.partial(render_s2_text, res)
+
+            def tail():
+                return "(sectors outside the sweep follow the same lattice rule)\n"
         elif route == "lens":
             from . import cohomology
             name, p = target
@@ -382,58 +384,54 @@ def cmd_classify(args) -> int:
             raise UnsupportedError(
                 f"dimension-3 source with target {target.name or 'file'} is not supported"
             )
-        batches = iter(lambda: list(itertools.islice(sectors, PIECE_SECTORS)), [])
-        pieces = _json_pieces(res, batches) if args.format == "json" else text(res, batches)
-        _write(pieces, args.output)
+        if args.format == "json":
+            _write(_json_pieces(res, sectors), args.output)
+        else:
+            _write(_text_pieces(head, sectors, render, tail), args.output)
     return EXIT_OK
 
 
 def cmd_crosscheck(args) -> int:
-    M = resolve_source(args.source)
-    target = resolve_target(args.target)
-    route = _route(M, target, args)
-    if route == "sphere":
+    M, target, route = _route(args)
+    if route == "2d":
+        from . import classify2d, cohomology
+        sectors = classify2d.classify_sectors(M, target)
+        sides = ("lattice", "cohomology")
+
+        def answers(sector):
+            coeffs = cohomology.CoefficientModule.for_target_sector(sector.target_data, sector.phi1)
+            oracle = cohomology.twisted_second_cohomology(M, coeffs)
+            phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
+            return phi1 or "(trivial)", sector.based_group, oracle
+    elif route == "sphere":
         from . import dim3
         if args.cup is None:
             cup = dim3.cup_table(M)
         else:
             cup = dim3.CupData.from_json(_read_object(args.cup))
-    lines = []
-    mismatches = 0
-    with _any_int_size():
-        if route == "2d":
-            from . import classify2d, cohomology
-            for sector in classify2d.classify_sectors(M, target):
-                coeffs = cohomology.CoefficientModule.for_target_sector(
-                    sector.target_data, sector.phi1
-                )
-                oracle = cohomology.twisted_second_cohomology(M, coeffs)
-                ok = oracle == sector.based_group
-                mismatches += 0 if ok else 1
-                phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
-                lines.append(
-                    f"sector {phi1 or '(trivial)'}: lattice {sector.based_group}"
-                    f" vs cohomology {oracle} -> {'match' if ok else 'MISMATCH'}"
-                )
-        elif route == "sphere":
-            res = dim3.classify_s2(M, sweep=3 if args.sweep is None else args.sweep)
-            for sector in res.sectors:
-                alpha = tuple(sector.phi2.values())
-                oracle = dim3.pontrjagin_sector_group(cup, alpha)
-                ok = oracle == sector.group
-                mismatches += 0 if ok else 1
-                lines.append(
-                    f"sector {alpha}: crossed-square {sector.group} vs cup-product {oracle}"
-                    f" -> {'match' if ok else 'MISMATCH'}"
-                )
-        else:
-            raise UnsupportedError("no cross-check available for this source/target pair")
+        sectors = dim3.s2_sectors(M, sweep=3 if args.sweep is None else args.sweep)
+        sides = ("crossed-square", "cup-product")
 
-        lines.append(
-            f"{'all sectors match' if not mismatches else f'{mismatches} sector(s) mismatch'}"
-        )
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK if not mismatches else EXIT_MISMATCH
+        def answers(sector):
+            alpha = tuple(sector.phi2.values())
+            return alpha, sector.group, dim3.pontrjagin_sector_group(cup, alpha)
+    else:
+        raise UnsupportedError("no cross-check available for this source/target pair")
+    mismatches = 0
+
+    def render(sector):
+        nonlocal mismatches
+        name, group, oracle = answers(sector)
+        mismatches += 0 if oracle == group else 1
+        verdict = "match" if oracle == group else "MISMATCH"
+        return f"sector {name}: {sides[0]} {group} vs {sides[1]} {oracle} -> {verdict}\n"
+
+    def tail():
+        return f"{mismatches} sector(s) mismatch\n" if mismatches else "all sectors match\n"
+
+    with _any_int_size():
+        _write(_text_pieces("", sectors, render, tail), args.output)
+    return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def _read_json(path: str):

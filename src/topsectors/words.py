@@ -160,18 +160,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(self.alphabet, tuple((n, -e) for n, e in reversed(self.runs)))
 
-    def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word.identity(self.alphabet)
-        base = self if n > 0 else self.inverse()
-        if len(base.runs) == 1:
-            name, exp = base.runs[0]
-            return Word(self.alphabet, ((name, exp * abs(n)),))
-        out = Word.identity(self.alphabet)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def conjugate_by(self, g: "Word") -> "Word":
         """g * self * g^-1."""
         return g * self * g.inverse()

@@ -1,7 +1,7 @@
-"""``classify`` writes each sector as it is found: its output equals the
-whole result rendered at once, a failure after the first sector leaves
-whole sectors only, and the child's memory does not grow with the sector
-count."""
+"""``classify`` and ``crosscheck`` write each piece of sectors as it is
+found: the output equals the whole result rendered at once, a failure after
+the first piece leaves whole sectors only, and the child's memory does not
+grow with the sector count."""
 
 import json
 import os
@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 
 from topsectors import classify2d, dim3
 from topsectors.cli import (
-    build_parser, main, render_classification_text, render_s2_text, resolve_source, resolve_target,
+    PIECE_SECTORS, build_parser, main, render_classification_text, render_s2_text, resolve_source,
+    resolve_target,
 )
 from topsectors.complexes import catalog, saves
 from topsectors.errors import UnsupportedError
@@ -88,50 +89,74 @@ def test_streamed_output_on_random_2_complexes(capsys, tmp_path_factory, M):
 
 
 class TestFailureAfterTheFirstSector:
-    # 64 sectors: two batches of classify2d.SECTOR_BATCH = 32.
-    ARGV = ["classify", "--source", "genus_surface:3", "--target", "rp2", "--free"]
+    # Each command has more than two pieces of PIECE_SECTORS = 32 sectors:
+    # genus_surface:3 -> rp2 has 64 (two batches of classify2d.SECTOR_BATCH),
+    # and torus3 -> sphere2 125 at classify's default sweep, 343 at crosscheck's.
+    SURFACE = ["--source", "genus_surface:3", "--target", "rp2"]
+    TORUS3 = ["--source", "torus3", "--target", "sphere2"]
+    # name: (argv, the module and function that find each sector's group)
+    COMMANDS = {
+        "text": (["classify", *SURFACE, "--free"], classify2d, "homotopy_sublattice"),
+        "json": (["classify", *SURFACE, "--free", "--format", "json"], classify2d,
+                 "homotopy_sublattice"),
+        "crosscheck": (["crosscheck", *SURFACE], classify2d, "homotopy_sublattice"),
+        "sphere-text": (["classify", *TORUS3], dim3, "sector_group_s2"),
+        "sphere-json": (["classify", *TORUS3, "--format", "json"], dim3, "sector_group_s2"),
+        "sphere-crosscheck": (["crosscheck", *TORUS3], dim3, "sector_group_s2"),
+    }
 
-    @staticmethod
-    def fail_in_sector(monkeypatch, n):
-        real = classify2d.homotopy_sublattice
+    def fail_in_sector(self, monkeypatch, command, n):
+        """The command's argv, with its nth sector refused."""
+        argv, module, name = self.COMMANDS[command]
+        real = getattr(module, name)
         sectors = []
 
-        def nth_fails(system, sector):
-            sectors.append(sector)
+        def nth_fails(*args):
+            sectors.append(args)
             if len(sectors) == n:
                 raise UnsupportedError(f"refused in sector {n}")
-            return real(system, sector)
+            return real(*args)
 
-        monkeypatch.setattr(classify2d, "homotopy_sublattice", nth_fails)
+        monkeypatch.setattr(module, name, nth_fails)
+        return argv
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_second_sector_writes_nothing(self, capsys, monkeypatch, fmt):
-        self.fail_in_sector(monkeypatch, 2)
-        code, out, err = run(capsys, *self.ARGV, "--format", fmt)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_second_sector_writes_nothing(self, capsys, monkeypatch, command):
+        argv = self.fail_in_sector(monkeypatch, command, 2)
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err == "unsupported: refused in sector 2\n"
 
-    @pytest.mark.parametrize("fmt, next_sector", [("text", "sector "), ("json", ",\n    {")])
-    def test_stdout_ends_after_whole_sectors(self, capsys, monkeypatch, fmt, next_sector):
-        _, whole, _ = run(capsys, *self.ARGV, "--format", fmt)
-        n = classify2d.SECTOR_BATCH + 2
-        self.fail_in_sector(monkeypatch, n)
-        code, out, err = run(capsys, *self.ARGV, "--format", fmt)
+    @pytest.mark.parametrize("command, next_sector", [
+        ("text", "sector "), ("json", ",\n    {"), ("crosscheck", "sector "),
+        ("sphere-text", "sector "), ("sphere-json", ",\n    {"), ("sphere-crosscheck", "sector "),
+    ])
+    def test_stdout_ends_after_whole_sectors(self, capsys, monkeypatch, command, next_sector):
+        _, whole, _ = run(capsys, *self.COMMANDS[command][0])
+        n = PIECE_SECTORS + 2
+        argv = self.fail_in_sector(monkeypatch, command, n)
+        code, out, err = run(capsys, *argv)
         assert code == 2 and err == f"unsupported: refused in sector {n}\n"
         assert whole.startswith(out) and whole[len(out):].startswith(next_sector)
-        written = out.count("sector a" if fmt == "text" else '"phi1"')
-        assert written == classify2d.SECTOR_BATCH
+        if command.endswith("json"):
+            written = out.count('"phi')
+        else:
+            written = sum(line.startswith("sector ") for line in out.splitlines())
+        assert written == PIECE_SECTORS
+        assert "sectors match" not in out and "total free classes" not in out
 
-    @pytest.mark.parametrize("n", [2, classify2d.SECTOR_BATCH + 2])
+    @pytest.mark.parametrize("n", [2, PIECE_SECTORS + 2])
     @pytest.mark.parametrize("old", [None, "an older answer\n"], ids=["new", "existing"])
     def test_out_file_stays_as_it_was(self, capsys, monkeypatch, tmp_path, old, n):
         path = tmp_path / "answer.txt"
         if old is not None:
             path.write_text(old)
-        self.fail_in_sector(monkeypatch, n)
-        code, out, _ = run(capsys, *self.ARGV, "--out", str(path))
-        assert code == 2 and out == ""
-        assert os.listdir(tmp_path) == ([] if old is None else ["answer.txt"])
-        assert old is None or path.read_text() == old
+        for command in self.COMMANDS:
+            with monkeypatch.context() as patch:
+                argv = self.fail_in_sector(patch, command, n)
+                code, out, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 2 and out == "", command
+            assert os.listdir(tmp_path) == ([] if old is None else ["answer.txt"]), command
+            assert old is None or path.read_text() == old, command
 
 
 class TestOutFile:
@@ -155,6 +180,30 @@ class TestOutFile:
     def test_device(self, capsys):
         assert run(capsys, *self.ARGV, "--out", os.devnull)[:2] == (0, "")
         assert not os.path.isfile(os.devnull)
+
+
+# Names are printed as written: no output line is built by str.format.
+BRACES = {
+    "name": "t{2}",
+    "generators": ["a{0}", "{b}"],
+    "two_cells": [{"name": "{t}", "attach": "a{0} {b} a{0}^-1 {b}^-1"}],
+}
+
+
+@pytest.mark.parametrize("command, names", [
+    ("classify", ["free classes of maps t{2} -> rp2\n", "['a{0}', '{b}']", "['{t}']",
+                  "\nsector a{0}=1 {b}=1: Z_2\n"]),
+    ("crosscheck", ["\nsector a{0}=1 {b}=1: lattice Z_2 vs cohomology Z_2 -> match\n",
+                    "\nall sectors match\n"]),
+], ids=["classify", "crosscheck"])
+def test_names_with_braces(capsys, tmp_path, command, names):
+    path = tmp_path / "braces.json"
+    path.write_text(json.dumps(BRACES))
+    code, out, err = run(capsys, command, "--source", str(path), "--target", "rp2",
+                         *(["--free"] if command == "classify" else []))
+    assert code == 0 and err == ""
+    for name in names:
+        assert name in "\n" + out, name
 
 
 def test_parser_built_once_gives_fresh_results(capsys):
