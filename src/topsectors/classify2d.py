@@ -90,7 +90,7 @@ class TargetData:
         """The action on Z^r of every pi_1 X label."""
         self.require_finite_pi1()
         matrices = [self.target.rho_of_coords(g) for g in self.pi1.generator_vectors]
-        return rho_table(self.pi1.factors, matrices, self.target.rank)
+        return rho_table(self.pi1.group.invariant_factors, matrices, self.target.rank)
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
@@ -123,7 +123,7 @@ class TargetData:
     def pi2_rho(self) -> dict[Vector, IntMatrix]:
         """The action on pi_2 X, over ``kernel_basis``, of every pi_1 X label."""
         self.require_finite_pi1()
-        return rho_table(self.pi1.factors, self.pi2_action, len(self.kernel_basis))
+        return rho_table(self.pi1.group.invariant_factors, self.pi2_action, len(self.kernel_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
 def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
     """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells."""
     data.require_finite_pi1()
-    return label_sectors(M, data.pi1.factors)
+    return label_sectors(M, data.pi1.group.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +382,11 @@ def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[st
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
     data, layout = system.data, system.layout
     images = tuple(sector[gen] for gen in layout.generators)
+    factors = data.pi1.group.invariant_factors
     return {
         cell: {
             gen: labelled_sum(
-                layout.r, data.pi1.factors, images, system.fox[cell, gen], data.rho.__getitem__
+                layout.r, factors, images, system.fox[cell, gen], data.rho.__getitem__
             )
             for gen in layout.generators
         }
@@ -450,7 +451,7 @@ class SectorResult:
 
     @property
     def is_finite(self) -> bool:
-        return self.quotient.is_finite
+        return self.quotient.group.is_finite
 
     def representatives(self) -> list[Vector]:
         """Canonical representatives: every class when finite, else those
@@ -499,7 +500,7 @@ class SectorResult:
 
     def orbit_of_class(self, coords: Sequence[int]) -> list[Vector]:
         """All class coordinates in the pi_1 X orbit of the given class."""
-        factors = self.quotient.factors
+        factors = self.quotient.group.invariant_factors
         images = [coords] + [
             [s + sum(c * col[i] for c, col in zip(coords, cols)) for i, s in enumerate(shift)]
             for _, cols, shift in self.loop_maps

@@ -284,10 +284,16 @@ class _Output:
                 os.replace(self.part, self.path)
         except OSError as err:
             if failure is None:
-                raise InputError(f"cannot write {self.out}: {err.strerror or err}") from None
+                raise _file_error("write", self.out, err) from None
         finally:
             if self.part is not None and os.path.lexists(self.part):
                 os.remove(self.part)
+
+
+def _file_error(verb: str, path: str, err: OSError) -> InputError:
+    """``cannot VERB 'PATH': REASON``, the one message for a file that
+    cannot be read or written: the path quoted, and the system's reason."""
+    return InputError(f"cannot {verb} {path!r}: {err.strerror or err}")
 
 
 def _emit(text: str, output: _Output) -> None:
@@ -296,7 +302,7 @@ def _emit(text: str, output: _Output) -> None:
         output.write(text)
     except OSError as err:
         if output.out is not None:
-            raise InputError(f"cannot write {output.out}: {err.strerror or err}") from None
+            raise _file_error("write", output.out, err) from None
         if not isinstance(err, BrokenPipeError):
             raise
         # A reader that stops early, like ``head``, ends the output, not
@@ -439,7 +445,7 @@ def _read_json(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
-        raise InputError(f"cannot read {path}: {err}") from None
+        raise _file_error("read", path, err) from None
     except UnicodeDecodeError as err:
         raise InputError(f"bad JSON in {path}: {err}") from None
     return complexes.decode_json(text, f"bad JSON in {path}", path, InputError)

@@ -68,7 +68,7 @@ class CoefficientModule:
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
         return CoefficientModule(
             rank=len(data.kernel_basis),
-            factors=data.pi1.factors,
+            factors=data.pi1.group.invariant_factors,
             rho=data.pi2_rho,
             sector=dict(sector),
         )

@@ -154,30 +154,35 @@ class CWComplex:
 
     def hword_boundary(self, word: HWord) -> Word:
         """Image of an H-word under the free pre-crossed boundary
-        (f, t) -> f sigma_2(t) f^-1, reduced in the free group on 1-cells."""
-        out = Word.identity(self.alphabet)
+        (f, t) -> f sigma_2(t) f^-1, reduced in the free group on 1-cells:
+        the runs of every piece in one list, reduced once."""
+        runs: list[tuple[str, int]] = []
         for f, cell, sign in word:
-            piece = self.attaching_word(cell).conjugate_by(f)
-            out = out * (piece if sign == 1 else piece.inverse())
-        return out
+            piece = self.attaching_word(cell).runs
+            if f.alphabet != self.alphabet:
+                raise AlphabetError("words over different alphabets")
+            runs += f.runs
+            runs += piece if sign == 1 else [(name, -exp) for name, exp in piece[::-1]]
+            runs += [(name, -exp) for name, exp in f.runs[::-1]]
+        return Word(self.alphabet, runs)
+
+    def _conjugated(self, letter: TriadLetter) -> HWord:
+        """The H-word conj_h (conj_f, cell, sign) conj_h^-1 of a triad
+        letter, unreduced."""
+        if letter.cell not in self._attach:
+            raise ComplexError(f"unknown 2-cell {letter.cell!r} in triad word")
+        core = (letter.conj_f, letter.cell, letter.sign)
+        return (*letter.conj_h, core, *invert_hword(letter.conj_h))
 
     def triad_normal_form(self, word: TriadWord) -> HWord:
         """The H-component of a triad word in F |x H.
 
         Each letter is an H-element conjugated inside the semidirect group,
         so the F-component of the product is always the identity; the
-        H-component is the concatenation of the conjugated letters.
+        H-component is the concatenation of the conjugated letters, reduced
+        once.
         """
-        h: list[HLetter] = []
-        for letter in word:
-            if letter.cell not in self._attach:
-                raise ComplexError(f"unknown 2-cell {letter.cell!r} in triad word")
-            core: HWord = ((letter.conj_f, letter.cell, letter.sign),)
-            conjugated = reduce_hword(
-                tuple(letter.conj_h) + core + invert_hword(letter.conj_h)
-            )
-            h.extend(conjugated)
-        return reduce_hword(h)
+        return reduce_hword(h for letter in word for h in self._conjugated(letter))
 
     # -- Fox calculus ----------------------------------------------------------
 
@@ -223,9 +228,7 @@ def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     index = 0
     running = Word.identity(M.alphabet)
     for i, letter in enumerate(word):
-        core = ((letter.conj_f, letter.cell, letter.sign),)
-        conj_h = tuple(letter.conj_h)
-        running = running * M.hword_boundary(conj_h + core + invert_hword(conj_h))
+        running = running * M.hword_boundary(M._conjugated(letter))
         if running.is_identity:
             index = i + 1
     return TriadViolation(index=min(index, len(word) - 1), residual=running)

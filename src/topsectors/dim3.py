@@ -293,14 +293,17 @@ def cylinder_preset(M: CWComplex) -> CylinderPreset:
 
 def _interval_word(word: Word, alphabet: Alphabet) -> list[TriadLetter]:
     """W(w), whose boundary is w1 w0^-1: W(g) = gI, W(g^-1) = ^{g1^-1} gI^-1
-    and W(uv) = ^{u1} W(v) W(u)."""
+    and W(uv) = ^{u1} W(v) W(u).  So the j-th letter (from 0) of a run g^n
+    of w, after the runs u, is conjugated by u1 g1^j, or by u1 g1^-(j+1)
+    when n < 0."""
     letters = []
-    prefix = Word.identity(word.alphabet)
-    for g, sign in word.letters():
-        step = Word(word.alphabet, ((g, sign),))
-        conj = prefix * step if sign == -1 else prefix
-        letters.append(TriadLetter(_relabel(conj, alphabet, "1"), (), f"{g}I", sign))
-        prefix = prefix * step
+    prefix: tuple[tuple[str, int], ...] = ()
+    for g, n in word.runs:
+        sign = 1 if n > 0 else -1
+        for j in range(abs(n)):
+            conj = Word(alphabet, prefix + ((f"{g}1", j if n > 0 else -j - 1),))
+            letters.append(TriadLetter(conj, (), f"{g}I", sign))
+        prefix += ((f"{g}1", n),)
     return letters[::-1]
 
 

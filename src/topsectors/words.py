@@ -160,10 +160,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(self.alphabet, tuple((n, -e) for n, e in reversed(self.runs)))
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -172,13 +168,6 @@ class Word:
 
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.runs)
-
-    def letters(self) -> Iterator[tuple[str, int]]:
-        """Expand to single letters (name, +-1), left to right."""
-        for name, exp in self.runs:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield (name, step)
 
     def exponent_sums(self) -> tuple[int, ...]:
         sums = [0] * len(self.alphabet)

@@ -488,7 +488,7 @@ def _pi2_structure(
     for perm in act_on_pi2:
         moved = IntMatrix.from_columns([vec[perm[s]] for s in gens], height=k)
         cols = [quot.class_coords(moved.apply(v)) for v in quot.generator_vectors]
-        alpha.append(IntMatrix.from_columns(cols, height=len(quot.factors)))
+        alpha.append(IntMatrix.from_columns(cols, height=len(quot.group.invariant_factors)))
     return quot.group, tuple(alpha)
 
 

@@ -604,8 +604,8 @@ class LatticeQuotient:
         S, = _smith_with_inverses(C, (row_log, []))
         diag = _diagonal(S, m)
         kept = [i for i in range(m) if diag[i] != 1]
-        self._kept_factors = tuple(diag[i] for i in kept)
-        self.group = AbelianGroup.from_factors(self._kept_factors)
+        # A Smith diagonal without its 1s is already in invariant-factor form.
+        self.group = AbelianGroup.from_factors(diag[i] for i in kept)
         # Row i of U^-1 is U^-T e_i and column i of U is U e_i, both replayed
         # from the row steps; each replay changes its own unit vector.
         units = _identity_rows(m)
@@ -616,17 +616,6 @@ class LatticeQuotient:
         self.generator_vectors: list[Vector] = [
             tuple(sum(map(operator.mul, u, c)) for c in columns) for u in u_columns
         ]
-
-    # -- factor bookkeeping --------------------------------------------------
-
-    @property
-    def factors(self) -> Vector:
-        """Cyclic orders of the kept quotient generators (0 = infinite)."""
-        return self._kept_factors
-
-    @property
-    def is_finite(self) -> bool:
-        return all(self._kept_factors)
 
     # -- coset machinery ------------------------------------------------------
 
@@ -642,7 +631,7 @@ class LatticeQuotient:
         if coords is None:
             raise ValueError("vector does not lie in the solution lattice")
         ys = [sum(map(operator.mul, row, coords)) for row in self._uinv_rows]
-        return tuple(y % d if d else y for y, d in zip(ys, self._kept_factors))
+        return tuple(y % d if d else y for y, d in zip(ys, self.group.invariant_factors))
 
     def representative(self, coords: Sequence[int]) -> Vector:
         """Canonical solution vector for the class with the given coordinates."""
@@ -656,10 +645,10 @@ class LatticeQuotient:
         count = math.prod(self.group.torsion)
         if count > sys.maxsize:
             raise TooManyClassesError(f"{count} classes are too many to list")
-        return [range(d or 1) for d in self._kept_factors]
+        return [range(d or 1) for d in self.group.invariant_factors]
 
     def enumerate_class_coords(self) -> Iterator[Vector]:
-        if not self.is_finite:
+        if not self.group.is_finite:
             raise ValueError("cannot enumerate an infinite quotient")
         return itertools.product(*self._class_coords_ranges())
 
@@ -669,7 +658,7 @@ class LatticeQuotient:
         return [self.representative(c) for c in itertools.product(*self._class_coords_ranges())]
 
     def free_generator_vectors(self) -> list[Vector]:
-        return [g for g, d in zip(self.generator_vectors, self._kept_factors) if d == 0]
+        return [g for g, d in zip(self.generator_vectors, self.group.invariant_factors) if d == 0]
 
 
 def quotient_with_representatives(

@@ -12,3 +12,9 @@ def expand(terms):
         for start, gen, n, c in terms
         for j in range(n)
     )
+
+
+def letters(word):
+    """A word's single letters (name, +-1), left to right: each run of
+    exponent n expanded to |n| letters."""
+    return [(name, 1 if n > 0 else -1) for name, n in word.runs for _ in range(abs(n))]

@@ -30,7 +30,7 @@ from topsectors.words import Alphabet, Run, Word, fox_derivative
 from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
-from runterms import expand
+from runterms import expand, letters
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
@@ -113,7 +113,7 @@ def theta_of_word(word, theta, psi1):
     letter by letter; theta maps generator names to vectors in Z^2."""
     total = (0, 0)
     prefix_exp = 0
-    for name, sign in word.letters():
+    for name, sign in letters(word):
         if sign == 1:
             contrib = theta[name]
             total = tuple(
@@ -211,7 +211,7 @@ class TestLabelOfWord:
     def test_reducing_letter_by_letter_agrees(self, case):
         word, factors, assignment = case
         out = [0] * len(factors)
-        for name, sign in word.letters():
+        for name, sign in letters(word):
             out = [
                 (v + sign * c) % f if f else v + sign * c
                 for v, c, f in zip(out, assignment[name], factors)
@@ -762,7 +762,7 @@ class TestRhoTable:
         for label in labels:
             assert data.rho[label] == X.rho_of_coords(data.lift_of_label(label))
             rank = len(data.kernel_basis)
-            expected = self.power_loop(data.pi2_action, data.pi1.factors, label, rank)
+            expected = self.power_loop(data.pi2_action, data.pi1.group.invariant_factors, label, rank)
             assert data.pi2_rho[label] == expected
 
     def test_product_order_kept_without_commuting(self):

@@ -636,7 +636,8 @@ def test_bad_complex_file_gets_one_message(capsys, tmp_path, kind):
     ((code, out, err),) = results
     assert code == 1 and out == ""
     assert err.count("\n") == 1
-    assert err.startswith(f"error: {'cannot read' if content is None else 'bad JSON in'} {path}")
+    expected = f"cannot read {str(path)!r}: " if content is None else f"bad JSON in {path}"
+    assert err.startswith(f"error: {expected}")
 
 
 class TestNonIntegerFiles:
@@ -670,7 +671,7 @@ class TestNonIntegerFiles:
         path = tmp_path / "absent.json"
         code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
         assert code == 1 and out == ""
-        assert err.startswith("error: cannot read")
+        assert err == f"error: cannot read {str(path)!r}: {os.strerror(errno.ENOENT)}\n"
 
     def test_cup_file(self, capsys, tmp_path):
         path = tmp_path / "cup.json"
@@ -1254,13 +1255,13 @@ class TestExitCodes:
     def test_empty_out_is_a_path(self, capsys):
         code, out, err = run(capsys, "snf", "--matrix", "[[2]]", "--out", "")
         assert code == 1 and out == ""
-        assert err.startswith("error: cannot write : ")
+        assert err == f"error: cannot write '': {os.strerror(errno.ENOENT)}\n"
 
     def test_empty_cup_is_a_path(self, capsys):
         argv = ["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--sweep", "1"]
         code, out, err = run(capsys, *argv, "--cup", "")
         assert code == 1 and out == ""
-        assert err.startswith("error: cannot read : ")
+        assert err == f"error: cannot read '': {os.strerror(errno.ENOENT)}\n"
 
     @pytest.mark.parametrize("source, target, message", [
         ("torus_knot:2", "rp2", "source torus_knot expects parameters p,q"),
@@ -1290,7 +1291,7 @@ class TestExitCodes:
         )
         reason = os.strerror(errno.EISDIR if out == "." else errno.ENOENT)
         assert code == 1 and stdout == ""
-        assert err == f"error: cannot write {path}: {reason}\n" and ".part" not in err
+        assert err == f"error: cannot write {str(path)!r}: {reason}\n" and ".part" not in err
 
     @staticmethod
     def _cli_process(argv, stdout):

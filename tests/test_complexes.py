@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,12 +9,13 @@ from topsectors.complexes import (
     ComplexError,
     TriadLetter,
     catalog,
+    invert_hword,
     loads,
     saves,
     structurally_equal,
     validate_triad,
 )
-from topsectors.words import Alphabet, Word
+from topsectors.words import Alphabet, AlphabetError, Word
 
 from runterms import expand
 
@@ -141,11 +143,11 @@ class TestValidateTriad:
         a = T.alphabet
         pieces = [
             T.attaching_word("t"),
-            T.attaching_word("v").conjugate_by(a.gen("c")).inverse(),
+            (a.gen("c") * T.attaching_word("v") * a.gen("c").inverse()).inverse(),
             T.attaching_word("u"),
-            T.attaching_word("t").conjugate_by(a.gen("a")).inverse(),
+            (a.gen("a") * T.attaching_word("t") * a.gen("a").inverse()).inverse(),
             T.attaching_word("v"),
-            T.attaching_word("u").conjugate_by(a.gen("b")).inverse(),
+            (a.gen("b") * T.attaching_word("u") * a.gen("b").inverse()).inverse(),
         ]
         total = Word.identity(a)
         for p in pieces:
@@ -213,6 +215,75 @@ class TestNormalForm:
         h = M.triad_normal_form((letter,))
         # t t^-1 t^-1 reduces to t^-1 after cancelling the wrap
         assert h == ((e, "t", -1),)
+
+
+def reduce_by_pairs(letters):
+    """Free reduction by cancelling the first adjacent inverse pair until
+    none is left: a reference for the one-pass reductions."""
+    letters = list(letters)
+    i = 0
+    while i + 1 < len(letters):
+        (f, c, s), (g, d, t) = letters[i], letters[i + 1]
+        if (f, c, s) == (g, d, -t):
+            del letters[i : i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(letters)
+
+
+class TestOneReduction:
+    M = CWComplex(["a", "b", "c"], [("t", "a b a^-1 b^-1"), ("u", "c^2 a^-3"), ("v", "")])
+
+    def random_word(self, rng, length):
+        runs = [(rng.choice("abc"), rng.choice([1, -1, 2, -3])) for _ in range(length)]
+        return Word(self.M.alphabet, runs)
+
+    def random_hword(self, rng, length):
+        return tuple(
+            (self.random_word(rng, rng.randrange(3)), rng.choice("tuv"), rng.choice([1, -1]))
+            for _ in range(length)
+        )
+
+    def test_hword_boundary_equals_letter_products(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            h = self.random_hword(rng, rng.randrange(8))
+            expected = Word.identity(self.M.alphabet)
+            for f, cell, sign in h:
+                w = self.M.attaching_word(cell)
+                expected = expected * f * (w if sign == 1 else w.inverse()) * f.inverse()
+            assert self.M.hword_boundary(h) == expected
+
+    def test_normal_form_equals_reducing_each_letter_first(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            word = [
+                TriadLetter(
+                    self.random_word(rng, 2),
+                    self.random_hword(rng, rng.randrange(3)),
+                    rng.choice("tuv"),
+                    rng.choice([1, -1]),
+                )
+                for _ in range(rng.randrange(6))
+            ]
+            pieces = [
+                reduce_by_pairs(
+                    (*l.conj_h, (l.conj_f, l.cell, l.sign), *invert_hword(l.conj_h))
+                )
+                for l in word
+            ]
+            expected = reduce_by_pairs(h for piece in pieces for h in piece)
+            assert self.M.triad_normal_form(word) == expected
+
+    def test_conjugator_over_another_alphabet_refused(self):
+        # ^{a}t ^{a}t^-1 with the first a over [a, b, c]: the two letters do
+        # not cancel, and the foreign conjugator is refused.
+        a_ab = Alphabet(["a", "b"]).gen("a")
+        a_abc = Alphabet(["a", "b", "c"]).gen("a")
+        triad = [TriadLetter(a_abc, (), "t", 1), TriadLetter(a_ab, (), "t", -1)]
+        with pytest.raises(AlphabetError, match="words over different alphabets"):
+            CWComplex(["a", "b"], [("t", "a b a^-1 b^-1")], [("x", triad)])
 
 
 class TestFileFormat:

@@ -475,6 +475,26 @@ class TestCylinderPresets:
             TensorLetter(interval, end, abs(n)), TensorLetter(end, interval, abs(n))
         ]
 
+    @pytest.mark.parametrize("source", ["torus3", "long"])
+    def test_words_built_without_products(self, monkeypatch, source):
+        # Each word is one run list reduced once: neither torus3's 3-cell
+        # nor the 1002-letter interval 3-cell of a^499 b a^-499 b^-1 takes a
+        # Word product, and neither does building that cylinder.
+        products = []
+        real = Word.__mul__
+        monkeypatch.setattr(Word, "__mul__", lambda u, v: products.append(1) or real(u, v))
+        if source == "torus3":
+            M = catalog("torus3")
+            (_, triad), = M.three_cells
+        else:
+            relator = "a^499 b a^-499 b^-1"
+            M = CWComplex(["a", "b"], [("t", relator)], [("x", [])])
+            M = cylinder_preset(M).cylinder
+            triad = dict(M.three_cells)["tI"]
+            assert len(triad) == 1002
+        assert M.hword_boundary(M.triad_normal_form(triad)).is_identity
+        assert products == []
+
     def test_one_build_per_complex(self, monkeypatch):
         # One cylinder per complex object: the first sweep builds it, a
         # second sweep on the same object reuses it, and no sector of either

@@ -14,7 +14,7 @@ from topsectors.words import (
     fox_derivative,
 )
 
-from runterms import expand
+from runterms import expand, letters
 
 AB = Alphabet(["a", "b"])
 A = AB.gen("a")
@@ -87,9 +87,6 @@ class TestReduce:
 class TestGroupOps:
     def test_mul_inverse(self):
         assert A * A.inverse() == E
-
-    def test_conj(self):
-        assert B.conjugate_by(A) == AB.word("a b a^-1")
 
     def test_inv_antihomomorphism(self):
         assert (A * B).inverse() == AB.word("b^-1 a^-1")
@@ -204,7 +201,7 @@ class TestFoxDerivative:
         for _ in range(200):
             w = random_word(rng, AB)
             for g in AB.names:
-                assert expand(fox_derivative(w, g)) == naive_fox(list(w.letters()), g, AB)
+                assert expand(fox_derivative(w, g)) == naive_fox(letters(w), g, AB)
 
     def test_product_rule(self):
         # d(uv) = d(u) + t^sigma(u) d(v)
