@@ -217,18 +217,18 @@ def _json_pieces(res, sectors):
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
-def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: str) -> str:
-    lines = [
-        f"classes of maps {source} -> {target}"
-        f" (target pi_1 invariant factors {list(res.pi1_factors)}, pi_3 = Z)",
-        f"{len(res.sectors)} sectors (homomorphisms of fundamental groups):",
-    ]
-    for sector in res.sectors:
-        phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
-        lines.append(f"  sector {phi1}: {sector.group}")
-    if res.action_is_trivial:
-        lines.append("action on pi_3 is trivial: free classes = based classes")
-    return "\n".join(lines)
+def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: str,
+                        sector: Optional[cohomology.SpecialSector] = None) -> str:
+    """The line of one sector of ``res``, or with no sector its header
+    lines; each line ends in a newline."""
+    if sector is None:
+        return (
+            f"classes of maps {source} -> {target}"
+            f" (target pi_1 invariant factors {list(res.pi1_factors)}, pi_3 = Z)\n"
+            f"{res.sector_count} sectors (homomorphisms of fundamental groups):\n"
+        )
+    phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
+    return f"  sector {phi1}: {sector.group}\n"
 
 
 @contextlib.contextmanager
@@ -377,13 +377,13 @@ def cmd_classify(args) -> int:
                 return "(sectors outside the sweep follow the same lattice rule)\n"
         elif route == "lens":
             from . import cohomology
-            name, p = target
-            res = cohomology.special_case_classify(M, [p], 1)
-            if args.format == "json":
-                _emit(json.dumps(res.to_json(), indent=2) + "\n", args.output)
-            else:
-                _emit(render_special_text(res, M.name or args.source, name) + "\n", args.output)
-            return EXIT_OK
+            res, sectors = cohomology.special_case_sectors(M, [target[1]], 1)
+            render = functools.partial(render_special_text, res, M.name or args.source, target[0])
+            head = render()
+
+            def tail():
+                trivial = "action on pi_3 is trivial: free classes = based classes\n"
+                return trivial if res.action_is_trivial else ""
         elif isinstance(target, tuple):
             raise UnsupportedError(f"target {target[0]} needs a 3-dimensional source")
         else:

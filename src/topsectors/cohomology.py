@@ -11,23 +11,21 @@ syllable), and the d1 and d2 blocks are evaluated by
 ``classify2d.labelled_sum``, the one twisted-block evaluation that route 1
 shares.  It labels each run in pi_1 of the target, walking a run only
 until its labels cycle and counting each label in closed form, and returns
-plain rows.  This labeling is exact for the twist.  The action of every
-label is one lookup in a ``classify2d.rho_table``, built once per target or
-per ``special_case_classify`` call, which builds one complex per class of
+plain rows, exact for the twist.  The action of every label is one lookup
+in a ``classify2d.rho_table``, built once per target or per
+``special_case_sectors`` call, which builds one complex per class of
 sectors with equal rho-images; the 2-d oracle builds one per sector.  The
 Fox derivatives and derivation images are the complex's own
 (``CWComplex.fox`` and ``CWComplex.triad_images``), taken once per complex
 and shared with route 1 as data only: each route assembles its own
-differentials.  Only the assembled differentials are ``IntMatrix`` objects.
-An action given by matrices is checked by ``xmod.action_violations``, the
-one check of commuting, order-respecting matrices, which ``xmod.validate``
-also makes of a target's action.
+differentials, and only those are ``IntMatrix`` objects.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
+import functools
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
@@ -50,12 +48,10 @@ class CoefficientModule:
     the abelian pi_1 of the target.
 
     The action does not depend on the sector, so it is checked and tabulated
-    once where it enters: ``special_case_classify`` checks the matrices it is
-    given with ``xmod.action_violations``, and ``for_target_sector`` reads
-    ``TargetData.pi2_rho`` of a target that ``validate`` checks with the same
-    function, then for its equivariance and Peiffer conditions.  The
-    oracle gets a module per sector, the lens route one per class of sectors
-    with equal rho-images.
+    once where it enters: ``special_case_sectors`` checks the matrices it is
+    given with ``xmod.action_violations``, the one check of commuting,
+    order-respecting matrices, and ``for_target_sector`` reads
+    ``TargetData.pi2_rho`` of a target that ``xmod.validate`` checks alike.
     """
 
     rank: int
@@ -66,12 +62,8 @@ class CoefficientModule:
     @staticmethod
     def for_target_sector(data: TargetData, sector: dict) -> "CoefficientModule":
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
-        return CoefficientModule(
-            rank=len(data.kernel_basis),
-            factors=data.pi1.group.invariant_factors,
-            rho=data.pi2_rho,
-            sector=dict(sector),
-        )
+        factors = data.pi1.group.invariant_factors
+        return CoefficientModule(len(data.kernel_basis), factors, data.pi2_rho, dict(sector))
 
     def matrix_of_label(self, label: Sequence[int]) -> IntMatrix:
         return self.rho[tuple(label)]
@@ -144,9 +136,7 @@ def twisted_second_cohomology(M: CWComplex, coeffs: CoefficientModule) -> Abelia
     """H^2 of a 2-complex with local coefficients: coker(d1)."""
     if M.three_cells:
         raise ValueError("twisted_second_cohomology needs a complex without 3-cells")
-    cx = build_complex(M, coeffs)
-    n2r = len(M.two_cells) * coeffs.rank
-    return quotient(n2r, cx.d1.columns())
+    return quotient(len(M.two_cells) * coeffs.rank, build_complex(M, coeffs).d1.columns())
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +156,13 @@ class SpecialSector:
 @dataclass
 class SpecialCaseResult:
     """Per-sector top cohomology groups for a target with pi_i = 0 below the
-    top dimension; free classes follow the action on the coefficients."""
+    top dimension; free classes follow the action on the coefficients.  With
+    no sectors, the header of ``special_case_sectors``' stream."""
 
     pi1_factors: tuple[int, ...]
     sectors: list[SpecialSector]
     action_is_trivial: bool
+    sector_count: int
 
     def to_json(self) -> dict:
         return {
@@ -180,17 +172,14 @@ class SpecialCaseResult:
         }
 
 
-def special_case_classify(
-    M: CWComplex,
-    pi1_factors: Sequence[int],
-    pi_d_rank: int,
+def special_case_sectors(
+    M: CWComplex, pi1_factors: Sequence[int], pi_d_rank: int,
     pi_d_action: Sequence[IntMatrix] | None = None,
-) -> SpecialCaseResult:
+) -> tuple[SpecialCaseResult, Iterator[SpecialSector]]:
     """Classes of maps from a 3-complex into a target whose only homotopy in
     range is pi_1 (finite, given by invariant factors) and pi_3 (free of the
-    given rank, with an optional action matrix per pi_1 generator).
-
-    Per sector the answer is H^3 = coker(d2) with the twisted differentials.
+    given rank, with an optional action matrix per pi_1 generator): the
+    header, and each sector as it is found, with H^3 = coker(d2) twisted.
     Sectors whose 1-cells have equal rho-images share one complex and one
     quotient: a sector enters d0, d1 and d2 only through rho, a homomorphism.
     """
@@ -210,13 +199,22 @@ def special_case_classify(
     # A label stands for the first label with its matrix.
     first: dict[IntMatrix, tuple[int, ...]] = {}
     canonical = {label: first.setdefault(m, label) for label, m in rho.items()}
-    groups: dict[tuple, AbelianGroup] = {}
-    sectors = []
-    n3r = len(M.three_cells) * rank
-    for assignment in label_sectors(M, factors):
-        key = tuple(canonical[label] for label in assignment.values())
-        if key not in groups:
-            coeffs = CoefficientModule(rank, factors, rho, dict(zip(assignment, key)))
-            groups[key] = quotient(n3r, build_complex(M, coeffs).d2.columns())
-        sectors.append(SpecialSector(phi1=assignment, group=groups[key]))
-    return SpecialCaseResult(factors, sectors, action_is_trivial=len(first) == 1)
+    assignments = label_sectors(M, factors)
+
+    @functools.cache
+    def group(key: tuple) -> AbelianGroup:
+        coeffs = CoefficientModule(rank, factors, rho, dict(zip(M.alphabet.names, key)))
+        return quotient(len(M.three_cells) * rank, build_complex(M, coeffs).d2.columns())
+
+    header = SpecialCaseResult(factors, [], len(first) == 1, len(assignments))
+    keys = (tuple(canonical[label] for label in a.values()) for a in assignments)
+    return header, map(SpecialSector, assignments, map(group, keys))
+
+
+def special_case_classify(
+    M: CWComplex, pi1_factors: Sequence[int], pi_d_rank: int,
+    pi_d_action: Sequence[IntMatrix] | None = None,
+) -> SpecialCaseResult:
+    """The classification with every sector (``special_case_sectors``)."""
+    header, sectors = special_case_sectors(M, pi1_factors, pi_d_rank, pi_d_action)
+    return replace(header, sectors=list(sectors))

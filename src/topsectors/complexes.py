@@ -161,6 +161,8 @@ class CWComplex:
             piece = self.attaching_word(cell).runs
             if f.alphabet != self.alphabet:
                 raise AlphabetError("words over different alphabets")
+            if sign not in (1, -1):
+                raise ComplexError(f"H-word letter sign must be +-1, got {sign}")
             runs += f.runs
             runs += piece if sign == 1 else [(name, -exp) for name, exp in piece[::-1]]
             runs += [(name, -exp) for name, exp in f.runs[::-1]]

@@ -9,7 +9,9 @@ condition gives a pre-crossed module.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -255,11 +257,34 @@ def _validate_module(x: ModuleXMod) -> list[str]:
         ):
             out.append(f"equivariance fails: boundary not preserved by action of generator {i}")
     # Condition 2: rho(d e_j) = identity for every basis vector of H.
+    # A coordinate above 4 brings in the order of every action matrix.
     identity = IntMatrix.identity(x.rank)
+    big = max(map(abs, itertools.chain(*x.boundary.data)), default=0) > 4
+    orders = [_order(m) for m in x.action] if big else None
     for j in range(x.rank):
-        if x.rho_of_coords(x.boundary.column(j)) != identity:
+        if not _acts_trivially(x, x.boundary.column(j), orders, identity):
             out.append(f"Peiffer condition fails: d(e_{j}) does not act trivially")
     return out
+
+
+def _acts_trivially(x: ModuleXMod, coords: Sequence[int], orders: Sequence[int] | None,
+                    identity: IntMatrix) -> bool:
+    """``x.rho_of_coords(coords) == identity``, given the order of each
+    action matrix (``_order``) unless every power is small.  A power of a
+    matrix of finite order is reduced modulo it.  When exactly one nonzero
+    coordinate falls on a matrix of infinite order and the matrices of
+    finite order commute, the product is not I with no power taken: else
+    that matrix's power would lie in the finite group of the others.  Two or
+    more such coordinates are powered as they stand."""
+    if orders is None:
+        return x.rho_of_coords(coords) == identity
+    used = [(m, o) for m, c, o in zip(x.action, coords, orders) if c]
+    finite = [m for m, o in used if o]
+    if len(finite) == len(used) - 1 and all(
+        a @ b == b @ a for a, b in itertools.combinations(finite, 2)
+    ):
+        return False
+    return x.rho_of_coords([c % o if o else c for c, o in zip(coords, orders)]) == identity
 
 
 def action_violations(matrices: Sequence[IntMatrix], orders: Sequence[int]) -> list[str]:
@@ -277,9 +302,69 @@ def action_violations(matrices: Sequence[IntMatrix], orders: Sequence[int]) -> l
         if n:
             if identity is None:
                 identity = IntMatrix.identity(m.rows)
-            if m**n != identity:
+            # A power of at most 4 is at most two products; a higher one is
+            # decided by m's order, so that no power grows with n.
+            if n <= 4:
+                respected = m**n == identity
+            else:
+                order = _order(m)
+                respected = order > 0 and n % order == 0
+            if not respected:
                 out.append(f"action of generator {i} does not respect its order {n}")
     return out
+
+
+def _order(m: IntMatrix) -> int:
+    """The order of a square integer matrix m, or 0 if it is infinite.
+
+    A matrix of finite order is diagonalisable with roots of unity as
+    eigenvalues, so its characteristic polynomial is a product of
+    cyclotomic polynomials Phi_d with phi(d) <= rank, and its order is e,
+    the lcm of those d.  A product of them whose m**e is not I (a Jordan
+    block) and any other polynomial give an infinite order.  So the one
+    power taken is m**e, with entries that do not grow."""
+    poly, e = _charpoly(m), 1
+    for d in range(1, max(6, m.rows * m.rows) + 1):  # phi(d) >= sqrt(d) for d > 6
+        if sum(math.gcd(k, d) == 1 for k in range(d)) <= m.rows:  # phi(d)
+            while (rest := _divide(poly, _cyclotomic(d))) is not None:
+                poly, e = rest, math.lcm(e, d)
+    return e if len(poly) == 1 and m**e == IntMatrix.identity(m.rows) else 0
+
+
+def _charpoly(m: IntMatrix) -> list[int]:
+    """det(xI - m), highest degree first, by Faddeev-LeVerrier: with
+    M_1 = I and M_k = m M_(k-1) + c_(k-1) I, c_k = -tr(m M_k) / k, exactly."""
+    coeffs, product = [1], IntMatrix.zeros(m.rows, m.rows)
+    for k in range(1, m.rows + 1):
+        product = m @ IntMatrix(
+            [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(product.data)], cols=m.rows,
+        )
+        coeffs.append(-sum(row[i] for i, row in enumerate(product.data)) // k)
+    return coeffs
+
+
+def _divide(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """num / den for polynomials highest degree first and a monic den, or
+    None when den does not divide num."""
+    out, k = list(num), len(den) - 1
+    if len(out) <= k:
+        return None
+    for i in range(len(out) - k):
+        if q := out[i]:
+            for j in range(1, k + 1):
+                out[i + j] -= q * den[j]
+    return None if any(out[len(out) - k:]) else out[: len(out) - k]
+
+
+@functools.cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d, highest degree first: x^d - 1 over Phi_k of each proper divisor k."""
+    poly = [1] + [0] * (d - 1) + [-1]
+    for k in range(1, d):
+        if d % k == 0:
+            poly = _divide(poly, _cyclotomic(k))
+    return tuple(poly)
 
 
 def _is_homomorphism(f: Sequence, A: FiniteGroup, mul) -> bool:

@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,8 @@ from topsectors.complexes import CWComplex, TriadLetter, catalog, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
 from topsectors.fingrp import cyclic
 from topsectors.words import Alphabet
+
+from test_xmod import HUGE_BOUNDARY, HUGE_TORSION
 
 
 def run(capsys, *argv):
@@ -339,6 +342,20 @@ class TestValidate:
         path.write_text(json.dumps(x.to_json()))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
+
+    @pytest.mark.parametrize("obj, violation", [
+        (HUGE_TORSION, f"action of generator 0 does not respect its order {10**30}"),
+        (HUGE_BOUNDARY, "Peiffer condition fails: d(e_0) does not act trivially"),
+    ], ids=["torsion", "boundary"])
+    def test_exponent_of_thirty_one_digits(self, capsys, tmp_path, obj, violation):
+        # Each power was once taken as it stood, and neither command ended.
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        assert run(capsys, "validate", str(path)) == (1, f"violation: {violation}\n", "")
+        code, out, err = run(capsys, "classify", "--source", "torus2", "--target", str(path))
+        assert (code, out, err) == (1, "", f"error: invalid target: {violation}\n")
+        assert time.perf_counter() - start < 1
 
 
 class TestSnf:
@@ -1342,6 +1359,9 @@ PINNED_OUTPUTS = [
      "0bae650b69d85149ecdf383ff8d417d3adf07f37b45b60c6c97a9cd370afdd29"),
     ("classify --source torus3 --target lens:7,1 --format json",
      "68d3185e5e10f5786855622de9401c55b1e2370a89c868c029bb200d7124d432"),
+    # The text form, recorded before the lens route wrote through the shared stream.
+    ("classify --source torus3 --target lens:7,1",
+     "a607db678f7acb6b2132861087dfe8ee312773f0c039db8c962eeff92b922d83"),
     ("classify --source s1_wedge_s2 --target rp2 --free",
      "9adc75049acf967e67181eb8c85b61a45732b3afedd8d1a4b6085f4585029222"),
     ("classify --source torus3 --target sphere2 --sweep 2 --format json",

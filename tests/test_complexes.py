@@ -216,6 +216,15 @@ class TestNormalForm:
         # t t^-1 t^-1 reduces to t^-1 after cancelling the wrap
         assert h == ((e, "t", -1),)
 
+    @pytest.mark.parametrize("sign", [2, 0])
+    def test_boundary_refuses_a_sign_other_than_one(self, sign):
+        # Once read as -1: both gave b a b^-1 a^-1, the boundary of t^-1.
+        T = catalog("torus2")
+        e = Word.identity(T.alphabet)
+        assert str(T.hword_boundary(((e, "t", -1),))) == "b a b^-1 a^-1"
+        with pytest.raises(ComplexError, match=f"sign must be \\+-1, got {sign}"):
+            T.hword_boundary(((e, "t", sign),))
+
 
 def reduce_by_pairs(letters):
     """Free reduction by cancelling the first adjacent inverse pair until

@@ -11,6 +11,7 @@ from topsectors.xmod import (
     FiniteCrossedModule,
     ModuleXMod,
     XModError,
+    action_violations,
     from_strict_2group,
     hoang_data,
     target_catalog,
@@ -283,6 +284,105 @@ class TestValidation:
         assert validate(zn_to_zn_identity(4)) == []
         assert validate(mult2_z4("trivial")) == []
         assert validate(mult2_z4("invert")) == []
+
+
+# Blocks of finite order (1, 2, 4, 3, 6, 2, 3) and of infinite order, from
+# which random action matrices are built.
+FINITE_BLOCKS = [[[1]], [[-1]], [[0, -1], [1, 0]], [[0, -1], [1, -1]], [[0, -1], [1, 1]],
+                 [[0, 1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
+INFINITE_BLOCKS = [[[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 2], [0, -1]], [[-1, 1], [0, -1]]]
+
+
+def _block_diagonal(blocks):
+    size = sum(map(len, blocks))
+    rows, at = [], 0
+    for block in blocks:
+        rows += [[0] * at + row + [0] * (size - at - len(row)) for row in block]
+        at += len(block)
+    return IntMatrix(rows)
+
+
+def random_action_matrix(rng):
+    """A matrix of rank <= 4 made of random blocks and conjugated by a
+    random unimodular matrix, so that its order is not read off its entries."""
+    blocks, size = [], 0
+    while size < 2 or (size < 4 and rng.random() < 0.5):
+        pool = INFINITE_BLOCKS if rng.random() < 0.3 else FINITE_BLOCKS
+        block = rng.choice([b for b in pool if size + len(b) <= 4] or [[[1]]])
+        blocks.append(block)
+        size += len(block)
+    P = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(4):
+        (i, j), k = rng.sample(range(size), 2), rng.choice([-2, -1, 1, 2])
+        P[i] = [x + k * y for x, y in zip(P[i], P[j])]
+    P = IntMatrix(P)
+    return P @ _block_diagonal(blocks) @ P.inverse_unimodular()
+
+
+class TestLargeExponents:
+    """The order check and the Peiffer check take no power that grows with
+    an exponent, and agree with m**n where it can be taken."""
+
+    def test_order_check_agrees_with_the_power(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            m = random_action_matrix(rng)
+            identity = IntMatrix.identity(m.rows)
+            for n in range(2, 31):
+                expected = [] if m**n == identity else [
+                    f"action of generator 0 does not respect its order {n}"
+                ]
+                assert action_violations([m], [n]) == expected, (m.data, n)
+
+    def test_peiffer_check_agrees_with_the_power(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            action = tuple(random_action_matrix(rng) for _ in range(rng.randint(1, 2)))
+            rank = action[0].rows
+            action = tuple(m for m in action if m.rows == rank)
+            boundary = IntMatrix([[rng.randint(-12, 12) * rng.randint(0, 1) for _ in range(rank)]
+                                  for _ in action])
+            X = ModuleXMod(len(action), (), rank, action, boundary)
+            identity = IntMatrix.identity(rank)
+            expected = [
+                f"Peiffer condition fails: d(e_{j}) does not act trivially"
+                for j in range(rank) if X.rho_of_coords(boundary.column(j)) != identity
+            ]
+            assert [v for v in validate(X) if "Peiffer" in v] == expected, (action, boundary)
+
+    def test_torsion_order_of_thirty_one_digits(self):
+        X = ModuleXMod.from_json(HUGE_TORSION)
+        assert validate(X) == [f"action of generator 0 does not respect its order {10**30}"]
+        # A matrix of order 6 respects the order 6 * 10^30 and no other.
+        rot6 = IntMatrix([[0, -1], [1, 1]])
+        assert action_violations([rot6], [6 * 10**30]) == []
+        assert action_violations([rot6], [6 * 10**30 + 2]) != []
+        assert action_violations([IntMatrix([[3]])], [10**30]) != []
+
+    def test_peiffer_coordinate_of_thirty_one_digits(self):
+        X = ModuleXMod.from_json(HUGE_BOUNDARY)
+        assert validate(X) == ["Peiffer condition fails: d(e_0) does not act trivially"]
+        # On a matrix of finite order the coordinate reduces modulo its order.
+        swap = IntMatrix([[0, 1], [1, 0]])
+        for c, ok in ((2 * 10**30, True), (2 * 10**30 + 1, False)):
+            X = ModuleXMod(1, (), 2, (swap,), IntMatrix([[c, c]]))
+            assert (validate(X) == []) is ok
+
+
+# A target whose torsion order, and one whose boundary coordinate, has 31
+# digits, each on a matrix of infinite order.
+HUGE_TORSION = {
+    "G": {"free_rank": 0, "torsion": [10**30]},
+    "rank": 2,
+    "action": [[[2, 1], [1, 1]]],
+    "boundary": [[0], [0]],
+}
+HUGE_BOUNDARY = {
+    "G": {"free_rank": 1, "torsion": []},
+    "rank": 3,
+    "action": [[[1, 0, 0], [0, 2, 1], [0, 1, 1]]],
+    "boundary": [[10**30], [0], [0]],
+}
 
 
 class TestFreeBoundary:
