@@ -221,26 +221,27 @@ def labels_to_json(assignment: dict) -> dict:
     return {g: (label[0] if len(label) == 1 else list(label)) for g, label in assignment.items()}
 
 
-def label_sectors(M: CWComplex, factors: Sequence[int]) -> list[dict]:
+def label_sectors(M: CWComplex, factors: Sequence[int]) -> Iterator[dict]:
     """All homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
-    label assignments to the 1-cells, in lexicographic order.
+    label assignments to the 1-cells, in lexicographic order, each made as
+    it is asked for.
 
     An assignment qualifies iff every 2-cell relator maps to the identity.
     """
     labels = list(itertools.product(*[range(f) for f in factors]))
     gens = M.alphabet.names
     relators = [word.exponent_sums() for _, word in M.two_cells]
-    return [
+    return (
         dict(zip(gens, images))
         for images in itertools.product(labels, repeat=len(gens))
         if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
-    ]
+    )
 
 
 def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
     """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells."""
     data.require_finite_pi1()
-    return label_sectors(M, data.pi1.group.invariant_factors)
+    return list(label_sectors(M, data.pi1.group.invariant_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +444,7 @@ class SectorResult:
     quotient: LatticeQuotient
     layout: HomLayout
     target_data: TargetData
-    free_orbits: Optional[list[list[int]]] = None
+    free: bool = False
 
     @property
     def based_group(self) -> AbelianGroup:
@@ -507,6 +508,17 @@ class SectorResult:
         ]
         return sorted({tuple(v % d if d else v for v, d in zip(image, factors)) for image in images})
 
+    @functools.cached_property
+    def free_orbits(self) -> Optional[list[list[int]]]:
+        """The pi_1 X orbits of the classes, as sorted lists of indices into
+        ``quotient.enumerate_class_coords()``, found on first read; None in
+        based mode or for an infinite sector."""
+        if not (self.free and self.is_finite):
+            return None
+        index = {c: i for i, c in enumerate(self.quotient.enumerate_class_coords())}
+        orbits = {tuple(sorted(index[d] for d in self.orbit_of_class(c))) for c in index}
+        return [list(orbit) for orbit in sorted(orbits)]
+
     def canonical_free_class(self, coords: Sequence[int]) -> Vector:
         """Deterministic orbit representative: the class whose canonical
         vector is lexicographically greatest in the orbit."""
@@ -541,6 +553,8 @@ class SectorClassification:
         """The classification of maps M -> X with the given sectors; with
         none, the header that ``classify_sectors`` streams the sectors of."""
         sectors = list(sectors)
+        for sector in sectors:  # every orbit pass here, after the last quotient
+            sector.free_orbits
         mode = "free" if free else "based"
         return cls(M.name or "complex", X.name or "target", mode, layout_for(M, X), sectors)
 
@@ -566,18 +580,11 @@ def add_free_classes(total: Optional[int], sector: SectorResult) -> Optional[int
     return total + len(sector.free_orbits)
 
 
-# Sectors are found this many at a time, the orbit passes of a batch after
-# its quotients.  One sector at a time, the orbit pass of genus 4 -> rp2 ran
-# about 35 % slower (9 -> 12 ms on CPython 3.10 and 3.11), and a batch keeps
-# memory bounded in the sector count.
-SECTOR_BATCH = 32
-
-
 def classify_sectors(M: CWComplex, X: ModuleXMod, free: bool = False) -> Iterator[SectorResult]:
-    """Each sector's answer in sector order, found ``SECTOR_BATCH`` sectors
-    at a time: its based classes, then in free mode the pi_1 X orbits of a
-    finite sector's classes.  The caller may drop each sector before asking
-    for the next.
+    """Each sector's answer in sector order: its based classes, and in free
+    mode the pi_1 X orbits of a finite sector's classes, found when
+    ``free_orbits`` is first read.  The caller may drop each sector before
+    asking for the next.
 
     Requires M of dimension <= 2 and finite pi_1 of the target.  Since G is
     abelian, conjugation on sectors is trivial and each orbit stays inside
@@ -588,21 +595,12 @@ def classify_sectors(M: CWComplex, X: ModuleXMod, free: bool = False) -> Iterato
     data = TargetData(X)
     data.require_finite_pi1()
     system = hom_lattice(M, data)
-    assignments = pi1_sectors(M, data)
-    for start in range(0, len(assignments), SECTOR_BATCH):
-        batch = []
-        for assignment in assignments[start : start + SECTOR_BATCH]:
-            lattice = system.lattice(assignment)
-            if lattice is None:
-                raise AssertionError("enumerated sector has no homomorphisms")
-            quot = quotient_with_representatives(lattice, homotopy_sublattice(system, assignment))
-            batch.append(SectorResult(assignment, quot, system.layout, data))
-        for sector in batch:
-            if free and sector.is_finite:
-                index = {c: i for i, c in enumerate(sector.quotient.enumerate_class_coords())}
-                orbits = {tuple(sorted(index[d] for d in sector.orbit_of_class(c))) for c in index}
-                sector.free_orbits = [list(orbit) for orbit in sorted(orbits)]
-        yield from batch
+    for assignment in pi1_sectors(M, data):
+        lattice = system.lattice(assignment)
+        if lattice is None:
+            raise AssertionError("enumerated sector has no homomorphisms")
+        quot = quotient_with_representatives(lattice, homotopy_sublattice(system, assignment))
+        yield SectorResult(assignment, quot, system.layout, data, free)
 
 
 def classify_based(M: CWComplex, X: ModuleXMod) -> SectorClassification:

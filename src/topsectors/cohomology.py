@@ -24,6 +24,7 @@ differentials, and only those are ``IntMatrix`` objects.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
@@ -199,16 +200,20 @@ def special_case_sectors(
     # A label stands for the first label with its matrix.
     first: dict[IntMatrix, tuple[int, ...]] = {}
     canonical = {label: first.setdefault(m, label) for label, m in rho.items()}
-    assignments = label_sectors(M, factors)
+    # |Hom(H_1 M, Z_f1 x ... x Z_fn)| with H_1 M = Z_d1 x ... (d = 0: Z).
+    h1 = quotient(len(M.alphabet), [word.exponent_sums() for _, word in M.two_cells])
+    count = math.prod(math.gcd(d, f) for d in h1.invariant_factors for f in factors)
 
     @functools.cache
     def group(key: tuple) -> AbelianGroup:
         coeffs = CoefficientModule(rank, factors, rho, dict(zip(M.alphabet.names, key)))
         return quotient(len(M.three_cells) * rank, build_complex(M, coeffs).d2.columns())
 
-    header = SpecialCaseResult(factors, [], len(first) == 1, len(assignments))
-    keys = (tuple(canonical[label] for label in a.values()) for a in assignments)
-    return header, map(SpecialSector, assignments, map(group, keys))
+    header = SpecialCaseResult(factors, [], len(first) == 1, count)
+    return header, (
+        SpecialSector(a, group(tuple(canonical[label] for label in a.values())))
+        for a in label_sectors(M, factors)
+    )
 
 
 def special_case_classify(

@@ -12,11 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import catalog_params, check_keys, json_field, json_list_field
-from .errors import InputError
+from .errors import InputError, UnsupportedError
 from .fingrp import FiniteGroup
 from .zlinalg import (
     AbelianGroup,
@@ -235,7 +236,9 @@ def _check_indices(rows: Sequence[Sequence[int]], n: int, field_name: str) -> No
 
 
 def validate(x: ModuleXMod | FiniteCrossedModule) -> list[str]:
-    """Check the crossed-module axioms; returns a list of violations."""
+    """Check the crossed-module axioms; returns a list of violations.  A
+    target that breaks none of them but whose Peiffer condition needs a power
+    too large to take (``_acts_trivially``) raises UnsupportedError."""
     if isinstance(x, ModuleXMod):
         return _validate_module(x)
     return _validate_finite(x)
@@ -261,30 +264,55 @@ def _validate_module(x: ModuleXMod) -> list[str]:
     identity = IntMatrix.identity(x.rank)
     big = max(map(abs, itertools.chain(*x.boundary.data)), default=0) > 4
     orders = [_order(m) for m in x.action] if big else None
+    undecided = []
     for j in range(x.rank):
-        if not _acts_trivially(x, x.boundary.column(j), orders, identity):
+        trivial = _acts_trivially(x, x.boundary.column(j), orders, identity)
+        if trivial is None:
+            undecided.append(j)
+        elif not trivial:
             out.append(f"Peiffer condition fails: d(e_{j}) does not act trivially")
+    if undecided and not out:
+        raise UnsupportedError(
+            f"cannot decide whether d(e_{undecided[0]}) acts trivially: a power of the"
+            f" action has an entry of more than {_input_digits()} digits"
+        )
     return out
 
 
 def _acts_trivially(x: ModuleXMod, coords: Sequence[int], orders: Sequence[int] | None,
-                    identity: IntMatrix) -> bool:
+                    identity: IntMatrix) -> bool | None:
     """``x.rho_of_coords(coords) == identity``, given the order of each
     action matrix (``_order``) unless every power is small.  A power of a
     matrix of finite order is reduced modulo it.  When exactly one nonzero
     coordinate falls on a matrix of infinite order and the matrices of
     finite order commute, the product is not I with no power taken: else
     that matrix's power would lie in the finite group of the others.  Two or
-    more such coordinates are powered as they stand."""
+    more such coordinates are powered as they stand, bit by bit from the top
+    of the exponent, and the answer is None, undecided, once a partial power
+    has an entry longer than an input integer may be (``_input_digits``)."""
     if orders is None:
         return x.rho_of_coords(coords) == identity
-    used = [(m, o) for m, c, o in zip(x.action, coords, orders) if c]
-    finite = [m for m, o in used if o]
+    used = [(m, c % o if o else c, o) for m, c, o in zip(x.action, coords, orders) if c]
+    finite = [m for m, _, o in used if o]
     if len(finite) == len(used) - 1 and all(
         a @ b == b @ a for a, b in itertools.combinations(finite, 2)
     ):
         return False
-    return x.rho_of_coords([c % o if o else c for c, o in zip(coords, orders)]) == identity
+    limit, product = 10 ** _input_digits(), identity
+    for m, c, _ in used:
+        base, power = m if c >= 0 else m.inverse_unimodular(), identity
+        for bit in bin(abs(c))[2:]:
+            power = power @ power @ base if bit == "1" else power @ power
+            if any(abs(v) >= limit for row in power.data for v in row):
+                return None
+        product = product @ power
+    return product == identity
+
+
+def _input_digits() -> int:
+    """The most decimal digits an integer read from input may have: Python's
+    limit on them, or its default, 4300, where the limit is lifted."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 def action_violations(matrices: Sequence[IntMatrix], orders: Sequence[int]) -> list[str]:

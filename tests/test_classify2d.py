@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from topsectors import classify2d
 from topsectors.classify2d import (
+    SectorResult,
     TargetData,
     UnsupportedTargetError,
     classify_based,
@@ -676,6 +677,32 @@ class TestFreeClassification:
             for s in finite:
                 assert s.based_group == AbelianGroup((2,))
                 assert s.free_orbits == [[0], [1]]
+
+    @pytest.mark.parametrize("classify", [classify_free, classify_based])
+    def test_every_orbit_pass_inside_the_call(self, monkeypatch, classify):
+        calls = []
+        orbit_of_class = SectorResult.orbit_of_class
+
+        def counted(sector, coords):
+            calls.append(coords)
+            return orbit_of_class(sector, coords)
+
+        monkeypatch.setattr(SectorResult, "orbit_of_class", counted)
+        res = classify(catalog("genus_surface", g=2), RP2)
+        classes = sum(len(s.representatives()) for s in res.sectors if s.is_finite)
+        assert len(calls) == (classes if classify is classify_free else 0)
+        orbits = [s.free_orbits for s in res.sectors]
+        assert len(calls) == (classes if classify is classify_free else 0)
+        based = classify is classify_based
+        assert [o is None for o in orbits] == [based or not s.is_finite for s in res.sectors]
+
+    @pytest.mark.parametrize("name, params", [
+        ("genus_surface", {"g": 2}), ("genus_surface", {"g": 3}), ("circle_wedge", {"n": 5}),
+    ])
+    def test_streamed_orbits_equal_the_classification(self, name, params):
+        M = catalog(name, **params)
+        streamed = [s.free_orbits for s in classify2d.classify_sectors(M, RP2, free=True)]
+        assert streamed == [s.free_orbits for s in classify_free(M, RP2).sectors]
 
     def test_orbits_partition_representatives(self):
         res = classify_free(catalog("torus_knot", p=4, q=6), RP2)

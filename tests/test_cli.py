@@ -358,6 +358,46 @@ class TestValidate:
         assert time.perf_counter() - start < 1
 
 
+def _two_generator_target(matrix, c):
+    """G = Z^2 with both generators acting by ``matrix``, and d(e_0) = (c, -c)."""
+    rank = len(matrix)
+    boundary = [[c, -c]] + [[0, 0]] * (rank - 1)
+    return {"G": {"free_rank": 2}, "rank": rank, "action": [matrix, matrix], "boundary": boundary}
+
+
+HYPERBOLIC = [[2, 1], [1, 1]]
+PLUS_HYPERBOLIC = [[1, 0, 0], [0, 2, 1], [0, 1, 1]]
+UNIPOTENT = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+NOT_PRESERVED = "violation: equivariance fails: boundary not preserved by action of generator"
+UNDECIDED = (
+    "unsupported: cannot decide whether d(e_0) acts trivially: a power of the action"
+    " has an entry of more than 4300 digits\n"
+)
+
+
+class TestPeifferPowerBound:
+    # d(e_0) = (c, -c) acts by m^c m^-c = I, but a power of a matrix of
+    # infinite order with c = 10^30 would never end: it is refused once an
+    # entry outgrows the 4300 digits an input integer may have.
+    @pytest.mark.parametrize("matrix, c, argv, code, out, err", [
+        (HYPERBOLIC, 10**30, ["validate"], 1,
+         f"{NOT_PRESERVED} 0\n{NOT_PRESERVED} 1\n", ""),
+        (PLUS_HYPERBOLIC, 10**30, ["validate"], 2, "", UNDECIDED),
+        (PLUS_HYPERBOLIC, 10**30, ["classify", "--source", "torus2", "--target"], 2, "",
+         UNDECIDED),
+        (PLUS_HYPERBOLIC, 3000, ["validate"], 0, "ok\n", ""),
+        (UNIPOTENT, 10**30, ["validate"], 0, "ok\n", ""),
+    ], ids=["not-equivariant", "undecided", "undecided-classify", "decided", "unipotent"])
+    def test_exit_code(self, tmp_path, matrix, c, argv, code, out, err):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(_two_generator_target(matrix, c)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "topsectors.cli", *argv, str(path)],
+            capture_output=True, text=True, timeout=10, env=_cli_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
 class TestSnf:
     def test_matrix_literal(self, capsys):
         code, out, _ = run(capsys, "snf", "--matrix", "[[2,4],[6,8]]")

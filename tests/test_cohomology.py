@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from topsectors import cohomology, complexes
@@ -14,6 +16,7 @@ from topsectors.cohomology import (
     CoefficientModule,
     build_complex,
     special_case_classify,
+    special_case_sectors,
     twisted_second_cohomology,
 )
 from topsectors.complexes import CWComplex, TriadLetter, catalog, loads
@@ -370,6 +373,27 @@ class TestSpecialCase:
         assert len(res.sectors) == 343
         assert len(powers) <= 1
         assert len(derivatives) == 9
+
+    @pytest.mark.parametrize("factors", [[2], [3], [7], [2, 6]])
+    @pytest.mark.parametrize("name", ["torus3", "s1_x_s2"])
+    def test_sector_count_read_off_h1(self, name, factors):
+        M = catalog(name)
+        header, _ = special_case_sectors(M, factors, 1)
+        assert header.sector_count == sum(1 for _ in label_sectors(M, factors))
+
+    @pytest.mark.parametrize("name, params", [
+        ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
+        ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}), ("genus_surface", {"g": 1}),
+        ("genus_surface", {"g": 2}), ("torus_knot", {"p": 2, "q": 3}),
+        ("torus_knot", {"p": 3, "q": 2}), ("torus_knot", {"p": 4, "q": 6}),
+    ])
+    def test_sector_count_of_a_2_complex_with_a_3_cell(self, name, params):
+        # An empty 3-cell leaves pi_1, and so the sectors, as they were.
+        M = catalog(name, **params)
+        obj = json.loads(complexes.saves(M))
+        obj["three_cells"] = [{"name": "x", "attach": []}]
+        header, _ = special_case_sectors(complexes.from_json(obj), [2], 1)
+        assert header.sector_count == sum(1 for _ in label_sectors(M, [2]))
 
     def test_nontrivial_action(self):
         res = special_case_classify(catalog("torus3"), [2], 1, [IntMatrix([[-1]])])

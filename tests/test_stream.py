@@ -101,7 +101,7 @@ def test_streamed_output_on_random_2_complexes(capsys, tmp_path_factory, M):
 
 class TestFailureAfterTheFirstSector:
     # Each command has more than two pieces of PIECE_SECTORS = 32 sectors:
-    # genus_surface:3 -> rp2 has 64 (two batches of classify2d.SECTOR_BATCH),
+    # genus_surface:3 -> rp2 has 64 (two pieces of cli.PIECE_SECTORS),
     # torus3 -> sphere2 125 at classify's default sweep, 343 at crosscheck's,
     # and torus3 -> lens:7,1 343.  Those 343 share one quotient, so the lens
     # route's nth sector is refused where it is made, not where it is reduced.
