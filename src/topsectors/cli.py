@@ -94,8 +94,7 @@ def resolve_target(spec: str):
         values = _spec_ints(spec)
         if len(values) not in (1, 2):
             raise InputError("target trivial expects parameters r[,k]")
-        r, k = (values + [0])[:2]
-        return xmod.target_catalog("trivial", r=r, k=k)
+        return xmod.target_catalog("trivial", **dict(zip(("r", "k"), values)))
     if name == "lens":
         values = _spec_ints(spec)
         if len(values) != 2:
@@ -228,7 +227,7 @@ def render_special_text(res: cohomology.SpecialCaseResult, source: str, target: 
             f"{res.sector_count} sectors (homomorphisms of fundamental groups):\n"
         )
     phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
-    return f"  sector {phi1}: {sector.group}\n"
+    return f"  sector {phi1 or '(trivial pi_1)'}: {sector.group}\n"
 
 
 @contextlib.contextmanager
@@ -237,9 +236,6 @@ def _any_int_size():
     (4300 by default) for the duration: output integers have no size limit.
     A command enters it only once its input is read, so that input keeps
     the limit and parsing stays bounded."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # Pythons with no limit
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -319,8 +315,6 @@ def _write(pieces, output: _Output) -> None:
     for piece in pieces:
         _emit(head + piece, output)
         head = ""
-    if head:
-        _emit(head, output)
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,7 @@ class CWComplex:
         return {
             name: {
                 cell: tuple(Run(sums, 0, 1, c) for sums, c in terms.items())
-                for cell, terms in derivation_image(
-                    self, self.triad_normal_form(triad), Word.exponent_sums
-                ).items()
+                for cell, terms in derivation_image(self, self.triad_normal_form(triad)).items()
             }
             for name, triad in self.three_cells
         }
@@ -236,20 +234,21 @@ def validate_triad(M: CWComplex, word: TriadWord) -> TriadViolation | None:
     return TriadViolation(index=min(index, len(word) - 1), residual=running)
 
 
-def derivation_image(M: CWComplex, w: HWord, proj: Callable[[Word], object]) -> dict[str, dict]:
-    """Abelianized image of an H-word in the free module Z[pi_1]^{2-cells}.
+def derivation_image(M: CWComplex, w: HWord) -> dict[str, dict]:
+    """Abelianized image of an H-word in the free module Z[Z^n]^{2-cells}.
 
-    A letter (f, t, s) contributes s * proj(f) * e_t; the result maps each
-    2-cell name to a dict {label: coefficient}.  Conjugation by H-elements
-    and all Peiffer commutators die here, which is exactly what makes the
-    image a cellular chain.
+    A letter (f, t, s) contributes s * t^(exponent sums of f) * e_t; the
+    result maps each 2-cell name to a dict {exponent sums: coefficient}.
+    Conjugation by H-elements dies here, and all Peiffer commutators die
+    once the keys are labelled through pi_1, as ``labelled_sum`` does, which
+    is exactly what makes the image a cellular chain.
     """
     names = M.two_cell_names()
     for _, cell, _ in w:
         if cell not in names:
             raise ComplexError(f"unknown 2-cell {cell!r}")
     return {
-        name: collect((proj(f), sign) for f, cell, sign in w if cell == name)
+        name: collect((f.exponent_sums(), sign) for f, cell, sign in w if cell == name)
         for name in names
     }
 

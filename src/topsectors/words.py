@@ -14,7 +14,7 @@ tokens ``name`` or ``name^k`` with ``k`` a nonzero integer read by
 from __future__ import annotations
 
 import sys
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, NamedTuple
 
 from .errors import InputError
 
@@ -65,14 +65,8 @@ class Alphabet:
         except KeyError:
             raise AlphabetError(f"unknown generator {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.names == other.names
@@ -165,9 +159,6 @@ class Word:
     @property
     def is_identity(self) -> bool:
         return not self.runs
-
-    def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
 
     def exponent_sums(self) -> tuple[int, ...]:
         sums = [0] * len(self.alphabet)

@@ -508,10 +508,6 @@ class Lattice:
                 self.rows.append(pivot)
                 self._pivots.append(p)
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
     def basis(self) -> list[Vector]:
         return [tuple(r) for r in self.rows]
 

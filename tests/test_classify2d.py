@@ -821,6 +821,68 @@ class TestOrbitsOnClassCoordinates:
                 assert s.orbit_of_class(coords) == sorted(walk)
 
 
+ORACLE_SOURCES = [
+    catalog(name, **params) for name, params in [
+        ("sphere2", {}), ("torus2", {}), ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}),
+        ("circle_wedge", {"n": 2}), ("genus_surface", {"g": 2}),
+        ("torus_knot", {"p": 2, "q": 3}), ("torus_knot", {"p": 4, "q": 6}),
+    ]
+]
+ORACLE_TARGETS = [RP2, Z4_ROTATION, Z2Z2_SWAP_NEG]
+
+
+def burnside_count(sector, labels):
+    """The number of pi_1 X orbits on a finite sector's classes by Burnside's
+    lemma, (1/|pi_1 X|) sum_g |Fix(g)|, with each Fix(g) counted by moving
+    every class's representative with ``act``: nothing from ``loop_maps``."""
+    q = sector.quotient
+    fixed = sum(
+        q.class_coords(sector.act(g, q.representative(c))) == c
+        for g in labels for c in q.enumerate_class_coords()
+    )
+    assert fixed % len(labels) == 0
+    return fixed // len(labels)
+
+
+def assert_action_law(sector, data, limit=None):
+    """act(g + h) and act(g) after act(h) give the same class, for every pair
+    of loops and the first ``limit`` classes with each free class coordinate
+    in {-1, 2}."""
+    q = sector.quotient
+    factors = data.pi1.group.invariant_factors
+    labels = data.labels()
+    ranges = (range(d) if d else (-1, 2) for d in q.group.invariant_factors)
+    for c in itertools.islice(itertools.product(*ranges), limit):
+        v = q.representative(c)
+        for g, h in itertools.product(labels, repeat=2):
+            gh = tuple((a + b) % d for a, b, d in zip(g, h, factors))
+            assert q.class_coords(sector.act(gh, v)) == q.class_coords(
+                sector.act(g, sector.act(h, v))
+            ), (sector.phi1, g, h, c)
+
+
+class TestFreeClassOracle:
+    """Free classes checked against the action itself, not the orbit pass."""
+
+    @pytest.mark.parametrize("X", ORACLE_TARGETS, ids=["rp2", "z4", "z2z2"])
+    def test_burnside_count(self, X):
+        labels = TargetData(X).labels()
+        finite = 0
+        for M in ORACLE_SOURCES:
+            for s in classify_free(M, X).sectors:
+                if s.is_finite:
+                    finite += 1
+                    assert len(s.free_orbits) == burnside_count(s, labels), (M.name, s.phi1)
+        assert finite
+
+    @pytest.mark.parametrize("X", ORACLE_TARGETS, ids=["rp2", "z4", "z2z2"])
+    def test_action_law(self, X):
+        data = TargetData(X)
+        for M in ORACLE_SOURCES:
+            for s in classify_based(M, X).sectors:
+                assert_action_law(s, data)
+
+
 @st.composite
 def small_2_complexes(draw):
     """A 2-complex on at most 3 generators with at most 2 relators, each of at
@@ -851,3 +913,14 @@ def test_routes_agree_on_random_2_complexes(M):
         for sector in classify_based(M, X).sectors:
             coeffs = CoefficientModule.for_target_sector(sector.target_data, sector.phi1)
             assert twisted_second_cohomology(M, coeffs) == sector.based_group, (M.two_cells, X)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(small_2_complexes())
+def test_free_class_oracle_on_random_2_complexes(M):
+    for X in ORACLE_TARGETS:
+        data = TargetData(X)
+        for s in classify_free(M, X).sectors:
+            if s.is_finite:
+                assert len(s.free_orbits) == burnside_count(s, data.labels()), (M.two_cells, X)
+            assert_action_law(s, data, limit=4)

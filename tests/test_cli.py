@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from topsectors import classify2d, dim3
 from topsectors.cli import main
-from topsectors.complexes import CWComplex, TriadLetter, catalog, saves
+from topsectors.complexes import CWComplex, TriadLetter, catalog, loads, saves
 from topsectors.xmod import FiniteCrossedModule, target_catalog
 from topsectors.fingrp import cyclic
-from topsectors.words import Alphabet
+from topsectors.words import Alphabet, Word
 
 from test_xmod import HUGE_BOUNDARY, HUGE_TORSION
 
@@ -94,6 +94,15 @@ class TestClassify:
         assert code == 0
         assert "8 sectors" in out
         assert out.count(": Z\n") == 8
+
+    def test_lens_source_without_one_cells(self, capsys, tmp_path):
+        # The one sector has no phi1 to print, so it gets the 2-d route's label.
+        path = tmp_path / "s2_s3.json"
+        path.write_text(saves(CWComplex([], [("t", "")], [("x", [])])))
+        code, out, _ = run(capsys, "classify", "--source", str(path), "--target", "lens:2,1")
+        assert code == 0
+        assert "1 sectors" in out
+        assert "  sector (trivial pi_1): Z\n" in out
 
     def test_sphere_target_dim3(self, capsys):
         code, out, _ = run(
@@ -1084,6 +1093,33 @@ class TestStructuralDispatch:
         code, out, err = run(capsys, "crosscheck", "--source", path, "--target", "sphere2")
         assert code == 0, err
         assert "all sectors match" in out
+
+    def test_h_conjugated_triad_letter(self, capsys, tmp_path):
+        # s1_x_s2 with its second letter also conjugated by the 2-cell t, as
+        # the README's "h" allows: the same space, so the same answers.
+        text = json.dumps({
+            "generators": ["a"],
+            "two_cells": [{"name": "t", "attach": ""}],
+            "three_cells": [{"name": "x", "attach": [
+                {"f": "", "h": [], "cell": "t", "sign": 1},
+                {"f": "a", "h": [{"f": "", "cell": "t", "sign": 1}], "cell": "t", "sign": -1},
+            ]}],
+        })
+        M = loads(text)
+        assert M.three_cells[0][1][1].conj_h == ((Word.identity(M.alphabet), "t", 1),)
+        assert json.loads(saves(M)) == json.loads(text)
+        assert loads(saves(M)).three_cells == M.three_cells
+        S = catalog("s1_x_s2")
+        assert dim3.classify_s2(M, sweep=2).sectors == dim3.classify_s2(S, sweep=2).sectors
+        assert dim3.cup_table(M) == dim3.cup_table(S)
+        path = tmp_path / "conjugated.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (0, "ok: complex with cells (1, 1, 1)\n", "")
+        code, out, err = run(capsys, "crosscheck", "--source", str(path), "--target", "sphere2",
+                             "--sweep", "2")
+        assert code == 0, err
+        assert out.splitlines()[-1] == "all sectors match"
 
     def test_sphere_target_file(self, capsys, tmp_path):
         path = tmp_path / "sphere.json"

@@ -395,6 +395,41 @@ class TestSpecialCase:
         header, _ = special_case_sectors(complexes.from_json(obj), [2], 1)
         assert header.sector_count == sum(1 for _ in label_sectors(M, [2]))
 
+    @pytest.mark.parametrize("factors, action", [
+        ([4], [[[-1]]]),
+        ([2, 2], [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]),
+        ([3], [[[0, -1], [1, -1]]]),
+        ([4], [[[0, -1], [1, 0]]]),
+        ([5], [[[1]]]),
+    ], ids=["z4_minus", "z2z2_flips", "z3_rotation", "z4_quarter_turn", "z5_trivial"])
+    def test_poincare_duality(self, factors, action):
+        # For a closed orientable 3-manifold, H^3(M; A) = H_0(M; A), the
+        # coinvariants A / <rho(g)a - a> over the labels g of the 1-cells:
+        # read from rho alone and reduced by sympy, with no Fox table, no
+        # triad and no d2.
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rank = len(action[0])
+        generators = [sympy.Matrix(m) for m in action]
+        for M in (catalog("torus3"), catalog("s1_x_s2")):
+            res = special_case_classify(M, factors, rank, [IntMatrix(m) for m in action])
+            assert len(res.sectors) == res.sector_count > 1
+            for sector in res.sectors:
+                moves = sympy.zeros(rank, 0)
+                for label in sector.phi1.values():
+                    rho = sympy.eye(rank)
+                    for m, power in zip(generators, label):
+                        rho *= m**power
+                    moves = moves.row_join(rho - sympy.eye(rank))
+                snf = smith_normal_form(moves, domain=sympy.ZZ)
+                diagonal = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
+                free = rank - sum(1 for d in diagonal if d)
+                torsion = tuple(d for d in diagonal if d > 1)
+                assert (sector.group.rank, sector.group.torsion) == (free, torsion), (
+                    M.name, sector.phi1
+                )
+
     def test_nontrivial_action(self):
         res = special_case_classify(catalog("torus3"), [2], 1, [IntMatrix([[-1]])])
         assert not res.action_is_trivial

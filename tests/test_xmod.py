@@ -6,7 +6,7 @@ import pytest
 
 from topsectors.complexes import catalog, derivation_image, reduce_hword
 from topsectors.fingrp import FiniteGroup, GroupTableError, cyclic, symmetric
-from topsectors.words import Word
+from topsectors.words import Word, collect
 from topsectors.xmod import (
     FiniteCrossedModule,
     ModuleXMod,
@@ -424,8 +424,13 @@ def _random_hword(rng, M, max_len=4):
     return reduce_hword(letters)
 
 
-def _parity_label(w):
-    return sum(w.exponent_sums()) % 2
+def _parity_image(M, w):
+    """``derivation_image`` with each exponent-sum key labelled by its
+    parity, the pi_1 of rp2 and a quotient of the pi_1 of torus2."""
+    return {
+        cell: collect((sum(sums) % 2, c) for sums, c in terms.items())
+        for cell, terms in derivation_image(M, w).items()
+    }
 
 
 class TestDerivationImage:
@@ -433,12 +438,12 @@ class TestDerivationImage:
         M = catalog("rp2")
         e = Word.identity(M.alphabet)
         a = M.alphabet.gen("a")
-        image = derivation_image(M, ((e, "t", 1), (a, "t", 1)), _parity_label)
+        image = _parity_image(M, ((e, "t", 1), (a, "t", 1)))
         assert image == {"t": {0: 1, 1: 1}}
 
     def test_empty(self):
         M = catalog("rp2")
-        assert derivation_image(M, (), _parity_label) == {"t": {}}
+        assert _parity_image(M, ()) == {"t": {}}
 
     def test_kills_peiffer_commutators(self):
         # h h' h^-1 (^d(h) h')^-1 has zero image for random words
@@ -454,7 +459,7 @@ class TestDerivationImage:
                     h1 + h2 + tuple((f, c, -s) for f, c, s in reversed(h1))
                     + tuple((f, c, -s) for f, c, s in reversed(shifted))
                 )
-                image = derivation_image(M, word, _parity_label)
+                image = _parity_image(M, word)
                 assert all(not comp for comp in image.values())
 
 
