@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import CWComplex
@@ -131,15 +130,15 @@ class TargetData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HomLayout:
     """Coordinate layout of homomorphism vectors: one block of G-coordinates
     per 1-cell followed by one block of Z^r coordinates per 2-cell."""
 
-    generators: tuple[str, ...]
-    k: int
-    two_cells: tuple[str, ...]
-    r: int
+    def __init__(self, generators: tuple[str, ...], k: int, two_cells: tuple[str, ...], r: int):
+        self.generators = generators
+        self.k = k
+        self.two_cells = two_cells
+        self.r = r
 
     @property
     def dim(self) -> int:
@@ -249,7 +248,6 @@ def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HomSystem:
     """The part of the homomorphism system that no sector changes, for one
     (M, X): the Smith reduction of its matrix, the HNF lattice of its kernel
@@ -257,11 +255,15 @@ class HomSystem:
     through the lifted labels on the right-hand side and through the
     labelling of the Fox table."""
 
-    data: TargetData
-    layout: HomLayout
-    solver: SmithSolver
-    directions: Lattice
-    fox: dict[tuple[str, str], tuple[Run, ...]]
+    def __init__(
+        self, data: TargetData, layout: HomLayout, solver: SmithSolver,
+        directions: Lattice, fox: dict[tuple[str, str], tuple[Run, ...]],
+    ):
+        self.data = data
+        self.layout = layout
+        self.solver = solver
+        self.directions = directions
+        self.fox = fox
 
     def lattice(self, sector: dict) -> Optional[AffineLattice]:
         """Affine lattice of all homomorphisms inducing the given sector, or
@@ -435,16 +437,19 @@ def homotopy_sublattice(system: HomSystem, sector: dict) -> list[Vector]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SectorResult:
     """One sector's answer: the based class group, canonical representative
     vectors, and (in free mode) the orbit structure under pi_1 X."""
 
-    phi1: dict
-    quotient: LatticeQuotient
-    layout: HomLayout
-    target_data: TargetData
-    free: bool = False
+    def __init__(
+        self, phi1: dict, quotient: LatticeQuotient, layout: HomLayout,
+        target_data: TargetData, free: bool = False,
+    ):
+        self.phi1 = phi1
+        self.quotient = quotient
+        self.layout = layout
+        self.target_data = target_data
+        self.free = free
 
     @property
     def based_group(self) -> AbelianGroup:
@@ -538,15 +543,19 @@ class SectorResult:
         return out
 
 
-@dataclass
 class SectorClassification:
     """The full answer over all sectors of Hom(pi_1 M, pi_1 X)."""
 
-    source: str
-    target: str
-    mode: str  # "based" | "free"
-    layout: HomLayout
-    sectors: list[SectorResult]
+    def __init__(
+        self, source: str, target: str,
+        mode: str,  # "based" | "free"
+        layout: HomLayout, sectors: list[SectorResult],
+    ):
+        self.source = source
+        self.target = target
+        self.mode = mode
+        self.layout = layout
+        self.sectors = sectors
 
     @classmethod
     def of(cls, M: CWComplex, X: ModuleXMod, free: bool, sectors: Iterable[SectorResult] = ()):
@@ -619,14 +628,17 @@ def classify_free(M: CWComplex, X: ModuleXMod) -> SectorClassification:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Dim1Classification:
     """Maps from a wedge of circles: based classes are tuples of elements of
     pi_1 X, free classes their orbits under simultaneous conjugation."""
 
-    n_circles: int
-    based: list[tuple[int, ...]]
-    free_orbits: list[list[tuple[int, ...]]]
+    def __init__(
+        self, n_circles: int, based: list[tuple[int, ...]],
+        free_orbits: list[list[tuple[int, ...]]],
+    ):
+        self.n_circles = n_circles
+        self.based = based
+        self.free_orbits = free_orbits
 
 
 def classify_dim1(n_circles: int, pi1x: FiniteGroup) -> Dim1Classification:
@@ -646,14 +658,17 @@ def classify_dim1(n_circles: int, pi1x: FiniteGroup) -> Dim1Classification:
     return Dim1Classification(n_circles=n_circles, based=based, free_orbits=orbits)
 
 
-@dataclass
 class WedgeClasses:
     """Closed-form answer for the wedge of a circle and a 2-sphere."""
 
-    pi2: AbelianGroup
-    pi1: AbelianGroup
-    kernel_basis: tuple[Vector, ...]
-    pi2_action: tuple[IntMatrix, ...]  # one matrix per pi_1 X generator, on the kernel basis
+    def __init__(
+        self, pi2: AbelianGroup, pi1: AbelianGroup, kernel_basis: tuple[Vector, ...],
+        pi2_action: tuple[IntMatrix, ...],  # one matrix per pi_1 X generator, on the kernel basis
+    ):
+        self.pi2 = pi2
+        self.pi1 = pi1
+        self.kernel_basis = kernel_basis
+        self.pi2_action = pi2_action
 
 
 def wedge_formula(X: ModuleXMod) -> WedgeClasses:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 
 from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
@@ -38,7 +37,6 @@ class CoefficientError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class CoefficientModule:
     """Z^rank as a module over pi_1 of the source, through a sector map.
 
@@ -55,10 +53,14 @@ class CoefficientModule:
     ``TargetData.pi2_rho`` of a target that ``xmod.validate`` checks alike.
     """
 
-    rank: int
-    factors: tuple[int, ...]
-    rho: dict[tuple[int, ...], IntMatrix]
-    sector: dict
+    def __init__(
+        self, rank: int, factors: tuple[int, ...],
+        rho: dict[tuple[int, ...], IntMatrix], sector: dict,
+    ):
+        self.rank = rank
+        self.factors = factors
+        self.rho = rho
+        self.sector = sector
 
     @staticmethod
     def for_target_sector(data: TargetData, sector: dict) -> "CoefficientModule":
@@ -85,14 +87,14 @@ def _check_action(rank: int, factors: Sequence[int], matrices: object) -> None:
         raise CoefficientError(violations[0])
 
 
-@dataclass(frozen=True)
 class CochainComplex:
     """Integer differentials d0: C^0 -> C^1, d1: C^1 -> C^2, d2: C^2 -> C^3;
     d1 d0 = 0 and d2 d1 = 0 hold exactly (asserted on construction)."""
 
-    d0: IntMatrix
-    d1: IntMatrix
-    d2: IntMatrix
+    def __init__(self, d0: IntMatrix, d1: IntMatrix, d2: IntMatrix):
+        self.d0 = d0
+        self.d1 = d1
+        self.d2 = d2
 
 
 def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
@@ -145,25 +147,28 @@ def twisted_second_cohomology(M: CWComplex, coeffs: CoefficientModule) -> Abelia
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SpecialSector:
-    phi1: dict
-    group: AbelianGroup
+    def __init__(self, phi1: dict, group: AbelianGroup):
+        self.phi1 = phi1
+        self.group = group
 
     def to_json(self) -> dict:
         return {"phi1": labels_to_json(self.phi1), "group": self.group.to_json()}
 
 
-@dataclass
 class SpecialCaseResult:
     """Per-sector top cohomology groups for a target with pi_i = 0 below the
     top dimension; free classes follow the action on the coefficients.  With
     no sectors, the header of ``special_case_sectors``' stream."""
 
-    pi1_factors: tuple[int, ...]
-    sectors: list[SpecialSector]
-    action_is_trivial: bool
-    sector_count: int
+    def __init__(
+        self, pi1_factors: tuple[int, ...], sectors: list[SpecialSector],
+        action_is_trivial: bool, sector_count: int,
+    ):
+        self.pi1_factors = pi1_factors
+        self.sectors = sectors
+        self.action_is_trivial = action_is_trivial
+        self.sector_count = sector_count
 
     def to_json(self) -> dict:
         return {
@@ -222,4 +227,5 @@ def special_case_classify(
 ) -> SpecialCaseResult:
     """The classification with every sector (``special_case_sectors``)."""
     header, sectors = special_case_sectors(M, pi1_factors, pi_d_rank, pi_d_action)
-    return replace(header, sectors=list(sectors))
+    header.sectors = list(sectors)
+    return header

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
@@ -31,31 +30,44 @@ class ComplexError(InputError):
     """Structural problem in a CW complex or its file form."""
 
 
-@dataclass(frozen=True)
 class TriadLetter:
     """One factor of a triad attaching word: a 2-cell generator conjugated
     by a group element (conj_f, conj_h) of F |x H, raised to sign +-1."""
 
-    conj_f: Word
-    conj_h: HWord
-    cell: str
-    sign: int
+    def __init__(self, conj_f: Word, conj_h: HWord, cell: str, sign: int):
+        if sign not in (1, -1):
+            raise ComplexError(f"triad letter sign must be +-1, got {sign}")
+        self.conj_f = conj_f
+        self.conj_h = conj_h
+        self.cell = cell
+        self.sign = sign
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ComplexError(f"triad letter sign must be +-1, got {self.sign}")
+    def _key(self) -> tuple:
+        return self.conj_f, self.conj_h, self.cell, self.sign
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TriadLetter) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"TriadLetter(conj_f={self.conj_f!r}, conj_h={self.conj_h!r},"
+            f" cell={self.cell!r}, sign={self.sign!r})"
+        )
 
 
 TriadWord = tuple[TriadLetter, ...]
 
 
-@dataclass(frozen=True)
 class TriadViolation:
     """Failed H-bar membership: the residual boundary word and the index of
     the letter after which the running boundary never returns to identity."""
 
-    index: int
-    residual: Word
+    def __init__(self, index: int, residual: Word):
+        self.index = index
+        self.residual = residual
 
     def __str__(self) -> str:
         return (

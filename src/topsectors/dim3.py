@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .complexes import (
@@ -61,14 +60,26 @@ class UnsupportedComplexError(Dim3Error, UnsupportedError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TensorLetter:
     """A tensor generator h (x) k of two pre-crossed module words, raised to
     the integer exponent ``sign``."""
 
-    h: HWord
-    k: HWord
-    sign: int
+    def __init__(self, h: HWord, k: HWord, sign: int):
+        self.h = h
+        self.k = k
+        self.sign = sign
+
+    def _key(self) -> tuple:
+        return self.h, self.k, self.sign
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, TensorLetter) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"TensorLetter(h={self.h!r}, k={self.k!r}, sign={self.sign!r})"
 
 
 # A TriadLetter here is a conjugated 3-cell (or cylinder 3-cell) generator.
@@ -87,10 +98,10 @@ def phi2_boundary(M: CWComplex, triad: TriadWord) -> dict[str, int]:
     return collect((cell, sign) for _, cell, sign in M.triad_normal_form(triad))
 
 
-@dataclass(frozen=True)
 class XSqHomLayout:
-    two_cells: tuple[str, ...]
-    three_cells: tuple[str, ...]
+    def __init__(self, two_cells: tuple[str, ...], three_cells: tuple[str, ...]):
+        self.two_cells = two_cells
+        self.three_cells = three_cells
 
     @property
     def dim(self) -> int:
@@ -137,7 +148,6 @@ def _check_domain(M: CWComplex) -> None:
             raise UnsupportedComplexError(f"3-cell {name} constrains phi2: {counts}")
 
 
-@dataclass
 class CylinderPreset:
     """The based cylinder M x I of a 3-complex: its CW data (doubled cells
     plus interval cells) and the boundary word of each interval 4-cell.
@@ -151,14 +161,22 @@ class CylinderPreset:
     delta_x = -sum_g C_xg(phi2) gI with C(phi2) = sum_c phi2(c) slopes[.][c].
     """
 
-    base: CWComplex
-    cylinder: CWComplex
-    i_two_cells: tuple[str, ...]
-    i_three_cells: tuple[str, ...]
-    boundary4: dict[str, FormalLWord]
-    end_cell_pairs: dict[str, tuple[str, str]]  # base cell -> (0-end, 1-end)
+    def __init__(
+        self, base: CWComplex, cylinder: CWComplex, i_two_cells: tuple[str, ...],
+        i_three_cells: tuple[str, ...], boundary4: dict[str, FormalLWord],
+        end_cell_pairs: dict[str, tuple[str, str]],  # base cell -> (0-end, 1-end)
+    ):
+        self.base = base
+        self.cylinder = cylinder
+        self.i_two_cells = i_two_cells
+        self.i_three_cells = i_three_cells
+        self.boundary4 = boundary4
+        self.end_cell_pairs = end_cell_pairs
+        self.__post_init__()
 
     def __post_init__(self):
+        """The work of construction: check the interval 3-cells and read
+        every 4-cell's slopes, once per cylinder."""
         self._check_phi2_rigidity()
         self.slopes = {
             name: self._read_relation(f"{name}I") for name in self.base.three_cell_names()
@@ -331,20 +349,23 @@ def _interval_4cell(M: CWComplex, name: str, triad: TriadWord, alphabet: Alphabe
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class S2Sector:
-    phi2: dict
-    group: AbelianGroup
+    def __init__(self, phi2: dict, group: AbelianGroup):
+        self.phi2 = phi2
+        self.group = group
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, S2Sector) and (self.phi2, self.group) == (other.phi2, other.group)
 
     def to_json(self) -> dict:
         return {"phi2": dict(self.phi2), "group": self.group.to_json()}
 
 
-@dataclass
 class S2Classification:
-    source: str
-    layout: XSqHomLayout
-    sectors: list[S2Sector]
+    def __init__(self, source: str, layout: XSqHomLayout, sectors: list[S2Sector]):
+        self.source = source
+        self.layout = layout
+        self.sectors = sectors
 
     @classmethod
     def of(cls, M: CWComplex, sectors: Iterable[S2Sector] = ()) -> S2Classification:
@@ -408,7 +429,6 @@ def classify_s2(M: CWComplex, sweep: int = 2) -> S2Classification:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CupData:
     """Cohomology of a 3-complex with its cup pairing H^1 x H^2 -> H^3.
 
@@ -417,12 +437,14 @@ class CupData:
     the j-th H^2 generator.
     """
 
-    h1_rank: int
-    h2: tuple[int, ...]
-    h3: tuple[int, ...]
-    cup: tuple[tuple[Vector, ...], ...]
-
-    def __post_init__(self):
+    def __init__(
+        self, h1_rank: int, h2: tuple[int, ...], h3: tuple[int, ...],
+        cup: tuple[tuple[Vector, ...], ...],
+    ):
+        self.h1_rank = h1_rank
+        self.h2 = h2
+        self.h3 = h3
+        self.cup = cup
         if len(self.cup) != self.h1_rank:
             raise Dim3Error("cup table must have one row per H^1 generator")
         for row in self.cup:
@@ -440,6 +462,15 @@ class CupData:
                     raise Dim3Error(
                         f"cup table not bilinear: {order} * cup[{i}][{j}] != 0 in H^3"
                     )
+
+    def _key(self) -> tuple:
+        return self.h1_rank, self.h2, self.h3, self.cup
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CupData) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _h3_relations(self) -> list[Vector]:
         out = []
@@ -518,15 +549,20 @@ def pontrjagin_sector_group(cup: CupData, alpha: Sequence[int]) -> AbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CrossedSquareReport:
-    space: str
-    cell_counts: tuple[int, int, int]
-    generators: tuple[str, ...]
-    sigma2: list[tuple[str, str]]
-    sigma3: list[tuple[str, str, str]]  # name, H-component, boundary witness
-    pi1_presentation: str
-    notes: list[str]
+    def __init__(
+        self, space: str, cell_counts: tuple[int, int, int], generators: tuple[str, ...],
+        sigma2: list[tuple[str, str]],
+        sigma3: list[tuple[str, str, str]],  # name, H-component, boundary witness
+        pi1_presentation: str, notes: list[str],
+    ):
+        self.space = space
+        self.cell_counts = cell_counts
+        self.generators = generators
+        self.sigma2 = sigma2
+        self.sigma3 = sigma3
+        self.pi1_presentation = pi1_presentation
+        self.notes = notes
 
     def render(self) -> str:
         n1, n2, n3 = self.cell_counts

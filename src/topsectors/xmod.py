@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import catalog_params, check_keys, json_field, json_list_field
@@ -38,24 +37,26 @@ class XModError(InputError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ModuleXMod:
     """A target crossed module d: Z^r -> G with G abelian.
 
     G is presented by ``free_rank`` free generators followed by torsion
     generators of the given orders; ``action`` holds one integer matrix per
     G-generator acting on Z^r, and ``boundary`` has one column per basis
-    vector of Z^r giving its image in G-coordinates.
+    vector of Z^r giving its image in G-coordinates.  Two targets are equal
+    when all of these are; the display ``name`` does not count.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    rank: int
-    action: tuple[IntMatrix, ...]
-    boundary: IntMatrix
-    name: str | None = field(default=None, compare=False)
-
-    def __post_init__(self):
+    def __init__(
+        self, free_rank: int, torsion: tuple[int, ...], rank: int,
+        action: tuple[IntMatrix, ...], boundary: IntMatrix, name: str | None = None,
+    ):
+        self.free_rank = free_rank
+        self.torsion = torsion
+        self.rank = rank
+        self.action = action
+        self.boundary = boundary
+        self.name = name
         _check_nonnegative(rank=self.rank, free_rank=self.free_rank)
         k = self.num_g_generators
         if len(self.action) != k:
@@ -67,6 +68,15 @@ class ModuleXMod:
             raise XModError("boundary must have one G-coordinate column per H basis vector")
         if any(t < 2 for t in self.torsion):
             raise XModError("torsion orders must be >= 2")
+
+    def _key(self) -> tuple:
+        return self.free_rank, self.torsion, self.rank, self.action, self.boundary
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ModuleXMod) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_g_generators(self) -> int:
@@ -170,16 +180,16 @@ def target_catalog(name: str, **params) -> ModuleXMod:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FiniteCrossedModule:
-    H: FiniteGroup
-    G: FiniteGroup
-    boundary: tuple[int, ...]  # H index -> G index
-    action: tuple[tuple[int, ...], ...]  # [g][h] -> H index
-
-    def __post_init__(self):
-        self.boundary = tuple(self.boundary)
-        self.action = tuple(tuple(row) for row in self.action)
+    def __init__(
+        self, H: FiniteGroup, G: FiniteGroup,
+        boundary: Sequence[int],  # H index -> G index
+        action: Sequence[Sequence[int]],  # [g][h] -> H index
+    ):
+        self.H = H
+        self.G = G
+        self.boundary = tuple(boundary)
+        self.action = tuple(tuple(row) for row in action)
         if len(self.boundary) != len(self.H):
             raise XModError("boundary must assign an image to every H element")
         if len(self.action) != len(self.G) or any(len(r) != len(self.H) for r in self.action):
@@ -432,7 +442,6 @@ def _validate_finite(x: FiniteCrossedModule) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HoangData:
     """Classification data (pi1, pi2, alpha, beta) of a finite crossed module.
 
@@ -445,12 +454,17 @@ class HoangData:
     double extension.
     """
 
-    pi1: FiniteGroup
-    pi2: FiniteGroup
-    pi2_invariants: AbelianGroup
-    alpha: tuple[IntMatrix, ...]
-    beta: dict[tuple[int, int, int], int]
-    _act_on_pi2: tuple[tuple[int, ...], ...]
+    def __init__(
+        self, pi1: FiniteGroup, pi2: FiniteGroup, pi2_invariants: AbelianGroup,
+        alpha: tuple[IntMatrix, ...], beta: dict[tuple[int, int, int], int],
+        act_on_pi2: tuple[tuple[int, ...], ...],
+    ):
+        self.pi1 = pi1
+        self.pi2 = pi2
+        self.pi2_invariants = pi2_invariants
+        self.alpha = alpha
+        self.beta = beta
+        self._act_on_pi2 = act_on_pi2
 
     def act(self, a: int, k: int) -> int:
         """Action of pi1 element a on pi2 element k (indices in pi2)."""
@@ -555,7 +569,7 @@ def hoang_data(x: FiniteCrossedModule) -> HoangData:
         pi2_invariants=pi2_invariants,
         alpha=alpha,
         beta=beta,
-        _act_on_pi2=act_on_pi2,
+        act_on_pi2=act_on_pi2,
     )
     if not data.is_cocycle():
         raise XModError("extracted beta fails the cocycle condition")
@@ -610,7 +624,6 @@ def _pi2_structure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Strict2Group:
     """A strict 2-group presented by tables.
 
@@ -618,12 +631,18 @@ class Strict2Group:
     with elements (h, g), source g and target g d(h).
     """
 
-    morphisms: FiniteGroup
-    two_morphisms: FiniteGroup
-    pairs: tuple[tuple[int, int], ...]  # 2-morphism index -> (h, g)
-    source: tuple[int, ...]
-    target: tuple[int, ...]
-    identity_morphism: tuple[int, ...]  # g -> index of (1, g)
+    def __init__(
+        self, morphisms: FiniteGroup, two_morphisms: FiniteGroup,
+        pairs: tuple[tuple[int, int], ...],  # 2-morphism index -> (h, g)
+        source: tuple[int, ...], target: tuple[int, ...],
+        identity_morphism: tuple[int, ...],  # g -> index of (1, g)
+    ):
+        self.morphisms = morphisms
+        self.two_morphisms = two_morphisms
+        self.pairs = pairs
+        self.source = source
+        self.target = target
+        self.identity_morphism = identity_morphism
 
 
 def to_strict_2group(x: FiniteCrossedModule) -> Strict2Group:

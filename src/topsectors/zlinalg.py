@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import UnsupportedError
@@ -218,13 +217,13 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.data]!r}, cols={self.cols})"
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
     """A = U @ S @ V with U, V unimodular and S diagonal, d1 | d2 | ... >= 0."""
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix):
+        self.U = U
+        self.S = S
+        self.V = V
 
     @property
     def diagonal(self) -> Vector:
@@ -394,7 +393,6 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]
     return None if particular is None else (particular, solver.kernel)
 
 
-@dataclass(frozen=True)
 class AbelianGroup:
     """A finitely generated abelian group in invariant-factor normal form.
 
@@ -403,7 +401,14 @@ class AbelianGroup:
     factor and all zeros come last.  The empty tuple is the trivial group.
     """
 
-    invariant_factors: Vector
+    def __init__(self, invariant_factors: Vector):
+        self.invariant_factors = invariant_factors
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AbelianGroup) and self.invariant_factors == other.invariant_factors
+
+    def __hash__(self) -> int:
+        return hash(self.invariant_factors)
 
     @staticmethod
     def from_factors(factors: Iterable[int]) -> "AbelianGroup":
@@ -553,13 +558,13 @@ def _reduce_row(row: list[int], pivot: Sequence[int], p: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
 class AffineLattice:
     """A coset ``particular + L`` of an integer lattice L in Z^dim."""
 
-    dim: int
-    particular: Vector
-    directions: Lattice
+    def __init__(self, dim: int, particular: Vector, directions: Lattice):
+        self.dim = dim
+        self.particular = particular
+        self.directions = directions
 
     @staticmethod
     def from_solution(particular: Sequence[int], kernel: Iterable[Sequence[int]]) -> "AffineLattice":
