@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import CWComplex
 from .errors import UnsupportedError
-from .fingrp import FiniteGroup
 from .words import Run
 from .xmod import ModuleXMod, XModError, validate
 from .zlinalg import (
@@ -237,10 +236,26 @@ def label_sectors(M: CWComplex, factors: Sequence[int]) -> Iterator[dict]:
     )
 
 
-def pi1_sectors(M: CWComplex, data: TargetData) -> list[dict]:
+class Sectors:
+    """The homomorphisms pi_1 M -> Z_f1 x ... x Z_fn, never held as a list:
+    each iteration enumerates them afresh (``label_sectors``), and ``len``
+    counts them the same way."""
+
+    def __init__(self, M: CWComplex, factors: Sequence[int]):
+        self.M = M
+        self.factors = factors
+
+    def __iter__(self) -> Iterator[dict]:
+        return label_sectors(self.M, self.factors)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+def pi1_sectors(M: CWComplex, data: TargetData) -> Sectors:
     """All homomorphisms pi_1 M -> pi_1 X as label assignments to 1-cells."""
     data.require_finite_pi1()
-    return list(label_sectors(M, data.pi1.group.invariant_factors))
+    return Sectors(M, data.pi1.group.invariant_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -621,63 +636,3 @@ def classify_free(M: CWComplex, X: ModuleXMod) -> SectorClassification:
     """Free homotopy classes: the pi_1 X orbits of the based classes
     (``classify_sectors``)."""
     return SectorClassification.of(M, X, True, classify_sectors(M, X, free=True))
-
-
-# ---------------------------------------------------------------------------
-# Dimension 1 and the wedge formula
-# ---------------------------------------------------------------------------
-
-
-class Dim1Classification:
-    """Maps from a wedge of circles: based classes are tuples of elements of
-    pi_1 X, free classes their orbits under simultaneous conjugation."""
-
-    def __init__(
-        self, n_circles: int, based: list[tuple[int, ...]],
-        free_orbits: list[list[tuple[int, ...]]],
-    ):
-        self.n_circles = n_circles
-        self.based = based
-        self.free_orbits = free_orbits
-
-
-def classify_dim1(n_circles: int, pi1x: FiniteGroup) -> Dim1Classification:
-    """Classification for a 1-complex: Hom(free group, pi_1 X) and its
-    conjugation orbits, by direct enumeration."""
-    based = list(itertools.product(pi1x.elements(), repeat=n_circles))
-    seen: set[tuple[int, ...]] = set()
-    orbits = []
-    for tup in based:
-        if tup in seen:
-            continue
-        orbit = {
-            tuple(pi1x.conj(g, x) for x in tup) for g in pi1x.elements()
-        }
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return Dim1Classification(n_circles=n_circles, based=based, free_orbits=orbits)
-
-
-class WedgeClasses:
-    """Closed-form answer for the wedge of a circle and a 2-sphere."""
-
-    def __init__(
-        self, pi2: AbelianGroup, pi1: AbelianGroup, kernel_basis: tuple[Vector, ...],
-        pi2_action: tuple[IntMatrix, ...],  # one matrix per pi_1 X generator, on the kernel basis
-    ):
-        self.pi2 = pi2
-        self.pi1 = pi1
-        self.kernel_basis = kernel_basis
-        self.pi2_action = pi2_action
-
-
-def wedge_formula(X: ModuleXMod) -> WedgeClasses:
-    """Based classes of maps from S^1 v S^2: ker(d) x coker(d), with free
-    classes the pi_1 X orbits (the action on phi2 and trivial conjugation)."""
-    data = TargetData(X)
-    return WedgeClasses(
-        pi2=AbelianGroup.free(len(data.kernel_basis)),
-        pi1=data.pi1.group,
-        kernel_basis=data.kernel_basis,
-        pi2_action=data.pi2_action,
-    )

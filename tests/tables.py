@@ -1,10 +1,13 @@
 """Group and crossed-module helpers that only tests use: a direct product
-of finite groups, exact table equality of crossed modules, and the check
-that a Hoang cocycle is zero at every argument."""
+of finite groups, exact table equality of crossed modules, the check that
+a Hoang cocycle is zero at every argument, and two targets with a
+nontrivial action on pi_2."""
 
 import itertools
 
 from topsectors.fingrp import FiniteGroup
+from topsectors.xmod import ModuleXMod
+from topsectors.zlinalg import IntMatrix
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -30,3 +33,21 @@ def crossed_modules_equal(a, b) -> bool:
 def is_trivial_cocycle(data) -> bool:
     """Whether the HoangData ``data`` has beta = 0 everywhere."""
     return all(v == 0 for v in data.beta.values())
+
+
+# Z_4 rotating Z^2 by a quarter turn, with zero boundary.
+Z4_ROTATION = ModuleXMod(
+    free_rank=0,
+    torsion=(4,),
+    rank=2,
+    action=(IntMatrix([[0, -1], [1, 0]]),),
+    boundary=IntMatrix.zeros(1, 2),
+)
+# Z_2 x Z_2 acting on Z^2 by the swap and by -I, with zero boundary.
+Z2Z2_SWAP_NEG = ModuleXMod(
+    free_rank=0,
+    torsion=(2, 2),
+    rank=2,
+    action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, -1]])),
+    boundary=IntMatrix.zeros(2, 2),
+)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -13,7 +14,6 @@ from topsectors.classify2d import (
     TargetData,
     UnsupportedTargetError,
     classify_based,
-    classify_dim1,
     classify_free,
     hom_lattice,
     homotopy_sublattice,
@@ -22,35 +22,18 @@ from topsectors.classify2d import (
     layout_for,
     pi1_sectors,
     rho_table,
-    wedge_formula,
 )
 from topsectors.cohomology import CoefficientModule, twisted_second_cohomology
 from topsectors.complexes import CWComplex, catalog, loads, saves, structurally_equal
-from topsectors.fingrp import cyclic, symmetric
 from topsectors.words import Alphabet, Run, Word, fox_derivative
 from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
 from runterms import expand, letters
+from tables import Z2Z2_SWAP_NEG, Z4_ROTATION
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
-# Z_4 rotating Z^2 by a quarter turn, with zero boundary.
-Z4_ROTATION = ModuleXMod(
-    free_rank=0,
-    torsion=(4,),
-    rank=2,
-    action=(IntMatrix([[0, -1], [1, 0]]),),
-    boundary=IntMatrix.zeros(1, 2),
-)
-# Z_2 x Z_2 acting on Z^2 by the swap and by -I, with zero boundary.
-Z2Z2_SWAP_NEG = ModuleXMod(
-    free_rank=0,
-    torsion=(2, 2),
-    rank=2,
-    action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, -1]])),
-    boundary=IntMatrix.zeros(2, 2),
-)
 
 
 @dataclass(frozen=True)
@@ -179,6 +162,22 @@ class TestSectors:
         X = target_catalog("trivial", r=1, k=1)  # G = Z, d = 0
         with pytest.raises(UnsupportedTargetError):
             pi1_sectors(catalog("torus2"), TargetData(X))
+
+    def test_sectors_are_made_as_they_are_asked_for(self):
+        # 2^16 sectors: the first comes without the others being listed.
+        M, data = catalog("circle_wedge", n=16), TargetData(RP2)
+        tracemalloc.start()
+        try:
+            next(iter(pi1_sectors(M, data)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak
+        sectors = pi1_sectors(M, data)
+        listed = list(sectors)
+        assert list(sectors) == listed
+        assert len(sectors) == len(listed) == 2**16
+        assert sectors
 
 
 ABC = Alphabet(["a", "b", "c"])
@@ -713,59 +712,29 @@ class TestFreeClassification:
             assert flat == list(range(len(s.representatives())))
 
 
-class TestDim1:
-    def test_s3(self):
-        S3 = symmetric(3)
-        res = classify_dim1(1, S3)
-        assert len(res.based) == 6
-        assert len(res.free_orbits) == 3  # conjugacy classes of S3
+class TestWedge:
+    """S^1 v S^2 -> X in closed form: |pi_1 X| sectors, each with based
+    classes ker(d) = Z^rank, and free classes their pi_1 X orbits under the
+    action on pi_2 (conjugation is trivial)."""
 
-    def test_two_circles_z2(self):
-        res = classify_dim1(2, cyclic(2))
-        assert len(res.based) == 4
-        assert len(res.free_orbits) == 4
+    def test_rp2_target_data(self):
+        data = TargetData(RP2)
+        assert len(data.kernel_basis) == 1
+        assert data.pi1.group == AbelianGroup((2,))
+        assert data.pi2_action[0] == IntMatrix([[-1]])
 
-    def test_trivial_group(self):
-        res = classify_dim1(1, cyclic(1))
-        assert len(res.based) == 1
-        assert len(res.free_orbits) == 1
+    @pytest.mark.parametrize("X", [S2, target_catalog("trivial", r=1, k=0)], ids=["sphere2", "trivial"])
+    def test_simply_connected_target_data(self, X):
+        data = TargetData(X)
+        assert len(data.kernel_basis) == 1
+        assert data.pi1.group.is_trivial
 
-    def test_orbits_match_brute_force(self):
-        S3 = symmetric(3)
-        res = classify_dim1(2, S3)
-        # brute-force simultaneous conjugation
-        orbits = set()
-        for tup in itertools.product(range(6), repeat=2):
-            orbit = frozenset(
-                tuple(S3.conj(g, x) for x in tup) for g in range(6)
-            )
-            orbits.add(orbit)
-        assert len(res.free_orbits) == len(orbits)
-
-
-class TestWedgeFormula:
-    def test_rp2_target(self):
-        w = wedge_formula(RP2)
-        assert w.pi2 == AbelianGroup((0,))
-        assert w.pi1 == AbelianGroup((2,))
-        assert w.pi2_action[0] == IntMatrix([[-1]])
-
-    def test_sphere_target(self):
-        w = wedge_formula(S2)
-        assert w.pi2 == AbelianGroup((0,))
-        assert w.pi1.is_trivial
-
-    def test_trivial_target(self):
-        w = wedge_formula(target_catalog("trivial", r=1, k=0))
-        assert w.pi2 == AbelianGroup((0,))
-        assert w.pi1.is_trivial
-
-    def test_agrees_with_classification(self):
-        w = wedge_formula(RP2)
+    def test_rp2_classification_matches_closed_form(self):
+        # Two sectors, each Z, and the loop of RP2 acts by -1 on pi_2.
         res = classify_free(catalog("s1_wedge_s2"), RP2)
-        assert len(res.sectors) == w.pi1.order()
+        assert len(res.sectors) == 2
         for s in res.sectors:
-            assert s.based_group == w.pi2
+            assert s.based_group == AbelianGroup((0,))
             # sign action folds n ~ -n within each sector
             assert s.free_equivalent((s.phi1["a"][0], 1, -1), (s.phi1["a"][0], -1, 1))
 
