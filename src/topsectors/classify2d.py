@@ -12,13 +12,12 @@ directions and each sector's answer is one Smith normal form.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import CWComplex
 from .errors import UnsupportedError
 from .words import Run
-from .xmod import ModuleXMod, XModError, validate
+from .xmod import ModuleXMod, XModError, _order, validate
 from .zlinalg import (
     AbelianGroup,
     AffineLattice,
@@ -83,12 +82,18 @@ class TargetData:
                 vec[j] += c * g[j]
         return tuple(vec)
 
+    def _label_table(self, matrices: Sequence[IntMatrix], rank: int) -> dict[Vector, IntMatrix]:
+        """The action on Z^rank of every pi_1 X label, given the matrix of
+        each generator: one ``rho_table`` read at each label's residues."""
+        self.require_finite_pi1()
+        orders, table = rho_table(matrices, rank)
+        return {label: table[tuple(c % o for c, o in zip(label, orders))] for label in self.labels()}
+
     @functools.cached_property
     def rho(self) -> dict[Vector, IntMatrix]:
         """The action on Z^r of every pi_1 X label."""
-        self.require_finite_pi1()
         matrices = [self.target.rho_of_coords(g) for g in self.pi1.generator_vectors]
-        return rho_table(self.pi1.group.invariant_factors, matrices, self.target.rank)
+        return self._label_table(matrices, self.target.rank)
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
@@ -120,8 +125,7 @@ class TargetData:
     @functools.cached_property
     def pi2_rho(self) -> dict[Vector, IntMatrix]:
         """The action on pi_2 X, over ``kernel_basis``, of every pi_1 X label."""
-        self.require_finite_pi1()
-        return rho_table(self.pi1.group.invariant_factors, self.pi2_action, len(self.kernel_basis))
+        return self._label_table(self.pi2_action, len(self.kernel_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +199,21 @@ def label_of_sums(
     return tuple(v % f if f else v for v, f in zip(out, factors))
 
 
-def rho_table(
-    factors: Sequence[int], matrices: Sequence[IntMatrix], rank: int
-) -> dict[Vector, IntMatrix]:
-    """The action on Z^rank of every label of Z_f1 x ... x Z_fn (finite
-    factors), given the matrix m_i of each generator: the label c acts by
-    m_1^c_1 ... m_n^c_n, in that order, and each entry costs at most one
-    matrix product."""
+def rho_table(matrices: Sequence[IntMatrix], rank: int) -> tuple[Vector, dict[Vector, IntMatrix]]:
+    """The order o_i of each generator matrix m_i (``xmod._order``), and the
+    action on Z^rank of every residue tuple c of Z_o1 x ... x Z_on: c acts by
+    m_1^c_1 ... m_n^c_n, in that order, at most one matrix product an entry.
+    A label of a group the m_i act through is read at its residues mod o_i."""
+    orders = tuple(map(_order, matrices))
     table = {(): IntMatrix.identity(rank)}
-    for f, m in zip(factors, matrices):
+    for o, m in zip(orders, matrices):
         grown = {}
         for label, rho in table.items():
             grown[label + (0,)] = rho
-            for c in range(1, f):
+            for c in range(1, o):
                 grown[label + (c,)] = rho = rho @ m
         table = grown
-    return table
+    return orders, table
 
 
 def labels_to_json(assignment: dict) -> dict:
@@ -219,34 +222,36 @@ def labels_to_json(assignment: dict) -> dict:
     return {g: (label[0] if len(label) == 1 else list(label)) for g, label in assignment.items()}
 
 
-def label_sectors(M: CWComplex, factors: Sequence[int]) -> Iterator[dict]:
-    """All homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
-    label assignments to the 1-cells, in lexicographic order, each made as
-    it is asked for.
-
-    An assignment qualifies iff every 2-cell relator maps to the identity.
-    """
-    labels = list(itertools.product(*[range(f) for f in factors]))
-    gens = M.alphabet.names
-    relators = [word.exponent_sums() for _, word in M.two_cells]
-    return (
-        dict(zip(gens, images))
-        for images in itertools.product(labels, repeat=len(gens))
-        if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
-    )
-
-
 class Sectors:
-    """The homomorphisms pi_1 M -> Z_f1 x ... x Z_fn, never held as a list:
-    each iteration enumerates them afresh (``label_sectors``), and ``len``
-    counts them the same way."""
+    """The homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
+    label assignments to the 1-cells, never held as a list: each iteration
+    enumerates them afresh, and ``len`` counts them the same way.  An
+    assignment qualifies iff every 2-cell relator maps to the identity."""
 
     def __init__(self, M: CWComplex, factors: Sequence[int]):
         self.M = M
         self.factors = factors
 
     def __iter__(self) -> Iterator[dict]:
-        return label_sectors(self.M, self.factors)
+        """The assignments in lexicographic order, each made as it is asked
+        for by a mixed-radix counter, the last label coordinate fastest.  A
+        relator whose exponent sums are all zero holds for every one."""
+        gens, factors, n = self.M.alphabet.names, tuple(self.factors), len(self.factors)
+        relators = [sums for sums in (w.exponent_sums() for _, w in self.M.two_cells) if any(sums)]
+        radix = factors * len(gens)
+        digits, images = [0] * len(radix), [(0,) * n] * len(gens)
+        while True:
+            if not any(any(label_of_sums(factors, images, sums)) for sums in relators):
+                yield dict(zip(gens, images))
+            for i in reversed(range(len(digits))):
+                digits[i] += 1
+                if digits[i] < radix[i]:
+                    break
+                digits[i] = 0
+            else:
+                return
+            for g in range(i // n, len(gens)):  # the labels that the step changed
+                images[g] = tuple(digits[g * n : g * n + n])
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

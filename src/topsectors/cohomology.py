@@ -14,11 +14,12 @@ until its labels cycle and counting each label in closed form, and returns
 plain rows, exact for the twist.  The action of every label is one lookup
 in a ``classify2d.rho_table``, built once per target or per
 ``special_case_sectors`` call, which builds one complex per class of
-sectors with equal rho-images; the 2-d oracle builds one per sector.  The
-Fox derivatives and derivation images are the complex's own
-(``CWComplex.fox`` and ``CWComplex.triad_images``), taken once per complex
-and shared with route 1 as data only: each route assembles its own
-differentials, and only those are ``IntMatrix`` objects.
+sectors whose labels have equal residues modulo the orders of the action
+matrices; the 2-d oracle builds one per sector.  The Fox derivatives and
+derivation images are the complex's own (``CWComplex.fox`` and
+``CWComplex.triad_images``), taken once per complex and shared with route
+1 as data only: each route assembles its own differentials, and only
+those are ``IntMatrix`` objects.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import math
 from collections.abc import Iterator, Sequence
 
-from .classify2d import TargetData, label_sectors, labelled_sum, labels_to_json, rho_table
+from .classify2d import Sectors, TargetData, labelled_sum, labels_to_json, rho_table
 from .complexes import CWComplex
 from .xmod import action_violations
 from .zlinalg import AbelianGroup, IntMatrix, json_int, quotient
@@ -40,11 +41,12 @@ class CoefficientError(Exception):
 class CoefficientModule:
     """Z^rank as a module over pi_1 of the source, through a sector map.
 
-    ``factors`` are the invariant factors of the (abelian, finite) pi_1 of
-    the target, ``rho`` the ``rho_table`` of its action on the coefficients,
-    and ``sector`` assigns a label to every 1-cell.  Words are labeled
-    additively via exponent sums, exact because the action factors through
-    the abelian pi_1 of the target.
+    ``factors`` are the invariant factors of a finite abelian group that
+    the action factors through (pi_1 of the target, or on the lens route
+    the orders of its action matrices), ``rho`` the action of each of its
+    labels, and ``sector`` assigns a label to every 1-cell.  Words are
+    labeled additively via exponent sums, exact because the action factors
+    through the abelian pi_1 of the target.
 
     The action does not depend on the sector, so it is checked and tabulated
     once where it enters: ``special_case_sectors`` checks the matrices it is
@@ -186,8 +188,9 @@ def special_case_sectors(
     range is pi_1 (finite, given by invariant factors) and pi_3 (free of the
     given rank, with an optional action matrix per pi_1 generator): the
     header, and each sector as it is found, with H^3 = coker(d2) twisted.
-    Sectors whose 1-cells have equal rho-images share one complex and one
-    quotient: a sector enters d0, d1 and d2 only through rho, a homomorphism.
+    A sector enters d0, d1 and d2 only through rho of its labels, which
+    reads them modulo the orders of the action matrices (``rho_table``), so
+    sectors with equal residues share one complex and one quotient.
     """
     if not M.three_cells:
         raise ValueError("special_case_classify needs a complex with 3-cells")
@@ -201,23 +204,20 @@ def special_case_sectors(
         raise ValueError(f"pi_d rank must be >= 0, got {rank}")
     matrices = (IntMatrix.identity(rank),) * len(factors) if pi_d_action is None else pi_d_action
     _check_action(rank, factors, matrices)
-    rho = rho_table(factors, matrices, rank)
-    # A label stands for the first label with its matrix.
-    first: dict[IntMatrix, tuple[int, ...]] = {}
-    canonical = {label: first.setdefault(m, label) for label, m in rho.items()}
+    orders, rho = rho_table(matrices, rank)
     # |Hom(H_1 M, Z_f1 x ... x Z_fn)| with H_1 M = Z_d1 x ... (d = 0: Z).
     h1 = quotient(len(M.alphabet), [word.exponent_sums() for _, word in M.two_cells])
     count = math.prod(math.gcd(d, f) for d in h1.invariant_factors for f in factors)
 
     @functools.cache
     def group(key: tuple) -> AbelianGroup:
-        coeffs = CoefficientModule(rank, factors, rho, dict(zip(M.alphabet.names, key)))
+        coeffs = CoefficientModule(rank, orders, rho, dict(zip(M.alphabet.names, key)))
         return quotient(len(M.three_cells) * rank, build_complex(M, coeffs).d2.columns())
 
-    header = SpecialCaseResult(factors, [], len(first) == 1, count)
+    header = SpecialCaseResult(factors, [], len(rho) == 1, count)
     return header, (
-        SpecialSector(a, group(tuple(canonical[label] for label in a.values())))
-        for a in label_sectors(M, factors)
+        SpecialSector(a, group(tuple(tuple(x % o for x, o in zip(c, orders)) for c in a.values())))
+        for a in Sectors(M, factors)
     )
 
 

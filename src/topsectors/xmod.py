@@ -352,6 +352,7 @@ def action_violations(matrices: Sequence[IntMatrix], orders: Sequence[int]) -> l
     return out
 
 
+@functools.cache  # action_violations and classify2d.rho_table ask for the same matrices
 def _order(m: IntMatrix) -> int:
     """The order of a square integer matrix m, or 0 if it is infinite.
 

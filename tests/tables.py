@@ -1,7 +1,7 @@
 """Group and crossed-module helpers that only tests use: a direct product
 of finite groups, exact table equality of crossed modules, the check that
-a Hoang cocycle is zero at every argument, and two targets with a
-nontrivial action on pi_2."""
+a Hoang cocycle is zero at every argument, two targets with a nontrivial
+action on pi_2, and five actions of a finite cyclic or Z_2 x Z_2 pi_1."""
 
 import itertools
 
@@ -51,3 +51,11 @@ Z2Z2_SWAP_NEG = ModuleXMod(
     action=(IntMatrix([[0, 1], [1, 0]]), IntMatrix([[-1, 0], [0, -1]])),
     boundary=IntMatrix.zeros(2, 2),
 )
+# (id, pi_1 invariant factors, one action matrix per pi_1 generator).
+POINCARE_ACTIONS = [
+    ("z4_minus", [4], [[[-1]]]),
+    ("z2z2_flips", [2, 2], [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]),
+    ("z3_rotation", [3], [[[0, -1], [1, -1]]]),
+    ("z4_quarter_turn", [4], [[[0, -1], [1, 0]]]),
+    ("z5_trivial", [5], [[[1]]]),
+]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from topsectors import classify2d
 from topsectors.classify2d import (
     SectorResult,
+    Sectors,
     TargetData,
     UnsupportedTargetError,
     classify_based,
@@ -30,7 +31,7 @@ from topsectors.xmod import ModuleXMod, target_catalog
 from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
 
 from runterms import expand, letters
-from tables import Z2Z2_SWAP_NEG, Z4_ROTATION
+from tables import POINCARE_ACTIONS, Z2Z2_SWAP_NEG, Z4_ROTATION
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
@@ -163,21 +164,53 @@ class TestSectors:
         with pytest.raises(UnsupportedTargetError):
             pi1_sectors(catalog("torus2"), TargetData(X))
 
-    def test_sectors_are_made_as_they_are_asked_for(self):
-        # 2^16 sectors: the first comes without the others being listed.
-        M, data = catalog("circle_wedge", n=16), TargetData(RP2)
+    @pytest.mark.parametrize("make, count", [
+        # 2^16 sectors into rp2, and 10^8 with a pi_1 of 10^8 labels.
+        (lambda: pi1_sectors(catalog("circle_wedge", n=16), TargetData(RP2)), 2**16),
+        (lambda: Sectors(catalog("s1_x_s2"), (10**8,)), 10**8),
+    ], ids=["circle_wedge16", "s1_x_s2_1e8"])
+    def test_sectors_are_made_as_they_are_asked_for(self, make, count):
+        # The first comes without the others, or the labels, being listed.
+        sectors = make()
         tracemalloc.start()
         try:
-            next(iter(pi1_sectors(M, data)))
+            next(iter(sectors))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024, peak
-        sectors = pi1_sectors(M, data)
+        if count > 2**16:
+            assert list(itertools.islice(sectors, 3)) == [{"a": (c,)} for c in range(3)]
+            return
         listed = list(sectors)
         assert list(sectors) == listed
-        assert len(sectors) == len(listed) == 2**16
+        assert len(sectors) == len(listed) == count
         assert sectors
+
+    @staticmethod
+    def product_filter(M, factors):
+        """Every label assignment from a pool of all labels, in
+        ``itertools.product`` order, kept when every relator maps to 0."""
+        labels = list(itertools.product(*[range(f) for f in factors]))
+        relators = [word.exponent_sums() for _, word in M.two_cells]
+        return [
+            dict(zip(M.alphabet.names, images))
+            for images in itertools.product(labels, repeat=len(M.alphabet))
+            if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
+        ]
+
+    @pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (2, 4), ()])
+    @pytest.mark.parametrize("name, params", [
+        ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
+        ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}), ("genus_surface", {"g": 1}),
+        ("genus_surface", {"g": 2}), ("torus_knot", {"p": 2, "q": 3}),
+        ("torus_knot", {"p": 3, "q": 2}), ("torus_knot", {"p": 4, "q": 6}),
+    ])
+    def test_counter_matches_product_filter(self, name, params, factors):
+        # circle_wedge:0 and sphere2 have no 1-cells; () is a trivial pi_1.
+        M = catalog(name, **params)
+        expected = self.product_filter(M, factors)
+        assert expected and list(iter(Sectors(M, factors))) == expected
 
 
 ABC = Alphabet(["a", "b", "c"])
@@ -750,6 +783,18 @@ class TestRhoTable:
                 out = out @ m**c
         return out
 
+    def check_table(self, matrices, factors, rank):
+        """``rho_table`` entry by entry: one entry per residue tuple, equal to
+        the per-label powers of every label of Z_f1 x ... x Z_fn reduced by
+        the orders."""
+        orders, table = rho_table(matrices, rank)
+        assert all(f % o == 0 for f, o in zip(factors, orders))
+        assert sorted(table) == list(itertools.product(*map(range, orders)))
+        for label in itertools.product(*map(range, factors)):
+            residues = tuple(c % o for c, o in zip(label, orders))
+            expected = self.power_loop(matrices, factors, label, rank)
+            assert table[residues] == self.power_loop(matrices, orders, residues, rank) == expected
+
     @pytest.mark.parametrize("X", [RP2, Z4_ROTATION, Z2Z2_SWAP_NEG], ids=["rp2", "z4", "z2z2"])
     def test_tables_match_per_label_powers(self, X):
         data = TargetData(X)
@@ -760,14 +805,35 @@ class TestRhoTable:
             rank = len(data.kernel_basis)
             expected = self.power_loop(data.pi2_action, data.pi1.group.invariant_factors, label, rank)
             assert data.pi2_rho[label] == expected
+        factors = data.pi1.group.invariant_factors
+        matrices = [X.rho_of_coords(g) for g in data.pi1.generator_vectors]
+        self.check_table(matrices, factors, X.rank)
+        self.check_table(data.pi2_action, factors, len(data.kernel_basis))
 
     def test_product_order_kept_without_commuting(self):
         # rho(c) is m_1^c_1 m_2^c_2 in that order, even when the m_i do not commute.
         swap, reflect = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, -1]])
-        table = rho_table((2, 2), (swap, reflect), 2)
+        orders, table = rho_table((swap, reflect), 2)
+        assert orders == (2, 2)
         for label in itertools.product(range(2), repeat=2):
             assert table[label] == self.power_loop((swap, reflect), (2, 2), label, 2)
         assert table[(1, 1)] != reflect @ swap
+
+    @pytest.mark.parametrize(
+        "factors, action", [case[1:] for case in POINCARE_ACTIONS],
+        ids=[case[0] for case in POINCARE_ACTIONS],
+    )
+    def test_table_of_a_pi3_action(self, factors, action):
+        self.check_table([IntMatrix(m) for m in action], factors, len(action[0]))
+
+    def test_identity_has_one_entry(self):
+        assert rho_table([IntMatrix.identity(3)] * 2, 3) == ((1, 1), {(0, 0): IntMatrix.identity(3)})
+        assert rho_table([IntMatrix.identity(0)], 0) == ((1,), {(0,): IntMatrix.identity(0)})
+
+    def test_z6_by_minus_one_has_order_2(self):
+        minus = IntMatrix([[-1]])
+        assert rho_table([minus], 1) == ((2,), {(0,): IntMatrix.identity(1), (1,): minus})
+        self.check_table([minus], [6], 1)
 
 
 class TestOrbitsOnClassCoordinates:

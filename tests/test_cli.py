@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -103,6 +104,23 @@ class TestClassify:
         assert code == 0
         assert "1 sectors" in out
         assert "  sector (trivial pi_1): Z\n" in out
+
+    def test_lens_of_order_1e8_starts_at_once(self):
+        # No table or list over the 10^8 labels comes before the first sector.
+        argv = "classify --source s1_x_s2 --target lens:100000000,1".split()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "topsectors.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=_cli_env(),
+        )
+        timer = threading.Timer(5, proc.kill)
+        timer.start()
+        try:
+            lines = [proc.stdout.readline() for _ in range(3)]
+        finally:
+            timer.cancel()
+            proc.kill()
+            proc.communicate()
+        assert lines[2] == b"  sector a=0: Z\n", lines
 
     def test_sphere_target_dim3(self, capsys):
         code, out, _ = run(

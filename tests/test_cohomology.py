@@ -1,13 +1,14 @@
+import itertools
 import json
 
 import pytest
 
 from topsectors import cohomology, complexes
 from topsectors.classify2d import (
+    Sectors,
     TargetData,
     UnsupportedTargetError,
     classify_based,
-    label_sectors,
     pi1_sectors,
     rho_table,
 )
@@ -25,7 +26,7 @@ from topsectors.words import Alphabet, Word
 from topsectors.xmod import ModuleXMod, target_catalog, validate
 from topsectors.zlinalg import AbelianGroup, IntMatrix, quotient
 
-from tables import Z2Z2_SWAP_NEG, Z4_ROTATION
+from tables import POINCARE_ACTIONS, Z2Z2_SWAP_NEG, Z4_ROTATION
 
 RP2 = target_catalog("rp2")
 # A 3-complex with relator a^2, so that Z_4 keeps only a = 0, 2.
@@ -263,9 +264,13 @@ class TestSpecialCase:
         # own complex and quotient must give the same group.
         M = RP3 if name == "rp3" else catalog(name)
         matrices = action or [IntMatrix.identity(rank)] * len(factors)
-        rho = rho_table(factors, matrices, rank)
+        orders, table = rho_table(matrices, rank)
+        rho = {
+            label: table[tuple(c % o for c, o in zip(label, orders))]
+            for label in itertools.product(*map(range, factors))
+        }
         expected = []
-        for sector in label_sectors(M, factors):
+        for sector in Sectors(M, factors):
             cx = build_complex(M, CoefficientModule(rank, tuple(factors), rho, sector))
             expected.append((sector, quotient(len(M.three_cells) * rank, cx.d2.columns())))
         res = special_case_classify(M, factors, rank, action)
@@ -381,7 +386,7 @@ class TestSpecialCase:
     def test_sector_count_read_off_h1(self, name, factors):
         M = catalog(name)
         header, _ = special_case_sectors(M, factors, 1)
-        assert header.sector_count == sum(1 for _ in label_sectors(M, factors))
+        assert header.sector_count == sum(1 for _ in Sectors(M, factors))
 
     @pytest.mark.parametrize("name, params", [
         ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
@@ -400,13 +405,10 @@ class TestSpecialCase:
         header, _ = special_case_sectors(complexes.from_json(obj), data.pi1.group.invariant_factors, 1)
         assert header.sector_count == len(list(pi1_sectors(M, data)))
 
-    @pytest.mark.parametrize("factors, action", [
-        ([4], [[[-1]]]),
-        ([2, 2], [[[-1, 0], [0, 1]], [[1, 0], [0, -1]]]),
-        ([3], [[[0, -1], [1, -1]]]),
-        ([4], [[[0, -1], [1, 0]]]),
-        ([5], [[[1]]]),
-    ], ids=["z4_minus", "z2z2_flips", "z3_rotation", "z4_quarter_turn", "z5_trivial"])
+    @pytest.mark.parametrize(
+        "factors, action", [case[1:] for case in POINCARE_ACTIONS],
+        ids=[case[0] for case in POINCARE_ACTIONS],
+    )
     def test_poincare_duality(self, factors, action):
         # For a closed orientable 3-manifold, H^3(M; A) = H_0(M; A), the
         # coinvariants A / <rho(g)a - a> over the labels g of the 1-cells:

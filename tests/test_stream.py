@@ -270,15 +270,20 @@ def child_peak_kib(*argv):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_memory_does_not_grow_with_the_sector_count():
-    # 8192 sectors, 4.7 MB of JSON: the child once kept every sector before
-    # it wrote them (57 MB against 18 MB for a 2 x 2 snf at 4096 sectors),
-    # then listed the sector labels first (4.2 MB over); now it is 0.76 MB
-    # over on one host.
+@pytest.mark.parametrize("args", [
+    "classify --source circle_wedge:13 --target rp2 --free --format json",
+    "classify --source s1_x_s2 --target lens:100000,1 --format json",
+], ids=["circle_wedge13", "lens100000"])
+def test_memory_does_not_grow_with_the_sector_count(args):
+    # circle_wedge:13, 8192 sectors, 4.7 MB of JSON: the child once kept
+    # every sector before it wrote them (57 MB against 18 MB for a 2 x 2 snf
+    # at 4096 sectors), then listed the sector labels first (4.2 MB over);
+    # now it is 0.76 MB over on one host.  lens:100000,1, 100000 sectors:
+    # the child tabulated the action of every label and kept a list of all
+    # labels before the first sector (45 MB over).
     code, small = child_peak_kib("snf", "--matrix", "[[2,4],[6,8]]")
     assert code == 0
-    argv = "classify --source circle_wedge:13 --target rp2 --free --format json".split()
-    code, large = child_peak_kib(*argv)
+    code, large = child_peak_kib(*args.split())
     assert code == 0
     assert large - small < 2 * 1024, (large, small)
 
