@@ -5,19 +5,20 @@ Everything is arbitrary-precision (plain Python ints); there is no floating
 point anywhere.  Every route ends in one Smith reduction,
 ``_smith_with_inverses``.  Its pivot, the smallest nonzero entry, keeps
 the diagonal small, but its transforms of a dense 50 x 50 matrix reach
-thousands of bits.  So the sweep reduces D alone, logs its steps and
-returns S only.  ``SmithSolver`` (so ``solve`` and ``inverse_unimodular``)
-and ``LatticeQuotient`` replay the log on the few vectors they read, so no
-classify path builds a transform.  ``smith_normal_form`` sweeps A's row
-Hermite form instead, whose reduced entries keep U and V within a small
-multiple of the length of det A; ``_replay`` builds its V and V^-1.
+thousands of bits.  So the sweep reduces D alone, on only the entries each
+step can change, logs its steps and returns S only.  ``SmithSolver`` (so
+``solve`` and ``inverse_unimodular``) and ``LatticeQuotient`` replay the
+log on the few vectors they read, so no classify path builds a transform.
+``smith_normal_form`` sweeps A's row Hermite form instead, whose reduced
+entries keep U and V within a small multiple of the length of det A;
+``_replay`` builds its V and V^-1.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
-form of its vectors, built in one sweep over the columns, with Euclid on
-the rows that are nonzero in each column.  A lattice has exactly one basis
-in that form, so the canonical coset representatives read from it, and
-every pinned output that prints them, depend neither on the algorithm nor
-on the order of the input vectors.
+form of its vectors, built in one sweep over the columns, with Euclid by
+nearest remainders on the rows nonzero in each column.  A lattice has
+exactly one basis in that form, so the canonical coset representatives
+read from it, and every pinned output that prints them, depend neither on
+the algorithm nor on the order of the input vectors.
 """
 
 from __future__ import annotations
@@ -265,8 +266,9 @@ def _smith_with_inverses(A: IntMatrix, log=None) -> tuple[IntMatrix]:
     The pivot of each step is the first smallest nonzero |x| of the block,
     row-major.  No |x| is below 1, so the first row that holds a unit ends
     the search, and a unit pivot needs no divisibility pass: it divides the
-    rest of the block.  Column steps skip the rows above the block, zero
-    from column k on.  Each step is appended, in ``_replay``'s form, to
+    rest of the block.  Rows from k down are zero left of column k, so a
+    row step changes columns >= k only, and a column step only the rows
+    nonzero at column k.  Each step is appended, in ``_replay``'s form, to
     ``log``, a pair (row steps, column steps) of lists, or to a pair of its
     own.  The row steps multiply to U^-1 and the column steps to V^-T.
     """
@@ -296,21 +298,25 @@ def _smith_with_inverses(A: IntMatrix, log=None) -> tuple[IntMatrix]:
         if D[k][k] < 0:
             D[k] = [-x for x in D[k]]
             row_log.append((k, k, -2))
-        pivot = D[k][k]
-        dirty = False
+        top = D[k]
+        pivot, live = top[k], [top]
         for i in range(k + 1, m):
-            if D[i][k]:
-                q = -(D[i][k] // pivot)
-                D[i] = [a + q * b for a, b in zip(D[i], D[k])]
+            row = D[i]
+            if row[k]:
+                q = -(row[k] // pivot)
+                for j in range(k, n):
+                    row[j] += q * top[j]
                 row_log.append((i, k, q))
-                dirty = dirty or D[i][k] != 0
+                if row[k]:
+                    live.append(row)
+        dirty = len(live) > 1
         for j in range(k + 1, n):
-            if D[k][j]:
-                q = -(D[k][j] // pivot)
-                for row in D[k:]:
+            if top[j]:
+                q = -(top[j] // pivot)
+                for row in live:
                     row[j] += q * row[k]
                 col_log.append((j, k, q))
-                dirty = dirty or D[k][j] != 0
+                dirty = dirty or top[j] != 0
         if dirty:
             continue
         # The pivot must divide the rest of the block for the invariant
@@ -483,10 +489,11 @@ class Lattice:
     returns a unique canonical representative of each coset of the lattice.
     The form is unique (Cohen, GTM 138, 2.4.3): any input order gives the
     same rows.  They are built in one sweep over the columns: at column p,
-    the rows nonzero there reduce each other by Euclid until one is left;
-    made positive, it is the next basis row, and the earlier basis rows are
-    reduced into [0, pivot) at p.  The rows still to come are zero left of
-    p, so each step touches only columns >= p.
+    of the rows nonzero there, the one of least |entry| is made positive
+    and each other row takes off its nearest multiple, until one row is
+    left: the next basis row.  The earlier basis rows take off floor
+    multiples of it, into [0, pivot) at p.  The rows still to come are zero
+    left of p, so each step touches only columns >= p.
     """
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
@@ -497,17 +504,17 @@ class Lattice:
         for p in range(dim):
             active = [row for row in pending if row[p]]
             pending = [row for row in pending if not row[p]]
-            while len(active) > 1:
+            while len(active) > 1 or active and active[0][p] < 0:
                 pivot = min(active, key=lambda row: abs(row[p]))
+                if pivot[p] < 0:
+                    pivot[p:] = [-x for x in pivot[p:]]
                 for row in active:
                     if row is not pivot:
-                        _reduce_row(row, pivot, p)
+                        _reduce_row(row, pivot, p, pivot[p] // 2)
                 pending += [row for row in active if not row[p]]
                 active = [row for row in active if row[p]]
             if active:
                 pivot = active[0]
-                if pivot[p] < 0:
-                    pivot[p:] = [-x for x in pivot[p:]]
                 for row in self.rows:
                     _reduce_row(row, pivot, p)
                 self.rows.append(pivot)
@@ -548,10 +555,10 @@ class Lattice:
         return self._eliminate(self._checked(vector))
 
 
-def _reduce_row(row: list[int], pivot: Sequence[int], p: int) -> int:
-    """Take the floor multiple q of ``pivot`` at column p off ``row``, in
+def _reduce_row(row: list[int], pivot: Sequence[int], p: int, half: int = 0) -> int:
+    """Take q = (row[p] + half) // pivot[p] times ``pivot`` off ``row``, in
     place, and return q.  Both are zero left of p, so only columns >= p move."""
-    q = row[p] // pivot[p]
+    q = (row[p] + half) // pivot[p]
     if q:
         for j in range(p, len(row)):
             row[j] -= q * pivot[j]

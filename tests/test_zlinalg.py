@@ -438,6 +438,33 @@ def test_pinned_unit_rich_operation_order():
         assert _digest(outs) == expected
 
 
+def _sweep_step_cases():
+    """A seeded 40 x 40 whose sweep takes 371 of its 410 rounds on non-unit
+    pivots, a 2 x 2 and a 3 x 3 diagonal that take the divisibility branch,
+    and the genus 4 sector matrix of ``_unit_rich_cases``."""
+    rng = random.Random(40)
+    dense = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+    small = [[[2, 0], [0, 3]], [[4, 0, 0], [0, 6, 0], [0, 0, 10]]]
+    return [IntMatrix(dense), *map(IntMatrix, small), _unit_rich_cases()[0]]
+
+
+# sha256 of (S, row steps, column steps) of each sweep: the logged steps
+# themselves, which U, V and ``solve`` pin only through their products.
+SWEEP_STEP_DIGESTS = [
+    "d08739d0a8cadd31a21d0a28250d8d649a86688f3bdf19c7d990a5a8caeef47c",
+    "387bcb068bba543fe7c4c3b2b68a83f34d04f925504e11bea21c229576e69629",
+    "bb75e224e7b687a79f0bf9d0b2a5145797f9a4fb844f3a5c131dd76330cc0f32",
+    "01231e4e0aac2250bc9bddbab675cc2a34444d3e5fe909267e9caa7f2c54ffce",
+]
+
+
+def test_pinned_sweep_steps():
+    for A, expected in zip(_sweep_step_cases(), SWEEP_STEP_DIGESTS, strict=True):
+        logs = ([], [])
+        S, = _smith_with_inverses(A, logs)
+        assert _digest((S.data, *logs)) == expected
+
+
 def _reference_smith(A):
     """S, U, V, Uinv, Vinv by the Smith reduction with the pivot search that
     scans every row of the block: the least nonzero |x| of each row
@@ -763,6 +790,68 @@ class TestLattice:
             assert all(solve(A, row) is not None for row in basis)
             rng.shuffle(vectors)
             assert Lattice(dim, vectors).basis() == basis
+
+    @staticmethod
+    def _floor_hermite(dim, vectors):
+        """The row Hermite basis by Euclid with floor quotients throughout:
+        at each column the rows nonzero there reduce each other by the one
+        of least |entry| until one is left, which, made positive, is the
+        next basis row, and the earlier basis rows are reduced into
+        [0, pivot) at its column."""
+        def take(row, pivot, p):
+            q = row[p] // pivot[p]
+            row[p:] = [a - q * b for a, b in zip(row[p:], pivot[p:])]
+
+        basis, pending = [], [list(v) for v in vectors]
+        for p in range(dim):
+            active = [row for row in pending if row[p]]
+            pending = [row for row in pending if not row[p]]
+            while len(active) > 1:
+                pivot = min(active, key=lambda row: abs(row[p]))
+                for row in active:
+                    if row is not pivot:
+                        take(row, pivot, p)
+                pending += [row for row in active if not row[p]]
+                active = [row for row in active if row[p]]
+            if active:
+                pivot = active[0]
+                if pivot[p] < 0:
+                    pivot[p:] = [-x for x in pivot[p:]]
+                for row in basis:
+                    take(row, pivot, p)
+                basis.append(pivot)
+        return [tuple(row) for row in basis]
+
+    def test_hermite_form_matches_floor_euclid(self):
+        # Remainders exactly half a pivot: 6, -6, 10 and 14 against 4 or
+        # -4, in the first column and in a later one.  Entries 2 and -2
+        # above a pivot 4 must come out as 2 by the floor.  Then seeded
+        # inputs with negative pivots and repeated and dependent rows.
+        cases = [
+            (1, [(4,), (2,), (-6,)]),
+            (1, [(4,), (6,), (-6,), (10,)]),
+            (2, [(-4, 1), (6, 0), (-6, 3), (10, -1)]),
+            (3, [(0, -4, 1), (0, 6, 1), (0, -6, 2), (0, 14, -7), (0, -4, 1)]),
+            (2, [(1, 2), (0, 4)]),
+            (2, [(1, -2), (0, -4)]),
+        ]
+        rng = random.Random(4312)
+        for _ in range(400):
+            dim = rng.randint(1, 12)
+            vectors = [
+                [rng.randint(-50, 50) for _ in range(dim)] for _ in range(rng.randint(0, 14))
+            ]
+            if vectors:
+                u, v = rng.choice(vectors), rng.choice(vectors)
+                vectors.append(list(u))
+                vectors.append([rng.randint(-3, 3) * a - rng.randint(-3, 3) * b for a, b in zip(u, v)])
+                if rng.random() < 0.5:
+                    vectors[0][0] = -rng.choice((2, 4, 6))
+            cases.append((dim, vectors))
+        ladder = random.Random(1)
+        cases.append((40, [[ladder.randint(-9, 9) for _ in range(40)] for _ in range(40)]))
+        for dim, vectors in cases:
+            assert Lattice(dim, vectors).basis() == self._floor_hermite(dim, vectors), (dim, vectors)
 
 
 class TestLatticeQuotient:
