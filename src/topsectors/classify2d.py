@@ -12,6 +12,8 @@ directions and each sector's answer is one Smith normal form.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .complexes import CWComplex
@@ -82,18 +84,12 @@ class TargetData:
                 vec[j] += c * g[j]
         return tuple(vec)
 
-    def _label_table(self, matrices: Sequence[IntMatrix], rank: int) -> dict[Vector, IntMatrix]:
-        """The action on Z^rank of every pi_1 X label, given the matrix of
-        each generator: one ``rho_table`` read at each label's residues."""
-        self.require_finite_pi1()
-        orders, table = rho_table(matrices, rank)
-        return {label: table[tuple(c % o for c, o in zip(label, orders))] for label in self.labels()}
-
     @functools.cached_property
-    def rho(self) -> dict[Vector, IntMatrix]:
-        """The action on Z^r of every pi_1 X label."""
+    def rho(self) -> tuple[Vector, dict[Vector, IntMatrix]]:
+        """The action on Z^r: the ``rho_table`` of the pi_1 X generators."""
+        self.require_finite_pi1()
         matrices = [self.target.rho_of_coords(g) for g in self.pi1.generator_vectors]
-        return self._label_table(matrices, self.target.rank)
+        return rho_table(matrices, self.target.rank)
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[Vector, ...]:
@@ -123,9 +119,10 @@ class TargetData:
         return tuple(matrices)
 
     @functools.cached_property
-    def pi2_rho(self) -> dict[Vector, IntMatrix]:
-        """The action on pi_2 X, over ``kernel_basis``, of every pi_1 X label."""
-        return self._label_table(self.pi2_action, len(self.kernel_basis))
+    def pi2_rho(self) -> tuple[Vector, dict[Vector, IntMatrix]]:
+        """The action on pi_2 X, over ``kernel_basis``, as a ``rho_table``."""
+        self.require_finite_pi1()
+        return rho_table(self.pi2_action, len(self.kernel_basis))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def rho_table(matrices: Sequence[IntMatrix], rank: int) -> tuple[Vector, dict[Ve
     """The order o_i of each generator matrix m_i (``xmod._order``), and the
     action on Z^rank of every residue tuple c of Z_o1 x ... x Z_on: c acts by
     m_1^c_1 ... m_n^c_n, in that order, at most one matrix product an entry.
-    A label of a group the m_i act through is read at its residues mod o_i."""
+    A label of a group the m_i act through is read at its ``residues``."""
     orders = tuple(map(_order, matrices))
     table = {(): IntMatrix.identity(rank)}
     for o, m in zip(orders, matrices):
@@ -216,16 +213,20 @@ def rho_table(matrices: Sequence[IntMatrix], rank: int) -> tuple[Vector, dict[Ve
     return orders, table
 
 
+def residues(label: Sequence[int], orders: Vector) -> Vector:
+    """The key of a label in a ``rho_table``: its residues mod the orders."""
+    return tuple(map(operator.mod, label, orders))
+
+
 def labels_to_json(assignment: dict) -> dict:
-    """A sector's labels in JSON: a bare integer for a cyclic pi_1, else a
-    list."""
+    """A sector's labels in JSON: a bare integer for a cyclic pi_1, else a list."""
     return {g: (label[0] if len(label) == 1 else list(label)) for g, label in assignment.items()}
 
 
 class Sectors:
     """The homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
     label assignments to the 1-cells, never held as a list: each iteration
-    enumerates them afresh, and ``len`` counts them the same way.  An
+    enumerates them afresh, and ``count`` reads their number off H_1 M.  An
     assignment qualifies iff every 2-cell relator maps to the identity."""
 
     def __init__(self, M: CWComplex, factors: Sequence[int]):
@@ -253,8 +254,19 @@ class Sectors:
             for g in range(i // n, len(gens)):  # the labels that the step changed
                 images[g] = tuple(digits[g * n : g * n + n])
 
+    def count(self) -> int:
+        """The number of sectors, prod_f |Hom(H_1 M, Z_f)|, where |Hom(Z^n / R,
+        Z_f)| = [Z^n : R + f Z^n] for R the relators' exponent sums."""
+        n = len(self.M.alphabet)
+        relators = [w.exponent_sums() for _, w in self.M.two_cells]
+        count = 1
+        for f in self.factors:  # R + f Z^n has full rank: its pivots are its diagonal
+            lattice = Lattice(n, relators + [[f * (i == j) for j in range(n)] for i in range(n)])
+            count *= math.prod(row[i] for i, row in enumerate(lattice.rows))
+        return count
+
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return self.count()
 
 
 def pi1_sectors(M: CWComplex, data: TargetData) -> Sectors:
@@ -296,8 +308,7 @@ class HomSystem:
         particular = self.solver.particular(rhs)
         if particular is None:
             return None
-        dim = self.layout.dim
-        return AffineLattice(dim, particular[:dim], self.directions)
+        return AffineLattice(self.layout.dim, particular[: self.layout.dim], self.directions)
 
 
 def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
@@ -323,13 +334,10 @@ def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
     total = dim + aux
     rows: list[list[int]] = []
 
-    def new_row() -> list[int]:
-        return [0] * total
-
     # phi1(a) = lift(sector label) + combination of lift columns
     for gi, gen in enumerate(layout.generators):
         for coord in range(k):
-            row = new_row()
+            row = [0] * total
             row[layout.phi1_offset(gen) + coord] = 1
             for li, col in enumerate(lift_cols):
                 row[dim + gi * n_lift + li] = -col[coord]
@@ -339,7 +347,7 @@ def hom_lattice(M: CWComplex, data: TargetData) -> HomSystem:
     for ti, (cell, word) in enumerate(M.two_cells):
         sums = word.exponent_sums()
         for coord in range(k):
-            row = new_row()
+            row = [0] * total
             for j in range(r):
                 row[layout.phi2_offset(cell) + j] = target.boundary.data[coord][j]
             for gen, s in zip(layout.generators, sums):
@@ -403,14 +411,12 @@ def labelled_sum(
 def sector_action_matrices(system: HomSystem, sector: dict) -> dict[str, dict[str, list[list[int]]]]:
     """For each 2-cell t and 1-cell a, the rows of the Fox derivative
     d(sigma_2 t)/da evaluated through the sector's pi_1 X action."""
-    data, layout = system.data, system.layout
+    layout = system.layout
     images = tuple(sector[gen] for gen in layout.generators)
-    factors = data.pi1.group.invariant_factors
+    orders, table = system.data.rho
     return {
         cell: {
-            gen: labelled_sum(
-                layout.r, factors, images, system.fox[cell, gen], data.rho.__getitem__
-            )
+            gen: labelled_sum(layout.r, orders, images, system.fox[cell, gen], table.__getitem__)
             for gen in layout.generators
         }
         for cell in layout.two_cells
@@ -492,12 +498,15 @@ class SectorResult:
     def act(self, label: Sequence[int], vec: Sequence[int]) -> Vector:
         """Move a homomorphism vector by a loop of the target: phi1 is fixed
         and every phi2 block is rotated by the action of the loop."""
-        rho = self.target_data.rho[tuple(label)]
+        orders, table = self.target_data.rho
+        return self._rotated(table[residues(label, orders)], vec)
+
+    def _rotated(self, rho: IntMatrix, vec: Sequence[int]) -> Vector:
+        """``vec`` with every phi2 block moved by the matrix ``rho``."""
         out = list(vec)
         for cell in self.layout.two_cells:
-            off = self.layout.phi2_offset(cell)
-            block = rho.apply(tuple(vec[off : off + self.layout.r]))
-            out[off : off + self.layout.r] = block
+            off, r = self.layout.phi2_offset(cell), self.layout.r
+            out[off : off + r] = rho.apply(tuple(vec[off : off + r]))
         return tuple(out)
 
     def free_equivalent(self, v1: Sequence[int], v2: Sequence[int]) -> bool:
@@ -516,10 +525,12 @@ class SectorResult:
         quot = self.quotient
         base = quot.ambient.particular
         vectors = [base] + [tuple(b + x for b, x in zip(base, g)) for g in quot.generator_vectors]
+        orders, table = self.target_data.rho
         maps = []
         for label in self.target_data.labels():
             if any(label):
-                shift, *images = [quot.class_coords(self.act(label, v)) for v in vectors]
+                rho = table[residues(label, orders)]
+                shift, *images = [quot.class_coords(self._rotated(rho, v)) for v in vectors]
                 cols = [tuple(a - b for a, b in zip(image, shift)) for image in images]
                 maps.append((label, cols, shift))
         return maps

@@ -3,32 +3,25 @@
 The cochain complex of a reduced complex with local coefficients twisted by
 a sector map has differentials built from exact integer data: d0 blocks are
 rho(phi1(a)) - 1, d1 blocks evaluate Fox derivatives of the attaching words,
-and d2 blocks evaluate the derivation image of the triad words.  Every
-supported target has abelian pi_1 and the twist factors through it, so a
-word matters only through its exponent sums: the d1 blocks use the
-abelianised Fox derivatives of ``words.fox_derivative`` (run terms, one per
-syllable), and the d1 and d2 blocks are evaluated by
-``classify2d.labelled_sum``, the one twisted-block evaluation that route 1
-shares.  It labels each run in pi_1 of the target, walking a run only
-until its labels cycle and counting each label in closed form, and returns
-plain rows, exact for the twist.  The action of every label is one lookup
-in a ``classify2d.rho_table``, built once per target or per
-``special_case_sectors`` call, which builds one complex per class of
-sectors whose labels have equal residues modulo the orders of the action
-matrices; the 2-d oracle builds one per sector.  The Fox derivatives and
-derivation images are the complex's own (``CWComplex.fox`` and
-``CWComplex.triad_images``), taken once per complex and shared with route
-1 as data only: each route assembles its own differentials, and only
-those are ``IntMatrix`` objects.
+and d2 blocks evaluate the derivation image of the triad words.  The twist
+factors through Z_o1 x ... x Z_on, o_i the order of the i-th generator's
+action matrix, so a word matters only through its exponent sums and a label
+only through its residues mod the o_i: ``build_complex`` reduces each
+1-cell's label once, reads the action in the ``classify2d.rho_table`` built
+once per target or per ``special_case_sectors`` call, and evaluates the d1
+and d2 blocks by ``classify2d.labelled_sum``, as route 1 does.  The lens
+route builds one complex per tuple of residues, the 2-d oracle one per
+sector.  The Fox derivatives and derivation images are the complex's own
+(``CWComplex.fox`` and ``CWComplex.triad_images``), shared with route 1 as
+data only: each route assembles its own differentials.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator, Sequence
 
-from .classify2d import Sectors, TargetData, labelled_sum, labels_to_json, rho_table
+from .classify2d import Sectors, TargetData, labelled_sum, labels_to_json, residues, rho_table
 from .complexes import CWComplex
 from .xmod import action_violations
 from .zlinalg import AbelianGroup, IntMatrix, json_int, quotient
@@ -41,12 +34,11 @@ class CoefficientError(Exception):
 class CoefficientModule:
     """Z^rank as a module over pi_1 of the source, through a sector map.
 
-    ``factors`` are the invariant factors of a finite abelian group that
-    the action factors through (pi_1 of the target, or on the lens route
-    the orders of its action matrices), ``rho`` the action of each of its
-    labels, and ``sector`` assigns a label to every 1-cell.  Words are
-    labeled additively via exponent sums, exact because the action factors
-    through the abelian pi_1 of the target.
+    ``rho`` maps each label of Z_f1 x ... x Z_fn (f = ``factors``), an
+    abelian group the action factors through, to its matrix: on both routes
+    a ``classify2d.rho_table`` and its orders.  ``sector`` labels every
+    1-cell in a group mapping onto that one, such as pi_1 of the target;
+    ``build_complex`` reads those labels at their residues mod f.
 
     The action does not depend on the sector, so it is checked and tabulated
     once where it enters: ``special_case_sectors`` checks the matrices it is
@@ -67,8 +59,7 @@ class CoefficientModule:
     @staticmethod
     def for_target_sector(data: TargetData, sector: dict) -> "CoefficientModule":
         """Coefficients pi_2 X = ker(d) with the action induced by the sector."""
-        factors = data.pi1.group.invariant_factors
-        return CoefficientModule(len(data.kernel_basis), factors, data.pi2_rho, dict(sector))
+        return CoefficientModule(len(data.kernel_basis), *data.pi2_rho, dict(sector))
 
     def matrix_of_label(self, label: Sequence[int]) -> IntMatrix:
         return self.rho[tuple(label)]
@@ -105,7 +96,7 @@ def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
     evaluated through its action."""
     gens, cells = M.alphabet.names, M.two_cell_names()
     r, factors, rho = coeffs.rank, coeffs.factors, coeffs.matrix_of_label
-    images = tuple(coeffs.sector[gen] for gen in gens)
+    images = tuple(residues(coeffs.sector[gen], factors) for gen in gens)
 
     def twisted(terms: dict) -> list[list[int]]:
         return labelled_sum(r, factors, images, terms, rho)
@@ -129,8 +120,7 @@ def build_complex(M: CWComplex, coeffs: CoefficientModule) -> CochainComplex:
 
 
 def _stack(block_rows: list[list[list[list[int]]]], r: int, cols: int) -> IntMatrix:
-    """The matrix whose rows of r x r blocks (each a list of rows) are
-    ``block_rows``."""
+    """The matrix whose rows of r x r blocks (lists of rows) are ``block_rows``."""
     return IntMatrix(
         [[x for block in blocks for x in block[i]] for blocks in block_rows for i in range(r)],
         cols=cols,
@@ -205,19 +195,17 @@ def special_case_sectors(
     matrices = (IntMatrix.identity(rank),) * len(factors) if pi_d_action is None else pi_d_action
     _check_action(rank, factors, matrices)
     orders, rho = rho_table(matrices, rank)
-    # |Hom(H_1 M, Z_f1 x ... x Z_fn)| with H_1 M = Z_d1 x ... (d = 0: Z).
-    h1 = quotient(len(M.alphabet), [word.exponent_sums() for _, word in M.two_cells])
-    count = math.prod(math.gcd(d, f) for d in h1.invariant_factors for f in factors)
+    sectors = Sectors(M, factors)
 
     @functools.cache
     def group(key: tuple) -> AbelianGroup:
         coeffs = CoefficientModule(rank, orders, rho, dict(zip(M.alphabet.names, key)))
         return quotient(len(M.three_cells) * rank, build_complex(M, coeffs).d2.columns())
 
-    header = SpecialCaseResult(factors, [], len(rho) == 1, count)
+    header = SpecialCaseResult(factors, [], len(rho) == 1, sectors.count())
     return header, (
-        SpecialSector(a, group(tuple(tuple(x % o for x, o in zip(c, orders)) for c in a.values())))
-        for a in Sectors(M, factors)
+        SpecialSector(a, group(tuple(residues(c, orders) for c in a.values())))
+        for a in sectors
     )
 
 

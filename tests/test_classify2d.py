@@ -16,6 +16,7 @@ from topsectors.classify2d import (
     UnsupportedTargetError,
     classify_based,
     classify_free,
+    classify_sectors,
     hom_lattice,
     homotopy_sublattice,
     label_of_sums,
@@ -28,7 +29,7 @@ from topsectors.cohomology import CoefficientModule, twisted_second_cohomology
 from topsectors.complexes import CWComplex, catalog, loads, saves, structurally_equal
 from topsectors.words import Alphabet, Run, Word, fox_derivative
 from topsectors.xmod import ModuleXMod, target_catalog
-from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, solve
+from topsectors.zlinalg import AbelianGroup, IntMatrix, Lattice, LatticeQuotient, solve
 
 from runterms import expand, letters
 from tables import POINCARE_ACTIONS, Z2Z2_SWAP_NEG, Z4_ROTATION
@@ -179,6 +180,7 @@ class TestSectors:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024, peak
+        assert sectors.count() == count
         if count > 2**16:
             assert list(itertools.islice(sectors, 3)) == [{"a": (c,)} for c in range(3)]
             return
@@ -199,7 +201,7 @@ class TestSectors:
             if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
         ]
 
-    @pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (2, 4), ()])
+    @pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (2, 4), (), (6,), (3, 6), (7,)])
     @pytest.mark.parametrize("name, params", [
         ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
         ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}), ("genus_surface", {"g": 1}),
@@ -211,6 +213,23 @@ class TestSectors:
         M = catalog(name, **params)
         expected = self.product_filter(M, factors)
         assert expected and list(iter(Sectors(M, factors))) == expected
+        assert Sectors(M, factors).count() == len(expected)
+
+    def test_first_sector_without_listing_the_labels(self, monkeypatch):
+        # pi_1 X = Z_(10^8) acting trivially: route 1 reads the action at the
+        # residues of a label, so no list of the 10^8 labels comes first.
+        X = ModuleXMod(
+            free_rank=0, torsion=(10**8,), rank=1,
+            action=(IntMatrix.identity(1),), boundary=IntMatrix.zeros(1, 1),
+        )
+
+        def refuse(self):
+            raise AssertionError("the labels of pi_1 X were listed")
+
+        monkeypatch.setattr(LatticeQuotient, "enumerate_class_coords", refuse)
+        first = next(classify_sectors(catalog("torus2"), X))
+        assert first.phi1 == {"a": (0,), "b": (0,)}
+        assert first.based_group == AbelianGroup((0,))
 
 
 ABC = Alphabet(["a", "b", "c"])
@@ -306,9 +325,11 @@ class TestLabelledSum:
 
     @pytest.mark.parametrize("label", [(0,), (1,)])
     def test_long_run_into_rp2_takes_few_label_steps(self, monkeypatch, label):
-        # a^(10^9) through pi_1(rp2) = Z_2: one label for the run's start,
-        # then at most |pi_1 X| = 2 steps before the walk is back at it.
-        data = TargetData(RP2)
+        # a^(10^9) through pi_1(rp2) = Z_2, whose action has order 2: one
+        # label for the run's start, then at most 2 steps before the walk is
+        # back at it.
+        orders, table = TargetData(RP2).rho
+        assert orders == (2,)
         calls = []
         real = classify2d.label_of_sums
 
@@ -320,9 +341,9 @@ class TestLabelledSum:
         monkeypatch.setattr(classify2d, "label_of_sums", counted)
         n = 10**9
         terms = fox_derivative(Alphabet(["a"]).word(f"a^{n}"), "a")
-        block = labelled_sum(RP2.rank, (2,), (label,), terms, data.rho.__getitem__)
+        block = labelled_sum(RP2.rank, orders, (label,), terms, table.__getitem__)
         # label 0: n copies of rho(0); label 1: n / 2 each of rho(0), rho(1)
-        m0, m1 = data.rho[(0,)].data, data.rho[(1,)].data
+        m0, m1 = table[(0,)].data, table[(1,)].data
         if label == (0,):
             assert block == [[n * x for x in row] for row in m0]
         else:
@@ -797,18 +818,23 @@ class TestRhoTable:
 
     @pytest.mark.parametrize("X", [RP2, Z4_ROTATION, Z2Z2_SWAP_NEG], ids=["rp2", "z4", "z2z2"])
     def test_tables_match_per_label_powers(self, X):
+        # Every pi_1 X label, read at its residues mod the orders, gets the
+        # action of its lift and the pi_2 power loop.
         data = TargetData(X)
-        labels = data.labels()
-        assert sorted(data.rho) == sorted(labels) == sorted(data.pi2_rho)
-        for label in labels:
-            assert data.rho[label] == X.rho_of_coords(data.lift_of_label(label))
-            rank = len(data.kernel_basis)
-            expected = self.power_loop(data.pi2_action, data.pi1.group.invariant_factors, label, rank)
-            assert data.pi2_rho[label] == expected
         factors = data.pi1.group.invariant_factors
         matrices = [X.rho_of_coords(g) for g in data.pi1.generator_vectors]
+        rank = len(data.kernel_basis)
+        (orders, rho), (pi2_orders, pi2_rho) = data.rho, data.pi2_rho
+        assert data.rho == rho_table(matrices, X.rank)
+        assert data.pi2_rho == rho_table(data.pi2_action, rank)
+        for label in data.labels():
+            assert rho[tuple(c % o for c, o in zip(label, orders))] == X.rho_of_coords(
+                data.lift_of_label(label)
+            )
+            expected = self.power_loop(data.pi2_action, factors, label, rank)
+            assert pi2_rho[tuple(c % o for c, o in zip(label, pi2_orders))] == expected
         self.check_table(matrices, factors, X.rank)
-        self.check_table(data.pi2_action, factors, len(data.kernel_basis))
+        self.check_table(data.pi2_action, factors, rank)
 
     def test_product_order_kept_without_commuting(self):
         # rho(c) is m_1^c_1 m_2^c_2 in that order, even when the m_i do not commute.
