@@ -14,15 +14,17 @@ entries keep U and V within a small multiple of the length of det A;
 ``_replay`` builds its V and V^-1.
 
 ``Lattice`` is the other reduction: its basis is the row Hermite normal
-form of its vectors, built in one sweep over the columns, with Euclid by
-nearest remainders on the rows nonzero in each column.  A lattice has
-exactly one basis in that form, so the canonical coset representatives
-read from it, and every pinned output that prints them, depend neither on
-the algorithm nor on the order of the input vectors.
+form of its vectors, built by adding them one at a time to a basis kept in
+that form, so that no entry grows far past the length of the lattice's
+determinant.  A lattice has exactly one basis in that form, so the
+canonical coset representatives read from it, and every pinned output that
+prints them, depend neither on the algorithm nor on the order of the input
+vectors.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -488,37 +490,50 @@ class Lattice:
     and entries above each pivot reduced into [0, pivot), so ``reduce``
     returns a unique canonical representative of each coset of the lattice.
     The form is unique (Cohen, GTM 138, 2.4.3): any input order gives the
-    same rows.  They are built in one sweep over the columns: at column p,
-    of the rows nonzero there, the one of least |entry| is made positive
-    and each other row takes off its nearest multiple, until one row is
-    left: the next basis row.  The earlier basis rows take off floor
-    multiples of it, into [0, pivot) at p.  The rows still to come are zero
-    left of p, so each step touches only columns >= p.
+    same rows.  Each vector joins a basis kept in that form (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979).  At its leading column p it takes off
+    the floor multiple of the basis row with pivot p; a remainder there
+    merges the two by Bezout coefficients into their gcd combination, the
+    new basis row, and a cofactor combination, zero at p, that goes on.
+    With no pivot at p, the vector is inserted, made positive.  Then the
+    rows above each pivot, from the first changed row on, are reduced into
+    [0, pivot) again.  Each step touches only the columns from p on.
     """
 
     def __init__(self, dim: int, vectors: Iterable[Sequence[int]] = ()):
         self.dim = dim
         self.rows: list[list[int]] = []
         self._pivots: list[int] = []
-        pending = [self._checked(v) for v in vectors]
-        for p in range(dim):
-            active = [row for row in pending if row[p]]
-            pending = [row for row in pending if not row[p]]
-            while len(active) > 1 or active and active[0][p] < 0:
-                pivot = min(active, key=lambda row: abs(row[p]))
-                if pivot[p] < 0:
-                    pivot[p:] = [-x for x in pivot[p:]]
-                for row in active:
-                    if row is not pivot:
-                        _reduce_row(row, pivot, p, pivot[p] // 2)
-                pending += [row for row in active if not row[p]]
-                active = [row for row in active if row[p]]
-            if active:
-                pivot = active[0]
-                for row in self.rows:
+        rows, pivots = self.rows, self._pivots
+        for vec in map(self._checked, vectors):
+            start = len(rows)
+            i = 0
+            # The steps change vec in place from column p on, as the loop reads it.
+            for p in itertools.compress(range(dim), vec):
+                i = bisect.bisect_left(pivots, p, i)
+                if i == len(pivots) or pivots[i] > p:
+                    if vec[p] < 0:
+                        vec[p:] = [-x for x in vec[p:]]
+                    rows.insert(i, vec)
+                    pivots.insert(i, p)
+                    start = min(start, i)
+                    break
+                row = rows[i]
+                _reduce_row(vec, row, p)
+                if vec[p]:
+                    # s a + t b = 1, so the pair of new rows is unimodular.
+                    g = math.gcd(row[p], vec[p])
+                    a, b = row[p] // g, vec[p] // g
+                    t = pow(b, -1, a)
+                    s = (1 - t * b) // a
+                    tail = list(zip(row[p:], vec[p:]))
+                    row[p:] = [s * x + t * y for x, y in tail]
+                    vec[p:] = [a * y - b * x for x, y in tail]
+                    start = min(start, i)
+            for j in range(start, len(rows)):
+                pivot, p = rows[j], pivots[j]
+                for row in rows[:j]:
                     _reduce_row(row, pivot, p)
-                self.rows.append(pivot)
-                self._pivots.append(p)
 
     def basis(self) -> list[Vector]:
         return [tuple(r) for r in self.rows]
@@ -555,10 +570,10 @@ class Lattice:
         return self._eliminate(self._checked(vector))
 
 
-def _reduce_row(row: list[int], pivot: Sequence[int], p: int, half: int = 0) -> int:
-    """Take q = (row[p] + half) // pivot[p] times ``pivot`` off ``row``, in
-    place, and return q.  Both are zero left of p, so only columns >= p move."""
-    q = (row[p] + half) // pivot[p]
+def _reduce_row(row: list[int], pivot: Sequence[int], p: int) -> int:
+    """Take q = row[p] // pivot[p] times ``pivot`` off ``row``, in place, and
+    return q.  Both are zero left of p, so only columns >= p move."""
+    q = row[p] // pivot[p]
     if q:
         for j in range(p, len(row)):
             row[j] -= q * pivot[j]

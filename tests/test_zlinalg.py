@@ -848,10 +848,43 @@ class TestLattice:
                 if rng.random() < 0.5:
                     vectors[0][0] = -rng.choice((2, 4, 6))
             cases.append((dim, vectors))
+        # Repeated and negated rows at one leading column, whose entries
+        # there the basis pivot does not divide: the gcd merges.
+        cases += [
+            (3, [(4, 1, 0), (6, 0, 1), (-6, 0, 1), (4, 1, 0), (-4, -1, 0), (10, 3, -2)]),
+            (4, [(0, 3, 1, 2), (0, -3, 1, 2), (0, 5, -1, 0), (0, 5, -1, 0), (0, -7, 2, 1)]),
+        ]
         ladder = random.Random(1)
-        cases.append((40, [[ladder.randint(-9, 9) for _ in range(40)] for _ in range(40)]))
+        for m, n in ((40, 40), (60, 80), (80, 60)):
+            cases.append((n, [[ladder.randint(-9, 9) for _ in range(n)] for _ in range(m)]))
+        left = IntMatrix([[ladder.randint(-9, 9) for _ in range(18)] for _ in range(30)])
+        right = IntMatrix([[ladder.randint(-9, 9) for _ in range(30)] for _ in range(18)])
+        cases.append((30, (left @ right).data))  # 30 x 30 of rank 18
         for dim, vectors in cases:
             assert Lattice(dim, vectors).basis() == self._floor_hermite(dim, vectors), (dim, vectors)
+
+    def test_build_entries_stay_near_the_hadamard_bound(self, monkeypatch):
+        # Each vector joins a basis kept reduced, so no row step sees an
+        # entry much longer than A's minors: at most 1.71 times the bound's
+        # bits here (349 against 205, n = 40, seed 19).  Euclid over all the
+        # rows at once, never reduced, reached 9.35 times (1935 against 207,
+        # seed 10).
+        real = zlinalg._reduce_row
+        seen = [0]
+
+        def step(row, pivot, p, *rest):
+            q = real(row, pivot, p, *rest)
+            seen[0] = max(seen[0], max(map(abs, row)), max(map(abs, pivot)))
+            return q
+
+        monkeypatch.setattr(zlinalg, "_reduce_row", step)
+        for n in (20, 40):
+            for seed in range(1, 21):
+                rng = random.Random(seed)
+                A = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+                seen[0] = 0
+                Lattice(n, A.data)
+                assert seen[0].bit_length() <= 2 * _hadamard_bits(A), (n, seed)
 
 
 class TestLatticeQuotient:
