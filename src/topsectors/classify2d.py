@@ -225,45 +225,55 @@ def labels_to_json(assignment: dict) -> dict:
 
 class Sectors:
     """The homomorphisms pi_1 M -> Z_f1 x ... x Z_fn (finite factors) as
-    label assignments to the 1-cells, never held as a list: each iteration
-    enumerates them afresh, and ``count`` reads their number off H_1 M.  An
-    assignment qualifies iff every 2-cell relator maps to the identity."""
+    label assignments to the 1-cells, made afresh by each iteration and never
+    held as a list.  Labels x in Z_f^n qualify iff H x = 0 mod f, for H a
+    basis of R + f Z^n and R the relators' exponent sums.  Its Hermite form
+    in reversed coordinates, lower triangular, counts and generates them."""
 
     def __init__(self, M: CWComplex, factors: Sequence[int]):
         self.M = M
         self.factors = factors
+        n = len(M.alphabet)
+        relators = [w.exponent_sums()[::-1] for _, w in M.two_cells]
+        self._forms = []  # per factor, row g in the 1-cells' order: zero right of g
+        for f in factors:  # R + f Z^n has full rank: its pivots are its diagonal
+            lattice = Lattice(n, relators + [[f * (i == j) for j in range(n)] for i in range(n)])
+            self._forms.append([row[::-1] for row in reversed(lattice.rows)])
 
     def __iter__(self) -> Iterator[dict]:
-        """The assignments in lexicographic order, each made as it is asked
-        for by a mixed-radix counter, the last label coordinate fastest.  A
-        relator whose exponent sums are all zero holds for every one."""
+        """The assignments in lexicographic order, made as they are asked for
+        by a mixed-radix counter, the last label coordinate fastest.  Row g of
+        a form says h x_g = -s mod f, for h its pivot and s = sum_(c < g)
+        H[g][c] x_c: x_g steps by f / h from (-s / h) mod (f / h), exact as
+        the pivots' product is the count, and only a row with an entry left
+        of its diagonal re-seats that offset after a step."""
         gens, factors, n = self.M.alphabet.names, tuple(self.factors), len(self.factors)
-        relators = [sums for sums in (w.exponent_sums() for _, w in self.M.two_cells) if any(sums)]
         radix = factors * len(gens)
+        rows = [form[g] for g in range(len(gens)) for form in self._forms]  # position g * n + j
+        steps = [f // row[p // n] for p, (f, row) in enumerate(zip(radix, rows))]
+        twisted = [p for p, row in enumerate(rows) if any(row[: p // n])]
         digits, images = [0] * len(radix), [(0,) * n] * len(gens)
         while True:
-            if not any(any(label_of_sums(factors, images, sums)) for sums in relators):
-                yield dict(zip(gens, images))
+            yield dict(zip(gens, images))
             for i in reversed(range(len(digits))):
-                digits[i] += 1
+                digits[i] += steps[i]
                 if digits[i] < radix[i]:
                     break
                 digits[i] = 0
             else:
                 return
+            for p in twisted:
+                if p > i:  # a position that the step reset
+                    row = rows[p]
+                    s = sum(map(operator.mul, row[: p // n], digits[p % n :: n]))
+                    digits[p] = -s // row[p // n] % steps[p]
             for g in range(i // n, len(gens)):  # the labels that the step changed
                 images[g] = tuple(digits[g * n : g * n + n])
 
     def count(self) -> int:
         """The number of sectors, prod_f |Hom(H_1 M, Z_f)|, where |Hom(Z^n / R,
-        Z_f)| = [Z^n : R + f Z^n] for R the relators' exponent sums."""
-        n = len(self.M.alphabet)
-        relators = [w.exponent_sums() for _, w in self.M.two_cells]
-        count = 1
-        for f in self.factors:  # R + f Z^n has full rank: its pivots are its diagonal
-            lattice = Lattice(n, relators + [[f * (i == j) for j in range(n)] for i in range(n)])
-            count *= math.prod(row[i] for i, row in enumerate(lattice.rows))
-        return count
+        Z_f)| = [Z^n : R + f Z^n], the product of the form's pivots."""
+        return math.prod(row[g] for form in self._forms for g, row in enumerate(form))
 
     def __len__(self) -> int:
         return self.count()
@@ -485,14 +495,6 @@ class SectorResult:
     def is_finite(self) -> bool:
         return self.quotient.group.is_finite
 
-    def representatives(self) -> list[Vector]:
-        """Canonical representatives: every class when finite, else those
-        with free coordinates 0 (extend along free_generators)."""
-        return self.quotient.representatives()
-
-    def free_generators(self) -> list[Vector]:
-        return self.quotient.free_generator_vectors()
-
     # -- the pi_1 X action on based classes ---------------------------------
 
     def act(self, label: Sequence[int], vec: Sequence[int]) -> Vector:
@@ -511,10 +513,8 @@ class SectorResult:
 
     def free_equivalent(self, v1: Sequence[int], v2: Sequence[int]) -> bool:
         """Are two homomorphisms in the same free homotopy class?"""
-        return any(
-            self.quotient.same_class(self.act(label, v1), v2)
-            for label in self.target_data.labels()
-        )
+        _, table = self.target_data.rho  # every loop acts by one of its matrices
+        return any(self.quotient.same_class(self._rotated(rho, v1), v2) for rho in table.values())
 
     @functools.cached_property
     def loop_maps(self) -> list[tuple[Vector, list[Vector], Vector]]:
@@ -565,10 +565,10 @@ class SectorResult:
         out = {
             "phi1": labels_to_json(self.phi1),
             "based_group": self.based_group.to_json(),
-            "representatives": [list(v) for v in self.representatives()],
+            "representatives": [list(v) for v in self.quotient.representatives()],
         }
         if not self.is_finite:
-            out["free_generators"] = [list(v) for v in self.free_generators()]
+            out["free_generators"] = [list(v) for v in self.quotient.free_generator_vectors()]
         if self.free_orbits is not None:
             out["free_orbits"] = [list(o) for o in self.free_orbits]
         return out

@@ -133,7 +133,7 @@ def render_classification_text(
         )
     phi1 = " ".join(f"{g}={_fmt_label(l)}" for g, l in sector.phi1.items())
     lines = [f"sector {phi1 or '(trivial pi_1)'}: {sector.based_group}"]
-    reps = sector.representatives()
+    reps = sector.quotient.representatives()
     if sector.is_finite:
         lines.append("  representatives: " + " ".join(_fmt_vec(v) for v in reps))
         if sector.free_orbits is not None:
@@ -142,7 +142,7 @@ def render_classification_text(
                 + " ".join("{" + ",".join(map(str, o)) + "}" for o in sector.free_orbits)
             )
     else:
-        gens = sector.free_generators()
+        gens = sector.quotient.free_generator_vectors()
         lines.append(
             "  representatives: base "
             + " ".join(_fmt_vec(v) for v in reps)
@@ -292,8 +292,9 @@ def _file_error(verb: str, path: str, err: OSError) -> InputError:
     return InputError(f"cannot {verb} {path!r}: {err.strerror or err}")
 
 
-def _emit(text: str, output: _Output) -> None:
-    """Write one piece of a command's output."""
+def _emit(text: str, output: _Output) -> bool:
+    """Write one piece of a command's output; False once a reader that
+    stops early, like ``head``, has closed stdout."""
     try:
         output.write(text)
     except OSError as err:
@@ -301,19 +302,22 @@ def _emit(text: str, output: _Output) -> None:
             raise _file_error("write", output.out, err) from None
         if not isinstance(err, BrokenPipeError):
             raise
-        # A reader that stops early, like ``head``, ends the output, not
-        # the run; stdout goes to devnull so the flush at exit stays quiet.
+        # stdout goes to devnull so that the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+    return True
 
 
-def _write(pieces, output: _Output) -> None:
-    """Write each piece of an iterator with ``_emit`` as it comes.  The
-    first piece, a header, waits for the second, so that a command that
-    fails in its first batch of sectors writes nothing, and one that fails
-    later stops after a whole batch."""
+def _write(pieces, output: _Output, drain: bool = False) -> None:
+    """Write each piece of an iterator with ``_emit`` as it comes, and stop
+    at a closed stdout unless ``drain``, for a command whose exit code needs
+    every piece.  The first piece, a header, waits for the second, so that
+    a command that fails in its first batch of sectors writes nothing, and
+    one that fails later stops after a whole batch."""
     head = next(pieces)
     for piece in pieces:
-        _emit(head + piece, output)
+        if not _emit(head + piece, output) and not drain:
+            return
         head = ""
 
 
@@ -430,7 +434,7 @@ def cmd_crosscheck(args) -> int:
         return f"{mismatches} sector(s) mismatch\n" if mismatches else "all sectors match\n"
 
     with _any_int_size():
-        _write(_text_pieces("", sectors, render, tail), args.output)
+        _write(_text_pieces("", sectors, render, tail), args.output, drain=True)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 

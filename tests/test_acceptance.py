@@ -72,8 +72,8 @@ def test_criterion_1_torus2():
 
     # representative sets, exactly as [phi1(a), phi1(b), phi2(t)_0]
     s00 = sectors[(0, 0)]
-    (base,) = s00.representatives()
-    (gen,) = s00.free_generators()
+    (base,) = s00.quotient.representatives()
+    (gen,) = s00.quotient.free_generator_vectors()
     assert triple(res.layout, base) == (0, 0, 0)
     assert triple(res.layout, gen) in ((0, 0, 1), (0, 0, -1))
     family = {
@@ -82,7 +82,7 @@ def test_criterion_1_torus2():
     }
     assert family == {(0, 0, n) for n in range(-3, 4)}
     for key in [(1, 0), (0, 1), (1, 1)]:
-        reps = {triple(res.layout, v) for v in sectors[key].representatives()}
+        reps = {triple(res.layout, v) for v in sectors[key].quotient.representatives()}
         assert reps == {key + (0,), key + (1,)}
 
     # free classes: the Z sector folds n ~ -n, the three Z_2 sectors are rigid
@@ -103,11 +103,11 @@ def test_criterion_2_rp2_self_maps():
     assert sectors[0].based_group == Z2
     assert sectors[1].based_group == Z
 
-    reps0 = {triple(res.layout, v) for v in sectors[0].representatives()}
+    reps0 = {triple(res.layout, v) for v in sectors[0].quotient.representatives()}
     assert reps0 == {(0, 0), (0, 1)}
     s1 = sectors[1]
-    (base,) = s1.representatives()
-    (gen,) = s1.free_generators()
+    (base,) = s1.quotient.representatives()
+    (gen,) = s1.quotient.free_generator_vectors()
     family = {
         triple(res.layout, tuple(b + n * g for b, g in zip(base, gen)))
         for n in range(-4, 5)
@@ -155,14 +155,15 @@ def test_criterion_3_knot_parity_table():
                 order = s.based_group.order()
                 if order is None:
                     for n in range(3):
-                        v = next(iter(s.representatives()))
+                        v = next(iter(s.quotient.representatives()))
                         x = triple(layout, v)[2]
                         w = list(v)
                         w[layout.phi2_offset("t")] = c - x
                         w[layout.phi2_offset("t") + 1] = v[layout.phi2_offset("t")]
                         assert s.free_equivalent(v, tuple(w))
                     continue
-                values = [triple(layout, v)[2] % order if order > 1 else 0 for v in s.representatives()]
+                reps = s.quotient.representatives()
+                values = [triple(layout, v)[2] % order if order > 1 else 0 for v in reps]
                 for orbit in s.free_orbits:
                     xs = {values[i] for i in orbit}
                     assert xs == {x % order if order > 1 else 0 for x in

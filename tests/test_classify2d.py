@@ -36,6 +36,11 @@ from tables import POINCARE_ACTIONS, Z2Z2_SWAP_NEG, Z4_ROTATION
 
 RP2 = target_catalog("rp2")
 S2 = target_catalog("sphere2")
+# pi_1 X = Z_(10^8) acting trivially on Z, with d = 0.
+Z1E8 = ModuleXMod(
+    free_rank=0, torsion=(10**8,), rank=1,
+    action=(IntMatrix.identity(1),), boundary=IntMatrix.zeros(1, 1),
+)
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,16 @@ def brute_force_homotopic(M, layout, v_phi, v_psi, box=3):
     return False
 
 
+PRODUCT_FILTER_SOURCES = [
+    ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
+    ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}), ("genus_surface", {"g": 1}),
+    ("genus_surface", {"g": 2}), ("torus_knot", {"p": 2, "q": 3}),
+    ("torus_knot", {"p": 3, "q": 2}), ("torus_knot", {"p": 4, "q": 6}),
+    ("torus_knot", {"p": 6, "q": 10}), ("torus3", {}), ("s1_x_s2", {}),
+]
+PRODUCT_FILTER_FACTORS = [(2,), (4,), (2, 2), (2, 4), (), (6,), (3, 6), (7,), (12,), (4, 12), (30,)]
+
+
 class TestSectors:
     def test_torus2_four_sectors(self):
         sectors = pi1_sectors(catalog("torus2"), TargetData(RP2))
@@ -201,35 +216,59 @@ class TestSectors:
             if not any(any(label_of_sums(factors, images, sums)) for sums in relators)
         ]
 
-    @pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (2, 4), (), (6,), (3, 6), (7,)])
-    @pytest.mark.parametrize("name, params", [
-        ("circle_wedge", {"n": 0}), ("circle_wedge", {"n": 3}), ("sphere2", {}), ("torus2", {}),
-        ("rp2", {}), ("klein_bottle", {}), ("s1_wedge_s2", {}), ("genus_surface", {"g": 1}),
-        ("genus_surface", {"g": 2}), ("torus_knot", {"p": 2, "q": 3}),
-        ("torus_knot", {"p": 3, "q": 2}), ("torus_knot", {"p": 4, "q": 6}),
+    @pytest.mark.parametrize("name, params, factors", [
+        # Pools of at most 2 * 10^5 label tuples, so that the filter stays fast.
+        pytest.param(name, params, factors, id=f"{name}-params{i}-factors{j}")
+        for i, (name, params) in enumerate(PRODUCT_FILTER_SOURCES)
+        for j, factors in enumerate(PRODUCT_FILTER_FACTORS)
+        if math.prod(factors) ** len(catalog(name, **params).alphabet) <= 2 * 10**5
     ])
     def test_counter_matches_product_filter(self, name, params, factors):
         # circle_wedge:0 and sphere2 have no 1-cells; () is a trivial pi_1.
+        # Forms with entries left of their diagonal, whose offsets move, come
+        # from klein_bottle and torus_knot with (4,), (7,), (30,) and others.
         M = catalog(name, **params)
         expected = self.product_filter(M, factors)
         assert expected and list(iter(Sectors(M, factors))) == expected
         assert Sectors(M, factors).count() == len(expected)
 
-    def test_first_sector_without_listing_the_labels(self, monkeypatch):
-        # pi_1 X = Z_(10^8) acting trivially: route 1 reads the action at the
-        # residues of a label, so no list of the 10^8 labels comes first.
-        X = ModuleXMod(
-            free_rank=0, torsion=(10**8,), rank=1,
-            action=(IntMatrix.identity(1),), boundary=IntMatrix.zeros(1, 1),
-        )
+    def test_sectors_of_a_large_factor_are_solved_not_filtered(self, monkeypatch):
+        # 10^12 candidate pairs for 10^6 sectors: each label of b is solved
+        # from the relator a^2 b^-3, not found by testing the relator.
+        def refuse(*args):
+            raise AssertionError("a candidate was tested against the relators")
 
+        monkeypatch.setattr(classify2d, "label_of_sums", refuse)
+        M, f = catalog("torus_knot", p=2, q=3), 10**6
+        sectors = Sectors(M, (f,))
+        (_, word), = M.two_cells
+        first = list(itertools.islice(sectors, 5))
+        assert len(set(map(repr, first))) == 5
+        for sector in first:
+            assert sum(s * sector[g][0] for g, s in zip("ab", word.exponent_sums())) % f == 0
+        assert sectors.count() == f
+
+    def test_first_sector_without_listing_the_labels(self, monkeypatch):
+        # Route 1 reads the action at the residues of a label, so no list of
+        # the 10^8 labels of Z1E8 comes first.
         def refuse(self):
             raise AssertionError("the labels of pi_1 X were listed")
 
         monkeypatch.setattr(LatticeQuotient, "enumerate_class_coords", refuse)
-        first = next(classify_sectors(catalog("torus2"), X))
+        first = next(classify_sectors(catalog("torus2"), Z1E8))
         assert first.phi1 == {"a": (0,), "b": (0,)}
         assert first.based_group == AbelianGroup((0,))
+
+    def test_free_equivalence_without_listing_the_labels(self, monkeypatch):
+        # A loop acts through its matrix in the action table, so the 10^8
+        # labels of Z1E8 are not walked one by one.
+        def refuse(self):
+            raise AssertionError("the labels of pi_1 X were listed")
+
+        monkeypatch.setattr(LatticeQuotient, "enumerate_class_coords", refuse)
+        first = next(classify_sectors(catalog("torus2"), Z1E8, free=True))
+        assert first.free_equivalent((0, 0, 1), (0, 0, 1))
+        assert not first.free_equivalent((0, 0, 1), (0, 0, 2))
 
 
 ABC = Alphabet(["a", "b", "c"])
@@ -532,7 +571,8 @@ class TestBasedClassification:
         assert by_sector[(0, 0)].based_group == AbelianGroup((0,))
         for key in [(1, 0), (0, 1), (1, 1)]:
             assert by_sector[key].based_group == AbelianGroup((2,))
-            triples = {paper_triple(res.layout, v) for v in by_sector[key].representatives()}
+            reps = by_sector[key].quotient.representatives()
+            triples = {paper_triple(res.layout, v) for v in reps}
             assert triples == {key + (0,), key + (1,)}
 
     def test_rp2_self_maps(self):
@@ -542,7 +582,7 @@ class TestBasedClassification:
         assert by_sector[1].based_group == AbelianGroup((0,))
         reps0 = {
             (res.layout.phi1(v, "a")[0], res.layout.phi2(v, "t")[0])
-            for v in by_sector[0].representatives()
+            for v in by_sector[0].quotient.representatives()
         }
         assert reps0 == {(0, 0), (0, 1)}
 
@@ -634,7 +674,7 @@ class TestKnots:
         by_sector = {(s.phi1["a"][0], s.phi1["b"][0]): s for s in res.sectors}
         reps = {
             paper_triple(layout, v)[2] % 4
-            for v in by_sector[(0, 1)].representatives()
+            for v in by_sector[(0, 1)].quotient.representatives()
         }
         assert reps == {0, 1, 2, 3}  # Z_p classes enumerated by phi2(t)_0 mod p
 
@@ -645,7 +685,7 @@ class TestKnots:
         by_sector = {(s.phi1["a"][0], s.phi1["b"][0]): s for s in res.sectors}
         sector = by_sector[(1, 0)]
         layout = res.layout
-        reps = sector.representatives()
+        reps = sector.quotient.representatives()
         values = [paper_triple(layout, v)[2] % q for v in reps]
         for orbit in sector.free_orbits:
             xs = {values[i] for i in orbit}
@@ -742,7 +782,7 @@ class TestFreeClassification:
 
         monkeypatch.setattr(SectorResult, "orbit_of_class", counted)
         res = classify(catalog("genus_surface", g=2), RP2)
-        classes = sum(len(s.representatives()) for s in res.sectors if s.is_finite)
+        classes = sum(len(s.quotient.representatives()) for s in res.sectors if s.is_finite)
         assert len(calls) == (classes if classify is classify_free else 0)
         orbits = [s.free_orbits for s in res.sectors]
         assert len(calls) == (classes if classify is classify_free else 0)
@@ -763,7 +803,7 @@ class TestFreeClassification:
             if s.free_orbits is None:
                 continue
             flat = sorted(i for orbit in s.free_orbits for i in orbit)
-            assert flat == list(range(len(s.representatives())))
+            assert flat == list(range(len(s.quotient.representatives())))
 
 
 class TestWedge:

@@ -1421,6 +1421,32 @@ class TestExitCodes:
         assert proc.communicate(timeout=60)[1] == b""
         assert proc.returncode == 0
 
+    def test_closed_stdout_ends_an_unbounded_classify(self):
+        # 10^8 sectors: once its reader is gone, classify has nothing left
+        # to give and stops at the first failed write.
+        argv = "classify --source s1_x_s2 --target lens:100000000,1".split()
+        proc = self._cli_process(argv, subprocess.PIPE)
+        try:
+            assert [proc.stdout.readline() for _ in range(3)][2] == b"  sector a=0: Z\n"
+            proc.stdout.close()
+            assert proc.communicate(timeout=10)[1] == b""
+            assert proc.returncode == 0
+        finally:
+            proc.kill()
+            proc.communicate()
+
+    def test_crosscheck_into_a_closed_pipe_keeps_its_verdict(self, tmp_path):
+        # The exit code is the verdict, so crosscheck answers every sector.
+        path = tmp_path / "cup.json"
+        path.write_text(json.dumps({"h1_rank": 1, "h2": [0], "h3": [0], "cup": [[[3]]]}))
+        read, write = os.pipe()
+        os.close(read)
+        argv = ["crosscheck", "--source", "s1_x_s2", "--target", "sphere2", "--cup", str(path)]
+        proc = self._cli_process(argv, write)
+        os.close(write)
+        assert proc.communicate(timeout=60)[1] == b""
+        assert proc.returncode == 3
+
     def test_validate_into_a_closed_pipe(self, tmp_path):
         path = tmp_path / "space.json"
         path.write_text(saves(catalog("torus2")))
